@@ -47,11 +47,8 @@ def _initial_step(f, t0, y0, f0, rtol, atol, span):
 
 
 def solve(f, t0, y0, t_end, rtol=1e-9, atol=1e-11, max_step=np.inf,
-          step_hook=None, max_steps=5_000_000):
+          max_steps=5_000_000):
     """Integrate y' = f(t, y) from t0 to t_end.
-
-    step_hook(t, y) runs after every accepted step and may return a
-    replacement state (used for invariant-subspace projection).
 
     Returns (ts, ys, fs, stats): accepted nodes, states, derivatives
     there, and a counter dict.  Raises StiffnessError if the step size
@@ -78,12 +75,8 @@ def solve(f, t0, y0, t_end, rtol=1e-9, atol=1e-11, max_step=np.inf,
         err = _rms((h * (_ERR @ k)) / sc)
         if err <= 1.0:
             t = t + h
-            if step_hook is not None:
-                y = step_hook(t, y_new)
-                k[0] = f(t, y)
-            else:
-                y = y_new
-                k[0] = k[6]  # first-same-as-last
+            y = y_new
+            k[0] = k[6]  # first-same-as-last
             ts.append(t)
             ys.append(y.copy())
             fs.append(k[0].copy())

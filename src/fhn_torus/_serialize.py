@@ -107,10 +107,6 @@ def dumps_json(obj) -> str:
     return _render(to_jsonable(obj)) + "\n"
 
 
-def dump_json(obj, fh):
-    fh.write(dumps_json(obj))
-
-
 def write_csv(rows, header, fh):
     """rows: iterable of sequences matching header."""
     w = csv.writer(fh, lineterminator="\n")

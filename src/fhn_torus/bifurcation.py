@@ -409,10 +409,10 @@ def hopf_crossing(lp: LatticeParams, xtol: float = 1e-12,
             "c is not small against sqrt(b); the crossing analysis may be inaccurate",
             stacklevel=2,
         )
+    lp0 = replace(lp, c=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCouplingWarning)
-        cp = critical_a(replace(lp, c=0.0))
-        resonances = tuple(resonance_check(replace(lp, c=0.0)))
+        cp = critical_a(lp0)
     lo = cp.a_star - max(1.0, 10.0 * lp.c)
     a_hat = locate_stability_loss(lp, lo, cp.a_star, xtol=xtol)
 
@@ -429,22 +429,7 @@ def hopf_crossing(lp: LatticeParams, xtol: float = 1e-12,
             a_lo=lo, a_hi=cp.a_star,
         )
     r, s, branch, lam = max(positive, key=lambda rec: rec[3].imag)
-    primary = cp.crossing[0]
-    matches = (r, s) == (primary.r, primary.s)
-    s_star = None
-    if cp.pattern == ("-", "-"):
-        s_star = lyapunov_coefficient_sync(CellParams(0.0, lp.b, 0.0))
-    return HopfReport(
-        a_hat=float(a_hat),
-        mode=(r, s),
-        omega_hopf=float(lam.imag),
-        resonances=resonances,
-        criticality="undetermined",
-        s_star=s_star,
-        a_star=cp.a_star,
-        pattern=cp.pattern,
-        matches_c0_prediction=matches,
-    )
+    return _hopf_report(lp0, cp, a_hat, (r, s), lam.imag, (r, s) == cp.primary.mode)
 
 
 def hopf_report_at_critical(lp: LatticeParams) -> HopfReport:
@@ -452,22 +437,29 @@ def hopf_report_at_critical(lp: LatticeParams) -> HopfReport:
     criticality probe and sweeps at c = 0."""
     cp = critical_a(lp)
     primary = cp.primary
+    return _hopf_report(lp, cp, cp.a_star, primary.mode, primary.omega, True)
+
+
+def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega,
+                 matches: bool) -> HopfReport:
+    """HopfReport of a crossing whose c = 0 lattice lp0 has critical
+    point cp; adds the resonances at a* and, for the synchronized
+    pattern, s_star."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCouplingWarning)
-        resonances = tuple(resonance_check(lp))
+        resonances = tuple(resonance_check(lp0))
     s_star = None
     if cp.pattern == ("-", "-"):
-        s_star = lyapunov_coefficient_sync(CellParams(0.0, lp.b, 0.0))
+        s_star = lyapunov_coefficient_sync(CellParams(0.0, lp0.b, 0.0))
     return HopfReport(
-        a_hat=cp.a_star,
-        mode=(primary.r, primary.s),
-        omega_hopf=primary.omega,
+        a_hat=float(a_hat),
+        mode=mode,
+        omega_hopf=float(omega),
         resonances=resonances,
-        criticality="undetermined",
         s_star=s_star,
         a_star=cp.a_star,
         pattern=cp.pattern,
-        matches_c0_prediction=True,
+        matches_c0_prediction=matches,
     )
 
 

@@ -245,16 +245,31 @@ def _k_label(mode: tuple, n: int) -> str:
     return pred.fixing.label()
 
 
-def _sym_payload(sym) -> dict:
-    return {
-        "period": sym.period,
-        "spatial": sym.spatial.label(),
-        "fixing": sym.fixing.label(),
-        "phases": sym.phases,
-        "phase_fractions": sym.phase_fractions,
-        "unquantized": sym.unquantized,
-        "match_residual": sym.match_residual,
+def _orbit_report(traj: Trajectory, lp: LatticeParams, tol: float):
+    """Detect and classify the orbit of a trajectory.
+
+    Returns (orbit, symmetry, entries), where entries holds the "orbit"
+    and "symmetry" members of a report, None where nothing was found.
+    """
+    orbit = detect_periodic_orbit(traj)
+    sym = None if orbit is None else classify_spatiotemporal(orbit, lp, tol=tol)
+    entries = {
+        "orbit": None if orbit is None else {
+            "period": orbit.period,
+            "anchor_time": orbit.anchor_time,
+            "residual": orbit.residual,
+        },
+        "symmetry": None if sym is None else {
+            "period": sym.period,
+            "spatial": sym.spatial.label(),
+            "fixing": sym.fixing.label(),
+            "phases": sym.phases,
+            "phase_fractions": sym.phase_fractions,
+            "unquantized": sym.unquantized,
+            "match_residual": sym.match_residual,
+        },
     }
+    return orbit, sym, entries
 
 
 def _cmd_spectrum(cfg: RunConfig):
@@ -356,12 +371,9 @@ def _cmd_simulate(cfg: RunConfig):
     lp = cfg.params
     z0 = _initial_state(cfg)
     traj = integrate(z0, lp, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
-    orbit = None
-    sym = None
+    entries = {"orbit": None, "symmetry": None}
     if cfg.classify:
-        orbit = detect_periodic_orbit(traj)
-        if orbit is not None:
-            sym = classify_spatiotemporal(orbit, lp, tol=cfg.match_tol)
+        _, _, entries = _orbit_report(traj, lp, cfg.match_tol)
     payload = {
         "command": "simulate",
         "params": asdict(lp),
@@ -371,12 +383,7 @@ def _cmd_simulate(cfg: RunConfig):
         "stats": traj.stats,
         "accepted_nodes": int(traj.times.size),
         "final_state": traj.final_state,
-        "orbit": None if orbit is None else {
-            "period": orbit.period,
-            "anchor_time": orbit.anchor_time,
-            "residual": orbit.residual,
-        },
-        "symmetry": None if sym is None else _sym_payload(sym),
+        **entries,
     }
     rows = tuple(
         (float(t),) + tuple(float(v) for v in state)
@@ -407,20 +414,12 @@ def _cmd_classify(cfg: RunConfig):
         derivs[idx] = rhs(times[idx], states[idx])
     traj = Trajectory(times=times, states=states, derivs=derivs,
                       stats={"source": cfg.input_path})
-    orbit = detect_periodic_orbit(traj)
-    sym = None
-    if orbit is not None:
-        sym = classify_spatiotemporal(orbit, lp, tol=cfg.match_tol)
+    orbit, sym, entries = _orbit_report(traj, lp, cfg.match_tol)
     payload = {
         "command": "classify",
         "params": asdict(lp),
         "input": cfg.input_path,
-        "orbit": None if orbit is None else {
-            "period": orbit.period,
-            "anchor_time": orbit.anchor_time,
-            "residual": orbit.residual,
-        },
-        "symmetry": None if sym is None else _sym_payload(sym),
+        **entries,
     }
     rows = ()
     if sym is not None:
@@ -524,7 +523,7 @@ def parse_and_dispatch(argv=None) -> int:
 
     Returns the process exit code instead of raising: 2 for anything
     rooted in bad input, 3 for numerical failures (lost brackets, step
-    size underflow, drift out of an invariant subspace) and I/O errors.
+    size underflow, a start outside an invariant subspace) and I/O errors.
     """
     parser = _build_parser()
     try:

@@ -37,12 +37,7 @@ class StiffnessError(RuntimeError):
 
 
 class InvarianceError(RuntimeError):
-    """A trajectory drifted out of the invariant subspace it was confined to."""
-
-    def __init__(self, message, t=None, drift=None):
-        super().__init__(message)
-        self.t = t
-        self.drift = drift
+    """A state handed to a fixed-point-space integration is not in that space."""
 
 
 class DegenerateCouplingWarning(UserWarning):

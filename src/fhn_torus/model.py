@@ -27,14 +27,12 @@ from .errors import DimensionMismatchError, DomainError, LatticeSizeError
 
 __all__ = [
     "CellParams",
-    "CouplingParams",
     "LatticeParams",
     "is_odd_prime",
     "state_dim",
     "to_grids",
     "from_grids",
     "rhs_cell",
-    "rhs_network",
     "jacobian_blocks_origin",
     "assemble_jacobian_origin",
     "jacobian_at",
@@ -76,20 +74,6 @@ class CellParams:
 
 
 @dataclass(frozen=True)
-class CouplingParams:
-    """Directional coupling weights gamma, delta on an N x N torus."""
-
-    gamma: float
-    delta: float
-    n: int
-
-    def __post_init__(self):
-        _require_odd_prime(self.n)
-        _require_finite("gamma", self.gamma)
-        _require_finite("delta", self.delta)
-
-
-@dataclass(frozen=True)
 class LatticeParams:
     """Full parameter set of the lattice: cell coefficients plus coupling."""
 
@@ -104,14 +88,6 @@ class LatticeParams:
         _require_odd_prime(self.n)
         for name in ("a", "b", "c", "gamma", "delta"):
             _require_finite(name, getattr(self, name))
-
-    @property
-    def cell(self) -> CellParams:
-        return CellParams(self.a, self.b, self.c)
-
-    @property
-    def coupling(self) -> CouplingParams:
-        return CouplingParams(self.gamma, self.delta, self.n)
 
 
 def state_dim(n: int) -> int:
@@ -176,27 +152,6 @@ def rhs_cell(xy, p: CellParams):
     return dx, dy
 
 
-def rhs_network(z: np.ndarray, lp: LatticeParams) -> np.ndarray:
-    """Vector field of the full lattice.
-
-    Parameters
-    ----------
-    z : ndarray, shape (2*N^2,)
-        Flat state in block order.
-    lp : LatticeParams
-
-    Returns
-    -------
-    ndarray, shape (2*N^2,)
-    """
-    x, y = to_grids(z, lp.n)
-    dx = x * (lp.a - x) * (x - 1.0) - y
-    dx += lp.gamma * (x - np.roll(x, -1, axis=0))
-    dx += lp.delta * (x - np.roll(x, -1, axis=1))
-    dy = lp.b * x - lp.c * y
-    return from_grids(dx, dy)
-
-
 def jacobian_blocks_origin(lp: LatticeParams):
     """2x2 blocks (D, E, F) of the linearization at the origin.
 
@@ -218,7 +173,7 @@ def _shift_matrix(n: int) -> np.ndarray:
 
 
 def assemble_jacobian_origin(lp: LatticeParams) -> np.ndarray:
-    """Dense 2N^2 x 2N^2 Jacobian of :func:`rhs_network` at the origin.
+    """Dense 2N^2 x 2N^2 Jacobian of ``simulate.make_rhs`` at the origin.
 
     Block-circulant in both lattice directions: D blocks on the cell
     diagonal, E on the first-index superdiagonal and F on the
@@ -233,7 +188,7 @@ def assemble_jacobian_origin(lp: LatticeParams) -> np.ndarray:
 
 
 def jacobian_at(z: np.ndarray, lp: LatticeParams) -> np.ndarray:
-    """Exact Jacobian of :func:`rhs_network` at an arbitrary state.
+    """Exact Jacobian of ``simulate.make_rhs`` at an arbitrary state.
 
     Only the cubic term varies with the state, so this is the origin
     Jacobian with cellwise corrections on the x-diagonal.

@@ -28,7 +28,6 @@ from .model import CellParams, LatticeParams, assemble_jacobian_origin
 from .symmetry import canonical_mode
 
 __all__ = [
-    "ModeSymbol",
     "EigenRecord",
     "principal_sqrt",
     "coupling_symbol",
@@ -72,13 +71,6 @@ def symbol_grid(lp: LatticeParams) -> np.ndarray:
     gr = lp.gamma * (1.0 - w)
     ds = lp.delta * (1.0 - w)
     return -lp.a + gr[:, None] + ds[None, :]
-
-
-@dataclass(frozen=True)
-class ModeSymbol:
-    r: int
-    s: int
-    value: complex
 
 
 def _eig_from_symbol(A: complex, b: float, c: float):

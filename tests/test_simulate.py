@@ -8,6 +8,7 @@ import pytest
 
 from fhn_torus import (
     CellParams,
+    DimensionMismatchError,
     InvarianceError,
     IsotropySubgroup,
     LatticeParams,
@@ -19,6 +20,7 @@ from fhn_torus import (
     classify_spatiotemporal,
     critical_a,
     detect_periodic_orbit,
+    fix_projection,
     from_grids,
     integrate,
     predict_hopf_symmetries,
@@ -54,6 +56,10 @@ def sync_orbit():
 
 
 class TestIntegrate:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            integrate(np.zeros(50), SYNC, 1.0)
+
     def test_zero_state_stays_zero(self):
         lp = LatticeParams(n=3, a=0.3, b=1.0, c=0.1, gamma=-1.0, delta=-0.5)
         traj = integrate(np.zeros(18), lp, 5.0)
@@ -181,16 +187,31 @@ class TestReducedIntegrateFix:
         dev = np.max(np.abs(traj.sample(ts)[:, :2] - cell.sample(ts)))
         assert dev < 1e-6
 
-    def test_drift_stays_at_rounding_level(self):
-        K = IsotropySubgroup.cyclic((0, 1), 3)
-        lp = LatticeParams(n=3, a=1.42, b=1.0, c=0.0, gamma=1.0, delta=-1.0)
-        traj = reduced_integrate_fix(K, _row_pattern_state(), lp, 50.0)
-        assert traj.stats["max_drift"] <= 1e-9
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_lifted_quotient_flow_matches_full_flow(self, n, rng):
+        # every subgroup of Z_N x Z_N for prime N: the whole group, the
+        # trivial one and the N+1 cyclic ones
+        lp = LatticeParams(n=n, a=-0.05, b=1.0, c=0.02, gamma=0.7, delta=-1.1)
+        cyclic = [(1, 0)] + [(k, 1) for k in range(n)]
+        subgroups = [IsotropySubgroup.full(n), IsotropySubgroup.trivial(n)]
+        subgroups += [IsotropySubgroup.cyclic(g, n) for g in cyclic]
+        ts = np.linspace(0.0, 10.0, 201)
+        for K in subgroups:
+            z0 = fix_projection(0.5 * rng.standard_normal(2 * n * n), K)
+            full = integrate(z0, lp, 10.0)
+            lifted = reduced_integrate_fix(K, z0, lp, 10.0)
+            assert lifted.stats == full.stats
+            scale = float(np.max(np.abs(full.states)))
+            dev = float(np.max(np.abs(lifted.sample(ts) - full.sample(ts))))
+            assert dev <= 1e-9 * scale
+            assert _exactly_fixed(lifted.states, K)
 
     def test_rejects_state_outside_subspace(self, rng):
         K = IsotropySubgroup.cyclic((0, 1), 3)
         with pytest.raises(InvarianceError):
             reduced_integrate_fix(K, rng.standard_normal(18), SYNC, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            reduced_integrate_fix(K, np.zeros(50), SYNC, 1.0)
 
     def test_ring_branch_orbit_keeps_predicted_symmetry(self):
         # one-directional coupling: integrate inside the fixed space of
@@ -206,7 +227,7 @@ class TestReducedIntegrateFix:
         xi = np.real(analytic_eigenvector(pm.r, pm.s, pm.branch, lp))
         xi /= np.max(np.abs(xi))
         traj = reduced_integrate_fix(cp.predicted_K, 1e-3 * xi, lp, 450.0)
-        assert traj.stats["max_drift"] <= 1e-9
+        assert _exactly_fixed(traj.states, cp.predicted_K)
         orbit = detect_periodic_orbit(traj)
         assert orbit is not None
         sym = classify_spatiotemporal(orbit, lp)
@@ -219,8 +240,7 @@ class TestReducedIntegrateFix:
         assert float(np.max(x.max(axis=1) - x.min(axis=1))) < 1e-9
 
 
-def _row_pattern_state():
-    # constant along the second index: inside Fix(Z(0,1))
-    x = np.zeros((3, 3))
-    x[:, 0] = x[:, 1] = x[:, 2] = np.array([1.0, -0.4, 0.2]) * 1e-3
-    return from_grids(x, np.zeros((3, 3)))
+def _exactly_fixed(states, K):
+    return all(
+        np.array_equal(act(g, z, K.n), z) for z in states for g in K.elements()
+    )
