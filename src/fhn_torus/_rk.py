@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StiffnessError
+from .errors import DomainError, StiffnessError
 
 # Butcher coefficients.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -58,7 +58,7 @@ def solve(f, t0, y0, t_end, rtol=1e-9, atol=1e-11, max_step=np.inf,
     t = float(t0)
     span = float(t_end) - t
     if span <= 0.0:
-        raise ValueError("t_end must exceed t0")
+        raise DomainError("t_end must exceed t0")
     k = np.empty((7, y.size))
     k[0] = f(t, y)
     h = min(_initial_step(f, t, y, k[0], rtol, atol, span), max_step)
@@ -98,7 +98,7 @@ def hermite_eval(ts, ys, fs, tq):
     """Cubic Hermite interpolation of the stored solution at query times."""
     tq_arr = np.atleast_1d(np.asarray(tq, dtype=float))
     if np.any(tq_arr < ts[0] - 1e-12) or np.any(tq_arr > ts[-1] + 1e-12):
-        raise ValueError("query time outside the integrated range")
+        raise DomainError("query time outside the integrated range")
     tq_arr = np.clip(tq_arr, ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, tq_arr, side="right") - 1, 0, len(ts) - 2)
     h = ts[idx + 1] - ts[idx]

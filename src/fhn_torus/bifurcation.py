@@ -51,7 +51,6 @@ __all__ = [
     "theta_n",
     "sign_pattern",
     "critical_a",
-    "stability_margin",
     "origin_stability",
     "locate_stability_loss",
     "lyapunov_coefficient_sync",
@@ -176,12 +175,6 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     )
 
 
-def stability_margin(lp: LatticeParams) -> float:
-    """Largest real part over the full origin spectrum."""
-    lam_p, lam_m = eigenvalue_grids(lp)
-    return float(max(lam_p.real.max(), lam_m.real.max()))
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     stable: bool
@@ -191,16 +184,13 @@ class StabilityVerdict:
 
 def origin_stability(lp: LatticeParams) -> StabilityVerdict:
     """Linear stability of the origin from the closed-form spectrum."""
-    lam_p, lam_m = eigenvalue_grids(lp)
-    margin = float(max(lam_p.real.max(), lam_m.real.max()))
+    lam = np.stack(eigenvalue_grids(lp))
+    margin = float(lam.real.max())
     tol = 1e-12 * max(1.0, abs(margin))
-    leading = []
-    for branch, grid in (("+", lam_p), ("-", lam_m)):
-        hits = np.argwhere(grid.real >= margin - tol)
-        for r, s in hits:
-            leading.append(
-                EigenRecord(int(r), int(s), branch, complex(grid[r, s]))
-            )
+    leading = [
+        EigenRecord(int(r), int(s), "+-"[k], complex(lam[k, r, s]))
+        for k, r, s in zip(*np.nonzero(lam.real >= margin - tol))
+    ]
     leading.sort(key=lambda rec: (rec.r, rec.s, rec.branch))
     return StabilityVerdict(stable=margin < 0.0, margin=margin, leading=tuple(leading))
 
@@ -214,7 +204,7 @@ def locate_stability_loss(lp: LatticeParams, a_lo: float, a_hi: float,
     """
 
     def f(a):
-        return stability_margin(replace(lp, a=a))
+        return origin_stability(replace(lp, a=a)).margin
 
     lo, hi = float(a_lo), float(a_hi)
     f_lo, f_hi = f(lo), f(hi)

@@ -408,10 +408,7 @@ def _cmd_classify(cfg: RunConfig):
         lp = replace(lp, n=n_file)
     if np.any(np.diff(times) <= 0.0):
         raise DomainError(f"{cfg.input_path}: times must increase strictly")
-    rhs = make_rhs(lp)
-    derivs = np.empty_like(states)
-    for idx in range(states.shape[0]):
-        derivs[idx] = rhs(times[idx], states[idx])
+    derivs = make_rhs(lp)(times, states.T).T
     traj = Trajectory(times=times, states=states, derivs=derivs,
                       stats={"source": cfg.input_path})
     orbit, sym, entries = _orbit_report(traj, lp, cfg.match_tol)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from .model import LatticeParams, state_dim
 from .symmetry import (
     IsotropySubgroup,
     _subgroup_from_members,
-    group_elements,
     state_permutation,
 )
 
@@ -69,7 +69,12 @@ def make_rhs(lp: LatticeParams, K: IsotropySubgroup | None = None):
     """Flat-vector network field, index arithmetic precomputed.
 
     With a subgroup K the field is the exact flow on Fix(K): one cell
-    per K-orbit of cells, in the order of :func:`_cell_classes`.
+    per K-orbit of cells, in the order of :func:`_cell_classes`.  The
+    field also takes states stacked along further axes with the state
+    slot first, shape (dim, ...), and returns the derivative of each in
+    the same layout: a stack of row states ``Z`` goes in as ``Z.T``.
+    The slot axis comes first because indexing it adds nothing to a
+    one-state call, where ``z[..., idx]`` adds about a quarter.
     """
     n = lp.n
     m = np.arange(n * n)
@@ -142,13 +147,13 @@ class PeriodicOrbit:
     residual: float
 
 
-def _golden_min(fun, lo, hi, iters=80):
+def _golden_min(fun, lo, hi):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -207,11 +212,16 @@ def detect_periodic_orbit(traj: Trajectory, settings: OrbitDetectSettings | None
 class OrbitSymmetry:
     """Spatio-temporal symmetry of a periodic orbit.
 
-    ``spatial`` collects the shifts mapping the orbit to itself up to a
-    time shift, ``fixing`` those with zero shift.  ``phases`` holds the
-    raw time shift of each generator of ``spatial``; entries of
-    ``phase_fractions`` are the matching multiples of P/N, or None for
-    a shift that fails quantization.
+    ``spatial`` (H) collects the shifts mapping the orbit to itself up
+    to a time shift, ``fixing`` (K) those with zero shift.  ``phases``
+    holds the raw time shift of each generator of ``spatial``, (1, 0)
+    and (0, 1) for the full group; entries of ``phase_fractions`` are
+    the matching multiples of P/N, or None for a shift that fails
+    quantization.  ``unquantized`` lists the tested subgroup generators
+    inside ``spatial`` whose shift fails quantization, and
+    ``match_residual`` is the largest distance, relative to the orbit
+    amplitude, between the orbit and the time-shifted image of one of
+    those generators (0 when ``spatial`` is trivial).
     """
 
     period: float
@@ -223,83 +233,105 @@ class OrbitSymmetry:
     match_residual: float
 
 
+def _peak_shift(cross: np.ndarray, omega: np.ndarray, tau: float) -> float:
+    """Refine a sampled maximum of the trigonometric interpolant
+
+        c(tau) = Re sum_k cross_k exp(i omega_k tau)
+
+    by Newton steps on c'(tau) = 0, starting from the sample time tau.
+    Started within half a sample of the peak, four steps reach it to
+    rounding.
+    """
+    for _ in range(4):
+        rot = cross * np.exp(1j * omega * tau)
+        d2 = float(np.real(np.sum(-omega * omega * rot)))
+        if d2 >= 0.0:
+            break
+        tau -= float(np.real(np.sum(1j * omega * rot))) / d2
+    return tau
+
+
+def _phase_kernel(fractions: dict, n: int) -> IsotropySubgroup:
+    """Kernel of the phase map H -> Z_N given on the generators of H.
+
+    A member g1^e1 g2^e2 ... of H fixes the orbit when its implied
+    time shift, the sum of e_i times the phase fraction of g_i, is a
+    whole number of periods.  A generator whose shift fails
+    quantization enters only with exponent zero.
+    """
+    gens = list(fractions)
+    exponents = [range(n) if fractions[g] is not None else (0,) for g in gens]
+    fixers = set()
+    for es in itertools.product(*exponents):
+        if sum(e * fractions[g] for e, g in zip(es, gens) if e) % 1 == 0:
+            fixers.add(tuple(
+                sum(e * g[c] for e, g in zip(es, gens)) % n for c in (0, 1)
+            ))
+    return _subgroup_from_members(fixers, n)
+
+
 def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
                             tol: float = 1e-2) -> OrbitSymmetry:
     """Identify which lattice shifts preserve a periodic orbit.
 
-    For every group element the orbit is compared against its shifted
-    copy over one period, searching the relative time shift on a grid
-    of N*64 samples refined by golden section.  A shift is accepted
-    when the sup distance stays below tol times the orbit amplitude.
+    For prime N every subgroup of Z_N x Z_N is trivial, one of the N+1
+    cyclic subgroups, or the whole group, so only the canonical
+    generator of each cyclic subgroup is tested.  One period is sampled
+    once at N*64 times.  Each generator's time shift is the maximum of
+    the trigonometric interpolant of the cross-correlation between the
+    orbit and its shifted copy, found from the FFT of the samples and
+    refined by Newton steps; the time-shifted orbit is a Fourier phase
+    shift of the same samples.  A generator matches when the sup
+    distance stays below tol times the orbit amplitude.  H is the full
+    group when two or more generators match, the cyclic group of the
+    one that matches, or else trivial; K is the kernel of the phase map
+    H -> Z_N given by the quantized phases of the generators of H
+    (Golubitsky-Stewart H/K).
     """
     n = lp.n
-    traj = orbit.trajectory
     P = orbit.period
     m = n * 64
-    base = orbit.anchor_time
-    ts = base + P * np.arange(m) / m
-    Z = traj.sample(ts)
+    Z = orbit.trajectory.sample(orbit.anchor_time + P * np.arange(m) / m)
     amp = float(np.max(np.abs(Z - Z.mean(axis=0))))
     if amp <= 0.0:
         raise ClassificationError("orbit has zero amplitude")
     Fz = np.fft.fft(Z, axis=0)
+    omega = 2.0 * np.pi * np.fft.fftfreq(m, d=P / m)
 
-    def dist(g_samples, theta):
-        tq = base + np.mod(P * np.arange(m) / m + theta, P)
-        return float(np.max(np.abs(g_samples - traj.sample(tq))))
-
-    accepted = {}
-    worst = 0.0
-    for g in group_elements(n):
+    gens = [IsotropySubgroup.cyclic(g, n).generator
+            for g in [(1, 0)] + [(k, 1) for k in range(n)]]
+    shift, residual, fraction = {}, {}, {}
+    for g in gens:
         perm = state_permutation(g, n)
-        Zg = Z[:, perm]
-        corr = np.fft.ifft(np.conj(np.fft.fft(Zg, axis=0)) * Fz, axis=0).real
-        j0 = int(np.argmax(corr.sum(axis=1)))
-        th = _golden_min(
-            lambda th: dist(Zg, th),
-            (j0 - 1.5) * P / m,
-            (j0 + 1.5) * P / m,
-            iters=60,
-        )
-        d = dist(Zg, th)
-        if d <= tol * amp:
-            accepted[g] = float(np.mod(th, P))
-            worst = max(worst, d / amp)
+        cross = np.sum(np.conj(Fz[:, perm]) * Fz, axis=1)
+        j0 = int(np.argmax(np.fft.ifft(cross).real))
+        th = _peak_shift(cross, omega, j0 * P / m)
+        moved = np.fft.ifft(Fz * np.exp(1j * omega * th)[:, None], axis=0).real
+        residual[g] = float(np.max(np.abs(Z[:, perm] - moved))) / amp
+        shift[g] = float(np.mod(th, P))
+        q = round(shift[g] * n / P)
+        quantized = abs(shift[g] - q * P / n) <= 0.02 * P
+        fraction[g] = Fraction(q % n, n) if quantized else None
 
-    spatial = _subgroup_from_members(set(accepted), n)
-    members = set(spatial.elements())
-
-    fixing_members = set()
-    unquantized = []
-    fractions = {}
-    for g in sorted(members):
-        th = accepted[g]
-        q = round(th * n / P)
-        if abs(th - q * P / n) <= 0.02 * P:
-            fractions[g] = Fraction(int(q) % n, n)
-            if q % n == 0:
-                fixing_members.add(g)
-        else:
-            fractions[g] = None
-            unquantized.append(g)
-    fixing = _subgroup_from_members(fixing_members, n)
-
-    if spatial.kind == "full":
-        gens = [(1, 0), (0, 1)]
-    elif spatial.kind == "cyclic":
-        gens = [spatial.generator]
+    matched = [g for g in gens if residual[g] <= tol]
+    if len(matched) >= 2:
+        spatial = IsotropySubgroup.full(n)
+        tested, reported = gens, [(1, 0), (0, 1)]
+    elif matched:
+        spatial = IsotropySubgroup.cyclic(matched[0], n)
+        tested = reported = matched
     else:
-        gens = []
-    phases = {g: accepted[g] for g in gens}
-    phase_fractions = {g: fractions[g] for g in gens}
+        spatial = IsotropySubgroup.trivial(n)
+        tested = reported = []
+    phase_fractions = {g: fraction[g] for g in reported}
     return OrbitSymmetry(
         period=P,
         spatial=spatial,
-        fixing=fixing,
-        phases=phases,
+        fixing=_phase_kernel(phase_fractions, n),
+        phases={g: shift[g] for g in reported},
         phase_fractions=phase_fractions,
-        unquantized=tuple(unquantized),
-        match_residual=worst,
+        unquantized=tuple(g for g in tested if fraction[g] is None),
+        match_residual=max((residual[g] for g in tested), default=0.0),
     )
 
 

@@ -34,7 +34,6 @@ from fhn_torus.bifurcation import (
     hopf_report_at_critical,
     resonant_coupling,
     sign_pattern,
-    stability_margin,
 )
 
 
@@ -166,7 +165,7 @@ class TestStabilityScan:
         for _ in range(5):
             lp = random_lattice(rng, n=3)
             dense = float(np.max(dense_spectrum(lp).real))
-            assert stability_margin(lp) == pytest.approx(dense, abs=1e-10)
+            assert origin_stability(lp).margin == pytest.approx(dense, abs=1e-10)
 
 
 class TestOriginStability:

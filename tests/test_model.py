@@ -6,6 +6,7 @@ import pytest
 from fhn_torus import (
     CellParams,
     DimensionMismatchError,
+    IsotropySubgroup,
     LatticeParams,
     LatticeSizeError,
     assemble_jacobian_origin,
@@ -99,6 +100,19 @@ class TestRhsCell:
 
 
 class TestRhsNetwork:
+    @pytest.mark.parametrize("K", [None, IsotropySubgroup.cyclic((1, 2), 5)])
+    def test_stacked_states_match_row_loop(self, K, rng):
+        # same element-wise arithmetic, so a stack of states must give
+        # the per-state derivatives bit for bit
+        lp = LatticeParams(n=5, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
+        rhs = make_rhs(lp, K)
+        dim = 50 if K is None else 10
+        Z = rng.standard_normal((37, dim))
+        ts = np.linspace(0.0, 1.0, 37)
+        rows = np.stack([rhs(t, z) for t, z in zip(ts, Z)])
+        assert np.array_equal(rhs(ts, Z.T).T, rows)
+        assert np.array_equal(rhs(0.0, Z.T.reshape(dim, 37, 1)), rows.T[:, :, None])
+
     def test_zero_state_fixed(self):
         lp = LatticeParams(n=3, a=0.5, b=1.0, c=0.2, gamma=-1.0, delta=0.5)
         assert np.array_equal(lattice_field(np.zeros(18), lp), np.zeros(18))

@@ -1,5 +1,6 @@
 """Integration, orbit detection, spatio-temporal classification."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from fhn_torus import (
     CellParams,
     DimensionMismatchError,
+    DomainError,
     InvarianceError,
     IsotropySubgroup,
     LatticeParams,
@@ -29,6 +31,7 @@ from fhn_torus import (
     to_grids,
 )
 from fhn_torus import _rk
+from fhn_torus import simulate
 from fhn_torus.symmetry import state_permutation
 
 SYNC = LatticeParams(n=3, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
@@ -89,6 +92,15 @@ class TestIntegrate:
         energy = lp.b * Z[:, 0] ** 2 + Z[:, 1] ** 2
         assert float(np.max(np.abs(energy - energy[0]))) <= 10.0 * eps**3
 
+    def test_solve_rejects_empty_span(self):
+        with pytest.raises(DomainError):
+            _rk.solve(lambda t, y: -y, 1.0, np.ones(2), 1.0)
+
+    def test_sample_rejects_time_outside_range(self, rng):
+        traj = integrate(0.1 * rng.standard_normal(18), SYNC, 1.0)
+        with pytest.raises(DomainError):
+            traj.sample(1.5)
+
     def test_sample_reproduces_nodes(self, rng):
         traj = integrate(0.1 * rng.standard_normal(18), SYNC, 10.0)
         mid = traj.times[len(traj.times) // 2]
@@ -126,6 +138,7 @@ class TestClassifySpatiotemporal:
         assert all(v == 0 for v in sym.phase_fractions.values())
         assert sym.unquantized == ()
         assert sym.match_residual < 1e-5
+        assert_symmetry_holds(sync_orbit, sym)
 
     def test_exact_rotating_wave(self):
         # closed-form wave on the (1, 2) frequency: shifting by g must
@@ -159,6 +172,77 @@ class TestClassifySpatiotemporal:
         }
         assert sym.unquantized == ()
         assert sym.match_residual < 1e-12
+        assert_symmetry_holds(orbit, sym)
+
+    def test_cyclic_spatial_group_with_rotating_phase(self):
+        # harmonic 1 on (1, 0) and harmonic 2 on (0, 1): a shift g is
+        # matched by a time shift only when g.(0,1) = 2 g.(1,0) mod 5,
+        # that is on the line through (1, 2), which turns 1/5 of a period
+        orbit = wave_orbit(5, [((1, 0), 1, 1.0), ((0, 1), 2, 0.5)])
+        sym = classify_spatiotemporal(orbit, wave_lattice(5))
+        assert sym.spatial == IsotropySubgroup.cyclic((1, 2), 5)
+        assert sym.fixing == IsotropySubgroup.trivial(5)
+        assert sym.phase_fractions == {(1, 2): Fraction(1, 5)}
+        assert sym.unquantized == ()
+        assert sym.match_residual < 1e-6
+        assert_symmetry_holds(orbit, sym)
+
+    def test_cyclic_spatial_group_fixing_pointwise(self):
+        # harmonics 1 and 3 on the same frequency (1, 0): only shifts
+        # along the second index, which leave every term unchanged
+        orbit = wave_orbit(5, [((1, 0), 1, 1.0), ((1, 0), 3, 0.5)])
+        sym = classify_spatiotemporal(orbit, wave_lattice(5))
+        assert sym.spatial == IsotropySubgroup.cyclic((0, 1), 5)
+        assert sym.fixing == sym.spatial
+        assert sym.phase_fractions == {(0, 1): Fraction(0)}
+        assert sym.unquantized == ()
+        assert sym.match_residual < 1e-6
+        assert_symmetry_holds(orbit, sym)
+
+    def test_trivial_spatial_group(self):
+        # a third term, harmonic 2 on (1, 1), demands g.(1,1) = g.(0,1),
+        # which leaves only the identity
+        orbit = wave_orbit(
+            5, [((1, 0), 1, 1.0), ((0, 1), 2, 0.5), ((1, 1), 2, 0.5)]
+        )
+        sym = classify_spatiotemporal(orbit, wave_lattice(5))
+        assert sym.spatial == IsotropySubgroup.trivial(5)
+        assert sym.fixing == IsotropySubgroup.trivial(5)
+        assert sym.phases == {} and sym.phase_fractions == {}
+        assert sym.unquantized == ()
+        assert sym.match_residual == 0.0
+        assert_symmetry_holds(orbit, sym)
+
+    def test_unquantized_generator_phase(self):
+        # the wave is handed over with three times its period, so a
+        # shift along the first index turns 1/9 (or 4/9, 7/9) of it,
+        # never a multiple of 1/3
+        orbit = wave_orbit(3, [((1, 0), 1, 1.0)], reported_periods=3)
+        sym = classify_spatiotemporal(orbit, wave_lattice(3))
+        assert sym.spatial.kind == "full"
+        assert sym.phase_fractions == {(1, 0): None, (0, 1): Fraction(0)}
+        assert set(sym.unquantized) == {(1, 0), (1, 1), (1, 2)}
+        assert sym.fixing == IsotropySubgroup.cyclic((0, 1), 3)
+        assert sym.match_residual < 1e-6
+        assert_symmetry_holds(orbit, sym)
+
+    def test_one_sample_call_and_one_test_per_cyclic_subgroup(self, monkeypatch):
+        calls = {"perm": 0, "dense": 0, "golden": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulate, "state_permutation",
+                            counted("perm", simulate.state_permutation))
+        monkeypatch.setattr(_rk, "hermite_eval", counted("dense", _rk.hermite_eval))
+        monkeypatch.setattr(simulate, "_golden_min",
+                            counted("golden", simulate._golden_min))
+        orbit = wave_orbit(5, [((1, 0), 1, 1.0), ((0, 1), 2, 0.5)])
+        classify_spatiotemporal(orbit, wave_lattice(5))
+        assert calls == {"perm": 6, "dense": 1, "golden": 0}
 
     def test_wave_matches_prediction_up_to_orientation(self):
         # the classifier reports the realized wave's shifts; the
@@ -238,9 +322,66 @@ class TestReducedIntegrateFix:
         # rings along the second lattice direction stay synchronized
         x, _ = to_grids(traj.final_state, 3)
         assert float(np.max(x.max(axis=1) - x.min(axis=1))) < 1e-9
+        assert_symmetry_holds(orbit, sym)
 
 
 def _exactly_fixed(states, K):
     return all(
         np.array_equal(act(g, z, K.n), z) for z in states for g in K.elements()
     )
+
+
+def wave_orbit(n, waves, omega=1.3, reported_periods=1):
+    """Closed-form orbit over three periods, sampled at 300 nodes each.
+
+    Each wave ((k1, k2), h, A) adds A cos and A sin of
+    h*omega*t + 2*pi*(i*k1 + j*k2)/n to the x and y lattices, so the
+    shift g maps it onto itself after h*t/P = g.k/n periods.
+    """
+    period = 2.0 * math.pi / omega
+    ii = np.arange(n)
+    gi, gj = np.meshgrid(ii, ii, indexing="ij")
+
+    def node(t):
+        x, y, dx, dy = (np.zeros((n, n)) for _ in range(4))
+        for (k1, k2), h, A in waves:
+            ph = h * omega * t + 2.0 * math.pi * (gi * k1 + gj * k2) / n
+            x += A * np.cos(ph)
+            y += A * np.sin(ph)
+            dx -= A * h * omega * np.sin(ph)
+            dy += A * h * omega * np.cos(ph)
+        return from_grids(x, y), from_grids(dx, dy)
+
+    ts = np.linspace(0.0, 3.0 * period, 901)
+    states, derivs = zip(*(node(t) for t in ts))
+    traj = Trajectory(ts, np.stack(states), np.stack(derivs), {})
+    return PeriodicOrbit(reported_periods * period, 0.0, traj.states[0], traj, 0.0)
+
+
+def wave_lattice(n):
+    """Parameters to classify a closed-form orbit with; only n is read."""
+    return LatticeParams(n=n, a=0.0, b=1.0, c=0.0, gamma=1.0, delta=0.7)
+
+
+def assert_symmetry_holds(orbit, sym, tol=1e-2):
+    """O(N^2) check of a classification against the orbit itself.
+
+    Every member g1^e1 g2^e2 of H, at the time shift e1*theta1 +
+    e2*theta2 its generators' phases imply, and every member of K, at
+    no shift, must map the orbit onto itself within tol times its
+    amplitude.
+    """
+    n, P = sym.spatial.n, sym.period
+    traj, t0 = orbit.trajectory, orbit.anchor_time
+    ts = t0 + P * np.arange(256) / 256
+    Z = traj.sample(ts)
+    amp = float(np.max(np.abs(Z - Z.mean(axis=0))))
+    gens = list(sym.phases)
+    for es in itertools.product(range(n), repeat=len(gens)):
+        g = tuple(sum(e * h[c] for e, h in zip(es, gens)) % n for c in (0, 1))
+        shift = sum(e * sym.phases[h] for e, h in zip(es, gens))
+        moved = traj.sample(t0 + np.mod(ts - t0 + shift, P))
+        assert np.max(np.abs(Z[:, state_permutation(g, n)] - moved)) <= tol * amp
+    for g in sym.fixing.elements():
+        assert sym.spatial.contains(g)
+        assert np.max(np.abs(Z[:, state_permutation(g, n)] - Z)) <= tol * amp
