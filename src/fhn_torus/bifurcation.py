@@ -28,7 +28,6 @@ from .errors import BracketError, DegenerateCouplingWarning, DomainError
 from .model import CellParams, LatticeParams
 from .spectral import (
     EigenRecord,
-    analytic_eigenvalues,
     analytic_eigenvector,
     eigenvalue_grids,
 )
@@ -151,11 +150,12 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     else:
         a_star = (lp.gamma + lp.delta) * factor
         modes = [(rp, rp), (rp, rm), (rm, rp), (rm, rm)]
-    lp_c = replace(lp, a=a_star)
-    crossing = []
-    for r, s in modes:
-        lam_p, _ = analytic_eigenvalues(r, s, lp_c)
-        crossing.append(CrossingMode(r, s, "+", float(lam_p.imag)))
+    # Both roots of a crossing mode lie on the imaginary axis, where the
+    # radicand sits on the branch cut up to rounding: omega is the larger
+    # imaginary part of the pair, whichever root rounding labels '+'.
+    lam_p, lam_m = eigenvalue_grids(replace(lp, a=a_star))
+    omega = np.maximum(lam_p.imag, lam_m.imag)
+    crossing = [CrossingMode(r, s, "+", float(omega[r, s])) for r, s in modes]
     crossing.sort(key=lambda cm: (-cm.omega, cm.r, cm.s))
     full = IsotropySubgroup.full(n)
     mode_syms = {

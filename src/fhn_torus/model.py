@@ -187,6 +187,20 @@ def assemble_jacobian_origin(lp: LatticeParams) -> np.ndarray:
     return np.kron(eye, inner) + np.kron(S, np.kron(eye, F))
 
 
+def _apply_jacobian_origin(lp: LatticeParams, z: np.ndarray) -> np.ndarray:
+    """``assemble_jacobian_origin(lp) @ z`` cell by cell, in O(N^2).
+
+    Each cell gets D times its own (x, y) plus E and F times those of
+    its successors in the first and second index; z may be complex.
+    """
+    n = lp.n
+    D, E, F = jacobian_blocks_origin(lp)
+    cells = np.asarray(z).reshape(n, n, 2)  # [j, i, slot]
+    succ_i = np.roll(cells, -1, axis=1)
+    succ_j = np.roll(cells, -1, axis=0)
+    return (cells @ D.T + succ_i @ E.T + succ_j @ F.T).reshape(-1)
+
+
 def jacobian_at(z: np.ndarray, lp: LatticeParams) -> np.ndarray:
     """Exact Jacobian of ``simulate.make_rhs`` at an arbitrary state.
 

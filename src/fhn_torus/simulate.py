@@ -13,6 +13,7 @@ from .errors import ClassificationError, DimensionMismatchError, InvarianceError
 from .model import LatticeParams, state_dim
 from .symmetry import (
     IsotropySubgroup,
+    _cell_classes,
     _subgroup_from_members,
     state_permutation,
 )
@@ -50,19 +51,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-def _cell_classes(K: IsotropySubgroup, n: int):
-    """Label every cell by its K-orbit.
-
-    Returns ``reps``, the smallest flat cell index of each orbit in
-    increasing order, and ``cls``, the orbit number of every cell, so
-    that ``cls[reps]`` is ``arange(len(reps))``.
-    """
-    m = np.arange(n * n)
-    i, j = m % n, m // n
-    orbits = np.array([((j + s) % n) * n + (i + r) % n for r, s in K.elements()])
-    return np.unique(orbits.min(axis=0), return_inverse=True)
 
 
 def make_rhs(lp: LatticeParams, K: IsotropySubgroup | None = None):

@@ -11,25 +11,25 @@ carries two eigenvalues
 
     lambda_{(r,s),+-} = ((A - c) +- sqrt((A + c)^2 - 4b)) / 2
 
-with the principal square root.  Conjugation pairs the + branch of
-(r, s) with the + branch of (-r, -s).
+with the principal square root.  :func:`symbol_grid` and :func:`_roots`
+are the only evaluations of A and of the roots, and per-mode functions
+read grid entries.  ``_roots`` holds the principal-root convention: a
+negative real radicand maps to the positive imaginary axis.
+Conjugation pairs the + branch of (r, s) with the + branch of (-r, -s).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import CellParams, LatticeParams, assemble_jacobian_origin
-from .symmetry import canonical_mode
+from .model import CellParams, LatticeParams, _apply_jacobian_origin
 
 __all__ = [
     "EigenRecord",
-    "principal_sqrt",
     "coupling_symbol",
     "symbol_grid",
     "analytic_eigenvalues",
@@ -41,29 +41,6 @@ __all__ = [
 ]
 
 
-def principal_sqrt(eta: complex) -> complex:
-    """Principal complex square root, nonnegative real part.
-
-    Splits the modulus to avoid cancellation; a negative real input
-    maps to the positive imaginary axis.
-    """
-    a1, b1 = eta.real, eta.imag
-    if b1 == 0.0:
-        if a1 >= 0.0:
-            return complex(math.sqrt(a1), 0.0)
-        return complex(0.0, math.sqrt(-a1))
-    m = abs(complex(a1, b1))
-    re = math.sqrt(0.5 * (m + a1))
-    im = math.copysign(math.sqrt(0.5 * (m - a1)), b1)
-    return complex(re, im)
-
-
-def coupling_symbol(r: int, s: int, lp: LatticeParams) -> complex:
-    """A(r, s), the scalar the coupling contributes at frequency (r, s)."""
-    w = cmath.exp(2j * cmath.pi / lp.n)
-    return -lp.a + lp.gamma * (1.0 - w**r) + lp.delta * (1.0 - w**s)
-
-
 def symbol_grid(lp: LatticeParams) -> np.ndarray:
     """A(r, s) for all frequencies as an (n, n) complex array."""
     n = lp.n
@@ -73,38 +50,31 @@ def symbol_grid(lp: LatticeParams) -> np.ndarray:
     return -lp.a + gr[:, None] + ds[None, :]
 
 
-def _eig_from_symbol(A: complex, b: float, c: float):
-    root = principal_sqrt((A + c) ** 2 - 4.0 * b)
-    lam_p = 0.5 * ((A - c) + root)
-    lam_m = 0.5 * ((A - c) - root)
-    return lam_p, lam_m
-
-
-def analytic_eigenvalues(r: int, s: int, lp: LatticeParams):
-    """Eigenvalue pair (lambda_+, lambda_-) of the symbol at (r, s)."""
-    return _eig_from_symbol(coupling_symbol(r, s, lp), lp.b, lp.c)
+def _roots(A, b: float, c: float):
+    """(lambda_+, lambda_-) of the symbol [[A, -1], [b, -c]], scalar or array A."""
+    A = np.asarray(A, dtype=complex)
+    rad = (A + c) ** 2 - 4.0 * b
+    # Force +0.0 imaginary part so the principal branch edge is the
+    # positive imaginary axis.
+    rad = np.where(rad.imag == 0.0, rad.real + 0.0j, rad)
+    root = np.sqrt(rad)
+    return 0.5 * ((A - c) + root), 0.5 * ((A - c) - root)
 
 
 def eigenvalue_grids(lp: LatticeParams):
     """(lambda_+, lambda_-) over the full frequency grid, shape (n, n) each."""
-    A = symbol_grid(lp)
-    rad = (A + lp.c) ** 2 - 4.0 * lp.b
-    # Force +0.0 imaginary part so the principal branch edge is the
-    # positive imaginary axis, matching principal_sqrt.
-    rad = np.where(rad.imag == 0.0, rad.real + 0.0j, rad)
-    root = np.sqrt(rad)
-    lam_p = 0.5 * ((A - lp.c) + root)
-    lam_m = 0.5 * ((A - lp.c) - root)
-    return lam_p, lam_m
+    return _roots(symbol_grid(lp), lp.b, lp.c)
 
 
-def _branch_eigenvalue(r: int, s: int, branch: str, lp: LatticeParams) -> complex:
-    lam_p, lam_m = analytic_eigenvalues(r, s, lp)
-    if branch == "+":
-        return lam_p
-    if branch == "-":
-        return lam_m
-    raise DomainError(f"branch must be '+' or '-', got {branch!r}")
+def coupling_symbol(r: int, s: int, lp: LatticeParams) -> complex:
+    """A(r, s), the scalar the coupling contributes at frequency (r, s)."""
+    return complex(symbol_grid(lp)[r % lp.n, s % lp.n])
+
+
+def analytic_eigenvalues(r: int, s: int, lp: LatticeParams):
+    """Eigenvalue pair (lambda_+, lambda_-) of the symbol at (r, s)."""
+    lam_p, lam_m = eigenvalue_grids(lp)
+    return complex(lam_p[r % lp.n, s % lp.n]), complex(lam_m[r % lp.n, s % lp.n])
 
 
 def analytic_eigenvector(r: int, s: int, branch: str, lp: LatticeParams) -> np.ndarray:
@@ -114,12 +84,14 @@ def analytic_eigenvector(r: int, s: int, branch: str, lp: LatticeParams) -> np.n
     (1, A - lambda); the result has unit 2-norm and a real positive
     x entry in the first cell.
     """
+    if branch not in ("+", "-"):
+        raise DomainError(f"branch must be '+' or '-', got {branch!r}")
     n = lp.n
-    A = coupling_symbol(r, s, lp)
-    lam = _branch_eigenvalue(r, s, branch, lp)
-    v = np.array([1.0, A - lam], dtype=complex)
+    A = symbol_grid(lp)
+    lam = _roots(A, lp.b, lp.c)["+-".index(branch)]
+    v = np.array([1.0, A[r % n, s % n] - lam[r % n, s % n]])
     w = np.exp(2j * np.pi * np.arange(n) / n)
-    xi = np.kron(w ** s, np.kron(w ** r, v))
+    xi = np.multiply.outer(w ** s, np.multiply.outer(w ** r, v)).reshape(-1)
     return xi / np.linalg.norm(xi)
 
 
@@ -131,7 +103,7 @@ class EigenRecord:
     s: int
     branch: str
     eigenvalue: complex
-    residual: float | None = None
+    residual: float = math.nan  # nan where no residual was computed
     coincident: tuple = ()
 
     @property
@@ -139,37 +111,51 @@ class EigenRecord:
         return (self.r, self.s)
 
 
-def spectrum_report(lp: LatticeParams, compute_residuals: bool = True):
+def _coincident_pairs(values: np.ndarray, tol: float):
+    """Index pairs (i, j), i < j, with |values[i] - values[j]| <= tol.
+
+    Sorted on the real part, an entry can only coincide with the
+    following entries whose real part lies within tol; they are
+    compared lag by lag until no real gap is that small.
+    """
+    order = np.argsort(values.real, kind="stable")
+    v = values[order]
+    pairs = []
+    for lag in range(1, len(v)):
+        near = v[lag:].real - v[:-lag].real <= tol
+        if not near.any():
+            break
+        k = np.nonzero(near & (np.abs(v[lag:] - v[:-lag]) <= tol))[0]
+        pairs += zip(order[k].tolist(), order[k + lag].tolist())
+    return sorted((min(p), max(p)) for p in pairs)
+
+
+def spectrum_report(lp: LatticeParams):
     """All 2*N^2 eigenvalues with residuals and degeneracy flags.
 
     Records are ordered by (r, s) lexicographically, '+' before '-'.
-    ``coincident`` lists the other (r, s, branch) triples whose
-    eigenvalue agrees to 1e-12; nonempty entries indicate degeneracy
-    across distinct frequencies.
+    ``residual`` is max|J xi - lambda xi| / max|xi| for the analytic
+    eigenvector xi, with J applied cell by cell from its 2x2 blocks.
+    ``coincident`` lists, in record order, the other (r, s, branch)
+    triples whose eigenvalue agrees to 1e-12; nonempty entries indicate
+    degeneracy across distinct frequencies.
     """
     n = lp.n
-    M = assemble_jacobian_origin(lp) if compute_residuals else None
+    lam = np.stack(eigenvalue_grids(lp), axis=-1).reshape(-1)
     records = []
-    for r in range(n):
-        for s in range(n):
-            lam_p, lam_m = analytic_eigenvalues(r, s, lp)
-            for branch, lam in (("+", lam_p), ("-", lam_m)):
-                res = None
-                if compute_residuals:
-                    xi = analytic_eigenvector(r, s, branch, lp)
-                    res = float(
-                        np.max(np.abs(M @ xi - lam * xi)) / np.max(np.abs(xi))
-                    )
-                records.append(EigenRecord(r, s, branch, lam, res))
-    for i, rec in enumerate(records):
-        hits = [
-            (o.r, o.s, o.branch)
-            for j, o in enumerate(records)
-            if j != i
-            and (o.r, o.s) != (rec.r, rec.s)
-            and abs(o.eigenvalue - rec.eigenvalue) <= 1e-12
-        ]
-        rec.coincident = tuple(hits)
+    for idx, eig in enumerate(lam.tolist()):
+        (r, s), branch = divmod(idx // 2, n), "+-"[idx % 2]
+        xi = analytic_eigenvector(r, s, branch, lp)
+        res = np.max(np.abs(_apply_jacobian_origin(lp, xi) - eig * xi)) / np.max(np.abs(xi))
+        records.append(EigenRecord(r, s, branch, eig, float(res)))
+    # pairs come sorted, so every hit list is in record order
+    hits = [[] for _ in records]
+    for i, j in _coincident_pairs(lam, 1e-12):
+        if i // 2 != j // 2:
+            hits[i].append(records[j].mode + (records[j].branch,))
+            hits[j].append(records[i].mode + (records[i].branch,))
+    for rec, found in zip(records, hits):
+        rec.coincident = tuple(found)
     return records
 
 
@@ -177,27 +163,22 @@ def genericity_violations(lp: LatticeParams, tol: float = 1e-12):
     """Frequency pairs whose characteristic polynomials coincide.
 
     With c = 0 and b != 0 two frequencies share an eigenvalue exactly
-    when gamma*(w^r - w^rt) = delta*(w^st - w^s); returns all unordered
-    pairs satisfying that identity within tol.
+    when gamma*(w^r - w^rt) = delta*(w^st - w^s), that is when
+    A(r, s) = A(rt, st); returns all unordered pairs whose symbols
+    agree within tol, in lexicographic order.
     """
     if lp.c != 0.0:
         raise DomainError("genericity test requires c = 0")
     if lp.b == 0.0:
         raise DomainError("genericity test requires b != 0")
     n = lp.n
-    w = np.exp(2j * np.pi * np.arange(n) / n)
-    modes = [(r, s) for r in range(n) for s in range(n)]
-    out = []
-    for i, (r, s) in enumerate(modes):
-        for rt, st in modes[i + 1 :]:
-            if abs(lp.gamma * (w[r] - w[rt]) - lp.delta * (w[st] - w[s])) <= tol:
-                out.append(((r, s), (rt, st)))
-    return out
+    return [
+        (divmod(i, n), divmod(j, n))
+        for i, j in _coincident_pairs(symbol_grid(lp).ravel(), tol)
+    ]
 
 
 def uncoupled_eigenvalues(p: CellParams):
     """Eigenvalue pair of a single cell linearized at the origin."""
-    root = principal_sqrt(complex((p.c - p.a) ** 2 - 4.0 * p.b, 0.0))
-    lam_p = 0.5 * (-(p.a + p.c) + root)
-    lam_m = 0.5 * (-(p.a + p.c) - root)
-    return lam_p, lam_m
+    lam_p, lam_m = _roots(-p.a, p.b, p.c)
+    return complex(lam_p), complex(lam_m)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClassificationError, DimensionMismatchError
-from .model import from_grids, infer_n, to_grids, _require_odd_prime
+from .model import _check_state, _require_odd_prime, from_grids, infer_n, to_grids
 
 __all__ = [
     "GroupElement",
@@ -275,14 +275,31 @@ class IsotropySubgroup:
         return f"Z({self.generator[0]},{self.generator[1]})"
 
 
+def _cell_classes(K: IsotropySubgroup, n: int):
+    """Label every cell by its K-orbit.
+
+    Returns ``reps``, the smallest flat cell index of each orbit in
+    increasing order, and ``cls``, the orbit number of every cell, so
+    that ``cls[reps]`` is ``arange(len(reps))``.
+    """
+    m = np.arange(n * n)
+    i, j = m % n, m // n
+    orbits = np.array([((j + s) % n) * n + (i + r) % n for r, s in K.elements()])
+    return np.unique(orbits.min(axis=0), return_inverse=True)
+
+
 def fix_projection(z: np.ndarray, sub: IsotropySubgroup) -> np.ndarray:
-    """Orthogonal projection onto the fixed-point space of a subgroup,
-    computed as the average of the state over the subgroup orbit."""
+    """Orthogonal projection onto the fixed-point space of a subgroup.
+
+    Every cell takes the mean of its orbit of cells under the subgroup,
+    so the result is exactly fixed by every element.
+    """
     n = sub.n
-    acc = np.zeros_like(np.asarray(z, dtype=float))
-    for g in sub.elements():
-        acc += act(g, z, n)
-    return acc / sub.order()
+    _, cls = _cell_classes(sub, n)
+    cells = _check_state(z, n).reshape(-1, 2)
+    size = np.bincount(cls)
+    mean = [np.bincount(cls, weights=cells[:, k]) / size for k in (0, 1)]
+    return np.stack(mean, axis=1)[cls].reshape(-1)
 
 
 def isotropy_of(z: np.ndarray, tol: float = 1e-9) -> IsotropySubgroup:

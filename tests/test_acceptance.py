@@ -73,7 +73,7 @@ def test_criterion_1_eigen_residuals(capsys):
         for _ in range(100):
             lp = random_lattice(rng, n=n)
             mat = assemble_jacobian_origin(lp)
-            for rec in spectrum_report(lp, compute_residuals=False):
+            for rec in spectrum_report(lp):
                 vec = analytic_eigenvector(rec.r, rec.s, rec.branch, lp)
                 res = np.max(np.abs(mat @ vec - rec.eigenvalue * vec))
                 worst = max(worst, res / np.max(np.abs(vec)))
@@ -194,7 +194,7 @@ def test_criterion_6_crossing_persists_for_small_c(capsys):
             gaps.append(abs(rep.a_hat - cp.a_star))
             at_hat = LatticeParams(n=3, a=rep.a_hat, b=1.0, c=c,
                                    gamma=gamma, delta=delta)
-            records = spectrum_report(at_hat, compute_residuals=False)
+            records = spectrum_report(at_hat)
             on_axis = [r for r in records if abs(r.eigenvalue.real) <= 1e-10]
             off_axis = [r for r in records if abs(r.eigenvalue.real) > 1e-10]
             ok = ok and rep.a_hat < cp.a_star

@@ -132,6 +132,24 @@ class TestCriticalA:
             critical_a(lattice(b=-1.0))
 
 
+class TestCrossingFrequencies:
+    # At c = 0 and a = a* both roots of a crossing mode sit on the
+    # imaginary axis, so the radicand lies on the branch cut up to
+    # rounding; omega must not depend on which side rounding picks.
+    GRID = [(n, g, d) for n in (3, 5, 7, 23)
+            for g in (-1.3, 0.7, 1.0, 1.5) for d in (-0.9, 0.8, 1.2, 2.0)]
+
+    def test_c0_frequencies_positive(self):
+        for n, g, d in self.GRID:
+            cp = critical_a(lattice(n=n, gamma=g, delta=d))
+            assert all(cm.omega > 0.0 for cm in cp.crossing), (n, g, d)
+
+    def test_small_c_crossing_is_c0_primary(self):
+        for n, g, d in self.GRID:
+            rep = hopf_crossing(lattice(n=n, c=0.02, gamma=g, delta=d))
+            assert rep.matches_c0_prediction, (n, g, d)
+
+
 class TestStabilityScan:
     def test_bisection_agrees_with_formula(self, rng):
         for gd in [(-1.2, -0.5), (0.8, -1.1), (-0.6, 1.4), (0.9, 1.7)]:
@@ -282,7 +300,7 @@ class TestHopfCrossing:
         assert rep.mode == (2, 2)
         assert rep.a_hat < rep.a_star
         lp_hat = replace(lp, a=rep.a_hat)
-        margins = [rec.eigenvalue.real for rec in spectrum_report(lp_hat, False)]
+        margins = [rec.eigenvalue.real for rec in spectrum_report(lp_hat)]
         assert max(abs(m) for m in margins if abs(m) <= 1e-10) <= 1e-10
         assert sum(1 for m in margins if abs(m) <= 1e-10) == 2
 

@@ -18,6 +18,7 @@ from fhn_torus import (
     state_dim,
     to_grids,
 )
+from fhn_torus.model import _apply_jacobian_origin
 from fhn_torus.simulate import make_rhs
 
 
@@ -204,6 +205,14 @@ class TestAssembledJacobian:
         z = 1e-7 * rng.standard_normal(18)
         resid = lattice_field(z, lp) - assemble_jacobian_origin(lp) @ z
         assert np.max(np.abs(resid)) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_matrix_free_apply_matches_dense(self, rng, n):
+        lp = LatticeParams(n=n, a=0.4, b=1.1, c=0.2, gamma=0.3, delta=-0.7)
+        z = rng.standard_normal(2 * n * n) + 1j * rng.standard_normal(2 * n * n)
+        want = assemble_jacobian_origin(lp) @ z
+        got = _apply_jacobian_origin(lp, z)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestJacobianAt:

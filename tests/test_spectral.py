@@ -1,6 +1,5 @@
 """Closed-form spectrum of the origin Jacobian."""
 
-import cmath
 import math
 
 import numpy as np
@@ -17,36 +16,15 @@ from fhn_torus import (
     assemble_jacobian_origin,
     canonical_mode,
     coupling_symbol,
+    eigenvalue_grids,
     genericity_violations,
-    principal_sqrt,
     project_isotypic,
     spectrum_report,
+    symbol_grid,
     uncoupled_eigenvalues,
 )
 
 LP_HALF = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=-0.5, delta=-0.5)
-
-
-class TestPrincipalSqrt:
-    def test_matches_cmath_on_random_draws(self, rng):
-        for _ in range(100):
-            eta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            if eta.imag == 0.0:
-                continue
-            assert abs(principal_sqrt(eta) - cmath.sqrt(eta)) <= 1e-12 * abs(
-                cmath.sqrt(eta)
-            )
-
-    def test_negative_real_axis_takes_positive_imaginary(self):
-        assert principal_sqrt(complex(-4.0, 0.0)) == 2.0j
-        assert principal_sqrt(complex(9.0, 0.0)) == 3.0
-
-    def test_square_recovers_input(self, rng):
-        for _ in range(50):
-            eta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            root = principal_sqrt(eta)
-            assert abs(root * root - eta) < 1e-12 * max(1.0, abs(eta))
-            assert root.real >= 0.0
 
 
 class TestCouplingSymbol:
@@ -166,11 +144,11 @@ class TestSpectrumReport:
     def test_record_count(self, rng):
         for n in (3, 5):
             lp = random_lattice(rng, n=n)
-            assert len(spectrum_report(lp, compute_residuals=False)) == 2 * n * n
+            assert len(spectrum_report(lp)) == 2 * n * n
 
     def test_uncoupled_degeneracy_flagged(self):
         lp = LatticeParams(n=3, a=0.3, b=1.0, c=0.0, gamma=0.0, delta=0.0)
-        recs = spectrum_report(lp, compute_residuals=False)
+        recs = spectrum_report(lp)
         assert all(rec.coincident for rec in recs)
 
     def test_generic_draw_unflagged(self, rng):
@@ -181,9 +159,88 @@ class TestSpectrumReport:
 
     def test_matches_dense_spectrum(self, rng):
         lp = random_lattice(rng, n=3)
-        recs = spectrum_report(lp, compute_residuals=False)
+        recs = spectrum_report(lp)
         dist = match_distance([rec.eigenvalue for rec in recs], dense_spectrum(lp))
         assert dist < 1e-8
+
+
+class TestSingleClosedForm:
+    @pytest.mark.parametrize("n", [11, 23])
+    def test_per_mode_values_are_grid_entries(self, rng, n):
+        lp = random_lattice(rng, n=n)
+        modes = [(r, s) for r in range(n) for s in range(n)]
+        symbols = np.array([coupling_symbol(r, s, lp) for r, s in modes])
+        pairs = np.array([analytic_eigenvalues(r, s, lp) for r, s in modes])
+        assert symbols.tobytes() == symbol_grid(lp).ravel().tobytes()
+        want = np.stack([g.ravel() for g in eigenvalue_grids(lp)], axis=1)
+        assert pairs.tobytes() == want.tobytes()
+
+    def test_grid_matches_mpmath_reference(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        n = 23
+        with mpmath.workdps(40):
+            for _ in range(3):
+                lp = random_lattice(rng, n=n)
+                lam_p, lam_m = eigenvalue_grids(lp)
+                worst = 0.0
+                for r in range(n):
+                    for s in range(n):
+                        w = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in (r, s)]
+                        A = (-mpmath.mpf(lp.a) + lp.gamma * (1 - w[0])
+                             + lp.delta * (1 - w[1]))
+                        root = mpmath.sqrt((A + lp.c) ** 2 - 4 * mpmath.mpf(lp.b))
+                        want = [complex((A - lp.c + sg * root) / 2) for sg in (1, -1)]
+                        got = analytic_eigenvalues(r, s, lp)
+                        worst = max(worst, abs(lam_p[r, s] - want[0]),
+                                    abs(lam_m[r, s] - want[1]),
+                                    abs(got[0] - want[0]), abs(got[1] - want[1]))
+                assert worst <= 1e-14
+
+
+def brute_coincident(records, tol=1e-12):
+    """O(M^2) oracle for EigenRecord.coincident, in record order."""
+    return [
+        tuple((o.r, o.s, o.branch) for o in records
+              if o.mode != rec.mode and abs(o.eigenvalue - rec.eigenvalue) <= tol)
+        for rec in records
+    ]
+
+
+def brute_genericity(lp, tol=1e-12):
+    """O(M^2) oracle: gamma*(w^r - w^rt) = delta*(w^st - w^s) within tol."""
+    n = lp.n
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    modes = [(r, s) for r in range(n) for s in range(n)]
+    return [
+        ((r, s), (rt, st))
+        for i, (r, s) in enumerate(modes)
+        for rt, st in modes[i + 1:]
+        if abs(lp.gamma * (w[r] - w[rt]) - lp.delta * (w[st] - w[s])) <= tol
+    ]
+
+
+class TestCoincidenceRule:
+    DEGENERATE = [
+        LatticeParams(n=5, a=0.3, b=1.0, c=0.0, gamma=0.8, delta=0.8),
+        LatticeParams(n=7, a=-0.2, b=1.3, c=0.0, gamma=0.0, delta=-1.1),
+        LatticeParams(n=5, a=0.3, b=1.0, c=0.0, gamma=0.0, delta=0.0),
+    ]
+
+    @pytest.mark.parametrize("lp", DEGENERATE, ids=["equal", "gamma0", "uncoupled"])
+    def test_matches_brute_force_oracle(self, lp):
+        recs = spectrum_report(lp)
+        want = brute_coincident(recs)
+        assert any(want)
+        assert [rec.coincident for rec in recs] == want
+        hits = genericity_violations(lp)
+        assert hits and hits == brute_genericity(lp)
+
+    def test_generic_draws_match_oracle(self, rng):
+        for n in (3, 5):
+            lp = random_lattice(rng, n=n, c_zero=True)
+            recs = spectrum_report(lp)
+            assert [rec.coincident for rec in recs] == brute_coincident(recs)
+            assert genericity_violations(lp) == brute_genericity(lp)
 
 
 class TestGenericityViolations:

@@ -214,6 +214,16 @@ class TestIsotropySubgroup:
         for g in sub.elements():
             assert np.allclose(act(g, p, 3), p, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_fix_projection_exactly_fixed(self, rng, n):
+        subs = [IsotropySubgroup.full(n), IsotropySubgroup.trivial(n)]
+        subs += [IsotropySubgroup.cyclic(g, n)
+                 for g in [(1, 0)] + [(k, 1) for k in range(n)]]
+        for sub in subs:
+            p = fix_projection(rng.standard_normal(2 * n * n), sub)
+            for g in sub.elements():
+                assert np.array_equal(act(g, p, n), p)
+
 
 class TestIsotropyOf:
     def test_synchronized_state(self):
