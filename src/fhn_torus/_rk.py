@@ -26,6 +26,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
+# Default error tolerances, and the number of step attempts (accepted
+# plus rejected) after which a run is abandoned as stiff.
+_RTOL = 1e-9
+_ATOL = 1e-11
+_MAX_STEPS = 5_000_000
+
 
 def _rms(v):
     return float(np.sqrt(np.mean(v * v)))
@@ -46,13 +52,12 @@ def _initial_step(f, t0, y0, f0, rtol, atol, span):
     return min(100 * h0, h1, span)
 
 
-def solve(f, t0, y0, t_end, rtol=1e-9, atol=1e-11, max_step=np.inf,
-          max_steps=5_000_000):
+def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     Returns (ts, ys, fs, stats): accepted nodes, states, derivatives
     there, and a counter dict.  Raises StiffnessError if the step size
-    underflows.
+    underflows or after _MAX_STEPS step attempts.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -61,11 +66,11 @@ def solve(f, t0, y0, t_end, rtol=1e-9, atol=1e-11, max_step=np.inf,
         raise DomainError("t_end must exceed t0")
     k = np.empty((7, y.size))
     k[0] = f(t, y)
-    h = min(_initial_step(f, t, y, k[0], rtol, atol, span), max_step)
+    h = _initial_step(f, t, y, k[0], rtol, atol, span)
     ts, ys, fs = [t], [y.copy()], [k[0].copy()]
     n_acc = n_rej = 0
     while t < t_end:
-        h = min(h, t_end - t, max_step)
+        h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t!r}", t=t)
         for i in range(1, 7):
@@ -88,7 +93,7 @@ def solve(f, t0, y0, t_end, rtol=1e-9, atol=1e-11, max_step=np.inf,
         else:
             n_rej += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-        if n_acc + n_rej > max_steps:
+        if n_acc + n_rej > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted at t={t!r}", t=t)
     stats = {"accepted": n_acc, "rejected": n_rej}
     return np.array(ts), np.array(ys), np.array(fs), stats

@@ -28,6 +28,7 @@ from .errors import BracketError, DegenerateCouplingWarning, DomainError
 from .model import CellParams, LatticeParams
 from .spectral import (
     EigenRecord,
+    analytic_eigenvalues,
     analytic_eigenvector,
     eigenvalue_grids,
 )
@@ -74,13 +75,50 @@ def sign_pattern(lp: LatticeParams):
     return ("+" if lp.gamma > 0 else "-", "+" if lp.delta > 0 else "-")
 
 
-def _warn_if_degenerate(lp: LatticeParams):
-    if lp.gamma == lp.delta:
+# Root searches in a stop at this bracket width; an eigenvalue within
+# _AXIS_TOL of the imaginary axis at the root counts as crossing.
+_XTOL = 1e-12
+_AXIS_TOL = 1e-10
+
+# Integer frequency ratios k, 2 <= k <= _RESONANCE_K_MAX, are resonant
+# within a relative error of _RESONANCE_REL_TOL * k.
+_RESONANCE_K_MAX = 10
+_RESONANCE_REL_TOL = 1e-9
+
+# Criticality probe: spacing of the probed values of a around a_hat, the
+# start amplitude in units of sqrt(b), and the growth over that start an
+# oscillation needs to count as settled at branch scale.
+_PROBE_DELTA_A = 0.04
+_PROBE_PERTURBATION = 1e-3
+_PROBE_GROWTH = 10.0
+
+
+def _checked_pattern(lp: LatticeParams):
+    """sign_pattern(lp), warning when gamma == delta in the (+,+) case."""
+    pat = sign_pattern(lp)
+    if pat == ("+", "+") and lp.gamma == lp.delta:
         warnings.warn(
             "gamma == delta collapses mode frequencies in the (+,+) case",
             DegenerateCouplingWarning,
             stacklevel=3,
         )
+    return pat
+
+
+def _crossing_K(mode: tuple, n: int) -> IsotropySubgroup:
+    """Subgroup predicted to fix the Hopf branch of a crossing mode."""
+    full = IsotropySubgroup.full(n)
+    return predict_hopf_symmetries(full, canonical_mode(*mode, n)).fixing
+
+
+def _upper_branch(lam_p, lam_m) -> str:
+    """The branch of a root pair whose root has the larger imaginary part.
+
+    At c = 0 and a = a* both roots of a crossing mode lie on the
+    imaginary axis, where the radicand sits on the branch cut up to
+    rounding, so rounding, not the mode, decides which root is '+'.
+    """
+    return "-" if lam_m.imag > lam_p.imag else "+"
 
 
 @dataclass(frozen=True)
@@ -128,12 +166,11 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     CriticalPoint
         Closed-form a*, the crossing frequencies ordered by decreasing
         imaginary part, and the subgroup predicted to fix the branch of
-        the leading one pointwise.
+        the leading one pointwise.  Each crossing names the branch whose
+        root has the larger imaginary part, omega.
     """
     _require_c0(lp, "critical_a")
-    pat = sign_pattern(lp)
-    if pat == ("+", "+"):
-        _warn_if_degenerate(lp)
+    pat = _checked_pattern(lp)
     n = lp.n
     th = theta_n(n)
     factor = 1.0 - math.cos(th)
@@ -150,27 +187,20 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     else:
         a_star = (lp.gamma + lp.delta) * factor
         modes = [(rp, rp), (rp, rm), (rm, rp), (rm, rm)]
-    # Both roots of a crossing mode lie on the imaginary axis, where the
-    # radicand sits on the branch cut up to rounding: omega is the larger
-    # imaginary part of the pair, whichever root rounding labels '+'.
     lam_p, lam_m = eigenvalue_grids(replace(lp, a=a_star))
-    omega = np.maximum(lam_p.imag, lam_m.imag)
-    crossing = [CrossingMode(r, s, "+", float(omega[r, s])) for r, s in modes]
+    crossing = []
+    for r, s in modes:
+        branch = _upper_branch(lam_p[r, s], lam_m[r, s])
+        omega = (lam_p if branch == "+" else lam_m)[r, s].imag
+        crossing.append(CrossingMode(r, s, branch, float(omega)))
     crossing.sort(key=lambda cm: (-cm.omega, cm.r, cm.s))
-    full = IsotropySubgroup.full(n)
-    mode_syms = {
-        (cm.r, cm.s): predict_hopf_symmetries(
-            full, canonical_mode(cm.r, cm.s, n), n
-        ).fixing
-        for cm in crossing
-    }
-    primary = crossing[0]
+    mode_syms = {cm.mode: _crossing_K(cm.mode, n) for cm in crossing}
     return CriticalPoint(
         a_star=a_star,
         theta=th,
         pattern=pat,
         crossing=tuple(crossing),
-        predicted_K=mode_syms[(primary.r, primary.s)],
+        predicted_K=mode_syms[crossing[0].mode],
         mode_symmetries=mode_syms,
     )
 
@@ -195,12 +225,13 @@ def origin_stability(lp: LatticeParams) -> StabilityVerdict:
     return StabilityVerdict(stable=margin < 0.0, margin=margin, leading=tuple(leading))
 
 
-def locate_stability_loss(lp: LatticeParams, a_lo: float, a_hi: float,
-                          xtol: float = 1e-12) -> float:
+def locate_stability_loss(lp: LatticeParams, a_lo: float, a_hi: float) -> float:
     """Root of a -> stability margin on a bracket, bisection plus secant.
 
-    The margin must change sign between a_lo and a_hi; raises
-    BracketError with both endpoint values otherwise.
+    Bisects down to a bracket of width 1e-12, then polishes with at most
+    four secant steps inside it.  The margin must change sign between
+    a_lo and a_hi; raises BracketError with both endpoint values
+    otherwise.
     """
 
     def f(a):
@@ -217,7 +248,7 @@ def locate_stability_loss(lp: LatticeParams, a_lo: float, a_hi: float,
             f"stability margin does not change sign on [{lo}, {hi}]",
             a_lo=lo, a_hi=hi, f_lo=f_lo, f_hi=f_hi,
         )
-    while hi - lo > xtol:
+    while hi - lo > _XTOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -306,13 +337,12 @@ class Resonance:
     ratio: float
 
 
-def resonance_check(lp: LatticeParams, k_max: int = 10,
-                    rel_tol: float = 1e-9):
+def resonance_check(lp: LatticeParams):
     """Integer ratios among the crossing frequencies at a*.
 
     Returns Resonance entries for every ordered pair of crossing
-    frequencies whose ratio is within rel_tol of an integer k with
-    2 <= k <= k_max.  A single crossing pair cannot resonate, so the
+    frequencies whose ratio is within 1e-9 * k of an integer k with
+    2 <= k <= 10.  A single crossing pair cannot resonate, so the
     synchronized pattern always yields an empty list.
     """
     cp = critical_a(lp)
@@ -323,7 +353,7 @@ def resonance_check(lp: LatticeParams, k_max: int = 10,
                 continue
             ratio = big.omega / small.omega
             k = round(ratio)
-            if 2 <= k <= k_max and abs(ratio - k) <= rel_tol * k:
+            if 2 <= k <= _RESONANCE_K_MAX and abs(ratio - k) <= _RESONANCE_REL_TOL * k:
                 out.append(
                     Resonance(
                         k=int(k),
@@ -369,18 +399,16 @@ class HopfReport:
     matches_c0_prediction: bool | None = None
 
 
-def hopf_crossing(lp: LatticeParams, xtol: float = 1e-12,
-                  axis_tol: float = 1e-10) -> HopfReport:
+def hopf_crossing(lp: LatticeParams) -> HopfReport:
     """First loss of stability of the origin for small c > 0.
 
-    Locates a_hat < a* by a bracketed search on the stability margin
-    and reports the unique eigenvalue pair on the imaginary axis there.
+    Locates a_hat < a* with :func:`locate_stability_loss` and reports
+    the eigenvalue of largest positive imaginary part among those
+    within 1e-10 of the imaginary axis there.
 
     Parameters
     ----------
     lp : LatticeParams with c > 0, c^2 < b and nonzero couplings.
-    xtol : float
-        Tolerance of the root search in a.
 
     Returns
     -------
@@ -392,8 +420,7 @@ def hopf_crossing(lp: LatticeParams, xtol: float = 1e-12,
         raise DomainError("hopf_crossing requires b > 0")
     if lp.c * lp.c >= lp.b:
         raise DomainError("hopf_crossing requires c^2 < b")
-    if sign_pattern(lp) == ("+", "+"):
-        _warn_if_degenerate(lp)
+    _checked_pattern(lp)
     if lp.c > 0.2 * math.sqrt(lp.b):
         warnings.warn(
             "c is not small against sqrt(b); the crossing analysis may be inaccurate",
@@ -404,18 +431,18 @@ def hopf_crossing(lp: LatticeParams, xtol: float = 1e-12,
         warnings.simplefilter("ignore", DegenerateCouplingWarning)
         cp = critical_a(lp0)
     lo = cp.a_star - max(1.0, 10.0 * lp.c)
-    a_hat = locate_stability_loss(lp, lo, cp.a_star, xtol=xtol)
+    a_hat = locate_stability_loss(lp, lo, cp.a_star)
 
     lam_p, lam_m = eigenvalue_grids(replace(lp, a=a_hat))
     on_axis = []
     for branch, grid in (("+", lam_p), ("-", lam_m)):
-        hits = np.argwhere(np.abs(grid.real) <= axis_tol)
+        hits = np.argwhere(np.abs(grid.real) <= _AXIS_TOL)
         for r, s in hits:
             on_axis.append((int(r), int(s), branch, complex(grid[r, s])))
     positive = [rec for rec in on_axis if rec[3].imag > 0.0]
     if not positive:
         raise BracketError(
-            f"no eigenvalue within {axis_tol} of the axis at a={a_hat!r}",
+            f"no eigenvalue within {_AXIS_TOL} of the axis at a={a_hat!r}",
             a_lo=lo, a_hi=cp.a_star,
         )
     r, s, branch, lam = max(positive, key=lambda rec: rec[3].imag)
@@ -455,15 +482,14 @@ def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega,
 
 @dataclass(frozen=True)
 class ProbeSettings:
-    delta_a: float = 0.04
+    """Where and how long the criticality probe integrates.
+
+    ``fractions`` places the runs below a_hat at a_hat - f * 0.04, and
+    each run lasts ``horizon_periods`` periods of the crossing.
+    """
+
     fractions: tuple = (1.0, 1.5, 2.0)
-    perturbation_scale: float = 1e-3
     horizon_periods: float = 50.0
-    growth_factor: float = 10.0
-    branch_amplitude_cap: float | None = None  # default 0.5*max(1, sqrt(b))
-    escape_amplitude: float | None = None  # default 10*max(1, sqrt(b))
-    rtol: float = 1e-9
-    atol: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -485,14 +511,18 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
                              settings: ProbeSettings | None = None) -> ProbeResult:
     """Numerical side check of the branch direction.
 
-    Integrates inside Fix(K) of the crossing mode at a few values of a
-    below and one above a_hat, starting from a small perturbation along
-    the crossing eigenvector.  Outcomes per run:
+    Integrates inside Fix(K) of the crossing mode at a_hat - f * 0.04
+    for each f in ``settings.fractions`` and at a_hat + 0.04, for
+    ``settings.horizon_periods`` crossing periods each.  Every run
+    starts at amplitude 1e-3 * sqrt(b) along the real part of the
+    crossing eigenvector whose eigenvalue at a_hat has the larger
+    imaginary part.  With scale = max(1, sqrt(b)), outcomes per run:
 
-    decay      back to the origin
-    orbit      settled oscillation at branch scale (below the cap)
-    distant    settled bounded motion far beyond branch scale
-    escape     amplitude beyond the escape threshold
+    decay      back below the start amplitude
+    orbit      settled oscillation, at least 10 times the start
+               amplitude and at most 0.5 * scale (the branch cap)
+    distant    settled bounded motion beyond the branch cap
+    escape     amplitude beyond 10 * scale, or a stiff abort
     transient  still growing or bursting at the horizon
 
     A branch-scale orbit on the unstable side with decay on the stable
@@ -506,29 +536,22 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     from .errors import StiffnessError
 
     st = settings or ProbeSettings()
-    if sign_pattern(lp) == ("+", "+"):
-        _warn_if_degenerate(lp)
-    n = lp.n
-    K = predict_hopf_symmetries(
-        IsotropySubgroup.full(n), canonical_mode(*report.mode, n), n
-    ).fixing
-    vec = np.real(
-        analytic_eigenvector(*report.mode, "+", replace(lp, a=report.a_hat))
-    )
+    _checked_pattern(lp)
+    K = _crossing_K(report.mode, lp.n)
+    lp_hat = replace(lp, a=report.a_hat)
+    branch = _upper_branch(*analytic_eigenvalues(*report.mode, lp_hat))
+    vec = np.real(analytic_eigenvector(*report.mode, branch, lp_hat))
     vec = vec / np.max(np.abs(vec))
-    eps = st.perturbation_scale * math.sqrt(lp.b)
+    eps = _PROBE_PERTURBATION * math.sqrt(lp.b)
     scale = max(1.0, math.sqrt(lp.b))
-    escape = st.escape_amplitude if st.escape_amplitude is not None else 10.0 * scale
-    cap = (st.branch_amplitude_cap if st.branch_amplitude_cap is not None
-           else 0.5 * scale)
+    escape = 10.0 * scale
+    cap = 0.5 * scale  # branch amplitude cap
     t_end = st.horizon_periods * 2.0 * math.pi / report.omega_hopf
 
     def run(a_value, side):
         lpa = replace(lp, a=a_value)
         try:
-            traj = reduced_integrate_fix(
-                K, eps * vec, lpa, t_end, rtol=st.rtol, atol=st.atol
-            )
+            traj = reduced_integrate_fix(K, eps * vec, lpa, t_end)
         except StiffnessError:
             return ProbeRun(a_value, side, "escape", math.inf)
         quarter = 0.25 * (traj.times[-1] - traj.times[0])
@@ -547,7 +570,7 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
         elif amp_tail < eps:
             outcome = "decay"
         elif not (settled and ptp_tail >= 0.5 * amp_tail
-                  and amp_tail >= st.growth_factor * eps):
+                  and amp_tail >= _PROBE_GROWTH * eps):
             outcome = "transient"
         elif amp_tail <= cap:
             outcome = "orbit"
@@ -555,8 +578,8 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
             outcome = "distant"
         return ProbeRun(a_value, side, outcome, amp_tail)
 
-    runs = [run(report.a_hat - f * st.delta_a, "below") for f in st.fractions]
-    above = run(report.a_hat + st.delta_a, "above")
+    runs = [run(report.a_hat - f * _PROBE_DELTA_A, "below") for f in st.fractions]
+    above = run(report.a_hat + _PROBE_DELTA_A, "above")
     runs.append(above)
 
     below = [r for r in runs if r.side == "below"]

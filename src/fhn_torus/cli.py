@@ -20,19 +20,21 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import _serialize
+from . import _rk, _serialize
 from .bifurcation import (
+    HopfReport,
+    _crossing_K,
     branch_criticality_probe,
     critical_a,
     hopf_crossing,
     hopf_report_at_critical,
     locate_stability_loss,
 )
-from .errors import DomainError
+from .errors import DegenerateCouplingWarning, DomainError
 from .model import LatticeParams, infer_n
 from .simulate import (
     Trajectory,
@@ -42,10 +44,11 @@ from .simulate import (
     make_rhs,
 )
 from .spectral import analytic_eigenvector, spectrum_report
-from .symmetry import IsotropySubgroup, canonical_mode, predict_hopf_symmetries
 
-__all__ = ["RunConfig", "Report", "parse_and_dispatch", "emit_report", "main"]
+__all__ = ["Report", "parse_and_dispatch", "emit_report", "main"]
 
+# The keys a config file may set, with their defaults; flags override
+# the file.  The LatticeParams fields make up the lattice.
 _DEFAULTS = {
     "n": 3,
     "a": 0.0,
@@ -54,37 +57,14 @@ _DEFAULTS = {
     "gamma": -1.0,
     "delta": -1.0,
     "t_end": 200.0,
-    "rtol": 1e-9,
-    "atol": 1e-11,
+    "rtol": _rk._RTOL,
+    "atol": _rk._ATOL,
 }
 
 _SWEEP_HEADER = (
     "N", "a", "b", "c", "gamma", "delta", "a_star", "a_hat",
     "mode_r", "mode_s", "omega", "K", "criticality",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: LatticeParams
-    fmt: str = "json"
-    output: str | None = None
-    t_end: float = 200.0
-    rtol: float = 1e-9
-    atol: float = 1e-11
-    ic: str = "uniform-x"
-    amplitude: float = 1e-3
-    seed: int = 0
-    classify: bool = False
-    match_tol: float = 1e-2
-    input_path: str | None = None
-    probe: bool = False
-    quick: bool = False
-    jobs: int = 1
-    gammas: tuple = ()
-    deltas: tuple = ()
-    explicit_n: bool = False
 
 
 @dataclass(frozen=True)
@@ -196,53 +176,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace):
+    """Merge defaults, the config file and flags, in rising priority,
+    into ``args.params`` (the lattice), ``args.t_end``, ``args.rtol``
+    and ``args.atol``."""
     vals = dict(_DEFAULTS)
     if getattr(args, "config", None):
         vals.update(_read_config(args.config))
-    explicit_n = getattr(args, "n", None) is not None
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             vals[key] = flag
-    params = LatticeParams(
-        n=vals["n"], a=vals["a"], b=vals["b"], c=vals["c"],
-        gamma=vals["gamma"], delta=vals["delta"],
-    )
-    gammas = deltas = ()
-    if args.command == "sweep":
-        gammas = (_parse_range(args.gamma_range) if args.gamma_range
-                  else (params.gamma,))
-        deltas = (_parse_range(args.delta_range) if args.delta_range
-                  else (params.delta,))
-    return RunConfig(
-        command=args.command,
-        params=params,
-        fmt=getattr(args, "format", "json"),
-        output=getattr(args, "output", None),
-        t_end=vals["t_end"],
-        rtol=vals["rtol"],
-        atol=vals["atol"],
-        ic=getattr(args, "ic", "uniform-x"),
-        amplitude=getattr(args, "amplitude", 1e-3),
-        seed=getattr(args, "seed", 0),
-        classify=getattr(args, "classify", False),
-        match_tol=getattr(args, "tol", 1e-2),
-        input_path=getattr(args, "input", None),
-        probe=getattr(args, "probe", False),
-        quick=getattr(args, "quick", False),
-        jobs=max(1, getattr(args, "jobs", 1)),
-        gammas=tuple(gammas),
-        deltas=tuple(deltas),
-        explicit_n=explicit_n,
-    )
+    args.params = LatticeParams(**{f.name: vals.pop(f.name) for f in fields(LatticeParams)})
+    vars(args).update(vals)
 
 
-def _k_label(mode: tuple, n: int) -> str:
-    pred = predict_hopf_symmetries(
-        IsotropySubgroup.full(n), canonical_mode(mode[0], mode[1], n), n
+def _crossing_row(lp: LatticeParams, rep: HopfReport) -> tuple:
+    """One crossing as a row under _SWEEP_HEADER."""
+    return (
+        lp.n, lp.a, lp.b, lp.c, lp.gamma, lp.delta, rep.a_star, rep.a_hat,
+        rep.mode[0], rep.mode[1], rep.omega_hopf,
+        _crossing_K(rep.mode, lp.n).label(), rep.criticality,
     )
-    return pred.fixing.label()
 
 
 def _orbit_report(traj: Trajectory, lp: LatticeParams, tol: float):
@@ -272,11 +227,11 @@ def _orbit_report(traj: Trajectory, lp: LatticeParams, tol: float):
     return orbit, sym, entries
 
 
-def _cmd_spectrum(cfg: RunConfig):
-    records = spectrum_report(cfg.params)
+def _cmd_spectrum(args):
+    records = spectrum_report(args.params)
     payload = {
         "command": "spectrum",
-        "params": asdict(cfg.params),
+        "params": asdict(args.params),
         "records": records,
         "max_residual": max(rec.residual for rec in records),
     }
@@ -288,8 +243,8 @@ def _cmd_spectrum(cfg: RunConfig):
     return Report(payload, ("r", "s", "branch", "re", "im", "residual"), rows), 0
 
 
-def _cmd_critical(cfg: RunConfig):
-    lp = cfg.params
+def _cmd_critical(args):
+    lp = args.params
     cp = critical_a(lp)
     a_num = locate_stability_loss(lp, cp.a_star - 1.0, cp.a_star + 1.0)
     payload = {
@@ -303,49 +258,34 @@ def _cmd_critical(cfg: RunConfig):
         "mode_symmetries": {k: v.label() for k, v in cp.mode_symmetries.items()},
         "numeric_cross_check": {"a": a_num, "abs_diff": abs(a_num - cp.a_star)},
     }
-    primary = cp.primary
-    row = (
-        lp.n, lp.a, lp.b, lp.c, lp.gamma, lp.delta, cp.a_star, cp.a_star,
-        primary.r, primary.s, primary.omega, cp.predicted_K.label(),
-        "undetermined",
-    )
+    with warnings.catch_warnings():  # critical_a has already warned
+        warnings.simplefilter("ignore", DegenerateCouplingWarning)
+        row = _crossing_row(lp, hopf_report_at_critical(lp))
     return Report(payload, _SWEEP_HEADER, (row,)), 0
 
 
-def _cmd_hopf(cfg: RunConfig):
-    lp = cfg.params
+def _cmd_hopf(args):
+    lp = args.params
     rep = hopf_crossing(lp)
-    if cfg.probe:
+    payload = {"command": "hopf", "params": asdict(lp), "report": rep,
+               "K": _crossing_K(rep.mode, lp.n).label()}
+    if args.probe:
         probe = branch_criticality_probe(rep, lp)
         rep.criticality = probe.classification
-    else:
-        probe = None
-    k_label = _k_label(rep.mode, lp.n)
-    payload = {
-        "command": "hopf",
-        "params": asdict(lp),
-        "report": rep,
-        "K": k_label,
-    }
-    if probe is not None:
         payload["probe"] = probe
-    row = (
-        lp.n, lp.a, lp.b, lp.c, lp.gamma, lp.delta, rep.a_star, rep.a_hat,
-        rep.mode[0], rep.mode[1], rep.omega_hopf, k_label, rep.criticality,
-    )
-    return Report(payload, _SWEEP_HEADER, (row,)), 0
+    return Report(payload, _SWEEP_HEADER, (_crossing_row(lp, rep),)), 0
 
 
-def _initial_state(cfg: RunConfig) -> np.ndarray:
-    lp = cfg.params
+def _initial_state(args) -> np.ndarray:
+    lp = args.params
     dim = 2 * lp.n * lp.n
-    if cfg.ic == "uniform-x":
+    if args.ic == "uniform-x":
         z0 = np.zeros(dim)
-        z0[0::2] = cfg.amplitude
+        z0[0::2] = args.amplitude
         return z0
-    if cfg.ic == "random":
-        rng = np.random.default_rng(cfg.seed)
-        return cfg.amplitude * rng.standard_normal(dim)
+    if args.ic == "random":
+        rng = np.random.default_rng(args.seed)
+        return args.amplitude * rng.standard_normal(dim)
     # "mode": excite the eigenvector of largest real part
     from .bifurcation import origin_stability
 
@@ -355,7 +295,7 @@ def _initial_state(cfg: RunConfig) -> np.ndarray:
     if scale == 0.0:
         vec = np.imag(analytic_eigenvector(lead.r, lead.s, lead.branch, lp))
         scale = np.max(np.abs(vec))
-    return cfg.amplitude * vec / scale
+    return args.amplitude * vec / scale
 
 
 def _traj_header(n: int) -> tuple:
@@ -367,19 +307,19 @@ def _traj_header(n: int) -> tuple:
     return tuple(cols)
 
 
-def _cmd_simulate(cfg: RunConfig):
-    lp = cfg.params
-    z0 = _initial_state(cfg)
-    traj = integrate(z0, lp, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
+def _cmd_simulate(args):
+    lp = args.params
+    z0 = _initial_state(args)
+    traj = integrate(z0, lp, args.t_end, rtol=args.rtol, atol=args.atol)
     entries = {"orbit": None, "symmetry": None}
-    if cfg.classify:
-        _, _, entries = _orbit_report(traj, lp, cfg.match_tol)
+    if args.classify:
+        _, _, entries = _orbit_report(traj, lp, args.tol)
     payload = {
         "command": "simulate",
         "params": asdict(lp),
-        "t_end": cfg.t_end,
-        "ic": cfg.ic,
-        "amplitude": cfg.amplitude,
+        "t_end": args.t_end,
+        "ic": args.ic,
+        "amplitude": args.amplitude,
         "stats": traj.stats,
         "accepted_nodes": int(traj.times.size),
         "final_state": traj.final_state,
@@ -392,30 +332,30 @@ def _cmd_simulate(cfg: RunConfig):
     return Report(payload, _traj_header(lp.n), rows), 0
 
 
-def _cmd_classify(cfg: RunConfig):
-    data = np.loadtxt(cfg.input_path, delimiter=",", skiprows=1, ndmin=2)
+def _cmd_classify(args):
+    data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 3:
-        raise DomainError(f"{cfg.input_path}: expected t plus 2*N^2 state columns")
+        raise DomainError(f"{args.input}: expected t plus 2*N^2 state columns")
     times = data[:, 0]
     states = data[:, 1:]
     n_file = infer_n(states[0])
-    lp = cfg.params
-    if cfg.explicit_n and lp.n != n_file:
+    lp = args.params
+    if args.n is not None and lp.n != n_file:
         raise DomainError(
             f"--n {lp.n} does not match the {n_file}x{n_file} trajectory file"
         )
     if lp.n != n_file:
         lp = replace(lp, n=n_file)
     if np.any(np.diff(times) <= 0.0):
-        raise DomainError(f"{cfg.input_path}: times must increase strictly")
+        raise DomainError(f"{args.input}: times must increase strictly")
     derivs = make_rhs(lp)(times, states.T).T
     traj = Trajectory(times=times, states=states, derivs=derivs,
-                      stats={"source": cfg.input_path})
-    orbit, sym, entries = _orbit_report(traj, lp, cfg.match_tol)
+                      stats={"source": args.input})
+    orbit, sym, entries = _orbit_report(traj, lp, args.tol)
     payload = {
         "command": "classify",
         "params": asdict(lp),
-        "input": cfg.input_path,
+        "input": args.input,
         **entries,
     }
     rows = ()
@@ -433,29 +373,28 @@ def _sweep_point(point: tuple) -> tuple:
             warnings.simplefilter("ignore")
             lp = LatticeParams(n=n, a=a, b=b, c=c, gamma=gamma, delta=delta)
             rep = hopf_report_at_critical(lp) if c == 0.0 else hopf_crossing(lp)
-            crit = rep.criticality
             if probe:
-                crit = branch_criticality_probe(rep, lp).classification
-            k_label = _k_label(rep.mode, n)
-        return (n, a, b, c, gamma, delta, rep.a_star, rep.a_hat,
-                rep.mode[0], rep.mode[1], rep.omega_hopf, k_label, crit)
+                rep.criticality = branch_criticality_probe(rep, lp).classification
+            return _crossing_row(lp, rep)
     except ValueError:
         return (n, a, b, c, gamma, delta, nan, nan, -1, -1, nan, "", "invalid")
     except RuntimeError:
         return (n, a, b, c, gamma, delta, nan, nan, -1, -1, nan, "", "failed")
 
 
-def _cmd_sweep(cfg: RunConfig):
-    lp = cfg.params
+def _cmd_sweep(args):
+    lp = args.params
+    gammas = _parse_range(args.gamma_range) if args.gamma_range else (lp.gamma,)
+    deltas = _parse_range(args.delta_range) if args.delta_range else (lp.delta,)
     points = [
-        (lp.n, lp.a, lp.b, lp.c, float(g), float(d), cfg.probe)
-        for g in cfg.gammas
-        for d in cfg.deltas
+        (lp.n, lp.a, lp.b, lp.c, float(g), float(d), args.probe)
+        for g in gammas
+        for d in deltas
     ]
-    if cfg.jobs > 1:
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, points, chunksize=1))
     else:
         rows = [_sweep_point(pt) for pt in points]
@@ -467,10 +406,10 @@ def _cmd_sweep(cfg: RunConfig):
     return Report(payload, _SWEEP_HEADER, tuple(rows)), 0
 
 
-def _cmd_selftest(cfg: RunConfig):
+def _cmd_selftest(args):
     from .selftest import format_results, run_selftest
 
-    results = run_selftest(quick=cfg.quick)
+    results = run_selftest(quick=args.quick)
     sys.stdout.write(format_results(results) + "\n")
     payload = {
         "command": "selftest",
@@ -482,7 +421,7 @@ def _cmd_selftest(cfg: RunConfig):
     rows = tuple((name, ok, detail) for name, ok, detail in results)
     report = Report(payload, ("name", "ok", "detail"), rows)
     code = 0 if all(ok for _, ok, _ in results) else 3
-    if cfg.output is None:
+    if args.output is None:
         return None, code  # plain-text summary already printed
     return report, code
 
@@ -529,10 +468,10 @@ def parse_and_dispatch(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        cfg = _config_from_args(args)
-        report, code = _COMMANDS[cfg.command](cfg)
+        _resolve(args)
+        report, code = _COMMANDS[args.command](args)
         if report is not None:
-            emit_report(report, cfg.fmt, cfg.output)
+            emit_report(report, args.format, args.output)
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

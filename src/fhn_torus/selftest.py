@@ -102,7 +102,7 @@ def _check_fix_membership(rng):
     lp = LatticeParams(3, a=0.0, b=1.0, c=0.0, gamma=1.0, delta=0.7)
     cp = critical_a(lp)
     lp_c = replace(lp, a=cp.a_star)
-    xi = analytic_eigenvector(cp.primary.r, cp.primary.s, "+", lp_c)
+    xi = analytic_eigenvector(*cp.primary.mode, cp.primary.branch, lp_c)
     worst = 0.0
     for g in cp.predicted_K.elements():
         phase = np.exp(2j * np.pi * (g[0] * cp.primary.r + g[1] * cp.primary.s) / lp.n)

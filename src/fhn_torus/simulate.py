@@ -21,7 +21,6 @@ from .symmetry import (
 __all__ = [
     "Trajectory",
     "PeriodicOrbit",
-    "OrbitDetectSettings",
     "OrbitSymmetry",
     "make_rhs",
     "integrate",
@@ -90,8 +89,8 @@ def make_rhs(lp: LatticeParams, K: IsotropySubgroup | None = None):
     return rhs
 
 
-def integrate(z0, lp: LatticeParams, t_end, rtol=1e-9, atol=1e-11,
-              t0=0.0, max_step=np.inf) -> Trajectory:
+def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
+              atol=_rk._ATOL) -> Trajectory:
     """Adaptive 5(4) integration of the lattice field.
 
     Parameters
@@ -99,7 +98,7 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=1e-9, atol=1e-11,
     z0 : ndarray, shape (2*N^2,)
     lp : LatticeParams
     t_end : float
-        Final time; integration starts at t0.
+        Final time; integration starts at t = 0.
     rtol, atol : float
         Per-step error tolerances.
 
@@ -112,18 +111,18 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=1e-9, atol=1e-11,
         raise DimensionMismatchError(
             f"initial state must have shape ({state_dim(lp.n)},)"
         )
-    ts, ys, fs, stats = _rk.solve(
-        make_rhs(lp), t0, z0, t_end, rtol=rtol, atol=atol, max_step=max_step
-    )
+    ts, ys, fs, stats = _rk.solve(make_rhs(lp), 0.0, z0, t_end, rtol=rtol, atol=atol)
     return Trajectory(ts, ys, fs, stats)
 
 
-@dataclass(frozen=True)
-class OrbitDetectSettings:
-    transient_fraction: float = 0.5
-    rel_threshold: float = 1e-6
-    resample: int = 4096
-    min_crossings: int = 5
+# Orbit detection: the leading share of the run discarded as transient,
+# the number of samples of the tail, the fewest upward mean crossings
+# that count as oscillation, and the largest accepted recurrence
+# residual relative to the tail amplitude.
+_TRANSIENT_FRACTION = 0.5
+_RESAMPLE = 4096
+_MIN_CROSSINGS = 5
+_REL_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -153,18 +152,19 @@ def _golden_min(fun, lo, hi):
     return (a + b) / 2.0
 
 
-def detect_periodic_orbit(traj: Trajectory, settings: OrbitDetectSettings | None = None):
+def detect_periodic_orbit(traj: Trajectory):
     """Locate a periodic orbit in the tail of a trajectory.
 
-    Discards the leading transient, estimates the period from mean
-    crossings of the most active coordinate, then refines it by
-    minimizing the recurrence distance.  Returns a PeriodicOrbit or
-    None when the tail is an equilibrium or fails the recurrence test.
+    Discards the first half of the run as transient, estimates the
+    period from mean crossings of the most active coordinate, then
+    refines it by minimizing the recurrence distance.  Returns a
+    PeriodicOrbit, or None when the tail is an equilibrium, shows fewer
+    than five upward crossings, or returns to its anchor state with a
+    sup distance above 1e-6 of the tail amplitude.
     """
-    st = settings or OrbitDetectSettings()
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
-    t_cut = t0 + st.transient_fraction * (t1 - t0)
-    ts = np.linspace(t_cut, t1, st.resample)
+    t_cut = t0 + _TRANSIENT_FRACTION * (t1 - t0)
+    ts = np.linspace(t_cut, t1, _RESAMPLE)
     Z = traj.sample(ts)
     spans = Z.max(axis=0) - Z.min(axis=0)
     amp = float(spans.max())
@@ -173,7 +173,7 @@ def detect_periodic_orbit(traj: Trajectory, settings: OrbitDetectSettings | None
     ref = Z[:, int(np.argmax(spans))]
     centered = ref - ref.mean()
     up = np.nonzero((centered[:-1] <= 0.0) & (centered[1:] > 0.0))[0]
-    if len(up) < st.min_crossings:
+    if len(up) < _MIN_CROSSINGS:
         return None
     # linear interpolation of each upward crossing time
     frac = -centered[up] / (centered[up + 1] - centered[up])
@@ -191,7 +191,7 @@ def detect_periodic_orbit(traj: Trajectory, settings: OrbitDetectSettings | None
 
     period = _golden_min(recur, 0.75 * p0, 1.25 * p0)
     residual = float(np.max(np.abs(traj.sample(anchor_t + period) - z_a))) / amp
-    if residual > st.rel_threshold:
+    if residual > _REL_THRESHOLD:
         return None
     return PeriodicOrbit(period, anchor_t, z_a, traj, residual)
 
@@ -323,14 +323,15 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     )
 
 
-def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams, t_end,
-                          rtol=1e-9, atol=1e-11, t0=0.0) -> Trajectory:
-    """Integrate inside the fixed-point space of K.
+def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
+                          t_end) -> Trajectory:
+    """Integrate inside the fixed-point space of K from t = 0 to t_end.
 
     Fix(K) is invariant, and the flow on it is a smaller lattice with
-    one cell per K-orbit.  That flow is integrated and lifted back to
-    full lattice states, which are therefore exactly K-fixed.  The
-    initial state must lie in Fix(K) to 1e-10, else InvarianceError.
+    one cell per K-orbit.  That flow is integrated with the default
+    tolerances of :func:`integrate` and lifted back to full lattice
+    states, which are therefore exactly K-fixed.  The initial state
+    must lie in Fix(K) to 1e-10, else InvarianceError.
     """
     n = lp.n
     if K.n != n:
@@ -345,9 +346,7 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams, t_end,
     scale = max(1.0, float(np.max(np.abs(z0))))
     if float(np.max(np.abs(cells - cells[reps][cls]))) > 1e-10 * scale:
         raise InvarianceError("initial state is not in Fix(K)")
-    ts, ys, fs, stats = _rk.solve(
-        make_rhs(lp, K), t0, cells[reps].reshape(-1), t_end, rtol=rtol, atol=atol
-    )
+    ts, ys, fs, stats = _rk.solve(make_rhs(lp, K), 0.0, cells[reps].reshape(-1), t_end)
 
     def lift(q):
         return q.reshape(len(ts), -1, 2)[:, cls].reshape(len(ts), -1)

@@ -61,6 +61,10 @@ def _roots(A, b: float, c: float):
     return 0.5 * ((A - c) + root), 0.5 * ((A - c) - root)
 
 
+# Two eigenvalues, or two symbols, closer than this count as coincident.
+_COINCIDENCE_TOL = 1e-12
+
+
 def eigenvalue_grids(lp: LatticeParams):
     """(lambda_+, lambda_-) over the full frequency grid, shape (n, n) each."""
     return _roots(symbol_grid(lp), lp.b, lp.c)
@@ -89,7 +93,12 @@ def analytic_eigenvector(r: int, s: int, branch: str, lp: LatticeParams) -> np.n
     n = lp.n
     A = symbol_grid(lp)
     lam = _roots(A, lp.b, lp.c)["+-".index(branch)]
-    v = np.array([1.0, A[r % n, s % n] - lam[r % n, s % n]])
+    return _mode_vector(r, s, n, A[r % n, s % n] - lam[r % n, s % n])
+
+
+def _mode_vector(r: int, s: int, n: int, d) -> np.ndarray:
+    """Unit Fourier vector at (r, s) whose cells carry (1, d) times phases."""
+    v = np.array([1.0, d])
     w = np.exp(2j * np.pi * np.arange(n) / n)
     xi = np.multiply.outer(w ** s, np.multiply.outer(w ** r, v)).reshape(-1)
     return xi / np.linalg.norm(xi)
@@ -141,16 +150,17 @@ def spectrum_report(lp: LatticeParams):
     degeneracy across distinct frequencies.
     """
     n = lp.n
-    lam = np.stack(eigenvalue_grids(lp), axis=-1).reshape(-1)
+    A = symbol_grid(lp)
+    lam = np.stack(_roots(A, lp.b, lp.c), axis=-1).reshape(-1)
     records = []
-    for idx, eig in enumerate(lam.tolist()):
+    for idx, (eig, d) in enumerate(zip(lam.tolist(), np.repeat(A.ravel(), 2) - lam)):
         (r, s), branch = divmod(idx // 2, n), "+-"[idx % 2]
-        xi = analytic_eigenvector(r, s, branch, lp)
+        xi = _mode_vector(r, s, n, d)
         res = np.max(np.abs(_apply_jacobian_origin(lp, xi) - eig * xi)) / np.max(np.abs(xi))
         records.append(EigenRecord(r, s, branch, eig, float(res)))
     # pairs come sorted, so every hit list is in record order
     hits = [[] for _ in records]
-    for i, j in _coincident_pairs(lam, 1e-12):
+    for i, j in _coincident_pairs(lam, _COINCIDENCE_TOL):
         if i // 2 != j // 2:
             hits[i].append(records[j].mode + (records[j].branch,))
             hits[j].append(records[i].mode + (records[i].branch,))
@@ -159,13 +169,14 @@ def spectrum_report(lp: LatticeParams):
     return records
 
 
-def genericity_violations(lp: LatticeParams, tol: float = 1e-12):
+def genericity_violations(lp: LatticeParams):
     """Frequency pairs whose characteristic polynomials coincide.
 
     With c = 0 and b != 0 two frequencies share an eigenvalue exactly
     when gamma*(w^r - w^rt) = delta*(w^st - w^s), that is when
     A(r, s) = A(rt, st); returns all unordered pairs whose symbols
-    agree within tol, in lexicographic order.
+    agree within the coincidence tolerance 1e-12 of
+    :func:`spectrum_report`, in lexicographic order.
     """
     if lp.c != 0.0:
         raise DomainError("genericity test requires c = 0")
@@ -174,7 +185,7 @@ def genericity_violations(lp: LatticeParams, tol: float = 1e-12):
     n = lp.n
     return [
         (divmod(i, n), divmod(j, n))
-        for i, j in _coincident_pairs(symbol_grid(lp).ravel(), tol)
+        for i, j in _coincident_pairs(symbol_grid(lp).ravel(), _COINCIDENCE_TOL)
     ]
 
 

@@ -302,15 +302,15 @@ def fix_projection(z: np.ndarray, sub: IsotropySubgroup) -> np.ndarray:
     return np.stack(mean, axis=1)[cls].reshape(-1)
 
 
-def isotropy_of(z: np.ndarray, tol: float = 1e-9) -> IsotropySubgroup:
-    """Largest subgroup fixing the state to relative tolerance tol."""
+def isotropy_of(z: np.ndarray) -> IsotropySubgroup:
+    """Largest subgroup fixing the state to 1e-9 relative to max(1, max|z|)."""
     n = infer_n(z)
     z = np.asarray(z, dtype=float)
     scale = max(1.0, float(np.max(np.abs(z))))
     fixers = {
         g
         for g in group_elements(n)
-        if float(np.max(np.abs(act(g, z, n) - z))) <= tol * scale
+        if float(np.max(np.abs(act(g, z, n) - z))) <= 1e-9 * scale
     }
     return _subgroup_from_members(fixers, n)
 
@@ -351,7 +351,6 @@ def _perp_generator(k: ModeIndex, n: int) -> tuple:
 def predict_hopf_symmetries(
     equilibrium_isotropy: IsotropySubgroup,
     center_mode: ModeIndex,
-    n: int | None = None,
 ) -> SymmetryPrediction:
     """Spatio-temporal symmetries forced by a simple Hopf bifurcation.
 
@@ -360,9 +359,8 @@ def predict_hopf_symmetries(
     equilibrium_isotropy : IsotropySubgroup
         Isotropy of the equilibrium undergoing the bifurcation.
     center_mode : ModeIndex
-        Canonical mode carrying the critical eigenvalue pair.
-    n : int, optional
-        Lattice side; defaults to the subgroup's.
+        Canonical mode carrying the critical eigenvalue pair, on the
+        lattice side of the subgroup.
 
     Returns
     -------
@@ -373,10 +371,7 @@ def predict_hopf_symmetries(
         subgroup is the same for both.
     """
     H = equilibrium_isotropy
-    if n is None:
-        n = H.n
-    if H.n != n:
-        raise ClassificationError("subgroup and lattice sizes disagree")
+    n = H.n
     k = canonical_mode(center_mode.k1, center_mode.k2, n)
     if k != center_mode:
         raise ClassificationError(

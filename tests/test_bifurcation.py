@@ -16,6 +16,7 @@ from fhn_torus import (
     IsotropySubgroup,
     LatticeParams,
     act,
+    analytic_eigenvalues,
     analytic_eigenvector,
     branch_criticality_probe,
     critical_a,
@@ -149,6 +150,22 @@ class TestCrossingFrequencies:
             rep = hopf_crossing(lattice(n=n, c=0.02, gamma=g, delta=d))
             assert rep.matches_c0_prediction, (n, g, d)
 
+    def test_branch_label_names_the_root_at_omega(self):
+        # first case where rounding puts the '+' root at -i*omega':
+        # N=5, gamma=0.2, delta=0.4, primary (3, 3)
+        steps = [round(0.2 * k, 1) for k in range(-10, 11) if k != 0]
+        for n in (3, 5, 7):
+            for g in steps:
+                for d in steps:
+                    lp = lattice(n=n, gamma=g, delta=d)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", DegenerateCouplingWarning)
+                        cp = critical_a(lp)
+                    lp_star = replace(lp, a=cp.a_star)
+                    for cm in cp.crossing:
+                        lam = analytic_eigenvalues(cm.r, cm.s, lp_star)
+                        assert lam["+-".index(cm.branch)].imag == cm.omega, (n, g, d, cm)
+
 
 class TestStabilityScan:
     def test_bisection_agrees_with_formula(self, rng):
@@ -258,7 +275,7 @@ class TestResonance:
         assert hits[0].ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_generic_coupling_clean(self):
-        assert resonance_check(lattice(gamma=1.0, delta=-1.0), k_max=10) == []
+        assert resonance_check(lattice(gamma=1.0, delta=-1.0)) == []
 
     def test_single_crossing_pair_trivially_clean(self):
         assert resonance_check(lattice()) == []

@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +276,14 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["K"] == "Gamma"
+
+
+def test_module_entry_point_matches_in_process_report(capsys):
+    args = ["critical", "--n", "3", "--gamma", "1", "--delta", "0.7"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fhn_torus"] + args,
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert parse_and_dispatch(args) == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")

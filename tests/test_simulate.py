@@ -13,6 +13,7 @@ from fhn_torus import (
     DomainError,
     InvarianceError,
     IsotropySubgroup,
+    StiffnessError,
     LatticeParams,
     ModeIndex,
     PeriodicOrbit,
@@ -95,6 +96,18 @@ class TestIntegrate:
     def test_solve_rejects_empty_span(self):
         with pytest.raises(DomainError):
             _rk.solve(lambda t, y: -y, 1.0, np.ones(2), 1.0)
+
+    def test_finite_time_blow_up_raises_stiffness_error(self):
+        # y' = y^2, y(0) = 1 blows up at t = 1
+        with pytest.raises(StiffnessError) as info:
+            _rk.solve(lambda t, y: y * y, 0.0, np.ones(1), 2.0)
+        assert abs(info.value.t - 1.0) < 1e-6
+
+    def test_step_budget_raises_stiffness_error(self, monkeypatch):
+        monkeypatch.setattr(_rk, "_MAX_STEPS", 10)
+        with pytest.raises(StiffnessError, match="step budget") as info:
+            integrate(np.full(18, 0.1), SYNC, 100.0)
+        assert 0.0 < info.value.t < 100.0
 
     def test_sample_rejects_time_outside_range(self, rng):
         traj = integrate(0.1 * rng.standard_normal(18), SYNC, 1.0)

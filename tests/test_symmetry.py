@@ -271,9 +271,7 @@ class TestPredictHopfSymmetries:
         assert pred.phases == {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 3)}
 
     def test_trivial_equilibrium_symmetry(self):
-        pred = predict_hopf_symmetries(
-            IsotropySubgroup.trivial(3), ModeIndex(1, 0), n=3
-        )
+        pred = predict_hopf_symmetries(IsotropySubgroup.trivial(3), ModeIndex(1, 0))
         assert pred.spatial.kind == "trivial" and pred.fixing.kind == "trivial"
 
     def test_rejects_non_canonical_mode(self):
