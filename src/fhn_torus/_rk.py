@@ -56,11 +56,16 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     Returns (ts, ys, fs, stats): accepted nodes, states, derivatives
-    there, and a counter dict.  Raises StiffnessError if the step size
-    underflows or after _MAX_STEPS step attempts.
+    there, and a counter dict.  Raises DomainError for input that is not
+    finite, rtol < 0, atol <= 0 or t_end <= t0; StiffnessError if the
+    step size underflows or after _MAX_STEPS step attempts.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
+    if not (np.isfinite(t_end) and np.all(np.isfinite(y))):
+        raise DomainError("t_end and the initial state must be finite")
+    if not (0.0 <= rtol < np.inf and 0.0 < atol < np.inf):
+        raise DomainError(f"need finite rtol >= 0 and atol > 0, got {rtol!r}, {atol!r}")
     span = float(t_end) - t
     if span <= 0.0:
         raise DomainError("t_end must exceed t0")

@@ -345,10 +345,14 @@ def resonance_check(lp: LatticeParams):
     2 <= k <= 10.  A single crossing pair cannot resonate, so the
     synchronized pattern always yields an empty list.
     """
-    cp = critical_a(lp)
+    return _resonances(critical_a(lp).crossing)
+
+
+def _resonances(crossing) -> list:
+    """Resonance entries among the CrossingMode entries of one critical point."""
     out = []
-    for big in cp.crossing:
-        for small in cp.crossing:
+    for big in crossing:
+        for small in crossing:
             if small is big or small.omega >= big.omega:
                 continue
             ratio = big.omega / small.omega
@@ -462,9 +466,6 @@ def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega,
     """HopfReport of a crossing whose c = 0 lattice lp0 has critical
     point cp; adds the resonances at a* and, for the synchronized
     pattern, s_star."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateCouplingWarning)
-        resonances = tuple(resonance_check(lp0))
     s_star = None
     if cp.pattern == ("-", "-"):
         s_star = lyapunov_coefficient_sync(CellParams(0.0, lp0.b, 0.0))
@@ -472,7 +473,7 @@ def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega,
         a_hat=float(a_hat),
         mode=mode,
         omega_hopf=float(omega),
-        resonances=resonances,
+        resonances=tuple(_resonances(cp.crossing)),
         s_star=s_star,
         a_star=cp.a_star,
         pattern=cp.pattern,

@@ -26,7 +26,8 @@ from .spectral import (
     eigenvalue_grids,
     spectrum_report,
 )
-from .symmetry import act, fix_modes, group_elements, mode_coordinate, mode_index_set
+from .symmetry import (IsotropySubgroup, act, fix_modes, fix_projection, group_elements,
+                       isotropy_of, mode_coordinate, mode_index_set)
 
 
 def _check_spectrum(rng):
@@ -88,6 +89,16 @@ def _check_dimensions(_rng):
     return "isotypic dimensions sum to N^2, fixed spaces have dimension N", True, "N in {3,5,7}"
 
 
+def _check_isotropy(rng):
+    n = 5
+    z = rng.normal(size=2 * n * n)
+    subs = {IsotropySubgroup.cyclic(g, n) for g in group_elements(n) if g != (0, 0)}
+    subs |= {IsotropySubgroup.full(n), IsotropySubgroup.trivial(n)}
+    wrong = [K.label() for K in subs if isotropy_of(fix_projection(z, K)) != K]
+    detail = f"wrong for {sorted(wrong)}" if wrong else f"all {len(subs)} subgroups at N={n}"
+    return "isotropy_of recovers every subgroup from its Fix(K)", not wrong, detail
+
+
 def _check_critical(rng):
     lp = LatticeParams(5, a=0.0, b=1.0, c=0.0,
                        gamma=0.8 + 0.4 * rng.random(),
@@ -143,6 +154,7 @@ _CHECKS = [
     _check_rotation,
     _check_dimensions,
     _check_critical,
+    _check_isotropy,
     _check_fix_membership,
     _check_lyapunov,
     _check_psi,

@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _rk
-from .errors import ClassificationError, DimensionMismatchError, InvarianceError
+from .errors import (ClassificationError, DimensionMismatchError, DomainError,
+                     InvarianceError)
 from .model import LatticeParams, state_dim
 from .symmetry import (
     IsotropySubgroup,
     _cell_classes,
-    _subgroup_from_members,
+    _generators,
+    _subgroup_of,
     state_permutation,
 )
 
@@ -239,25 +240,6 @@ def _peak_shift(cross: np.ndarray, omega: np.ndarray, tau: float) -> float:
     return tau
 
 
-def _phase_kernel(fractions: dict, n: int) -> IsotropySubgroup:
-    """Kernel of the phase map H -> Z_N given on the generators of H.
-
-    A member g1^e1 g2^e2 ... of H fixes the orbit when its implied
-    time shift, the sum of e_i times the phase fraction of g_i, is a
-    whole number of periods.  A generator whose shift fails
-    quantization enters only with exponent zero.
-    """
-    gens = list(fractions)
-    exponents = [range(n) if fractions[g] is not None else (0,) for g in gens]
-    fixers = set()
-    for es in itertools.product(*exponents):
-        if sum(e * fractions[g] for e, g in zip(es, gens) if e) % 1 == 0:
-            fixers.add(tuple(
-                sum(e * g[c] for e, g in zip(es, gens)) % n for c in (0, 1)
-            ))
-    return _subgroup_from_members(fixers, n)
-
-
 def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
                             tol: float = 1e-2) -> OrbitSymmetry:
     """Identify which lattice shifts preserve a periodic orbit.
@@ -270,12 +252,14 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     orbit and its shifted copy, found from the FFT of the samples and
     refined by Newton steps; the time-shifted orbit is a Fourier phase
     shift of the same samples.  A generator matches when the sup
-    distance stays below tol times the orbit amplitude.  H is the full
-    group when two or more generators match, the cyclic group of the
-    one that matches, or else trivial; K is the kernel of the phase map
-    H -> Z_N given by the quantized phases of the generators of H
-    (Golubitsky-Stewart H/K).
+    distance stays below tol (positive and finite) times the orbit
+    amplitude.  H is the subgroup the matching generators generate; K
+    (Golubitsky-Stewart H/K) the one generated by those inside H whose
+    quantized shift is zero, exact since every subgroup is generated by
+    the canonical generators it contains.
     """
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     n = lp.n
     P = orbit.period
     m = n * 64
@@ -286,8 +270,7 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     Fz = np.fft.fft(Z, axis=0)
     omega = 2.0 * np.pi * np.fft.fftfreq(m, d=P / m)
 
-    gens = [IsotropySubgroup.cyclic(g, n).generator
-            for g in [(1, 0)] + [(k, 1) for k in range(n)]]
+    gens = _generators(n)
     shift, residual, fraction = {}, {}, {}
     for g in gens:
         perm = state_permutation(g, n)
@@ -301,21 +284,14 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
         quantized = abs(shift[g] - q * P / n) <= 0.02 * P
         fraction[g] = Fraction(q % n, n) if quantized else None
 
-    matched = [g for g in gens if residual[g] <= tol]
-    if len(matched) >= 2:
-        spatial = IsotropySubgroup.full(n)
-        tested, reported = gens, [(1, 0), (0, 1)]
-    elif matched:
-        spatial = IsotropySubgroup.cyclic(matched[0], n)
-        tested = reported = matched
-    else:
-        spatial = IsotropySubgroup.trivial(n)
-        tested = reported = []
+    spatial = _subgroup_of([g for g in gens if residual[g] <= tol], n)
+    tested = [g for g in gens if spatial.contains(g)]
+    reported = [(1, 0), (0, 1)] if spatial.kind == "full" else tested
     phase_fractions = {g: fraction[g] for g in reported}
     return OrbitSymmetry(
         period=P,
         spatial=spatial,
-        fixing=_phase_kernel(phase_fractions, n),
+        fixing=_subgroup_of([g for g in tested if fraction[g] == 0], n),
         phases={g: shift[g] for g in reported},
         phase_fractions=phase_fractions,
         unquantized=tuple(g for g in tested if fraction[g] is None),

@@ -264,8 +264,11 @@ class IsotropySubgroup:
         return {"full": self.n * self.n, "cyclic": self.n, "trivial": 1}[self.kind]
 
     def contains(self, g) -> bool:
-        gg = (int(g[0]) % self.n, int(g[1]) % self.n)
-        return gg in set(self.elements())
+        g0, g1 = int(g[0]) % self.n, int(g[1]) % self.n
+        if self.kind == "cyclic":  # g is a multiple of (r, s)
+            r, s = self.generator
+            return (g0 * s - g1 * r) % self.n == 0
+        return self.kind == "full" or g0 == g1 == 0
 
     def label(self) -> str:
         if self.kind == "full":
@@ -302,32 +305,33 @@ def fix_projection(z: np.ndarray, sub: IsotropySubgroup) -> np.ndarray:
     return np.stack(mean, axis=1)[cls].reshape(-1)
 
 
+def _generators(n: int) -> list:
+    """Canonical generators of the N+1 cyclic subgroups: (1, 0), then
+    that of (k, 1) for k = 0 .. N-1."""
+    return [IsotropySubgroup.cyclic(g, n).generator
+            for g in [(1, 0)] + [(k, 1) for k in range(n)]]
+
+
+def _subgroup_of(passing: list, n: int) -> IsotropySubgroup:
+    """Subgroup generated by canonical generators: the full group for
+    two or more, the cyclic group of one, else the trivial group.  For
+    prime N every subgroup is generated by the ones it contains."""
+    if len(passing) >= 2:
+        return IsotropySubgroup.full(n)
+    if passing:
+        return IsotropySubgroup.cyclic(passing[0], n)
+    return IsotropySubgroup.trivial(n)
+
+
 def isotropy_of(z: np.ndarray) -> IsotropySubgroup:
-    """Largest subgroup fixing the state to 1e-9 relative to max(1, max|z|)."""
+    """Largest subgroup fixing the state: the one generated by the
+    cyclic generators that fix it to 1e-9 relative to max(1, max|z|)."""
     n = infer_n(z)
     z = np.asarray(z, dtype=float)
     scale = max(1.0, float(np.max(np.abs(z))))
-    fixers = {
-        g
-        for g in group_elements(n)
-        if float(np.max(np.abs(act(g, z, n) - z))) <= 1e-9 * scale
-    }
-    return _subgroup_from_members(fixers, n)
-
-
-def _subgroup_from_members(members: set, n: int) -> IsotropySubgroup:
-    """Largest subgroup inside a set of group elements: the full group,
-    the cyclic subgroup of the first element whose powers all belong to
-    the set, or else the trivial group."""
-    if len(members) == n * n:
-        return IsotropySubgroup.full(n)
-    for g in sorted(members):
-        if g == (0, 0):
-            continue
-        sub = IsotropySubgroup.cyclic(g, n)
-        if set(sub.elements()) <= members:
-            return sub
-    return IsotropySubgroup.trivial(n)
+    passing = [g for g in _generators(n)
+               if float(np.max(np.abs(act(g, z, n) - z))) <= 1e-9 * scale]
+    return _subgroup_of(passing, n)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from fhn_torus import (
     spectrum_report,
     theta_n,
 )
+from fhn_torus import bifurcation
 from fhn_torus.bifurcation import (
     ProbeSettings,
     hopf_report_at_critical,
@@ -279,6 +280,19 @@ class TestResonance:
 
     def test_single_crossing_pair_trivially_clean(self):
         assert resonance_check(lattice()) == []
+
+    @pytest.mark.parametrize("report, lp", [
+        (hopf_crossing, lattice(n=5, c=0.05, gamma=1.0, delta=0.7)),
+        (hopf_report_at_critical, lattice(n=5, gamma=1.0, delta=0.7)),
+    ])
+    def test_one_critical_point_per_report(self, report, lp, monkeypatch):
+        calls = []
+        real = bifurcation.critical_a
+        monkeypatch.setattr(bifurcation, "critical_a",
+                            lambda lp: calls.append(lp) or real(lp))
+        rep = report(lp)
+        assert len(calls) == 1
+        assert rep.resonances == tuple(resonance_check(replace(lp, c=0.0)))
 
 
 class TestPsi:

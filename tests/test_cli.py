@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fhn_torus import _rk
 from fhn_torus.cli import parse_and_dispatch
 
 
@@ -248,6 +249,25 @@ class TestExitCodes:
         code = parse_and_dispatch(["sweep", "--gamma-range", "1:2"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "nan"],
+        ["--t-end", "inf"],
+        ["--amplitude", "nan"],
+        ["--rtol=0", "--atol=0"],
+    ])
+    def test_invalid_integration_input(self, flags, capsys, monkeypatch):
+        # a small step budget makes a run that loops on rejected steps
+        # fail fast instead of hanging
+        monkeypatch.setattr(_rk, "_MAX_STEPS", 100)
+        assert parse_and_dispatch(["simulate"] + flags) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_classify_tolerance(self, capsys):
+        code = parse_and_dispatch(["simulate", "--a", "-0.05", "--amplitude", "0.25",
+                                   "--t-end", "400", "--classify", "--tol=-1"])
+        assert code == 2
+        assert "tol" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -97,6 +97,26 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             _rk.solve(lambda t, y: -y, 1.0, np.ones(2), 1.0)
 
+    @pytest.mark.parametrize("t_end, y0, rtol, atol", [
+        (math.nan, 1.0, 1e-9, 1e-11),
+        (math.inf, 1.0, 1e-9, 1e-11),
+        (1.0, math.nan, 1e-9, 1e-11),
+        (1.0, math.inf, 1e-9, 1e-11),
+        (1.0, 1.0, -1e-9, 1e-11),
+        (1.0, 1.0, math.inf, 1e-11),
+        (1.0, 1.0, 1e-9, 0.0),
+        (1.0, 1.0, 1e-9, math.nan),
+    ])
+    def test_solve_rejects_input_that_is_not_finite(self, t_end, y0, rtol, atol,
+                                                     monkeypatch):
+        monkeypatch.setattr(_rk, "_MAX_STEPS", 100)  # fail fast, not hang
+        with pytest.raises(DomainError):
+            _rk.solve(lambda t, y: -y, 0.0, np.full(2, y0), t_end, rtol=rtol, atol=atol)
+
+    def test_solve_accepts_zero_rtol(self):
+        ts, ys, _, _ = _rk.solve(lambda t, y: -y, 0.0, np.ones(2), 1.0, rtol=0.0)
+        assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9
+
     def test_finite_time_blow_up_raises_stiffness_error(self):
         # y' = y^2, y(0) = 1 blows up at t = 1
         with pytest.raises(StiffnessError) as info:
@@ -238,6 +258,25 @@ class TestClassifySpatiotemporal:
         assert sym.fixing == IsotropySubgroup.cyclic((0, 1), 3)
         assert sym.match_residual < 1e-6
         assert_symmetry_holds(orbit, sym)
+
+    def test_fixing_group_from_each_generators_own_shift(self):
+        # one harmonic-2 term, so the orbit is handed over with twice its
+        # least period: the shifts along (1, 0) and (0, 1) turn 1/10 of
+        # it and fail quantization, while (1, 4), orthogonal to the
+        # frequency (1, 1), fixes the orbit at zero shift
+        orbit = wave_orbit(5, [((1, 1), 2, 1.0)])
+        sym = classify_spatiotemporal(orbit, wave_lattice(5))
+        assert sym.spatial.kind == "full"
+        assert sym.phase_fractions == {(1, 0): None, (0, 1): None}
+        assert sym.fixing == IsotropySubgroup.cyclic((1, 4), 5)
+        assert sym.match_residual < 1e-6
+        assert_symmetry_holds(orbit, sym)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
+        orbit = wave_orbit(3, [((1, 0), 1, 1.0)])
+        with pytest.raises(DomainError):
+            classify_spatiotemporal(orbit, wave_lattice(3), tol=tol)
 
     def test_one_sample_call_and_one_test_per_cyclic_subgroup(self, monkeypatch):
         calls = {"perm": 0, "dense": 0, "golden": 0}
@@ -382,7 +421,8 @@ def assert_symmetry_holds(orbit, sym, tol=1e-2):
     Every member g1^e1 g2^e2 of H, at the time shift e1*theta1 +
     e2*theta2 its generators' phases imply, and every member of K, at
     no shift, must map the orbit onto itself within tol times its
-    amplitude.
+    amplitude.  K must be maximal: a member of H whose implied shift is
+    a whole number of periods, to 1e-3 of a period, lies in K.
     """
     n, P = sym.spatial.n, sym.period
     traj, t0 = orbit.trajectory, orbit.anchor_time
@@ -395,6 +435,8 @@ def assert_symmetry_holds(orbit, sym, tol=1e-2):
         shift = sum(e * sym.phases[h] for e, h in zip(es, gens))
         moved = traj.sample(t0 + np.mod(ts - t0 + shift, P))
         assert np.max(np.abs(Z[:, state_permutation(g, n)] - moved)) <= tol * amp
+        if abs(shift / P - round(shift / P)) <= 1e-3:
+            assert sym.fixing.contains(g)
     for g in sym.fixing.elements():
         assert sym.spatial.contains(g)
         assert np.max(np.abs(Z[:, state_permutation(g, n)] - Z)) <= tol * amp

@@ -25,6 +25,7 @@ from fhn_torus import (
     project_isotypic,
     to_grids,
 )
+from fhn_torus import symmetry
 from fhn_torus.symmetry import state_permutation
 
 
@@ -243,6 +244,41 @@ class TestIsotropyOf:
 
     def test_random_state_trivial(self, rng):
         assert isotropy_of(rng.standard_normal(18)).kind == "trivial"
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 11])
+    def test_recovers_every_subgroup(self, rng, n):
+        for sub in all_subgroups(n):
+            assert isotropy_of(fix_projection(rng.standard_normal(2 * n * n), sub)) == sub
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_tests_only_the_cyclic_generators(self, rng, n, monkeypatch):
+        calls = []
+        real_act = symmetry.act
+
+        def counting_act(g, z, m=None):
+            calls.append(g)
+            return real_act(g, z, m)
+
+        monkeypatch.setattr(symmetry, "act", counting_act)
+        isotropy_of(rng.standard_normal(2 * n * n))
+        assert len(calls) == n + 1
+
+
+def all_subgroups(n):
+    """Every subgroup of Z_N x Z_N, the N+1 cyclic ones found by brute force."""
+    cyclic = {IsotropySubgroup.cyclic(g, n) for g in group_elements(n) if g != (0, 0)}
+    assert len(cyclic) == n + 1
+    return [IsotropySubgroup.trivial(n), IsotropySubgroup.full(n)] + sorted(
+        cyclic, key=lambda sub: sub.generator)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11])
+def test_contains_matches_element_list(n):
+    for sub in all_subgroups(n):
+        members = set(sub.elements())
+        for r in range(-n, 2 * n):
+            for s in range(-n, 2 * n):
+                assert sub.contains((r, s)) == ((r % n, s % n) in members)
 
 
 class TestPredictHopfSymmetries:
