@@ -32,6 +32,10 @@ _RTOL = 1e-9
 _ATOL = 1e-11
 _MAX_STEPS = 5_000_000
 
+# The smallest step, relative to max(1, |t|); a shorter one is an
+# underflow, and a shorter span is refused.
+_MIN_STEP = 1e-14
+
 
 def _rms(v):
     return float(np.sqrt(np.mean(v * v)))
@@ -57,8 +61,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
 
     Returns (ts, ys, fs, stats): accepted nodes, states, derivatives
     there, and a counter dict.  Raises DomainError for input that is not
-    finite, rtol < 0, atol <= 0 or t_end <= t0; StiffnessError if the
-    step size underflows or after _MAX_STEPS step attempts.
+    finite, rtol < 0, atol <= 0, t_end <= t0 or a span shorter than the
+    smallest step, 1e-14 * max(1, |t0|); StiffnessError if the step
+    size underflows or after _MAX_STEPS step attempts.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -69,6 +74,11 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     span = float(t_end) - t
     if span <= 0.0:
         raise DomainError("t_end must exceed t0")
+    min_step = _MIN_STEP * max(1.0, abs(t))
+    if span < min_step:
+        raise DomainError(
+            f"integration span {span!r} is shorter than the smallest step {min_step!r}"
+        )
     k = np.empty((7, y.size))
     k[0] = f(t, y)
     h = _initial_step(f, t, y, k[0], rtol, atol, span)
@@ -76,7 +86,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     n_acc = n_rej = 0
     while t < t_end:
         h = min(h, t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < _MIN_STEP * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t!r}", t=t)
         for i in range(1, 7):
             k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))

@@ -28,13 +28,14 @@ from . import _rk, _serialize
 from .bifurcation import (
     HopfReport,
     _crossing_K,
+    _hopf_report,
     branch_criticality_probe,
     critical_a,
     hopf_crossing,
     hopf_report_at_critical,
     locate_stability_loss,
 )
-from .errors import DegenerateCouplingWarning, DomainError
+from .errors import DomainError
 from .model import LatticeParams, infer_n
 from .simulate import (
     Trajectory,
@@ -60,6 +61,10 @@ _DEFAULTS = {
     "rtol": _rk._RTOL,
     "atol": _rk._ATOL,
 }
+
+# The most grid points one sweep runs; a larger grid is refused before
+# any point is built.
+_MAX_SWEEP_POINTS = 100_000
 
 _SWEEP_HEADER = (
     "N", "a", "b", "c", "gamma", "delta", "a_star", "a_hat",
@@ -94,6 +99,7 @@ def _read_config(path: str) -> dict:
 
 
 def _parse_range(text: str) -> tuple:
+    """(lo, hi, count) of a LO:HI:COUNT range."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"range must be lo:hi:count, got {text!r}")
@@ -103,6 +109,10 @@ def _parse_range(text: str) -> tuple:
         raise DomainError(f"range must be lo:hi:count, got {text!r}")
     if count < 1:
         raise DomainError("range count must be at least 1")
+    return lo, hi, count
+
+
+def _range_values(lo: float, hi: float, count: int) -> tuple:
     if count == 1:
         return (lo,)
     return tuple(np.linspace(lo, hi, count).tolist())
@@ -258,10 +268,8 @@ def _cmd_critical(args):
         "mode_symmetries": {k: v.label() for k, v in cp.mode_symmetries.items()},
         "numeric_cross_check": {"a": a_num, "abs_diff": abs(a_num - cp.a_star)},
     }
-    with warnings.catch_warnings():  # critical_a has already warned
-        warnings.simplefilter("ignore", DegenerateCouplingWarning)
-        row = _crossing_row(lp, hopf_report_at_critical(lp))
-    return Report(payload, _SWEEP_HEADER, (row,)), 0
+    rep = _hopf_report(lp, cp, cp.a_star, cp.primary.mode, cp.primary.omega, True)
+    return Report(payload, _SWEEP_HEADER, (_crossing_row(lp, rep),)), 0
 
 
 def _cmd_hopf(args):
@@ -333,7 +341,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_classify(args):
-    data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # an empty file is refused just below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2:
+        raise DomainError(
+            f"{args.input}: need at least two trajectory rows, got {data.shape[0]}"
+        )
     if data.shape[1] < 3:
         raise DomainError(f"{args.input}: expected t plus 2*N^2 state columns")
     times = data[:, 0]
@@ -383,9 +397,18 @@ def _sweep_point(point: tuple) -> tuple:
 
 
 def _cmd_sweep(args):
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     lp = args.params
-    gammas = _parse_range(args.gamma_range) if args.gamma_range else (lp.gamma,)
-    deltas = _parse_range(args.delta_range) if args.delta_range else (lp.delta,)
+    ranges = [_parse_range(text) if text else (value, value, 1)
+              for text, value in ((args.gamma_range, lp.gamma),
+                                  (args.delta_range, lp.delta))]
+    size = ranges[0][2] * ranges[1][2]
+    if size > _MAX_SWEEP_POINTS:
+        raise DomainError(
+            f"sweep grid of {size} points exceeds the limit of {_MAX_SWEEP_POINTS}"
+        )
+    gammas, deltas = (_range_values(*rng) for rng in ranges)
     points = [
         (lp.n, lp.a, lp.b, lp.c, float(g), float(d), args.probe)
         for g in gammas

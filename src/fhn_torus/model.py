@@ -14,6 +14,10 @@ blocks by the second index; within a block the (x, y) pair of each cell
 appears in order of the first index.  With 0-based indices (i, j) the x
 component of cell (i, j) sits at flat position 2*(j*N + i) and its y
 component immediately after.
+
+:func:`_cell_shift` and :func:`_mode_vector` are the only code that
+knows this numbering; ``to_grids``/``from_grids``, ``rhs_cell`` and the
+dense ``assemble_jacobian_origin`` stay independent of them as references.
 """
 
 from __future__ import annotations
@@ -113,6 +117,24 @@ def infer_n(z: np.ndarray) -> int:
     return n
 
 
+def _cell_shift(g, n: int) -> np.ndarray:
+    """Flat index of cell (i + r, j + s), indices mod N, for every flat
+    cell j*N + i, with g = (r, s): (1, 0) and (0, 1) give the coupling
+    successors, and any g the cell each cell reads under the shift g."""
+    m = np.arange(n * n)
+    r, s = int(g[0]), int(g[1])
+    return ((m // n + s) % n) * n + (m % n + r) % n
+
+
+def _mode_vector(r: int, s: int, n: int, d) -> np.ndarray:
+    """Unit Fourier vector at (r, s) whose cell (i, j) carries (1, d) times
+    w^(i*r + j*s), 0-based."""
+    v = np.array([1.0, d])
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    xi = np.multiply.outer(w ** s, np.multiply.outer(w ** r, v)).reshape(-1)
+    return xi / np.linalg.norm(xi)
+
+
 def to_grids(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Split a flat state into (x, y) grids indexed [i, j]."""
     z = _check_state(z, n)
@@ -187,18 +209,20 @@ def assemble_jacobian_origin(lp: LatticeParams) -> np.ndarray:
     return np.kron(eye, inner) + np.kron(S, np.kron(eye, F))
 
 
-def _apply_jacobian_origin(lp: LatticeParams, z: np.ndarray) -> np.ndarray:
-    """``assemble_jacobian_origin(lp) @ z`` cell by cell, in O(N^2).
+def _make_jacobian_apply(lp: LatticeParams):
+    """``z -> assemble_jacobian_origin(lp) @ z`` cell by cell, in O(N^2).
 
     Each cell gets D times its own (x, y) plus E and F times those of
     its successors in the first and second index; z may be complex.
     """
-    n = lp.n
     D, E, F = jacobian_blocks_origin(lp)
-    cells = np.asarray(z).reshape(n, n, 2)  # [j, i, slot]
-    succ_i = np.roll(cells, -1, axis=1)
-    succ_j = np.roll(cells, -1, axis=0)
-    return (cells @ D.T + succ_i @ E.T + succ_j @ F.T).reshape(-1)
+    succ_i, succ_j = _cell_shift((1, 0), lp.n), _cell_shift((0, 1), lp.n)
+
+    def apply(z):
+        cells = np.asarray(z).reshape(-1, 2)
+        return (cells @ D.T + cells[succ_i] @ E.T + cells[succ_j] @ F.T).reshape(-1)
+
+    return apply
 
 
 def jacobian_at(z: np.ndarray, lp: LatticeParams) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 from . import _rk
 from .errors import (ClassificationError, DimensionMismatchError, DomainError,
                      InvarianceError)
-from .model import LatticeParams, state_dim
+from .model import LatticeParams, _cell_shift, state_dim
 from .symmetry import (
     IsotropySubgroup,
     _cell_classes,
@@ -65,10 +65,7 @@ def make_rhs(lp: LatticeParams, K: IsotropySubgroup | None = None):
     one-state call, where ``z[..., idx]`` adds about a quarter.
     """
     n = lp.n
-    m = np.arange(n * n)
-    i, j = m % n, m // n
-    succ_i = j * n + (i + 1) % n
-    succ_j = ((j + 1) % n) * n + i
+    succ_i, succ_j = _cell_shift((1, 0), n), _cell_shift((0, 1), n)
     if K is not None:
         reps, cls = _cell_classes(K, n)
         succ_i, succ_j = cls[succ_i[reps]], cls[succ_j[reps]]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import CellParams, LatticeParams, _apply_jacobian_origin
+from .model import CellParams, LatticeParams, _make_jacobian_apply, _mode_vector
 
 __all__ = [
     "EigenRecord",
@@ -96,14 +96,6 @@ def analytic_eigenvector(r: int, s: int, branch: str, lp: LatticeParams) -> np.n
     return _mode_vector(r, s, n, A[r % n, s % n] - lam[r % n, s % n])
 
 
-def _mode_vector(r: int, s: int, n: int, d) -> np.ndarray:
-    """Unit Fourier vector at (r, s) whose cells carry (1, d) times phases."""
-    v = np.array([1.0, d])
-    w = np.exp(2j * np.pi * np.arange(n) / n)
-    xi = np.multiply.outer(w ** s, np.multiply.outer(w ** r, v)).reshape(-1)
-    return xi / np.linalg.norm(xi)
-
-
 @dataclass
 class EigenRecord:
     """One eigenvalue of the origin Jacobian with its provenance."""
@@ -152,11 +144,12 @@ def spectrum_report(lp: LatticeParams):
     n = lp.n
     A = symbol_grid(lp)
     lam = np.stack(_roots(A, lp.b, lp.c), axis=-1).reshape(-1)
+    jac = _make_jacobian_apply(lp)
     records = []
     for idx, (eig, d) in enumerate(zip(lam.tolist(), np.repeat(A.ravel(), 2) - lam)):
         (r, s), branch = divmod(idx // 2, n), "+-"[idx % 2]
         xi = _mode_vector(r, s, n, d)
-        res = np.max(np.abs(_apply_jacobian_origin(lp, xi) - eig * xi)) / np.max(np.abs(xi))
+        res = np.max(np.abs(jac(xi) - eig * xi)) / np.max(np.abs(xi))
         records.append(EigenRecord(r, s, branch, eig, float(res)))
     # pairs come sorted, so every hit list is in record order
     hits = [[] for _ in records]

@@ -6,8 +6,11 @@ held at (i + r, j + s).  The x lattice splits into invariant planes
 
     V_k = { Re(z * w^(i*k1 + j*k2)) : z complex },   w = exp(2*pi*1j/N)
 
-indexed by k = (k1, k2) with k and -k giving the same plane; g acts on
-the complex coordinate of V_k as multiplication by w^(r*k1 + s*k2).
+with 0-based cell indices i, j, indexed by k = (k1, k2) with k and -k
+giving the same plane; g acts on the complex coordinate of V_k as
+multiplication by w^(r*k1 + s*k2).  Which flat cell a shift reads and
+which phase a frequency puts on a cell come from ``model._cell_shift``
+and ``model._mode_vector``, the only code that knows the cell layout.
 A canonical index set with one representative per plane is produced by
 :func:`mode_index_set`.  Full states carry two copies of each plane
 (one in the x slots, one in the y slots).
@@ -21,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClassificationError, DimensionMismatchError
-from .model import _check_state, _require_odd_prime, from_grids, infer_n, to_grids
+from .model import (_cell_shift, _check_state, _mode_vector, _require_odd_prime,
+                    infer_n)
 
 __all__ = [
     "GroupElement",
@@ -56,15 +60,7 @@ def group_elements(n: int) -> list:
 def state_permutation(g, n: int) -> np.ndarray:
     """Index array perm with act(g, z) == z[perm]."""
     _require_odd_prime(n)
-    r, s = int(g[0]) % n, int(g[1]) % n
-    ii = np.arange(n)
-    i_new = np.tile(ii, n)
-    j_new = np.repeat(ii, n)
-    p_old = ((j_new + s) % n) * n + (i_new + r) % n
-    perm = np.empty(2 * n * n, dtype=np.intp)
-    perm[0::2] = 2 * p_old
-    perm[1::2] = 2 * p_old + 1
-    return perm
+    return (2 * _cell_shift(g, n)[:, None] + np.arange(2)).reshape(-1)
 
 
 def act(g, z: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -136,37 +132,32 @@ def canonical_mode(r: int, s: int, n: int) -> ModeIndex:
     raise ClassificationError(f"no canonical representative for ({r}, {s}) mod {n}")
 
 
-def _phase_grid(k: ModeIndex, n: int) -> np.ndarray:
-    i = np.arange(1, n + 1)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    return 2.0 * np.pi * (ii * k.k1 + jj * k.k2) / n
+def _plane_vector(k: ModeIndex, n: int) -> np.ndarray:
+    """x slots of the unit Fourier vector of k: w^(i*k1 + j*k2) / N."""
+    return _mode_vector(k.k1, k.k2, n, 0.0)[0::2]
 
 
 def mode_basis(k: ModeIndex, n: int) -> list[np.ndarray]:
     """Orthonormal x-lattice patterns spanning the plane of k.
 
-    Returns the patterns for complex coordinate 1 and -1j (cosine and
-    sine); just the constant pattern for k = (0, 0).  Patterns are flat
-    length-N^2 arrays in the same order as the x slots of a state.
+    Returns the patterns for complex coordinate 1 and -1j, the cosine
+    and sine of the phase 2*pi*(i*k1 + j*k2)/N with 0-based i, j; just
+    the constant pattern for k = (0, 0).  Patterns are flat length-N^2
+    arrays in the same order as the x slots of a state.
     """
     _require_odd_prime(n)
-    if k.as_tuple() == (0, 0):
-        return [np.full(n * n, 1.0 / n)]
-    th = _phase_grid(k, n)
-    scale = np.sqrt(2.0) / n
-    cos_pat = scale * np.cos(th)
-    sin_pat = scale * np.sin(th)
-    return [cos_pat.T.reshape(-1), sin_pat.T.reshape(-1)]
+    e = _plane_vector(k, n)
+    if k.dim == 1:
+        return [e.real]
+    return [np.sqrt(2.0) * e.real, np.sqrt(2.0) * e.imag]
 
 
 def mode_coordinate(pattern: np.ndarray, k: ModeIndex, n: int) -> complex:
-    """Complex coordinate z of an x-lattice pattern within the plane of k."""
-    grid = np.asarray(pattern, dtype=float).reshape(n, n).T
-    th = _phase_grid(k, n)
-    w = np.exp(-1j * th)
-    if k.as_tuple() == (0, 0):
-        return complex(np.mean(grid))
-    return complex(2.0 * np.sum(grid * w) / (n * n))
+    """Complex coordinate z of an x-lattice pattern within the plane of k:
+    the pattern's component in that plane is Re(z * w^(i*k1 + j*k2)),
+    with 0-based cell indices i, j."""
+    e = _plane_vector(k, n)
+    return complex(k.dim * np.vdot(e, np.asarray(pattern, dtype=float)) / n)
 
 
 def embed_pattern(xpat: np.ndarray, ypat: np.ndarray, n: int) -> np.ndarray:
@@ -197,20 +188,14 @@ def isotypic_component(k: ModeIndex, n: int) -> IsotypicComponent:
 def project_isotypic(z: np.ndarray, k: ModeIndex, n: int | None = None) -> np.ndarray:
     """Orthogonal projection of a state onto the isotypic piece of k.
 
-    Uses the 2-D discrete Fourier transform of each lattice half and
-    keeps only the frequency bins (k1, k2) and (-k1, -k2).
+    The x and y halves are each projected onto the plane of k, spanned
+    by the Fourier vector of k and its conjugate.
     """
     if n is None:
         n = infer_n(z)
-    x, y = to_grids(z, n)
-    mask = np.zeros((n, n))
-    mask[k.k1 % n, k.k2 % n] = 1.0
-    mask[(-k.k1) % n, (-k.k2) % n] = 1.0
-
-    def filt(g):
-        return np.real(np.fft.ifft2(np.fft.fft2(g) * mask))
-
-    return from_grids(filt(x), filt(y))
+    cells = _check_state(z, n).reshape(-1, 2)
+    e = _plane_vector(k, n)
+    return (k.dim * np.outer(e, e.conj() @ cells).real).reshape(-1)
 
 
 def fix_modes(g, n: int) -> list[ModeIndex]:
@@ -285,9 +270,7 @@ def _cell_classes(K: IsotropySubgroup, n: int):
     increasing order, and ``cls``, the orbit number of every cell, so
     that ``cls[reps]`` is ``arange(len(reps))``.
     """
-    m = np.arange(n * n)
-    i, j = m % n, m // n
-    orbits = np.array([((j + s) % n) * n + (i + r) % n for r, s in K.elements()])
+    orbits = np.array([_cell_shift(g, n) for g in K.elements()])
     return np.unique(orbits.min(axis=0), return_inverse=True)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fhn_torus import _rk
+from fhn_torus import _rk, bifurcation, cli
 from fhn_torus.cli import parse_and_dispatch
 
 
@@ -54,6 +54,22 @@ class TestCritical:
         assert doc["K"] == "Z(0,1)"
         modes = [(m["r"], m["s"]) for m in doc["crossing"]]
         assert modes[0] == (2, 0)
+
+    def test_runs_critical_a_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = bifurcation.critical_a
+
+        def counted(lp):
+            calls.append(lp)
+            return original(lp)
+
+        # the command module holds its own binding of the name
+        monkeypatch.setattr(bifurcation, "critical_a", counted)
+        monkeypatch.setattr(cli, "critical_a", counted)
+        code, _ = run_cli(["critical", "--n", "3", "--gamma", "1", "--delta", "-1"],
+                          tmp_path, fmt="csv")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestSpectrum:
@@ -156,6 +172,19 @@ class TestSimulateClassify:
         )
         assert code == 2
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_classify_too_few_rows(self, rows, tmp_path, capsys):
+        _, traj_path = run_cli(["simulate", "--n", "3", "--t-end", "2"], tmp_path,
+                               name="traj.csv", fmt="csv")
+        short = tmp_path / "short.csv"
+        short.write_text("".join(traj_path.read_text().splitlines(True)[:1 + rows]))
+        code = parse_and_dispatch(["classify", "--input", str(short)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(short) in err
 
     def test_classify_missing_file(self, tmp_path, capsys):
         code = parse_and_dispatch(
@@ -262,6 +291,27 @@ class TestExitCodes:
         monkeypatch.setattr(_rk, "_MAX_STEPS", 100)
         assert parse_and_dispatch(["simulate"] + flags) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_span_below_smallest_step(self, capsys):
+        assert parse_and_dispatch(["simulate", "--t-end", "1e-20"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_tiny_span_above_smallest_step_integrates(self, tmp_path):
+        code, _ = run_cli(["simulate", "--t-end", "1e-12"], tmp_path)
+        assert code == 0
+
+    @pytest.mark.parametrize("ranges", [
+        ["--gamma-range=-1:1:1000000000", "--delta-range=-1:-1:1"],
+        ["--gamma-range=-1:1:1000", "--delta-range=-1:1:101"],
+    ])
+    def test_sweep_grid_over_limit(self, ranges, capsys):
+        assert parse_and_dispatch(["sweep"] + ranges) == 2
+        assert "100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one(self, jobs, capsys):
+        assert parse_and_dispatch(["sweep", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_negative_classify_tolerance(self, capsys):
         code = parse_and_dispatch(["simulate", "--a", "-0.05", "--amplitude", "0.25",

@@ -18,7 +18,7 @@ from fhn_torus import (
     state_dim,
     to_grids,
 )
-from fhn_torus.model import _apply_jacobian_origin
+from fhn_torus.model import _make_jacobian_apply
 from fhn_torus.simulate import make_rhs
 
 
@@ -211,7 +211,7 @@ class TestAssembledJacobian:
         lp = LatticeParams(n=n, a=0.4, b=1.1, c=0.2, gamma=0.3, delta=-0.7)
         z = rng.standard_normal(2 * n * n) + 1j * rng.standard_normal(2 * n * n)
         want = assemble_jacobian_origin(lp) @ z
-        got = _apply_jacobian_origin(lp, z)
+        got = _make_jacobian_apply(lp)(z)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -113,6 +113,11 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             _rk.solve(lambda t, y: -y, 0.0, np.full(2, y0), t_end, rtol=rtol, atol=atol)
 
+    @pytest.mark.parametrize("t0, span", [(0.0, 1e-20), (1e3, 1e-12)])
+    def test_solve_rejects_span_below_smallest_step(self, t0, span):
+        with pytest.raises(DomainError, match="smallest step"):
+            _rk.solve(lambda t, y: -y, t0, np.ones(2), t0 + span)
+
     def test_solve_accepts_zero_rtol(self):
         ts, ys, _, _ = _rk.solve(lambda t, y: -y, 0.0, np.ones(2), 1.0, rtol=0.0)
         assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9

@@ -143,6 +143,42 @@ class TestModeBasis:
                 assert abs(after - phase * before) < 1e-12
 
 
+def fft_projection(z, k, n):
+    """Projection onto the isotypic piece of k by keeping the 2-D DFT bins
+    (k1, k2) and (-k1, -k2) of each lattice half."""
+    x, y = to_grids(z, n)
+    mask = np.zeros((n, n))
+    mask[k.k1 % n, k.k2 % n] = 1.0
+    mask[(-k.k1) % n, (-k.k2) % n] = 1.0
+
+    def filt(g):
+        return np.real(np.fft.ifft2(np.fft.fft2(g) * mask))
+
+    return from_grids(filt(x), filt(y))
+
+
+class TestPhaseConvention:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_coordinate_of_zero_based_wave(self, n):
+        z = 0.8 - 0.35j
+        for k in mode_index_set(n):
+            if k.dim == 1:
+                continue
+            x = np.empty((n, n))
+            for i in range(n):
+                for j in range(n):
+                    x[i, j] = np.real(z * np.exp(2j * np.pi * (i * k.k1 + j * k.k2) / n))
+            pattern = from_grids(x, np.zeros((n, n)))[0::2]
+            assert abs(mode_coordinate(pattern, k, n) - z) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_projection_matches_fft_oracle(self, rng, n):
+        z = rng.standard_normal(2 * n * n)
+        for k in mode_index_set(n):
+            got = project_isotypic(z, k, n)
+            assert np.max(np.abs(got - fft_projection(z, k, n))) <= 1e-13
+
+
 class TestIsotypicProjection:
     def test_synchronized_lives_in_constant_component(self):
         z = np.empty(18)
