@@ -486,11 +486,25 @@ class ProbeSettings:
     """Where and how long the criticality probe integrates.
 
     ``fractions`` places the runs below a_hat at a_hat - f * 0.04, and
-    each run lasts ``horizon_periods`` periods of the crossing.
+    each run lasts ``horizon_periods`` periods of the crossing.  Both
+    must be positive and finite, and ``fractions`` not empty, else
+    DomainError.
     """
 
     fractions: tuple = (1.0, 1.5, 2.0)
     horizon_periods: float = 50.0
+
+    def __post_init__(self):
+        if not self.fractions or not all(f > 0.0 and math.isfinite(f)
+                                         for f in self.fractions):
+            raise DomainError(
+                f"fractions must be positive and finite, got {self.fractions!r}"
+            )
+        if not (self.horizon_periods > 0.0 and math.isfinite(self.horizon_periods)):
+            raise DomainError(
+                f"horizon_periods must be positive and finite, "
+                f"got {self.horizon_periods!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -517,7 +531,9 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     ``settings.horizon_periods`` crossing periods each.  Every run
     starts at amplitude 1e-3 * sqrt(b) along the real part of the
     crossing eigenvector whose eigenvalue at a_hat has the larger
-    imaginary part.  With scale = max(1, sqrt(b)), outcomes per run:
+    imaginary part.  The runs are one batch on the quotient flow of
+    Fix(K), sharing one step sequence; if the batch is stiff, each run
+    is redone alone.  With scale = max(1, sqrt(b)), outcomes per run:
 
     decay      back below the start amplitude
     orbit      settled oscillation, at least 10 times the start
@@ -533,7 +549,7 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     the probe stays inside Fix(K), so it cannot see transversal
     instability, and a coexisting attractor can shadow the branch.
     """
-    from .simulate import reduced_integrate_fix
+    from .simulate import _quotient_solve
     from .errors import StiffnessError
 
     st = settings or ProbeSettings()
@@ -549,39 +565,46 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     cap = 0.5 * scale  # branch amplitude cap
     t_end = st.horizon_periods * 2.0 * math.pi / report.omega_hopf
 
-    def run(a_value, side):
-        lpa = replace(lp, a=a_value)
-        try:
-            traj = reduced_integrate_fix(K, eps * vec, lpa, t_end)
-        except StiffnessError:
-            return ProbeRun(a_value, side, "escape", math.inf)
-        quarter = 0.25 * (traj.times[-1] - traj.times[0])
-        last = traj.states[traj.times >= traj.times[-1] - quarter]
-        prev = traj.states[
-            (traj.times >= traj.times[-1] - 2.0 * quarter)
-            & (traj.times < traj.times[-1] - quarter)
-        ]
+    def outcome(ts, qs):
+        """Outcome and tail amplitude of one run's quotient states; the
+        lift only copies cells, so the amplitudes are the lattice's."""
+        quarter = 0.25 * (ts[-1] - ts[0])
+        last = qs[ts >= ts[-1] - quarter]
+        prev = qs[(ts >= ts[-1] - 2.0 * quarter) & (ts < ts[-1] - quarter)]
         amp_tail = float(np.max(np.abs(last)))
         amp_prev = float(np.max(np.abs(prev)))
-        amp_max = float(np.max(np.abs(traj.states)))
+        amp_max = float(np.max(np.abs(qs)))
         ptp_tail = float(np.max(last.max(axis=0) - last.min(axis=0)))
         settled = abs(amp_tail - amp_prev) <= 0.1 * max(amp_tail, eps)
         if amp_max > escape:
-            outcome = "escape"
-        elif amp_tail < eps:
-            outcome = "decay"
-        elif not (settled and ptp_tail >= 0.5 * amp_tail
-                  and amp_tail >= _PROBE_GROWTH * eps):
-            outcome = "transient"
-        elif amp_tail <= cap:
-            outcome = "orbit"
-        else:
-            outcome = "distant"
-        return ProbeRun(a_value, side, outcome, amp_tail)
+            return "escape", amp_tail
+        if amp_tail < eps:
+            return "decay", amp_tail
+        if not (settled and ptp_tail >= 0.5 * amp_tail
+                and amp_tail >= _PROBE_GROWTH * eps):
+            return "transient", amp_tail
+        return ("orbit" if amp_tail <= cap else "distant"), amp_tail
 
-    runs = [run(report.a_hat - f * _PROBE_DELTA_A, "below") for f in st.fractions]
-    above = run(report.a_hat + _PROBE_DELTA_A, "above")
-    runs.append(above)
+    def alone(lpa):
+        """One run by itself; a stiff abort is an escape."""
+        try:
+            _, (ts, qs, _, _) = _quotient_solve(K, eps * vec, lpa, t_end)
+        except StiffnessError:
+            return "escape", math.inf
+        return outcome(ts, qs)
+
+    sides = ["below"] * len(st.fractions) + ["above"]
+    lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in st.fractions]
+    lps.append(replace(lp, a=report.a_hat + _PROBE_DELTA_A))
+    z0 = np.repeat((eps * vec)[:, None], len(lps), axis=1)
+    try:
+        _, (ts, qs, _, _) = _quotient_solve(K, z0, lps, t_end)
+        results = [outcome(ts, qs[..., j]) for j in range(len(lps))]
+    except StiffnessError:
+        results = [alone(lpa) for lpa in lps]
+    runs = [ProbeRun(lpa.a, side, out, amp)
+            for lpa, side, (out, amp) in zip(lps, sides, results)]
+    above = runs[-1]
 
     below = [r for r in runs if r.side == "below"]
     if above.outcome != "decay":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,7 +54,8 @@ class Trajectory:
         return self.states[-1]
 
 
-def make_rhs(lp: LatticeParams, K: IsotropySubgroup | None = None):
+def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
+             K: IsotropySubgroup | None = None):
     """Flat-vector network field, index arithmetic precomputed.
 
     With a subgroup K the field is the exact flow on Fix(K): one cell
@@ -63,13 +65,31 @@ def make_rhs(lp: LatticeParams, K: IsotropySubgroup | None = None):
     the same layout: a stack of row states ``Z`` goes in as ``Z.T``.
     The slot axis comes first because indexing it adds nothing to a
     one-state call, where ``z[..., idx]`` adds about a quarter.
+
+    ``lp`` is one LatticeParams, or a sequence of B with the same n;
+    then the field takes states of shape (dim, B), and column j follows
+    the lattice ``lp[j]``.  The columns are laid end to end as one
+    block-diagonal lattice, column j's cells after those of columns
+    0..j-1, with a, b, c, gamma and delta stacked into arrays of one
+    entry per cell: each entry sees the arithmetic of a one-state call.
     """
-    n = lp.n
+    batch = not isinstance(lp, LatticeParams)
+    lps = list(lp) if batch else [lp]
+    n = lps[0].n
+    if any(p.n != n for p in lps):
+        raise DimensionMismatchError("a batch of lattices must share n")
     succ_i, succ_j = _cell_shift((1, 0), n), _cell_shift((0, 1), n)
     if K is not None:
         reps, cls = _cell_classes(K, n)
         succ_i, succ_j = cls[succ_i[reps]], cls[succ_j[reps]]
-    a, b, c, gam, dlt = lp.a, lp.b, lp.c, lp.gamma, lp.delta
+    if batch:
+        m = len(succ_i)
+        first = m * np.arange(len(lps))[:, None]
+        succ_i, succ_j = (first + succ_i).ravel(), (first + succ_j).ravel()
+        a, b, c, gam, dlt = (np.repeat([getattr(p, name) for p in lps], m)
+                             for name in ("a", "b", "c", "gamma", "delta"))
+    else:
+        a, b, c, gam, dlt = lp.a, lp.b, lp.c, lp.gamma, lp.delta
 
     def rhs(t, z):
         x = z[0::2]
@@ -84,7 +104,15 @@ def make_rhs(lp: LatticeParams, K: IsotropySubgroup | None = None):
         dz[1::2] = b * x - c * y
         return dz
 
-    return rhs
+    if not batch:
+        return rhs
+
+    def batched(t, z):
+        # a free view when z is the transpose of a row-per-column array,
+        # as ``_rk.solve`` passes it
+        return rhs(t, z.T.reshape(-1)).reshape(len(lps), -1).T
+
+    return batched
 
 
 def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
@@ -296,6 +324,37 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     )
 
 
+def _quotient_solve(K: IsotropySubgroup, z0,
+                    lp: LatticeParams | Sequence[LatticeParams], t_end):
+    """The flow on Fix(K), restricted to one cell per K-orbit.
+
+    ``lp`` is one LatticeParams and z0 a full state, shape (2*N^2,), or
+    a sequence of B lattices with one full state per column, shape
+    (2*N^2, B).  Every column must lie in Fix(K) to 1e-10 of its size,
+    else InvarianceError.  Returns the cell classes of K and
+    ``_rk.solve``'s (ts, ys, fs, stats) on the quotient, whose states
+    have shape (2 * #classes,) or (2 * #classes, B); a batch shares one
+    step sequence.
+    """
+    single = isinstance(lp, LatticeParams)
+    n = lp.n if single else lp[0].n
+    if K.n != n:
+        raise DimensionMismatchError("subgroup and lattice sizes disagree")
+    batch = () if single else (len(lp),)
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (state_dim(n),) + batch:
+        raise DimensionMismatchError(
+            f"initial state must have shape {(state_dim(n),) + batch}"
+        )
+    reps, cls = _cell_classes(K, n)
+    cells = z0.reshape((-1, 2) + batch)
+    scale = np.maximum(1.0, np.max(np.abs(z0), axis=0))
+    if np.any(np.max(np.abs(cells - cells[reps][cls]), axis=(0, 1)) > 1e-10 * scale):
+        raise InvarianceError("initial state is not in Fix(K)")
+    q0 = cells[reps].reshape((-1,) + batch)
+    return cls, _rk.solve(make_rhs(lp, K), 0.0, q0, t_end)
+
+
 def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
                           t_end) -> Trajectory:
     """Integrate inside the fixed-point space of K from t = 0 to t_end.
@@ -305,21 +364,14 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
     tolerances of :func:`integrate` and lifted back to full lattice
     states, which are therefore exactly K-fixed.  The initial state
     must lie in Fix(K) to 1e-10, else InvarianceError.
+
+    The restriction and the solve are ``_quotient_solve``, which also
+    takes a batch: B lattices with one start per column, states of
+    shape (dim, B) with the slot axis first, integrated with one shared
+    step sequence whose error is the largest per-column RMS error.  The
+    criticality probe runs its batch there, on the quotient, unlifted.
     """
-    n = lp.n
-    if K.n != n:
-        raise DimensionMismatchError("subgroup and lattice sizes disagree")
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (state_dim(n),):
-        raise DimensionMismatchError(
-            f"initial state must have shape ({state_dim(n)},)"
-        )
-    reps, cls = _cell_classes(K, n)
-    cells = z0.reshape(-1, 2)
-    scale = max(1.0, float(np.max(np.abs(z0))))
-    if float(np.max(np.abs(cells - cells[reps][cls]))) > 1e-10 * scale:
-        raise InvarianceError("initial state is not in Fix(K)")
-    ts, ys, fs, stats = _rk.solve(make_rhs(lp, K), 0.0, cells[reps].reshape(-1), t_end)
+    cls, (ts, ys, fs, stats) = _quotient_solve(K, z0, lp, t_end)
 
     def lift(q):
         return q.reshape(len(ts), -1, 2)[:, cls].reshape(len(ts), -1)

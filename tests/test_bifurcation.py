@@ -1,6 +1,7 @@
 """Critical parameter values, stability, criticality diagnostics."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from fhn_torus import (
     spectrum_report,
     theta_n,
 )
-from fhn_torus import bifurcation
+from fhn_torus import _rk, bifurcation
 from fhn_torus.bifurcation import (
     ProbeSettings,
     hopf_report_at_critical,
@@ -390,3 +391,58 @@ class TestCriticalityProbe:
         # amplitude grows with the distance below the crossing
         das = sorted(amps)
         assert all(amps[das[i]] >= amps[das[i + 1]] for i in range(len(das) - 1))
+
+    @staticmethod
+    def solve_shapes(monkeypatch):
+        """The start-state shape of every ``_rk.solve`` call from now on."""
+        shapes = []
+        real = _rk.solve
+        monkeypatch.setattr(_rk, "solve", lambda f, t0, y0, *args, **kw:
+                            shapes.append(y0.shape) or real(f, t0, y0, *args, **kw))
+        return shapes
+
+    def test_runs_share_one_solve(self, monkeypatch):
+        shapes = self.solve_shapes(monkeypatch)
+        lp = lattice()
+        res = branch_criticality_probe(hopf_report_at_critical(lp), lp,
+                                       ProbeSettings(horizon_periods=10.0))
+        assert shapes == [(2, 4)]
+        assert len(res.runs) == 4
+
+    def test_stiff_batch_reruns_each_run_alone(self, monkeypatch):
+        shapes = self.solve_shapes(monkeypatch)
+        monkeypatch.setattr(_rk, "_MAX_STEPS", 10)
+        lp = lattice()
+        res = branch_criticality_probe(hopf_report_at_critical(lp), lp)
+        assert shapes == [(2, 4)] + [(2,)] * 4
+        assert [(r.side, r.outcome, r.amplitude) for r in res.runs] == (
+            [("below", "escape", math.inf)] * 3 + [("above", "escape", math.inf)])
+        assert res.classification == "undetermined" and res.samples == ()
+
+    def test_wave_probe_memory_peak(self):
+        # the batch is kept on the quotient states, never lifted to the
+        # lattice: about 12 MB here, where lifted states would take ~38 MB
+        lp = lattice(n=5, c=0.05, gamma=1.0, delta=-1.0)
+        rep = hopf_crossing(lp)
+        tracemalloc.start()
+        try:
+            res = branch_criticality_probe(rep, lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.runs) == 4
+        assert peak < 20e6
+
+
+class TestProbeSettings:
+    @pytest.mark.parametrize("fractions", [
+        (), (-1.0,), (0.0,), (math.inf,), (math.nan,), (1.0, -0.5),
+    ])
+    def test_rejects_fractions_that_are_not_positive_and_finite(self, fractions):
+        with pytest.raises(DomainError):
+            ProbeSettings(fractions=fractions)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_horizon_that_is_not_positive_and_finite(self, horizon):
+        with pytest.raises(DomainError):
+            ProbeSettings(horizon_periods=horizon)

@@ -148,6 +148,73 @@ class TestIntegrate:
         assert traj.stats["accepted"] == len(traj.times) - 1
 
 
+class TestBatchedSolve:
+    """A (dim, B) state: B columns on one shared step sequence."""
+
+    LP5 = LatticeParams(n=5, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_equal_columns_are_the_one_state_run_bit_for_bit(self, batch, rng):
+        z0 = 0.1 * rng.standard_normal(50)
+        ts, ys, fs, stats = _rk.solve(simulate.make_rhs(self.LP5), 0.0, z0, 30.0)
+        zb = np.repeat(z0[:, None], batch, axis=1)
+        tb, yb, fb, sb = _rk.solve(simulate.make_rhs([self.LP5] * batch), 0.0, zb, 30.0)
+        assert yb.shape == fb.shape == (len(ts), 50, batch)
+        assert np.array_equal(tb, ts) and sb == stats
+        for j in range(batch):
+            assert np.array_equal(yb[:, :, j], ys)
+            assert np.array_equal(fb[:, :, j], fs)
+
+    def test_columns_with_different_a_match_their_own_runs(self, rng):
+        lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+               for a in (-0.1, -0.05, 0.3)]
+        z0 = 0.1 * rng.standard_normal((50, 3))
+        tb, yb, _, _ = _rk.solve(simulate.make_rhs(lps), 0.0, z0, 30.0)
+        for j, lp in enumerate(lps):
+            ts, ys, _, _ = _rk.solve(simulate.make_rhs(lp), 0.0, z0[:, j], 30.0)
+            # both runs meet rtol 1e-9 per step; their end states sit
+            # about 5e-10 apart at |z| ~ 2.5
+            assert np.max(np.abs(yb[-1, :, j] - ys[-1])) < 1e-8
+
+    def test_one_column_blowing_up_stops_the_batch(self):
+        # y' = y^2 blows up at t = 1/y0: at t = 1 in the second column,
+        # after t_end in the others
+        with pytest.raises(StiffnessError) as info:
+            _rk.solve(lambda t, y: y * y, 0.0, np.array([[0.25, 1.0, -1.0]]), 2.0)
+        assert abs(info.value.t - 1.0) < 1e-6
+
+    def test_rejects_state_of_three_axes(self):
+        with pytest.raises(DomainError):
+            _rk.solve(lambda t, y: -y, 0.0, np.ones((2, 2, 2)), 1.0)
+
+    def test_batched_field_rejects_lattices_of_different_size(self):
+        with pytest.raises(DimensionMismatchError):
+            simulate.make_rhs([self.LP5, SYNC])
+
+    def test_sample_of_a_batch_at_as_many_times_as_slots(self):
+        # q == dim: weights of shape (q, 1) would broadcast along the
+        # slot axis instead of the time axis
+        f = lambda t, y: np.stack([y[1], -y[0]])
+        ts, ys, fs, stats = _rk.solve(f, 0.0, np.array([[1.0, 0.0, 2.0],
+                                                         [0.0, 1.0, -1.0]]), 3.0)
+        traj = Trajectory(ts, ys, fs, stats)
+        tq = np.array([0.7, 2.2])
+        got = traj.sample(tq)
+        assert got.shape == (2, 2, 3)
+        for j in range(3):
+            assert np.array_equal(got[:, :, j],
+                                  _rk.hermite_eval(ts, ys[:, :, j], fs[:, :, j], tq))
+        assert np.array_equal(traj.sample(0.7), got[0])
+        assert np.allclose(got[:, 0, 0], np.cos(tq), rtol=0.0, atol=1e-7)
+
+    def test_quotient_batch_checks_every_column(self):
+        K = IsotropySubgroup.full(3)
+        z0 = np.repeat(synchronized_state(0.2, -0.1)[:, None], 2, axis=1)
+        z0[4, 1] += 1e-3
+        with pytest.raises(InvarianceError):
+            simulate._quotient_solve(K, z0, [SYNC, SYNC], 1.0)
+
+
 class TestDetectPeriodicOrbit:
     def test_equilibrium_gives_none(self):
         lp = LatticeParams(n=3, a=0.3, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
