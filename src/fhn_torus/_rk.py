@@ -38,8 +38,11 @@ _MIN_STEP = 1e-14
 
 
 def _rms(v):
-    """Root mean square along the last axis; the largest over batch rows."""
-    r = np.sqrt(np.mean(v * v, axis=-1))
+    """Root mean square along the last axis; the largest over batch rows.
+
+    The arithmetic of ``np.sqrt(np.mean(v * v, axis=-1))``, bit for
+    bit, without the Python layers of ``np.mean``."""
+    r = np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])
     return float(r if r.ndim == 0 else r.max())
 
 
@@ -121,7 +124,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             y = y_new
             stage[0][...] = stage[6]  # first-same-as-last
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)  # y_new is a fresh array, never written to
             fs.append(stage[0].copy())
             n_acc += 1
             factor = _MAX_FACTOR if err == 0.0 else min(

@@ -107,15 +107,36 @@ def dumps_json(obj) -> str:
     return _render(to_jsonable(obj)) + "\n"
 
 
+# Rows of a float block formatted per write, so that only this many
+# rows exist as Python floats and text at once.
+_BLOCK_ROWS = 2048
+
+
 def write_csv(rows, header, fh):
-    """rows: iterable of sequences matching header."""
+    """Write the header line, then one line per row, to a text file.
+
+    ``rows`` is a tuple of rows or a 2-D float array, one row per line
+    and one column per header entry.  Rows of mixed type go through
+    :func:`csv.writer`, which quotes strings where needed, with each
+    cell rendered by ``_cell``.  A float array is formatted with one
+    ``"%.17g,...,%.17g\\n"`` format per row, a few thousand rows per
+    write: the same bytes ``_cell`` gives each float, without building
+    a Python object per cell up front.
+    """
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(list(header))
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            chunk = rows[start:start + _BLOCK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in chunk]))
+        return
     for row in rows:
         w.writerow([_cell(v) for v in row])
 
 
 def csv_text(rows, header) -> str:
+    """The text :func:`write_csv` writes for ``rows`` and ``header``."""
     buf = io.StringIO()
     write_csv(rows, header, buf)
     return buf.getvalue()

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._rk import hermite_eval
 from .errors import BracketError, DegenerateCouplingWarning, DomainError
 from .model import CellParams, LatticeParams
 from .spectral import (
@@ -75,9 +76,10 @@ def sign_pattern(lp: LatticeParams):
     return ("+" if lp.gamma > 0 else "-", "+" if lp.delta > 0 else "-")
 
 
-# Root searches in a stop at this bracket width; an eigenvalue within
-# _AXIS_TOL of the imaginary axis at the root counts as crossing.
-_XTOL = 1e-12
+# Root searches in a stop at a bracket of 4 * _EPS * max(1, |a|); an
+# eigenvalue within _AXIS_TOL of the imaginary axis at the root counts
+# as crossing.
+_EPS = float(np.finfo(float).eps)
 _AXIS_TOL = 1e-10
 
 # Integer frequency ratios k, 2 <= k <= _RESONANCE_K_MAX, are resonant
@@ -91,6 +93,10 @@ _RESONANCE_REL_TOL = 1e-9
 _PROBE_DELTA_A = 0.04
 _PROBE_PERTURBATION = 1e-3
 _PROBE_GROWTH = 10.0
+# The probe reads its amplitudes from the dense output at this many
+# evenly spaced times per crossing period, so that they do not depend on
+# where the steps fall.
+_PROBE_SAMPLES_PER_PERIOD = 64
 
 
 def _checked_pattern(lp: LatticeParams):
@@ -226,12 +232,18 @@ def origin_stability(lp: LatticeParams) -> StabilityVerdict:
 
 
 def locate_stability_loss(lp: LatticeParams, a_lo: float, a_hi: float) -> float:
-    """Root of a -> stability margin on a bracket, bisection plus secant.
+    """Root of a -> stability margin on a bracket, by Chandrupatla's
+    method (a variant of Brent's; Adv. Eng. Softw. 28 (1997) 145-149).
 
-    Bisects down to a bracket of width 1e-12, then polishes with at most
-    four secant steps inside it.  The margin must change sign between
-    a_lo and a_hi; raises BracketError with both endpoint values
-    otherwise.
+    Each new point is the inverse quadratic interpolation of the last
+    three where the margin looks quadratic there, else the midpoint, and
+    lies at least the tolerance inside the bracket, which always holds a
+    sign change.  Stops at an exact zero or once the bracket is narrower
+    than 4 eps max(1, |a|), and returns the end with the smaller
+    |margin|: about seven margin evaluations per call, against some
+    forty for bisection to that width.  The margin must change sign
+    between a_lo and a_hi; raises BracketError with both endpoint
+    values otherwise.
     """
 
     def f(a):
@@ -248,27 +260,30 @@ def locate_stability_loss(lp: LatticeParams, a_lo: float, a_hi: float) -> float:
             f"stability margin does not change sign on [{lo}, {hi}]",
             a_lo=lo, a_hi=hi, f_lo=f_lo, f_hi=f_hi,
         )
-    while hi - lo > _XTOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+    # a is the newest point and b the other end of the bracket; c is the
+    # point that a or b replaced; the next point is a + t * (b - a)
+    a, fa, b, fb = hi, f_hi, lo, f_lo
+    t = 0.5
+    while True:
+        x = a + t * (b - a)
+        fx = f(x)
+        if (fx > 0.0) == (fa > 0.0):
+            c, fc = a, fa
         else:
-            hi, f_hi = mid, f_mid
-    # secant polish inside the final bracket
-    x0, x1, f0, f1 = lo, hi, f_lo, f_hi
-    for _ in range(4):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo <= x2 <= hi):
-            break
-        x0, f0, x1, f1 = x1, f1, x2, f(x2)
-    return x1 if abs(f1) <= abs(f0) else x0
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        best, f_best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        t_min = 2.0 * _EPS * max(1.0, abs(best)) / abs(b - a)
+        if f_best == 0.0 or t_min > 0.5:
+            return best
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
+        t = min(1.0 - t_min, max(t_min, t))
 
 
 def lyapunov_coefficient_sync(p: CellParams) -> float:
@@ -533,7 +548,10 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     crossing eigenvector whose eigenvalue at a_hat has the larger
     imaginary part.  The runs are one batch on the quotient flow of
     Fix(K), sharing one step sequence; if the batch is stiff, each run
-    is redone alone.  With scale = max(1, sqrt(b)), outcomes per run:
+    is redone alone.  Amplitudes are sup norms of the dense output at
+    64 evenly spaced times per crossing period, over the whole run or
+    over its last two quarters.  With scale = max(1, sqrt(b)), outcomes
+    per run:
 
     decay      back below the start amplitude
     orbit      settled oscillation, at least 10 times the start
@@ -565,12 +583,16 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     cap = 0.5 * scale  # branch amplitude cap
     t_end = st.horizon_periods * 2.0 * math.pi / report.omega_hopf
 
-    def outcome(ts, qs):
-        """Outcome and tail amplitude of one run's quotient states; the
-        lift only copies cells, so the amplitudes are the lattice's."""
-        quarter = 0.25 * (ts[-1] - ts[0])
-        last = qs[ts >= ts[-1] - quarter]
-        prev = qs[(ts >= ts[-1] - 2.0 * quarter) & (ts < ts[-1] - quarter)]
+    grid = np.linspace(0.0, t_end,
+                       math.ceil(st.horizon_periods * _PROBE_SAMPLES_PER_PERIOD) + 1)
+    in_last = grid >= 0.75 * t_end
+    in_prev = (grid >= 0.5 * t_end) & ~in_last
+
+    def outcome(qs):
+        """Outcome and tail amplitude of one run's quotient states on
+        the grid; the lift only copies cells, so the amplitudes are the
+        lattice's."""
+        last, prev = qs[in_last], qs[in_prev]
         amp_tail = float(np.max(np.abs(last)))
         amp_prev = float(np.max(np.abs(prev)))
         amp_max = float(np.max(np.abs(qs)))
@@ -588,18 +610,21 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     def alone(lpa):
         """One run by itself; a stiff abort is an escape."""
         try:
-            _, (ts, qs, _, _) = _quotient_solve(K, eps * vec, lpa, t_end)
+            _, (ts, qs, fs, _) = _quotient_solve(K, eps * vec, lpa, t_end)
         except StiffnessError:
             return "escape", math.inf
-        return outcome(ts, qs)
+        return outcome(hermite_eval(ts, qs, fs, grid))
 
     sides = ["below"] * len(st.fractions) + ["above"]
     lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in st.fractions]
     lps.append(replace(lp, a=report.a_hat + _PROBE_DELTA_A))
     z0 = np.repeat((eps * vec)[:, None], len(lps), axis=1)
     try:
-        _, (ts, qs, _, _) = _quotient_solve(K, z0, lps, t_end)
-        results = [outcome(ts, qs[..., j]) for j in range(len(lps))]
+        _, (ts, qs, fs, _) = _quotient_solve(K, z0, lps, t_end)
+        # one run at a time: the samples of the whole batch would add
+        # several MB to the peak
+        results = [outcome(hermite_eval(ts, qs[..., j], fs[..., j], grid))
+                   for j in range(len(lps))]
     except StiffnessError:
         results = [alone(lpa) for lpa in lps]
     runs = [ProbeRun(lpa.a, side, out, amp)

@@ -74,9 +74,14 @@ _SWEEP_HEADER = (
 
 @dataclass(frozen=True)
 class Report:
+    """A command's result: the JSON payload and, for commands with a
+    CSV form, its header and rows.  ``csv_rows`` is a tuple of rows or
+    a 2-D float array (the trajectory of ``simulate``), as
+    ``_serialize.write_csv`` takes them."""
+
     payload: object
     csv_header: tuple | None = None
-    csv_rows: tuple | None = None
+    csv_rows: tuple | np.ndarray | None = None
 
 
 def _read_config(path: str) -> dict:
@@ -333,10 +338,7 @@ def _cmd_simulate(args):
         "final_state": traj.final_state,
         **entries,
     }
-    rows = tuple(
-        (float(t),) + tuple(float(v) for v in state)
-        for t, state in zip(traj.times, traj.states)
-    )
+    rows = np.column_stack([traj.times, traj.states])
     return Report(payload, _traj_header(lp.n), rows), 0
 
 

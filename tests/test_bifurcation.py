@@ -29,6 +29,7 @@ from fhn_torus import (
     psi,
     resonance_check,
     spectrum_report,
+    StiffnessError,
     theta_n,
 )
 from fhn_torus import _rk, bifurcation
@@ -189,6 +190,33 @@ class TestStabilityScan:
                 cp = critical_a(lp)
             a_num = locate_stability_loss(lp, cp.a_star - 1.0, cp.a_star + 1.0)
             assert abs(a_num - cp.a_star) < 1e-8
+
+    def test_root_search_needs_at_most_twelve_margins(self, rng, monkeypatch):
+        calls = []
+        counted = bifurcation.origin_stability
+
+        def counting(lp):
+            calls.append(lp.a)
+            return counted(lp)
+
+        monkeypatch.setattr(bifurcation, "origin_stability", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n in (3, 5, 7, 11, 23):
+                for c in (0.0, 0.02, 0.05, 0.1):
+                    lp = random_lattice(rng, n=n, c_zero=True)
+                    lp = replace(lp, c=c, b=max(lp.b, 1.0))
+                    cp = critical_a(replace(lp, c=0.0))
+                    lo, hi = ((cp.a_star - 1.0, cp.a_star + 1.0) if c == 0.0
+                              else (cp.a_star - 1.0, cp.a_star))
+                    calls.clear()
+                    a_num = locate_stability_loss(lp, lo, hi)
+                    assert len(calls) <= 12
+                    if c == 0.0:
+                        assert abs(a_num - cp.a_star) < 1e-8
+                    else:
+                        margin = origin_stability(replace(lp, a=a_num)).margin
+                        assert abs(margin) <= 1e-12
 
     def test_bracket_error_carries_endpoints(self):
         lp = lattice()
@@ -418,6 +446,26 @@ class TestCriticalityProbe:
         assert [(r.side, r.outcome, r.amplitude) for r in res.runs] == (
             [("below", "escape", math.inf)] * 3 + [("above", "escape", math.inf)])
         assert res.classification == "undetermined" and res.samples == ()
+
+    def test_amplitudes_do_not_depend_on_the_step_sequence(self, monkeypatch):
+        # the batch shares one step sequence and a run alone takes its
+        # own; maxima over the accepted nodes moved the decay amplitude
+        # by 0.6 % between the two
+        lp = lattice()
+        rep = hopf_report_at_critical(lp)
+        batched = branch_criticality_probe(rep, lp)
+        real = _rk.solve
+
+        def refuse_batches(f, t0, y0, *args, **kw):
+            if y0.ndim == 2:
+                raise StiffnessError("batch refused", t=t0)
+            return real(f, t0, y0, *args, **kw)
+
+        monkeypatch.setattr(_rk, "solve", refuse_batches)
+        alone = branch_criticality_probe(rep, lp)
+        assert [r.outcome for r in alone.runs] == [r.outcome for r in batched.runs]
+        for r, s in zip(batched.runs, alone.runs):
+            assert r.amplitude == pytest.approx(s.amplitude, rel=1e-4)
 
     def test_wave_probe_memory_peak(self):
         # the batch is kept on the quotient states, never lifted to the

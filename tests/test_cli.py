@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fhn_torus import _rk, bifurcation, cli
@@ -154,6 +155,23 @@ class TestSimulateClassify:
         doc = load_json(path)
         assert doc["accepted_nodes"] >= 2
         assert len(doc["final_state"]) == 18
+
+    def test_csv_gives_the_trajectory_back_bit_for_bit(self, tmp_path, monkeypatch):
+        made = []
+        real = cli.integrate
+        monkeypatch.setattr(cli, "integrate",
+                            lambda *args, **kw: made.append(real(*args, **kw)) or made[-1])
+        code, path = run_cli(
+            ["simulate", "--n", "3", "--gamma", "1", "--delta", "-1", "--a", "1.42",
+             "--ic", "random", "--seed", "5", "--t-end", "30"],
+            tmp_path, name="traj.csv", fmt="csv",
+        )
+        assert code == 0
+        (traj,) = made
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data.shape == (len(traj.times), 19)
+        assert data[:, 0].tobytes() == traj.times.tobytes()
+        assert data[:, 1:].tobytes() == traj.states.tobytes()
 
     def test_random_ic_reproducible_with_seed(self, tmp_path):
         args = ["simulate", "--n", "3", "--t-end", "2", "--ic", "random",

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from fhn_torus import _serialize
 from fhn_torus._serialize import csv_text, dumps_json, to_jsonable
 
 
@@ -71,6 +72,21 @@ class TestRendering:
         text = csv_text([(True, complex(1, -1))], ("ok", "z"))
         row = text.strip().split("\n")[1]
         assert row.startswith("true,")
+
+    def test_csv_float_block_matches_cell_rows(self, rng):
+        block = np.array([[-0.0, 5e-324, 1e300, 3.0],
+                          [1.0, -2.5, 0.1 + 0.2, 2.0 ** 60],
+                          [math.pi, -1e-300, 1e16, -123.0]])
+        header = ("a", "b", "c", "d")
+        rows = tuple(tuple(row) for row in block.tolist())
+        text = csv_text(block, header)
+        assert text == csv_text(rows, header)
+        assert text.split("\n")[1] == "-0,4.9406564584124654e-324,1.0000000000000001e+300,3"
+        assert csv_text(block[:1], header) == csv_text(rows[:1], header)
+        # more rows than one write formats, with a partial last write
+        big = rng.standard_normal((2 * _serialize._BLOCK_ROWS + 3, 5))
+        big_rows = tuple(tuple(row) for row in big.tolist())
+        assert csv_text(big, "vwxyz") == csv_text(big_rows, "vwxyz")
 
     def test_csv_deterministic(self):
         rows = [(1, 0.1, "x"), (2, 0.2, "y")]

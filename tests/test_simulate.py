@@ -176,6 +176,11 @@ class TestBatchedSolve:
             # about 5e-10 apart at |z| ~ 2.5
             assert np.max(np.abs(yb[-1, :, j] - ys[-1])) < 1e-8
 
+    @pytest.mark.parametrize("shape", [(50,), (1001,), (4, 50), (3, 1001)])
+    def test_rms_is_the_mean_formula_bit_for_bit(self, shape, rng):
+        v = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
+        assert _rk._rms(v) == float(np.sqrt(np.mean(v * v, axis=-1)).max())
+
     def test_one_column_blowing_up_stops_the_batch(self):
         # y' = y^2 blows up at t = 1/y0: at t = 1 in the second column,
         # after t_end in the others
