@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._rk import hermite_eval
+from ._rk import dense_eval
 from .errors import BracketError, DegenerateCouplingWarning, DomainError
 from .model import CellParams, LatticeParams
 from .spectral import (
@@ -610,20 +610,20 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     def alone(lpa):
         """One run by itself; a stiff abort is an escape."""
         try:
-            _, (ts, qs, fs, _) = _quotient_solve(K, eps * vec, lpa, t_end)
+            _, (ts, qs, fs, ks, _) = _quotient_solve(K, eps * vec, lpa, t_end)
         except StiffnessError:
             return "escape", math.inf
-        return outcome(hermite_eval(ts, qs, fs, grid))
+        return outcome(dense_eval(ts, qs, fs, ks, grid))
 
     sides = ["below"] * len(st.fractions) + ["above"]
     lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in st.fractions]
     lps.append(replace(lp, a=report.a_hat + _PROBE_DELTA_A))
     z0 = np.repeat((eps * vec)[:, None], len(lps), axis=1)
     try:
-        _, (ts, qs, fs, _) = _quotient_solve(K, z0, lps, t_end)
+        _, (ts, qs, fs, ks, _) = _quotient_solve(K, z0, lps, t_end)
         # one run at a time: the samples of the whole batch would add
         # several MB to the peak
-        results = [outcome(hermite_eval(ts, qs[..., j], fs[..., j], grid))
+        results = [outcome(dense_eval(ts, qs[..., j], fs[..., j], ks[..., j], grid))
                    for j in range(len(lps))]
     except StiffnessError:
         results = [alone(lpa) for lpa in lps]

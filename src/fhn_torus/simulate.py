@@ -34,16 +34,26 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes with derivatives for dense evaluation."""
+    """Accepted integration nodes with derivatives for dense evaluation.
+
+    ``dense`` holds the solver's interpolation coefficients of each
+    step, shape (nt - 1, 4) + state shape, or None for node-only data
+    such as a trajectory read back from CSV.
+    """
 
     times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
     stats: dict = field(default_factory=dict)
+    dense: np.ndarray | None = None
 
     def sample(self, t):
-        """Cubic Hermite interpolation at scalar or array times."""
-        return _rk.hermite_eval(self.times, self.states, self.derivs, t)
+        """The state at scalar or array times: the solver's 7th-order
+        interpolant, or cubic Hermite between the nodes when there are
+        no dense coefficients."""
+        if self.dense is None:
+            return _rk.hermite_eval(self.times, self.states, self.derivs, t)
+        return _rk.dense_eval(self.times, self.states, self.derivs, self.dense, t)
 
     @property
     def t_end(self) -> float:
@@ -117,7 +127,7 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
 
 def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
               atol=_rk._ATOL) -> Trajectory:
-    """Adaptive 5(4) integration of the lattice field.
+    """Adaptive DOP853 integration of the lattice field.
 
     Parameters
     ----------
@@ -137,8 +147,9 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
         raise DimensionMismatchError(
             f"initial state must have shape ({state_dim(lp.n)},)"
         )
-    ts, ys, fs, stats = _rk.solve(make_rhs(lp), 0.0, z0, t_end, rtol=rtol, atol=atol)
-    return Trajectory(ts, ys, fs, stats)
+    ts, ys, fs, ks, stats = _rk.solve(make_rhs(lp), 0.0, z0, t_end,
+                                      rtol=rtol, atol=atol)
+    return Trajectory(ts, ys, fs, stats, ks)
 
 
 # Orbit detection: the leading share of the run discarded as transient,
@@ -332,9 +343,9 @@ def _quotient_solve(K: IsotropySubgroup, z0,
     a sequence of B lattices with one full state per column, shape
     (2*N^2, B).  Every column must lie in Fix(K) to 1e-10 of its size,
     else InvarianceError.  Returns the cell classes of K and
-    ``_rk.solve``'s (ts, ys, fs, stats) on the quotient, whose states
-    have shape (2 * #classes,) or (2 * #classes, B); a batch shares one
-    step sequence.
+    ``_rk.solve``'s (ts, ys, fs, ks, stats) on the quotient, whose
+    states have shape (2 * #classes,) or (2 * #classes, B); a batch
+    shares one step sequence.
     """
     single = isinstance(lp, LatticeParams)
     n = lp.n if single else lp[0].n
@@ -371,9 +382,10 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
     step sequence whose error is the largest per-column RMS error.  The
     criticality probe runs its batch there, on the quotient, unlifted.
     """
-    cls, (ts, ys, fs, stats) = _quotient_solve(K, z0, lp, t_end)
+    cls, (ts, ys, fs, ks, stats) = _quotient_solve(K, z0, lp, t_end)
 
     def lift(q):
-        return q.reshape(len(ts), -1, 2)[:, cls].reshape(len(ts), -1)
+        lead = q.shape[:-1]
+        return q.reshape(lead + (-1, 2))[..., cls, :].reshape(lead + (-1,))
 
-    return Trajectory(ts, lift(ys), lift(fs), stats)
+    return Trajectory(ts, lift(ys), lift(fs), stats, lift(ks))
