@@ -5,9 +5,9 @@ Norsett and Wanner, *Solving Ordinary Differential Equations I*,
 section II.10): twelve stages give the 8th-order solution, a 5th-order
 and a 3rd-order estimate combine into the error, and three more stages
 of each accepted step give the coefficients of the 7th-order interpolant
-(``dense_eval``).  Cubic Hermite interpolation (``hermite_eval``) serves
-data that holds only nodes and derivatives, such as a trajectory read
-back from CSV.
+(``dense_eval``).  Hermite interpolation of degree 7 through four nodes
+(``hermite_eval``) serves data that holds only nodes and derivatives,
+such as a trajectory read back from CSV.
 """
 
 from __future__ import annotations
@@ -155,6 +155,13 @@ _MIN_STEP = 1e-14
 # Accepted nodes the result buffers first hold; they double when full.
 _FIRST_CAPACITY = 256
 
+# Nodes whose states and derivatives ``hermite_eval`` interpolates, and
+# the shortest gap, relative to the query's step, across which it
+# reaches for more: nearly coincident nodes, such as those of a last
+# step cut short to end on t_end, make the interpolation ill-conditioned.
+_HERMITE_NODES = 4
+_HERMITE_MIN_GAP = 0.1
+
 
 def _rms(v):
     """Root mean square along the last axis; the largest over batch rows.
@@ -215,14 +222,12 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     derivatives there, shape (nt,) + y0.shape, the four coefficients of
     each step's 7th-order interpolant beyond its cubic Hermite part,
     shape (nt - 1, 4) + y0.shape (see ``dense_eval``), and a counter
-    dict: accepted and rejected steps, right-hand-side evaluations, and
-    the smallest and largest accepted step, leaving out the last step,
-    cut to end on t_end, unless it is the only one.  Raises DomainError
-    for a state that is not one- or two-dimensional or not finite,
-    t_end that is not finite, rtol < 0, atol <= 0, t_end <= t0 or a
-    span shorter than the smallest step, 1e-14 * max(1, |t0|);
-    StiffnessError if the step size underflows or after _MAX_STEPS step
-    attempts.
+    dict: accepted and rejected steps and right-hand-side evaluations.
+    Raises DomainError for a state that is not one- or two-dimensional
+    or not finite, t_end that is not finite, rtol < 0, atol <= 0,
+    t_end <= t0 or a span shorter than the smallest step,
+    1e-14 * max(1, |t0|); StiffnessError if the step size underflows or
+    after _MAX_STEPS step attempts.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.size == 0:
@@ -257,9 +262,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     ts[0], ys[0], fs[0] = t, y, stage[0]
     n = 1  # nodes stored
     n_rej = 0
-    h_min, h_max = np.inf, 0.0
     while t < t_end:
-        last = h >= t_end - t  # cut to end on t_end
         h = min(h, t_end - t)
         if h < _MIN_STEP * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t!r}", t=t)
@@ -281,8 +284,6 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             stage[0][...] = stage[12]  # the next step's first stage
             ts[n], ys[n], fs[n] = t, y, stage[0]
             n += 1
-            if not last or n == 2:
-                h_min, h_max = min(h_min, h), max(h_max, h)
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -_EXPONENT
             )
@@ -296,26 +297,28 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # the start, two per solve; 11 stages per attempt; the end
     # derivative and 3 dense-output stages per accepted step
     stats = {"accepted": n_acc, "rejected": n_rej,
-             "rhs_evals": 2 + 11 * (n_acc + n_rej) + 4 * n_acc,
-             "h_min": float(h_min), "h_max": float(h_max)}
+             "rhs_evals": 2 + 11 * (n_acc + n_rej) + 4 * n_acc}
     # copies that free the unused rows
     ts, ys, fs, ks = ts[:n].copy(), ys[:n].copy(), fs[:n].copy(), ks[:n_acc].copy()
     ks = ks if y.ndim == 1 else np.moveaxis(ks, 1, -1)
     return ts, ys.swapaxes(1, -1), fs.swapaxes(1, -1), ks, stats
 
 
-def _locate(ts, tq, ys):
-    """Step index of each query time, and its step length and fraction
-    of the step as weights (q, 1, ..., 1) that broadcast over the
-    states of ys."""
+def _locate(ts, tq):
+    """Query times as an array, clipped onto [ts[0], ts[-1]], and the
+    index of the step that holds each."""
     tq = np.atleast_1d(np.asarray(tq, dtype=float))
     if np.any(tq < ts[0] - 1e-12) or np.any(tq > ts[-1] + 1e-12):
         raise DomainError("query time outside the integrated range")
     tq = np.clip(tq, ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-    h = ts[idx + 1] - ts[idx]
-    per_state = (-1,) + (1,) * (np.ndim(ys) - 1)
-    return idx, h.reshape(per_state), ((tq - ts[idx]) / h).reshape(per_state)
+    return tq, idx
+
+
+def _per_state(w, ys):
+    """Weights w, one per query time, shaped (q, 1, ..., 1) to broadcast
+    over the states of ys."""
+    return w.reshape((-1,) + (1,) * (np.ndim(ys) - 1))
 
 
 def dense_eval(ts, ys, fs, ks, tq):
@@ -328,7 +331,10 @@ def dense_eval(ts, ys, fs, ks, tq):
     state per query time, or a single state for a scalar tq.  At a node
     it is the node state up to rounding.
     """
-    idx, h, s = _locate(ts, tq, ys)
+    t, idx = _locate(ts, tq)
+    h = ts[idx + 1] - ts[idx]
+    s = _per_state((t - ts[idx]) / h, ys)
+    h = _per_state(h, ys)
     s1 = 1.0 - s
     # Hairer's nested form
     #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
@@ -360,21 +366,44 @@ def dense_eval(ts, ys, fs, ks, tq):
 
 
 def hermite_eval(ts, ys, fs, tq):
-    """Cubic Hermite interpolation of the stored solution at query times.
+    """Hermite interpolation of the stored solution at query times.
 
+    The polynomial of degree 7 that takes the states and derivatives of
+    four nodes: the two of the query's step and one more on each side
+    (the first or last four nodes at the ends of the run, all nodes
+    when it has fewer than four).  Its error scales as h^8, against h^4
+    for cubic Hermite on the step's own two nodes.  A node beyond a gap
+    shorter than _HERMITE_MIN_GAP of the query's step is left out, with
+    the nodes further out, and the degree drops by two for each.
     ys and fs hold one state per node, of any shape: (nt, dim), or
     (nt, dim, B) for a batch.  The result has one state per query time,
-    or a single state for a scalar tq.
+    or a single state for a scalar tq; at a node it is the node state.
     """
-    idx, h, u = _locate(ts, tq, ys)
-    h00 = (1 + 2 * u) * (1 - u) ** 2
-    h10 = u * (1 - u) ** 2
-    h01 = u * u * (3 - 2 * u)
-    h11 = u * u * (u - 1)
-    out = (
-        h00 * ys[idx]
-        + h10 * h * fs[idx]
-        + h01 * ys[idx + 1]
-        + h11 * h * fs[idx + 1]
-    )
+    t, idx = _locate(ts, tq)
+    m = min(_HERMITE_NODES, len(ts))
+    first = np.clip(idx - (m - 2) // 2, 0, len(ts) - m)
+    pos = np.arange(m)
+    x = ts[first[:, None] + pos]  # (q, m): the window's nodes
+    d = t[:, None] - x
+    # a node is left out when a short gap r lies between it and the step
+    short = np.diff(x, axis=1) < _HERMITE_MIN_GAP * (ts[idx + 1] - ts[idx])[:, None]
+    step = (idx - first)[:, None, None]  # the window position of the step
+    p, r = pos[:, None], pos[None, :-1]
+    between = ((p <= r) & (r < step)) | ((step < r) & (r < p))
+    used = ~np.any(short[:, None, :] & between, axis=2)
+    # the Lagrange basis polynomial of node j over the used nodes k at
+    # tq, and its slope at node j
+    other = used[:, None, :] & ~np.eye(m, dtype=bool)
+    gap = np.where(other, x[:, :, None] - x[:, None, :], 1.0)
+    basis = np.prod(np.where(other, d[:, None, :] / gap, 1.0), axis=2)
+    slope = np.sum(np.where(other, 1.0 / gap, 0.0), axis=2)
+    l2 = np.where(used, basis * basis, 0.0)
+    out = np.zeros((len(t),) + ys.shape[1:])
+    for j in range(m):
+        term = ys[first + j]
+        term *= _per_state((1.0 - 2.0 * slope[:, j] * d[:, j]) * l2[:, j], ys)
+        out += term
+        term = fs[first + j]
+        term *= _per_state(d[:, j] * l2[:, j], ys)
+        out += term
     return out if np.ndim(tq) else out[0]

@@ -49,8 +49,8 @@ class Trajectory:
 
     def sample(self, t):
         """The state at scalar or array times: the solver's 7th-order
-        interpolant, or cubic Hermite between the nodes when there are
-        no dense coefficients."""
+        interpolant, or Hermite interpolation of degree 7 on four nodes
+        (``_rk.hermite_eval``) when there are no dense coefficients."""
         if self.dense is None:
             return _rk.hermite_eval(self.times, self.states, self.derivs, t)
         return _rk.dense_eval(self.times, self.states, self.derivs, self.dense, t)

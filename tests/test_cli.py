@@ -147,6 +147,34 @@ class TestSimulateClassify:
         period = doc["orbit"]["period"]
         assert abs(period - 2.0 * math.pi) < 0.1 * 2.0 * math.pi
 
+    def test_csv_read_back_finds_the_orbit_of_the_run(self, tmp_path, monkeypatch):
+        # a ring wave: classify samples the CSV's nodes by Hermite
+        # interpolation, the integrated run is sampled by the solver's
+        # dense output; the read-back must find the same orbit, with a
+        # recurrence residual far under the 1e-6 that orbit detection
+        # accepts (cubic Hermite on these nodes left 1.7e-7)
+        made = []
+        real = cli.integrate
+        monkeypatch.setattr(cli, "integrate",
+                            lambda *args, **kw: made.append(real(*args, **kw)) or made[-1])
+        params = ["--gamma", "1", "--delta", "-1", "--a", "1.42"]
+        code, traj_path = run_cli(
+            ["simulate", "--n", "3", *params, "--ic", "mode", "--t-end", "450"],
+            tmp_path, name="traj.csv", fmt="csv",
+        )
+        assert code == 0
+        code, path = run_cli(["classify", "--input", str(traj_path), *params],
+                             tmp_path, name="cls.json")
+        assert code == 0
+        doc = load_json(path)
+        (traj,) = made
+        period = cli.detect_periodic_orbit(traj).period
+        assert doc["orbit"]["residual"] < 1e-8
+        assert abs(doc["orbit"]["period"] - period) < 1e-8 * period
+        assert doc["symmetry"]["spatial"] == "Gamma"
+        assert doc["symmetry"]["fixing"] == "Z(0,1)"
+        assert doc["symmetry"]["match_residual"] < 1e-6
+
     def test_simulate_json_carries_stats(self, tmp_path):
         code, path = run_cli(
             ["simulate", "--n", "3", "--t-end", "5"], tmp_path, name="sim.json"
