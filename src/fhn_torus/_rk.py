@@ -1,13 +1,15 @@
 """Dormand-Prince 8(5,3) stepper (DOP853) with its 7th-order dense output.
 
-The tables and the step control are those of Hairer's DOP853 (Hairer,
-Norsett and Wanner, *Solving Ordinary Differential Equations I*,
-section II.10): twelve stages give the 8th-order solution, a 5th-order
-and a 3rd-order estimate combine into the error, and three more stages
-of each accepted step give the coefficients of the 7th-order interpolant
-(``dense_eval``).  Hermite interpolation of degree 7 through four nodes
-(``hermite_eval``) serves data that holds only nodes and derivatives,
-such as a trajectory read back from CSV.
+The tables are those of Hairer's DOP853 (Hairer, Norsett and Wanner,
+*Solving Ordinary Differential Equations I*, section II.10): twelve
+stages give the 8th-order solution, a 5th-order and a 3rd-order estimate
+combine into the error, and three more stages of each accepted step give
+the coefficients of the 7th-order interpolant (``dense_eval``).  The step
+control is simpler than Hairer's: the factor 0.9 err^(-1/8) is bounded
+to [0.2, 5], where his code bounds it to [1/3, 6] and keeps a step from
+growing right after a rejection.  Hermite interpolation of degree 7
+through four nodes (``hermite_eval``) serves data that holds only nodes
+and derivatives, such as a trajectory read back from CSV.
 """
 
 from __future__ import annotations
@@ -155,6 +157,10 @@ _MIN_STEP = 1e-14
 # Accepted nodes the result buffers first hold; they double when full.
 _FIRST_CAPACITY = 256
 
+# Accepted steps whose dense-output stages are evaluated together, three
+# field calls on the stacked states per block instead of three per step.
+_DENSE_BLOCK = 64
+
 # Nodes whose states and derivatives ``hermite_eval`` interpolates, and
 # the shortest gap, relative to the query's step, across which it
 # reaches for more: nearly coincident nodes, such as those of a last
@@ -206,23 +212,45 @@ def _grown(buf, n):
     return out
 
 
+def _dense_coefficients(rows, y, t, h, k):
+    """``dense_eval``'s coefficients of a block of P accepted steps.
+
+    y, t and h hold each step's start state, time and size, and k its
+    sixteen stages, shape (P, ..., 16, dim) in the row layout of
+    ``solve``, with stages 0-12 set.  Stages 13-15 are filled in here,
+    each by one field call on the P stacked states.
+    """
+    hs = h.reshape(h.shape + (1,) * (y.ndim - 1))
+    for i in range(13, 16):
+        k[..., i, :] = rows(t + _C[i] * h, y + hs * (_A[i] @ k[..., :i, :]))
+    return hs[..., None] * (_D @ k)
+
+
 def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     y0 is one state, shape (dim,), or a batch of B states, shape
-    (dim, B) with the slot axis first, and f maps a state of that shape
-    to its derivative.  A batch shares one step sequence: the error that
-    accepts or rejects a step and sets the next one is the largest of
-    the per-column errors, so every column meets the tolerances.
-    The stages are kept one column per row, so a column's arithmetic is
-    that of its own one-state run; a batch of equal columns reproduces
-    the one-state run bit for bit, and a one-state run is unchanged.
+    (dim, B) with the slot axis first.  A batch shares one step
+    sequence: the error that accepts or rejects a step and sets the
+    next one is the largest of the per-column errors, so every column
+    meets the tolerances.  The stages are kept one column per row, so a
+    column's arithmetic is that of its own one-state run; a batch of
+    equal columns reproduces the one-state run bit for bit.
+
+    f maps a float t and a state of y0's shape to its derivative.  It
+    must also take P such states stacked on a last axis, shape
+    y0.shape + (P,), with an array of their P times, and return their
+    derivatives in the same layout: the three dense-output stages of
+    each accepted step (13 to 15) are evaluated that way, for blocks of
+    _DENSE_BLOCK steps and once at the end.  The step sequence never
+    depends on them.
 
     Returns (ts, ys, fs, ks, stats): accepted nodes, states and
     derivatives there, shape (nt,) + y0.shape, the four coefficients of
     each step's 7th-order interpolant beyond its cubic Hermite part,
     shape (nt - 1, 4) + y0.shape (see ``dense_eval``), and a counter
-    dict: accepted and rejected steps and right-hand-side evaluations.
+    dict: accepted and rejected steps and the states (of y0's shape) at
+    which f was evaluated.
     Raises DomainError for a state that is not one- or two-dimensional
     or not finite, t_end that is not finite, rtol < 0, atol <= 0,
     t_end <= t0 or a span shorter than the smallest step,
@@ -246,12 +274,16 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         raise DomainError(
             f"integration span {span!r} is shorter than the smallest step {min_step!r}"
         )
-    # stages (16, dim), or (B, 16, dim): each column's stages contiguous,
-    # so the stage sums below run column by column
-    rows = f if y.ndim == 1 else (lambda t, r: f(t, r.T).T)
-    k = np.empty(y.shape[:-1] + (16, y.shape[-1]))
-    stage = [k[..., i, :] for i in range(16)]
-    prior = [k[..., :i, :] for i in range(16)]
+
+    def rows(t, r):
+        # f on states in the row layout of y, and on stacks of them
+        return f(t, r.T).T
+
+    # stages 0-12 of a step, (13, dim) or (B, 13, dim): each column's
+    # stages contiguous, so the stage sums below run column by column
+    k = np.empty(y.shape[:-1] + (13, y.shape[-1]))
+    stage = [k[..., i, :] for i in range(13)]
+    prior = [k[..., :i, :] for i in range(13)]
     stage[0][...] = rows(t, y)
     h = _initial_step(rows, t, y, stage[0], rtol, atol, span)
     # result buffers, in the row layout of y
@@ -262,6 +294,12 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     ts[0], ys[0], fs[0] = t, y, stage[0]
     n = 1  # nodes stored
     n_rej = 0
+    # accepted steps waiting for their dense-output stages: start time,
+    # size and stages of each
+    pt = np.empty(_DENSE_BLOCK)
+    ph = np.empty(_DENSE_BLOCK)
+    pk = np.empty((_DENSE_BLOCK,) + k.shape[:-2] + (16, y.shape[-1]))
+    p = 0  # steps waiting
     while t < t_end:
         h = min(h, t_end - t)
         if h < _MIN_STEP * max(1.0, abs(t)):
@@ -272,18 +310,21 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _error(h, (_E5 @ prior[12]) / sc, (_E3 @ prior[12]) / sc)
         if err <= 1.0:
-            t_new = t + h
-            stage[12][...] = rows(t_new, y_new)
-            for i in range(13, 16):
-                stage[i][...] = rows(t + _C[i] * h, y + h * (_A[i] @ prior[i]))
+            stage[12][...] = rows(t + h, y_new)
             if n == len(ts):
                 ts, ys, fs, ks = (_grown(b, n) for b in (ts, ys, fs, ks))
-            ks[n - 1] = h * (_D @ k)
-            t = t_new
+            pt[p], ph[p] = t, h
+            pk[p, ..., :13, :] = k
+            p += 1
+            t += h
             y = y_new
             stage[0][...] = stage[12]  # the next step's first stage
             ts[n], ys[n], fs[n] = t, y, stage[0]
             n += 1
+            if p == _DENSE_BLOCK or t >= t_end:
+                ks[n - 1 - p:n - 1] = _dense_coefficients(
+                    rows, ys[n - 1 - p:n - 1], pt[:p], ph[:p], pk[:p])
+                p = 0
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -_EXPONENT
             )
@@ -298,8 +339,13 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # derivative and 3 dense-output stages per accepted step
     stats = {"accepted": n_acc, "rejected": n_rej,
              "rhs_evals": 2 + 11 * (n_acc + n_rej) + 4 * n_acc}
-    # copies that free the unused rows
-    ts, ys, fs, ks = ts[:n].copy(), ys[:n].copy(), fs[:n].copy(), ks[:n_acc].copy()
+    # copies that free the unused rows, one buffer at a time and after
+    # the dense-output block: together they would set the peak
+    del pk
+    ks = ks[:n_acc].copy()
+    ys = ys[:n].copy()
+    fs = fs[:n].copy()
+    ts = ts[:n].copy()
     ks = ks if y.ndim == 1 else np.moveaxis(ks, 1, -1)
     return ts, ys.swapaxes(1, -1), fs.swapaxes(1, -1), ks, stats
 

@@ -77,50 +77,64 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     one-state call, where ``z[..., idx]`` adds about a quarter.
 
     ``lp`` is one LatticeParams, or a sequence of B with the same n;
-    then the field takes states of shape (dim, B), and column j follows
-    the lattice ``lp[j]``.  The columns are laid end to end as one
-    block-diagonal lattice, column j's cells after those of columns
-    0..j-1, with a, b, c, gamma and delta stacked into arrays of one
-    entry per cell: each entry sees the arithmetic of a one-state call.
+    then the field takes states of shape (dim, B), or (dim, B, ...)
+    stacked, and column j follows the lattice ``lp[j]``.  The columns
+    are laid end to end as one block-diagonal lattice, column j's cells
+    after those of columns 0..j-1, with the coefficients stacked into
+    arrays of one entry per cell: each entry sees the arithmetic of a
+    one-state call.
+
+    At the lattice sizes in use a call costs about as much as its
+    numpy operations' call overhead, so it makes few: one gather reads
+    both coupling successors, and the cubic and the diagonal linear
+    terms of x' fold into x (gamma + delta - a + x (a + 1 - x)).
     """
     batch = not isinstance(lp, LatticeParams)
     lps = list(lp) if batch else [lp]
     n = lps[0].n
     if any(p.n != n for p in lps):
         raise DimensionMismatchError("a batch of lattices must share n")
-    succ_i, succ_j = _cell_shift((1, 0), n), _cell_shift((0, 1), n)
+    succ = np.stack([_cell_shift((1, 0), n), _cell_shift((0, 1), n)])
     if K is not None:
         reps, cls = _cell_classes(K, n)
-        succ_i, succ_j = cls[succ_i[reps]], cls[succ_j[reps]]
+        succ = cls[succ[:, reps]]
     if batch:
-        m = len(succ_i)
-        first = m * np.arange(len(lps))[:, None]
-        succ_i, succ_j = (first + succ_i).ravel(), (first + succ_j).ravel()
+        m = succ.shape[1]
+        succ = (succ[:, None, :] + m * np.arange(len(lps))[:, None]).reshape(2, -1)
         a, b, c, gam, dlt = (np.repeat([getattr(p, name) for p in lps], m)
                              for name in ("a", "b", "c", "gamma", "delta"))
     else:
         a, b, c, gam, dlt = lp.a, lp.b, lp.c, lp.gamma, lp.delta
+    coef = (gam + dlt - a, a + 1.0, gam, dlt, b, c)
 
-    def rhs(t, z):
-        x = z[0::2]
-        y = z[1::2]
-        dz = np.empty_like(z)
-        dz[0::2] = (
-            x * (a - x) * (x - 1.0)
-            - y
-            + gam * (x - x[succ_i])
-            + dlt * (x - x[succ_j])
-        )
-        dz[1::2] = b * x - c * y
-        return dz
+    def field_of(wd, a1, gam, dlt, b, c):
+        def rhs(t, z):
+            x = z[0::2]
+            y = z[1::2]
+            xs = x[succ]
+            dz = np.empty_like(z)
+            dz[0::2] = x * (wd + x * (a1 - x)) - y - gam * xs[0] - dlt * xs[1]
+            dz[1::2] = b * x - c * y
+            return dz
 
-    if not batch:
         return rhs
 
+    if not batch:
+        return field_of(*coef)
+    # the block-diagonal lattice on a flat state, and on a stack of them
+    # with the coefficients on a trailing axis of one: an array of two
+    # axes costs twice the call overhead of a flat one, so the one-state
+    # stages of a batch run keep the flat form
+    one, stacked = field_of(*coef), field_of(*(v[:, None] for v in coef))
+
     def batched(t, z):
-        # a free view when z is the transpose of a row-per-column array,
-        # as ``_rk.solve`` passes it
-        return rhs(t, z.T.reshape(-1)).reshape(len(lps), -1).T
+        # (dim, B) as (B * dim,), and (dim, B, ...) as (B * dim, P): free
+        # views when z is the transpose of a C-ordered array, as
+        # ``_rk.solve`` passes it
+        if z.ndim == 2:
+            return one(t, z.T.reshape(-1)).reshape(len(lps), -1).T
+        out = stacked(t, z.swapaxes(0, 1).reshape(len(lps) * len(z), -1))
+        return out.reshape(z.shape[1::-1] + z.shape[2:]).swapaxes(0, 1)
 
     return batched
 

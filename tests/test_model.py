@@ -20,11 +20,23 @@ from fhn_torus import (
 )
 from fhn_torus.model import _make_jacobian_apply
 from fhn_torus.simulate import make_rhs
+from fhn_torus.symmetry import _cell_classes
 
 
 def lattice_field(z, lp):
     """The network vector field at state z (it does not depend on time)."""
     return make_rhs(lp)(0.0, z)
+
+
+def reference_field(z, lp):
+    """``rhs_cell`` on every cell plus the coupling written out: gamma
+    times the difference to the successor in the first index, delta to
+    the one in the second."""
+    x, y = to_grids(z, lp.n)
+    dx, dy = rhs_cell((x, y), CellParams(a=lp.a, b=lp.b, c=lp.c))
+    dx = (dx + lp.gamma * (x - np.roll(x, -1, axis=0))
+          + lp.delta * (x - np.roll(x, -1, axis=1)))
+    return from_grids(dx, dy)
 
 
 def fd_jacobian(fun, z, h=1e-5):
@@ -113,6 +125,36 @@ class TestRhsNetwork:
         rows = np.stack([rhs(t, z) for t, z in zip(ts, Z)])
         assert np.array_equal(rhs(ts, Z.T).T, rows)
         assert np.array_equal(rhs(0.0, Z.T.reshape(dim, 37, 1)), rows.T[:, :, None])
+
+    @pytest.mark.parametrize("K", [None, IsotropySubgroup.cyclic((1, 2), 5)])
+    def test_batched_lattices_on_stacked_states_match_column_calls(self, K, rng):
+        lps = [LatticeParams(n=5, a=a, b=2.0, c=0.1, gamma=g, delta=1.3)
+               for a, g in ((0.3, -0.7), (-0.2, 0.4), (1.1, -1.5))]
+        rhs = make_rhs(lps, K)
+        dim = 50 if K is None else 10
+        ts = np.linspace(0.0, 1.0, 7)
+        # C order, and the transposed layout ``_rk.solve`` passes
+        for Z in (rng.standard_normal((dim, 3, 7)), rng.standard_normal((7, 3, dim)).T):
+            got = rhs(ts, Z)
+            assert got.shape == (dim, 3, 7)
+            for j, lp in enumerate(lps):
+                one = make_rhs(lp, K)
+                for q in range(7):
+                    assert np.array_equal(got[:, j, q], one(ts[q], Z[:, j, q]))
+            assert np.array_equal(rhs(0.0, Z[:, :, 0]), got[:, :, 0])
+
+    @pytest.mark.parametrize("n, K", [(3, None), (5, None), (7, None),
+                                      (5, IsotropySubgroup.cyclic((1, 2), 5))])
+    def test_matches_the_cell_field_plus_coupling(self, n, K, rng):
+        # on Fix(K), one cell per K-orbit, the field is that of the
+        # lifted state read at the orbits' first cells
+        lp = LatticeParams(n=n, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
+        reps, cls = _cell_classes(K or IsotropySubgroup.trivial(n), n)
+        for q in 1.5 * rng.standard_normal((5, 2 * len(reps))):
+            z = q.reshape(-1, 2)[cls].reshape(-1)
+            want = reference_field(z, lp).reshape(-1, 2)[reps].reshape(-1)
+            got = make_rhs(lp, K)(0.0, q)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_zero_state_fixed(self):
         lp = LatticeParams(n=3, a=0.5, b=1.0, c=0.2, gamma=-1.0, delta=0.5)

@@ -43,17 +43,24 @@ class TestTables:
 
 class TestStats:
     def test_counters_match_the_run(self):
-        calls = [0]
+        calls, states = [0], [0]
         f = make_rhs(LP)
 
         def counted(t, z):
+            # a call on P stacked states evaluates P states
             calls[0] += 1
+            states[0] += 1 if z.ndim == 1 else z.shape[-1]
             return f(t, z)
 
         z0 = 0.3 * np.random.default_rng(3).standard_normal(18)
         ts, _, _, _, stats = _rk.solve(counted, 0.0, z0, 40.0)
-        assert stats["accepted"] == len(ts) - 1
-        assert stats["rhs_evals"] == calls[0]
+        n_acc = stats["accepted"]
+        assert n_acc == len(ts) - 1
+        assert stats["rhs_evals"] == states[0]
+        # the three dense-output stages of a block of steps share calls
+        blocks = math.ceil(n_acc / _rk._DENSE_BLOCK)
+        assert blocks > 1
+        assert calls[0] == states[0] - 3 * n_acc + 3 * blocks
         assert set(stats) == {"accepted", "rejected", "rhs_evals"}
 
     def test_growing_buffers_keep_every_node(self, monkeypatch):
@@ -63,6 +70,25 @@ class TestStats:
         grown = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
         assert grown[4] == whole[4] and whole[4]["accepted"] > 100
         for a, b in zip(grown[:4], whole[:4]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_dense_block_size_changes_no_bit(self, monkeypatch, block, batch):
+        rng = np.random.default_rng(8)
+        if batch:
+            lp = [LatticeParams(n=3, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+                  for a in (-0.1, -0.05, 0.3)]
+            z0 = 0.3 * rng.standard_normal((18, 3))
+        else:
+            lp, z0 = LP, 0.3 * rng.standard_normal(18)
+        whole = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
+        # several full blocks and a part of one
+        assert whole[4]["accepted"] % _rk._DENSE_BLOCK and whole[4]["accepted"] > 300
+        monkeypatch.setattr(_rk, "_DENSE_BLOCK", block)
+        small = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
+        assert small[4] == whole[4]
+        for a, b in zip(small[:4], whole[:4]):
             assert np.array_equal(a, b)
 
 

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from fhn_torus import (
 )
 from fhn_torus import _rk
 from fhn_torus import simulate
+from fhn_torus.cli import _initial_state
 from fhn_torus.symmetry import state_permutation
 
 SYNC = LatticeParams(n=3, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
@@ -133,6 +136,21 @@ class TestIntegrate:
         with pytest.raises(StiffnessError, match="step budget") as info:
             integrate(np.full(18, 0.1), SYNC, 100.0)
         assert 0.0 < info.value.t < 100.0
+
+    def test_memory_peak_of_the_cli_trajectory(self):
+        # the ring wave of `simulate --ic mode`, 3181 steps: 6.4 MB traced
+        # before the dense-output stages waited in a block of steps; the
+        # block must stay bounded, not grow with the run
+        lp = LatticeParams(n=3, a=1.42, b=1.0, c=0.0, gamma=1.0, delta=-1.0)
+        z0 = _initial_state(SimpleNamespace(params=lp, ic="mode", amplitude=1e-3))
+        tracemalloc.start()
+        try:
+            traj = integrate(z0, lp, 450.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.stats["accepted"] > 3000
+        assert peak <= 6.4e6
 
     def test_sample_rejects_time_outside_range(self, rng):
         traj = integrate(0.1 * rng.standard_normal(18), SYNC, 1.0)
