@@ -10,6 +10,14 @@ to [0.2, 5], where his code bounds it to [1/3, 6] and keeps a step from
 growing right after a rejection.  Hermite interpolation of degree 7
 through four nodes (``hermite_eval``) serves data that holds only nodes
 and derivatives, such as a trajectory read back from CSV.
+
+A step keeps its start state and stages 0-12 as the rows of one buffer,
+and the weights of each stage input as a row of 1 and h a_ij, written
+for all stages at once when the step size is set; each stage input and
+the 8th-order solution is then one product of a weight row and rows of
+the buffer, instead of a product, a scaling and a sum, and both error
+estimates are one product.  At the lattice sizes in use a step costs
+about as much as its numpy calls' overhead, which is why they are few.
 """
 
 from __future__ import annotations
@@ -137,6 +145,11 @@ _B = _A[12]
 _E5 = _dense_row(_E5_ENTRIES, 12)
 _E3 = _B - _dense_row(_BHH_ENTRIES, 12)
 _D = np.array([_dense_row(row, 16) for row in _D_ENTRIES])
+# The weights of stages 0-12 in the inputs of stages 0-11 and in the
+# 8th-order solution (row 12), one row each, and the two error
+# estimates as the rows of one matrix.
+_A_STEP = np.array([_dense_row(row, 13) for row in _A_ENTRIES[:13]])
+_E = np.stack([_E5, _E3])
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -178,14 +191,16 @@ def _rms(v):
     return float(r if r.ndim == 0 else r.max())
 
 
-def _error(h, e5, e3):
+def _error(h, e):
     """DOP853's scaled error of a step from its 5th- and 3rd-order
-    estimates (already divided by the error scale); the largest over
-    batch rows.  A non-finite estimate gives NaN, which rejects."""
-    s5 = np.add.reduce(e5 * e5, axis=-1)
-    den = s5 + 0.01 * np.add.reduce(e3 * e3, axis=-1)
-    r = h * s5 / np.sqrt(np.where(den == 0.0, 1.0, den) * e5.shape[-1])
-    return float(r if r.ndim == 0 else r.max())
+    estimates, already divided by the error scale, shape (2, dim) or
+    (B, 2, dim); the largest over batch rows.  A non-finite estimate
+    gives NaN, which rejects."""
+    s5, s3 = np.add.reduce(e * e, axis=-1).T
+    den = s5 + 0.01 * s3
+    # a zero den stands for 1
+    r = h * s5 / np.sqrt((den + (den == 0.0)) * e.shape[-1])
+    return float(np.max(r))
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, span):
@@ -243,7 +258,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     derivatives in the same layout: the three dense-output stages of
     each accepted step (13 to 15) are evaluated that way, for blocks of
     _DENSE_BLOCK steps and once at the end.  The step sequence never
-    depends on them.
+    depends on them.  Each of the other stages is one call of f on the
+    product of a row of 1 and h a_ij with the step's start state and
+    the stages before it.
 
     Returns (ts, ys, fs, ks, stats): accepted nodes, states and
     derivatives there, shape (nt,) + y0.shape, the four coefficients of
@@ -279,11 +296,28 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         # f on states in the row layout of y, and on stacks of them
         return f(t, r.T).T
 
-    # stages 0-12 of a step, (13, dim) or (B, 13, dim): each column's
-    # stages contiguous, so the stage sums below run column by column
-    k = np.empty(y.shape[:-1] + (13, y.shape[-1]))
-    stage = [k[..., i, :] for i in range(13)]
-    prior = [k[..., :i, :] for i in range(13)]
+    # a one-state run calls f directly and sums its stages by
+    # ndarray.dot, cheaper calls than rows and np.matmul; a batch keeps
+    # np.matmul, which sums each column as its one-state run does, where
+    # np.dot of stacked operands leaves BLAS and rounds otherwise
+    one, dot = (f, np.ndarray.dot) if y.ndim == 1 else (rows, np.matmul)
+
+    c = _C.tolist()  # the step loop's times stay Python floats
+    # the step's start state and its stages 0-12, (14, dim) or
+    # (B, 14, dim): each column's rows contiguous, so the stage sums
+    # below run column by column
+    k = np.empty(y.shape[:-1] + (14, y.shape[-1]))
+    k[..., 0, :] = y
+    stage = [k[..., i + 1, :] for i in range(13)]
+    # row i holds the weights of the start state and stages 0..i-1 in
+    # the input of stage i, row 12 those of the 8th-order solution:
+    # 1 and h a_ij, written once per attempt, so each input is one
+    # product of a row view and a view of k
+    wts = np.zeros((13, 14))
+    wts[:, 0] = 1.0
+    h_a = wts[:, 1:]
+    sums = [(wts[i, :i + 1], k[..., :i + 1, :]) for i in range(13)]
+    errs = k[..., 1:13, :]
     stage[0][...] = rows(t, y)
     h = _initial_step(rows, t, y, stage[0], rtol, atol, span)
     # result buffers, in the row layout of y
@@ -304,20 +338,26 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         h = min(h, t_end - t)
         if h < _MIN_STEP * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t!r}", t=t)
+        np.multiply(_A_STEP, h, out=h_a)
         for i in range(1, 12):
-            stage[i][...] = rows(t + _C[i] * h, y + h * (_A[i] @ prior[i]))
-        y_new = y + h * (_B @ prior[12])
+            row, prior = sums[i]
+            stage[i][...] = one(t + c[i] * h, dot(row, prior))
+        row, prior = sums[12]
+        y_new = dot(row, prior)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error(h, (_E5 @ prior[12]) / sc, (_E3 @ prior[12]) / sc)
+        e = _E @ errs
+        e /= sc[..., None, :]
+        err = _error(h, e)
         if err <= 1.0:
-            stage[12][...] = rows(t + h, y_new)
+            stage[12][...] = one(t + h, y_new)
             if n == len(ts):
                 ts, ys, fs, ks = (_grown(b, n) for b in (ts, ys, fs, ks))
             pt[p], ph[p] = t, h
-            pk[p, ..., :13, :] = k
+            pk[p, ..., :13, :] = k[..., 1:, :]
             p += 1
             t += h
             y = y_new
+            k[..., 0, :] = y
             stage[0][...] = stage[12]  # the next step's first stage
             ts[n], ys[n], fs[n] = t, y, stage[0]
             n += 1

@@ -66,28 +66,42 @@ class Trajectory:
 
 def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
              K: IsotropySubgroup | None = None):
-    """Flat-vector network field, index arithmetic precomputed.
+    """Flat-vector network field: one five-entry stencil, built once.
+
+    Every cell is the same FitzHugh-Nagumo cell, fed by its two coupling
+    successors, so the derivative of each slot is a fixed weighted sum
+    of five entries of the state extended by the cells' cubic parts
+    x^2 (a + 1 - x), appended after it:
+
+        x' = (gamma + delta - a) x - y - gamma x_(1,0) - delta x_(0,1)
+             + x^2 (a + 1 - x)
+        y' = b x - c y
+
+    A (5, dim) index table picks the cell's x and y, the x of its two
+    successors and its cubic part for both slots of the cell, and a
+    (5, dim) weight table weighs them, with zeros for the last three
+    entries of a y slot.  At the lattice sizes in use a call costs
+    about as much as its numpy operations' call overhead, so it makes
+    few: the cubic parts, one concatenation, one gather, one product
+    and one sum over the five rows, added in the table's order.
 
     With a subgroup K the field is the exact flow on Fix(K): one cell
-    per K-orbit of cells, in the order of :func:`_cell_classes`.  The
+    per K-orbit of cells, in the order of :func:`_cell_classes`, whose
+    successors are read through the class of each successor cell.  The
     field also takes states stacked along further axes with the state
     slot first, shape (dim, ...), and returns the derivative of each in
     the same layout: a stack of row states ``Z`` goes in as ``Z.T``.
     The slot axis comes first because indexing it adds nothing to a
-    one-state call, where ``z[..., idx]`` adds about a quarter.
+    one-state call, where ``z[..., idx]`` adds about a quarter.  A
+    stack of P states gathers a (5, dim, P) array, five times the
+    stack.
 
     ``lp`` is one LatticeParams, or a sequence of B with the same n;
     then the field takes states of shape (dim, B), or (dim, B, ...)
     stacked, and column j follows the lattice ``lp[j]``.  The columns
     are laid end to end as one block-diagonal lattice, column j's cells
-    after those of columns 0..j-1, with the coefficients stacked into
-    arrays of one entry per cell: each entry sees the arithmetic of a
-    one-state call.
-
-    At the lattice sizes in use a call costs about as much as its
-    numpy operations' call overhead, so it makes few: one gather reads
-    both coupling successors, and the cubic and the diagonal linear
-    terms of x' fold into x (gamma + delta - a + x (a + 1 - x)).
+    after those of columns 0..j-1, with one weight per entry: each
+    entry sees the arithmetic of a one-state call.
     """
     batch = not isinstance(lp, LatticeParams)
     lps = list(lp) if batch else [lp]
@@ -98,42 +112,42 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     if K is not None:
         reps, cls = _cell_classes(K, n)
         succ = cls[succ[:, reps]]
-    if batch:
-        m = succ.shape[1]
-        succ = (succ[:, None, :] + m * np.arange(len(lps))[:, None]).reshape(2, -1)
-        a, b, c, gam, dlt = (np.repeat([getattr(p, name) for p in lps], m)
-                             for name in ("a", "b", "c", "gamma", "delta"))
-    else:
-        a, b, c, gam, dlt = lp.a, lp.b, lp.c, lp.gamma, lp.delta
-    coef = (gam + dlt - a, a + 1.0, gam, dlt, b, c)
+    m = succ.shape[1]  # cells of one lattice
+    cells = m * len(lps)
+    # the lattices laid end to end, and each cell's five entries
+    succ = (succ[:, None, :] + m * np.arange(len(lps))[:, None]).reshape(2, -1)
+    cell = np.arange(cells)
+    idx = np.repeat([2 * cell, 2 * cell + 1, 2 * succ[0], 2 * succ[1],
+                     2 * cells + cell], 2, axis=1)
+    a, b, c, gam, dlt = (np.repeat([getattr(p, name) for p in lps], m)
+                         for name in ("a", "b", "c", "gamma", "delta"))
+    one = np.ones(cells)
+    w = np.zeros((5, 2 * cells))
+    w[:, 0::2] = gam + dlt - a, -one, -gam, -dlt, one
+    w[:2, 1::2] = b, -c
+    a1 = a + 1.0
+    # the operands of one state and of a stack of them, by state rank
+    coef = {1: (a1, w), 2: (a1[:, None], w[:, :, None])}
 
-    def field_of(wd, a1, gam, dlt, b, c):
-        def rhs(t, z):
-            x = z[0::2]
-            y = z[1::2]
-            xs = x[succ]
-            dz = np.empty_like(z)
-            dz[0::2] = x * (wd + x * (a1 - x)) - y - gam * xs[0] - dlt * xs[1]
-            dz[1::2] = b * x - c * y
-            return dz
-
-        return rhs
+    def rhs(t, z):
+        if z.ndim > 2:  # further stack axes, as one
+            return rhs(t, z.reshape(len(z), -1)).reshape(z.shape)
+        a1, w = coef[z.ndim]
+        x = z[0::2]
+        g = np.concatenate((z, x * x * (a1 - x)))[idx]
+        g *= w
+        return np.add.reduce(g, axis=0)
 
     if not batch:
-        return field_of(*coef)
-    # the block-diagonal lattice on a flat state, and on a stack of them
-    # with the coefficients on a trailing axis of one: an array of two
-    # axes costs twice the call overhead of a flat one, so the one-state
-    # stages of a batch run keep the flat form
-    one, stacked = field_of(*coef), field_of(*(v[:, None] for v in coef))
+        return rhs
 
     def batched(t, z):
         # (dim, B) as (B * dim,), and (dim, B, ...) as (B * dim, P): free
         # views when z is the transpose of a C-ordered array, as
         # ``_rk.solve`` passes it
         if z.ndim == 2:
-            return one(t, z.T.reshape(-1)).reshape(len(lps), -1).T
-        out = stacked(t, z.swapaxes(0, 1).reshape(len(lps) * len(z), -1))
+            return rhs(t, z.T.reshape(-1)).reshape(len(lps), -1).T
+        out = rhs(t, z.swapaxes(0, 1).reshape(len(lps) * len(z), -1))
         return out.reshape(z.shape[1::-1] + z.shape[2:]).swapaxes(0, 1)
 
     return batched

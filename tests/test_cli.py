@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -7,12 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fhn_torus import _rk, bifurcation, cli
+from fhn_torus import LatticeParams, _rk, bifurcation, cli
 from fhn_torus.cli import parse_and_dispatch
 
 
@@ -239,6 +241,23 @@ class TestSimulateClassify:
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_classify_derivatives_in_bounded_memory(self, rng):
+        # an N=11 file of 5,000 rows: one stencil call on the whole file
+        # traced 62.9 MB, the field before the stencil 29.1 MB
+        lp = LatticeParams(n=11, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
+        states = rng.standard_normal((5000, 242))
+        times = np.arange(5000.0)
+        tracemalloc.start()
+        try:
+            derivs = cli._node_derivatives(lp, times, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29.1e6
+        rhs = cli.make_rhs(lp)
+        for i in (0, cli._DERIV_ROWS - 1, cli._DERIV_ROWS, 4999):
+            assert np.array_equal(derivs[i], rhs(times[i], states[i]))
+
 
 class TestSweep:
     HEADER = "N,a,b,c,gamma,delta,a_star,a_hat,mode_r,mode_s,omega,K,criticality"
@@ -269,6 +288,37 @@ class TestSweep:
         assert len(rows) == 3
         assert rows[1].endswith("invalid")
         assert rows[0].endswith("undetermined") and rows[2].endswith("undetermined")
+
+    def test_jobs_capped_by_points_and_cpus(self, tmp_path, monkeypatch):
+        # the pool forks all its workers at the first submit; a stand-in
+        # records how many and maps in this process
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        base = ["sweep", "--n", "3", "--b", "1", "--c", "0"]
+        grid = ["--gamma-range=-1.2:0.8:2", "--delta-range=-1.2:0.8:2"]
+        for jobs, ranges, want in (("100000", [], []),
+                                   ("100000", grid[:1], [2]),
+                                   ("100000", grid, [3]),
+                                   ("2", grid, [2])):
+            made.clear()
+            code, _ = run_cli(base + ranges + ["--jobs", jobs], tmp_path,
+                              name="sweep.csv", fmt="csv")
+            assert code == 0 and made == want, (jobs, ranges)
 
     def test_parallel_output_matches_serial(self, tmp_path):
         base = ["sweep", "--n", "3", "--b", "1", "--c", "0",

@@ -144,17 +144,25 @@ class TestRhsNetwork:
             assert np.array_equal(rhs(0.0, Z[:, :, 0]), got[:, :, 0])
 
     @pytest.mark.parametrize("n, K", [(3, None), (5, None), (7, None),
-                                      (5, IsotropySubgroup.cyclic((1, 2), 5))])
+                                      (5, IsotropySubgroup.cyclic((1, 2), 5)),
+                                      (5, IsotropySubgroup.cyclic((1, 0), 5)),
+                                      (3, IsotropySubgroup.full(3))])
     def test_matches_the_cell_field_plus_coupling(self, n, K, rng):
         # on Fix(K), one cell per K-orbit, the field is that of the
-        # lifted state read at the orbits' first cells
-        lp = LatticeParams(n=n, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
+        # lifted state read at the orbits' first cells; Z(1,0) maps a
+        # cell's first successor, the full group both, to its own class.
+        # One lattice, and a batch of three with one column each.
+        lps = [LatticeParams(n=n, a=a, b=b, c=0.1, gamma=g, delta=1.3)
+               for a, b, g in ((0.3, 2.0, -0.7), (-0.2, 0.5, 0.4), (1.1, 1.0, -1.5))]
         reps, cls = _cell_classes(K or IsotropySubgroup.trivial(n), n)
-        for q in 1.5 * rng.standard_normal((5, 2 * len(reps))):
-            z = q.reshape(-1, 2)[cls].reshape(-1)
-            want = reference_field(z, lp).reshape(-1, 2)[reps].reshape(-1)
-            got = make_rhs(lp, K)(0.0, q)
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        for batch in (lps[:1], lps):
+            rhs = make_rhs(batch if len(batch) > 1 else batch[0], K)
+            for q in 1.5 * rng.standard_normal((5, 2 * len(reps), len(batch))):
+                got = rhs(0.0, q if len(batch) > 1 else q[:, 0]).reshape(q.shape)
+                for j, lp in enumerate(batch):
+                    z = q[:, j].reshape(-1, 2)[cls].reshape(-1)
+                    want = reference_field(z, lp).reshape(-1, 2)[reps].reshape(-1)
+                    assert np.max(np.abs(got[:, j] - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_zero_state_fixed(self):
         lp = LatticeParams(n=3, a=0.5, b=1.0, c=0.2, gamma=-1.0, delta=0.5)

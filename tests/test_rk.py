@@ -29,6 +29,17 @@ class TestTables:
         assert np.array_equal(_rk._E3, ref.E3[:12]) and ref.E3[12] == 0.0
         assert np.array_equal(_rk._D, ref.D)
 
+    def test_step_weights_hold_the_stage_rows(self):
+        # the rows ``solve`` scales by h, after its column of ones: the
+        # a_ij of each stage input, then zeros, and the b_j in row 12
+        w = _rk._A_STEP
+        assert w.shape == (13, 13)
+        for i in range(13):
+            assert np.array_equal(w[i, :i], _rk._A[i]), i
+            assert not w[i, i:].any(), i
+        assert np.array_equal(w[12, :12], _rk._B)
+        assert np.array_equal(_rk._E, np.stack([_rk._E5, _rk._E3]))
+
     def test_row_sums_are_the_nodes(self):
         for i in range(1, 16):
             a = _rk._A[i]
