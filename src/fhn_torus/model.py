@@ -16,7 +16,8 @@ component of cell (i, j) sits at flat position 2*(j*N + i) and its y
 component immediately after.
 
 :func:`_cell_shift` and :func:`_mode_vector` are the only code that
-knows this numbering; ``to_grids``/``from_grids``, ``rhs_cell`` and the
+knows this numbering, for single states and Fourier modes as for stacks
+and blocks of them; ``to_grids``/``from_grids``, ``rhs_cell`` and the
 dense ``assemble_jacobian_origin`` stay independent of them as references.
 """
 
@@ -126,13 +127,16 @@ def _cell_shift(g, n: int) -> np.ndarray:
     return ((m // n + s) % n) * n + (m % n + r) % n
 
 
-def _mode_vector(r: int, s: int, n: int, d) -> np.ndarray:
+def _mode_vector(r: int, s, n: int, d=None) -> np.ndarray:
     """Unit Fourier vector at (r, s) whose cell (i, j) carries (1, d) times
-    w^(i*r + j*s), 0-based."""
-    v = np.array([1.0, d])
+    w^(i*r + j*s), 0-based.  Without d, the unnormalised phases of the
+    cells alone; s may then be an array with a last axis of length 1,
+    which stacks the phases of a block of modes (r, s) on its axes."""
+    v = np.array([1.0] if d is None else [1.0, d])
     w = np.exp(2j * np.pi * np.arange(n) / n)
-    xi = np.multiply.outer(w ** s, np.multiply.outer(w ** r, v)).reshape(-1)
-    return xi / np.linalg.norm(xi)
+    ws = w ** s
+    xi = np.multiply.outer(ws, np.multiply.outer(w ** r, v)).reshape(ws.shape[:-1] + (-1,))
+    return xi if d is None else xi / np.linalg.norm(xi)
 
 
 def to_grids(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,17 +214,19 @@ def assemble_jacobian_origin(lp: LatticeParams) -> np.ndarray:
 
 
 def _make_jacobian_apply(lp: LatticeParams):
-    """``z -> assemble_jacobian_origin(lp) @ z`` cell by cell, in O(N^2).
-
-    Each cell gets D times its own (x, y) plus E and F times those of
-    its successors in the first and second index; z may be complex.
+    """``(x, y) -> (x', y')``, ``assemble_jacobian_origin(lp)`` applied
+    cell by cell in O(N^2): x and y are the cells' x and y parts, last
+    axis in flat cell order, leading stack axes broadcasting, possibly
+    complex.  From the entries of D, E and F (E and F couple x to x),
+    x' = d*x - y - gamma*x[succ_i] - delta*x[succ_j] and y' = b*x - c*y;
+    the gathers read x alone, so y's that share one x gather it once.
     """
     D, E, F = jacobian_blocks_origin(lp)
     succ_i, succ_j = _cell_shift((1, 0), lp.n), _cell_shift((0, 1), lp.n)
 
-    def apply(z):
-        cells = np.asarray(z).reshape(-1, 2)
-        return (cells @ D.T + cells[succ_i] @ E.T + cells[succ_j] @ F.T).reshape(-1)
+    def apply(x, y):
+        jx = D[0, 0] * x + E[0, 0] * x[..., succ_i] + F[0, 0] * x[..., succ_j]
+        return jx + D[0, 1] * y, D[1, 0] * x + D[1, 1] * y
 
     return apply
 

@@ -268,7 +268,8 @@ class OrbitSymmetry:
     ``spatial`` (H) collects the shifts mapping the orbit to itself up
     to a time shift, ``fixing`` (K) those with zero shift.  ``phases``
     holds the raw time shift of each generator of ``spatial``, (1, 0)
-    and (0, 1) for the full group; entries of ``phase_fractions`` are
+    and (0, 1) for the full group, in [-P/(2N), P - P/(2N)) so that a
+    zero shift reads near 0; entries of ``phase_fractions`` are
     the matching multiples of P/N, or None for a shift that fails
     quantization.  ``unquantized`` lists the tested subgroup generators
     inside ``spatial`` whose shift fails quantization, and
@@ -344,6 +345,8 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
         moved = np.fft.ifft(Fz * np.exp(1j * omega * th)[:, None], axis=0).real
         residual[g] = float(np.max(np.abs(Z[:, perm] - moved))) / amp
         shift[g] = float(np.mod(th, P))
+        if shift[g] >= P - P / (2 * n):  # a zero shift reads 0, not P
+            shift[g] -= P
         q = round(shift[g] * n / P)
         quantized = abs(shift[g] - q * P / n) <= 0.02 * P
         fraction[g] = Fraction(q % n, n) if quantized else None

@@ -137,20 +137,28 @@ def spectrum_report(lp: LatticeParams):
     Records are ordered by (r, s) lexicographically, '+' before '-'.
     ``residual`` is max|J xi - lambda xi| / max|xi| for the analytic
     eigenvector xi, with J applied cell by cell from its 2x2 blocks.
+    J takes the 2N modes of one r as one block, its x parts one grid of
+    unnormalised phases (the residual is scale invariant) that both
+    branches share, its y parts (A - lambda) times that grid.
     ``coincident`` lists, in record order, the other (r, s, branch)
     triples whose eigenvalue agrees to 1e-12; nonempty entries indicate
     degeneracy across distinct frequencies.
     """
     n = lp.n
     A = symbol_grid(lp)
-    lam = np.stack(_roots(A, lp.b, lp.c), axis=-1).reshape(-1)
+    lam = np.stack(_roots(A, lp.b, lp.c), axis=-1)
     jac = _make_jacobian_apply(lp)
-    records = []
-    for idx, (eig, d) in enumerate(zip(lam.tolist(), np.repeat(A.ravel(), 2) - lam)):
-        (r, s), branch = divmod(idx // 2, n), "+-"[idx % 2]
-        xi = _mode_vector(r, s, n, d)
-        res = np.max(np.abs(jac(xi) - eig * xi)) / np.max(np.abs(xi))
-        records.append(EigenRecord(r, s, branch, eig, float(res)))
+    res = np.empty((n, n, 2))
+    for r in range(n):
+        x = _mode_vector(r, np.arange(n).reshape(n, 1, 1), n)
+        lam_r = lam[r, :, :, None]
+        y = (A[r, :, None, None] - lam_r) * x
+        jx, jy = jac(x, y)
+        res[r] = np.maximum(np.abs(jx - lam_r * x).max(-1), np.abs(jy - lam_r * y).max(-1))
+        res[r] /= np.maximum(np.abs(x).max(-1), np.abs(y).max(-1))
+    lam = lam.reshape(-1)
+    records = [EigenRecord(r, s, "+-"[k], eig, rho) for (r, s, k), eig, rho
+               in zip(np.ndindex(n, n, 2), lam.tolist(), res.ravel().tolist())]
     # pairs come sorted, so every hit list is in record order
     hits = [[] for _ in records]
     for i, j in _coincident_pairs(lam, _COINCIDENCE_TOL):

@@ -176,6 +176,11 @@ class TestSimulateClassify:
         assert doc["symmetry"]["spatial"] == "Gamma"
         assert doc["symmetry"]["fixing"] == "Z(0,1)"
         assert doc["symmetry"]["match_residual"] < 1e-6
+        # each generator of K shifts by zero, which reads near 0, not near P
+        fixing = [g for g, f in doc["symmetry"]["phase_fractions"].items() if f == "0/1"]
+        assert fixing == ["0,1"]
+        for g in fixing:
+            assert abs(doc["symmetry"]["phases"][g]) < doc["orbit"]["period"] / (2 * 3)
 
     def test_simulate_json_carries_stats(self, tmp_path):
         code, path = run_cli(

@@ -258,11 +258,20 @@ class TestAssembledJacobian:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_matrix_free_apply_matches_dense(self, rng, n):
+        # a stack of four states: the x parts of two share one row, and
+        # broadcast over the second stack axis of the y parts
         lp = LatticeParams(n=n, a=0.4, b=1.1, c=0.2, gamma=0.3, delta=-0.7)
-        z = rng.standard_normal(2 * n * n) + 1j * rng.standard_normal(2 * n * n)
-        want = assemble_jacobian_origin(lp) @ z
-        got = _make_jacobian_apply(lp)(z)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        cells = n * n
+        x = rng.standard_normal((2, 1, cells)) + 1j * rng.standard_normal((2, 1, cells))
+        y = rng.standard_normal((2, 2, cells)) + 1j * rng.standard_normal((2, 2, cells))
+        jx, jy = _make_jacobian_apply(lp)(x, y)
+        assert jx.shape == jy.shape == (2, 2, cells)
+        M = assemble_jacobian_origin(lp)
+        for k in np.ndindex(2, 2):
+            z = np.stack([x[k[0], 0], y[k]], axis=-1).reshape(-1)
+            want = M @ z
+            got = np.stack([jx[k], jy[k]], axis=-1).reshape(-1)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestJacobianAt:

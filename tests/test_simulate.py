@@ -377,6 +377,19 @@ class TestClassifySpatiotemporal:
         assert sym.match_residual < 1e-6
         assert_symmetry_holds(orbit, sym)
 
+    @pytest.mark.parametrize("th", [lambda P: -1e-17, lambda P: -1e-9,
+                                    lambda P: P - 1e-17],
+                             ids=["hair-below-0", "below-0", "hair-below-P"])
+    def test_zero_shift_reads_near_zero(self, sync_orbit, th, monkeypatch):
+        # every shift of the synchronized orbit is zero; a refined value a
+        # hair below 0 or below P must read near 0, not near P
+        P = sync_orbit.period
+        monkeypatch.setattr(simulate, "_peak_shift", lambda *args: th(P))
+        sym = classify_spatiotemporal(sync_orbit, SYNC)
+        assert sym.spatial.kind == "full" and sym.fixing.kind == "full"
+        assert sym.phase_fractions == {(1, 0): Fraction(0), (0, 1): Fraction(0)}
+        assert all(abs(v) < P / (2 * SYNC.n) for v in sym.phases.values())
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
         orbit = wave_orbit(3, [((1, 0), 1, 1.0)])

@@ -1,6 +1,7 @@
 """Closed-form spectrum of the origin Jacobian."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fhn_torus import (
     symbol_grid,
     uncoupled_eigenvalues,
 )
+from fhn_torus import spectral
 
 LP_HALF = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=-0.5, delta=-0.5)
 
@@ -162,6 +164,62 @@ class TestSpectrumReport:
         recs = spectrum_report(lp)
         dist = match_distance([rec.eigenvalue for rec in recs], dense_spectrum(lp))
         assert dist < 1e-8
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("c", [0.0, 0.05])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_residuals_match_dense_oracle(self, n, c, signs):
+        lp = LatticeParams(n=n, a=0.3, b=1.2, c=c,
+                           gamma=1.3 * signs[0], delta=0.7 * signs[1])
+        M = assemble_jacobian_origin(lp)
+        for rec in spectrum_report(lp):
+            xi = analytic_eigenvector(rec.r, rec.s, rec.branch, lp)
+            want = np.max(np.abs(M @ xi - rec.eigenvalue * xi)) / np.max(np.abs(xi))
+            assert abs(rec.residual - want) <= 1e-13
+
+    def test_planted_eigenvalue_error_shows_at_its_record_only(self, monkeypatch):
+        lp = LatticeParams(n=5, a=0.2, b=1.0, c=0.05, gamma=0.731, delta=-1.292)
+        real_roots = spectral._roots
+
+        def planted(A, b, c):
+            lam_p, lam_m = real_roots(A, b, c)
+            lam_m[2, 3] += 1e-6
+            return lam_p, lam_m
+
+        monkeypatch.setattr(spectral, "_roots", planted)
+        for rec in spectrum_report(lp):
+            if rec.mode + (rec.branch,) == (2, 3, "-"):
+                assert rec.residual >= 1e-7
+            else:
+                assert rec.residual < 1e-12
+
+    @pytest.mark.parametrize("n", [5, 23])
+    def test_one_jacobian_apply_per_block_of_one_r(self, n, monkeypatch):
+        # one call per first frequency r, on the x grid the branches share,
+        # not one per mode
+        calls = []
+        real_make = spectral._make_jacobian_apply
+
+        def counted_make(lp):
+            apply = real_make(lp)
+            return lambda x, y: calls.append(x.shape) or apply(x, y)
+
+        monkeypatch.setattr(spectral, "_make_jacobian_apply", counted_make)
+        spectrum_report(random_lattice(np.random.default_rng(n), n=n))
+        assert calls == [(n, 1, n * n)] * n
+
+    def test_memory_peak_at_n23(self, rng):
+        # a block holds 2N^3 complex entries per array, about 0.4 MB at
+        # N=23; the report peaked near 3.1 MB when this bound was set
+        lp = random_lattice(rng, n=23)
+        spectrum_report(lp)
+        tracemalloc.start()
+        try:
+            spectrum_report(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestSingleClosedForm:
