@@ -7,9 +7,9 @@ combine into the error, and three more stages of each accepted step give
 the coefficients of the 7th-order interpolant (``dense_eval``).  The step
 control is simpler than Hairer's: the factor 0.9 err^(-1/8) is bounded
 to [0.2, 5], where his code bounds it to [1/3, 6] and keeps a step from
-growing right after a rejection.  Hermite interpolation of degree 7
-through four nodes (``hermite_eval``) serves data that holds only nodes
-and derivatives, such as a trajectory read back from CSV.
+growing right after a rejection.  Data that holds only nodes, such as a
+trajectory read back from CSV, gets the same interpolant: each step is
+taken again from its start node to the next (``dense_from_nodes``).
 
 A step keeps its start state and stages 0-12 as the rows of one buffer,
 and the weights of each stage input as a row of 1 and h a_ij, written
@@ -174,13 +174,6 @@ _FIRST_CAPACITY = 256
 # field calls on the stacked states per block instead of three per step.
 _DENSE_BLOCK = 64
 
-# Nodes whose states and derivatives ``hermite_eval`` interpolates, and
-# the shortest gap, relative to the query's step, across which it
-# reaches for more: nearly coincident nodes, such as those of a last
-# step cut short to end on t_end, make the interpolation ill-conditioned.
-_HERMITE_NODES = 4
-_HERMITE_MIN_GAP = 0.1
-
 
 def _rms(v):
     """Root mean square along the last axis; the largest over batch rows.
@@ -227,16 +220,18 @@ def _grown(buf, n):
     return out
 
 
-def _dense_coefficients(rows, y, t, h, k):
-    """``dense_eval``'s coefficients of a block of P accepted steps.
+def _dense_coefficients(rows, y, t, h, k, first=13):
+    """``dense_eval``'s coefficients of a block of P steps.
 
     y, t and h hold each step's start state, time and size, and k its
     sixteen stages, shape (P, ..., 16, dim) in the row layout of
-    ``solve``, with stages 0-12 set.  Stages 13-15 are filled in here,
-    each by one field call on the P stacked states.
+    ``solve``, with the stages before ``first`` set: 0-12 for the
+    accepted steps of ``solve``, 0 for steps taken again from nodes.
+    The others are filled in here, each by one field call on the P
+    stacked states.
     """
     hs = h.reshape(h.shape + (1,) * (y.ndim - 1))
-    for i in range(13, 16):
+    for i in range(first, 16):
         k[..., i, :] = rows(t + _C[i] * h, y + hs * (_A[i] @ k[..., :i, :]))
     return hs[..., None] * (_D @ k)
 
@@ -390,17 +385,6 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     return ts, ys.swapaxes(1, -1), fs.swapaxes(1, -1), ks, stats
 
 
-def _locate(ts, tq):
-    """Query times as an array, clipped onto [ts[0], ts[-1]], and the
-    index of the step that holds each."""
-    tq = np.atleast_1d(np.asarray(tq, dtype=float))
-    if np.any(tq < ts[0] - 1e-12) or np.any(tq > ts[-1] + 1e-12):
-        raise DomainError("query time outside the integrated range")
-    tq = np.clip(tq, ts[0], ts[-1])
-    idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-    return tq, idx
-
-
 def _per_state(w, ys):
     """Weights w, one per query time, shaped (q, 1, ..., 1) to broadcast
     over the states of ys."""
@@ -412,12 +396,16 @@ def dense_eval(ts, ys, fs, ks, tq):
     times (Hairer's ``contd8``).
 
     ys and fs hold one state per node and ks the coefficients of each
-    step from ``solve``, of any state shape: (nt, dim) and
-    (nt - 1, 4, dim), or with a batch axis B last.  The result has one
-    state per query time, or a single state for a scalar tq.  At a node
-    it is the node state up to rounding.
+    step from ``solve`` or ``dense_from_nodes``, of any state shape:
+    (nt, dim) and (nt - 1, 4, dim), or with a batch axis B last.  The
+    result has one state per query time, or a single state for a scalar
+    tq.  At a node it is the node state up to rounding.
     """
-    t, idx = _locate(ts, tq)
+    t = np.atleast_1d(np.asarray(tq, dtype=float))
+    if np.any(t < ts[0] - 1e-12) or np.any(t > ts[-1] + 1e-12):
+        raise DomainError("query time outside the integrated range")
+    t = np.clip(t, ts[0], ts[-1])
+    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     h = ts[idx + 1] - ts[idx]
     s = _per_state((t - ts[idx]) / h, ys)
     h = _per_state(h, ys)
@@ -451,45 +439,29 @@ def dense_eval(ts, ys, fs, ks, tq):
     return out if np.ndim(tq) else out[0]
 
 
-def hermite_eval(ts, ys, fs, tq):
-    """Hermite interpolation of the stored solution at query times.
+def dense_from_nodes(f, ts, ys):
+    """Derivatives and ``dense_eval`` coefficients of node-only data.
 
-    The polynomial of degree 7 that takes the states and derivatives of
-    four nodes: the two of the query's step and one more on each side
-    (the first or last four nodes at the ends of the run, all nodes
-    when it has fewer than four).  Its error scales as h^8, against h^4
-    for cubic Hermite on the step's own two nodes.  A node beyond a gap
-    shorter than _HERMITE_MIN_GAP of the query's step is left out, with
-    the nodes further out, and the degree drops by two for each.
-    ys and fs hold one state per node, of any shape: (nt, dim), or
-    (nt, dim, B) for a batch.  The result has one state per query time,
-    or a single state for a scalar tq; at a node it is the node state.
+    ts and ys hold the nodes and states of one trajectory, shape (nt,)
+    and (nt, dim).  Each step is taken again as one DOP853 step from
+    its start node with h = ts[i + 1] - ts[i], so on the nodes of a
+    ``solve`` run the derivatives are the solver's and the interpolant
+    its own up to rounding.  f takes P stacked states, shape (dim, P),
+    with their P times, as in ``solve``; the steps go _DENSE_BLOCK at a
+    time, one call per stage.  Returns (fs, ks) in the shapes of
+    ``solve``, which may hold non-finite values where f overflows.
     """
-    t, idx = _locate(ts, tq)
-    m = min(_HERMITE_NODES, len(ts))
-    first = np.clip(idx - (m - 2) // 2, 0, len(ts) - m)
-    pos = np.arange(m)
-    x = ts[first[:, None] + pos]  # (q, m): the window's nodes
-    d = t[:, None] - x
-    # a node is left out when a short gap r lies between it and the step
-    short = np.diff(x, axis=1) < _HERMITE_MIN_GAP * (ts[idx + 1] - ts[idx])[:, None]
-    step = (idx - first)[:, None, None]  # the window position of the step
-    p, r = pos[:, None], pos[None, :-1]
-    between = ((p <= r) & (r < step)) | ((step < r) & (r < p))
-    used = ~np.any(short[:, None, :] & between, axis=2)
-    # the Lagrange basis polynomial of node j over the used nodes k at
-    # tq, and its slope at node j
-    other = used[:, None, :] & ~np.eye(m, dtype=bool)
-    gap = np.where(other, x[:, :, None] - x[:, None, :], 1.0)
-    basis = np.prod(np.where(other, d[:, None, :] / gap, 1.0), axis=2)
-    slope = np.sum(np.where(other, 1.0 / gap, 0.0), axis=2)
-    l2 = np.where(used, basis * basis, 0.0)
-    out = np.zeros((len(t),) + ys.shape[1:])
-    for j in range(m):
-        term = ys[first + j]
-        term *= _per_state((1.0 - 2.0 * slope[:, j] * d[:, j]) * l2[:, j], ys)
-        out += term
-        term = fs[first + j]
-        term *= _per_state(d[:, j] * l2[:, j], ys)
-        out += term
-    return out if np.ndim(tq) else out[0]
+    def rows(t, r):
+        return f(t, r.T).T
+
+    h = np.diff(ts)
+    fs = np.empty_like(ys)
+    ks = np.empty((len(h), 4) + ys.shape[1:])
+    k = np.empty((_DENSE_BLOCK, 16) + ys.shape[1:])
+    for i in range(0, len(h), _DENSE_BLOCK):
+        s = slice(i, min(i + _DENSE_BLOCK, len(h)))
+        kb = k[:s.stop - i]
+        kb[:, 0] = fs[s] = rows(ts[s], ys[s])
+        ks[s] = _dense_coefficients(rows, ys[s], ts[s], h[s], kb, first=1)
+    fs[-1:] = rows(ts[-1:], ys[-1:])
+    return fs, ks

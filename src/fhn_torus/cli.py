@@ -71,11 +71,6 @@ _DEFAULTS = {
 # any point is built.
 _MAX_SWEEP_POINTS = 100_000
 
-# Trajectory rows whose derivatives ``classify`` evaluates in one field
-# call: the field gathers five entries per slot of a stacked call, so
-# the whole file at once would take five times its size.
-_DERIV_ROWS = 256
-
 _SWEEP_HEADER = (
     "N", "a", "b", "c", "gamma", "delta", "a_star", "a_hat",
     "mode_r", "mode_s", "omega", "K", "criticality",
@@ -374,9 +369,12 @@ def _cmd_classify(args):
         lp = replace(lp, n=n_file)
     if np.any(np.diff(times) <= 0.0):
         raise DomainError(f"{args.input}: times must increase strictly")
-    traj = Trajectory(times=times, states=states,
-                      derivs=_node_derivatives(lp, times, states),
-                      stats={"source": args.input})
+    with np.errstate(all="ignore"):  # refused just below
+        derivs, dense = _rk.dense_from_nodes(make_rhs(lp), times, states)
+    if not (np.isfinite(derivs).all() and np.isfinite(dense).all()):
+        raise DomainError(f"{args.input}: the lattice field cannot step these "
+                          "states; its values or the interpolant are not finite")
+    traj = Trajectory(times, states, derivs, dense, {"source": args.input})
     orbit, sym, entries = _orbit_report(traj, lp, args.tol)
     payload = {
         "command": "classify",
@@ -389,16 +387,6 @@ def _cmd_classify(args):
         rows = ((lp.n, orbit.period, sym.spatial.label(), sym.fixing.label(),
                  sym.match_residual),)
     return Report(payload, ("N", "period", "spatial", "fixing", "residual"), rows), 0
-
-
-def _node_derivatives(lp: LatticeParams, times, states):
-    """The field at every row of a trajectory, _DERIV_ROWS rows a call."""
-    rhs = make_rhs(lp)
-    derivs = np.empty_like(states)
-    for i in range(0, len(states), _DERIV_ROWS):
-        rows = slice(i, i + _DERIV_ROWS)
-        derivs[rows] = rhs(times[rows], states[rows].T).T
-    return derivs
 
 
 def _sweep_point(point: tuple) -> tuple:

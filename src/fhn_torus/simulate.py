@@ -34,25 +34,23 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes with derivatives for dense evaluation.
+    """Accepted integration nodes with derivatives and dense output.
 
-    ``dense`` holds the solver's interpolation coefficients of each
-    step, shape (nt - 1, 4) + state shape, or None for node-only data
-    such as a trajectory read back from CSV.
+    The fields are those ``_rk.solve`` returns, in its order: ``dense``
+    holds the 7th-order interpolation coefficients of each step, shape
+    (nt - 1, 4) + state shape; ``_rk.dense_from_nodes`` rebuilds them
+    for node-only data such as a trajectory read back from CSV.
     """
 
     times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
+    dense: np.ndarray
     stats: dict = field(default_factory=dict)
-    dense: np.ndarray | None = None
 
     def sample(self, t):
-        """The state at scalar or array times: the solver's 7th-order
-        interpolant, or Hermite interpolation of degree 7 on four nodes
-        (``_rk.hermite_eval``) when there are no dense coefficients."""
-        if self.dense is None:
-            return _rk.hermite_eval(self.times, self.states, self.derivs, t)
+        """The state at scalar or array times, by DOP853's 7th-order
+        interpolant (``_rk.dense_eval``)."""
         return _rk.dense_eval(self.times, self.states, self.derivs, self.dense, t)
 
     @property
@@ -175,9 +173,7 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
         raise DimensionMismatchError(
             f"initial state must have shape ({state_dim(lp.n)},)"
         )
-    ts, ys, fs, ks, stats = _rk.solve(make_rhs(lp), 0.0, z0, t_end,
-                                      rtol=rtol, atol=atol)
-    return Trajectory(ts, ys, fs, stats, ks)
+    return Trajectory(*_rk.solve(make_rhs(lp), 0.0, z0, t_end, rtol=rtol, atol=atol))
 
 
 # Orbit detection: the leading share of the run discarded as transient,
@@ -419,4 +415,4 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
         lead = q.shape[:-1]
         return q.reshape(lead + (-1, 2))[..., cls, :].reshape(lead + (-1,))
 
-    return Trajectory(ts, lift(ys), lift(fs), stats, lift(ks))
+    return Trajectory(ts, lift(ys), lift(fs), lift(ks), stats)

@@ -150,11 +150,11 @@ class TestSimulateClassify:
         assert abs(period - 2.0 * math.pi) < 0.1 * 2.0 * math.pi
 
     def test_csv_read_back_finds_the_orbit_of_the_run(self, tmp_path, monkeypatch):
-        # a ring wave: classify samples the CSV's nodes by Hermite
-        # interpolation, the integrated run is sampled by the solver's
-        # dense output; the read-back must find the same orbit, with a
-        # recurrence residual far under the 1e-6 that orbit detection
-        # accepts (cubic Hermite on these nodes left 1.7e-7)
+        # a ring wave: classify retakes the steps between the CSV's
+        # nodes for the solver's dense output, so the read-back must
+        # find the orbit of the integrated run to rounding (degree-7
+        # Hermite on the nodes left a residual of 1.9e-9, a period
+        # 4.6e-10 off and a match residual of 1.2e-7)
         made = []
         real = cli.integrate
         monkeypatch.setattr(cli, "integrate",
@@ -171,11 +171,11 @@ class TestSimulateClassify:
         doc = load_json(path)
         (traj,) = made
         period = cli.detect_periodic_orbit(traj).period
-        assert doc["orbit"]["residual"] < 1e-8
-        assert abs(doc["orbit"]["period"] - period) < 1e-8 * period
+        assert doc["orbit"]["residual"] < 1e-10
+        assert abs(doc["orbit"]["period"] - period) < 1e-12 * period
         assert doc["symmetry"]["spatial"] == "Gamma"
         assert doc["symmetry"]["fixing"] == "Z(0,1)"
-        assert doc["symmetry"]["match_residual"] < 1e-6
+        assert doc["symmetry"]["match_residual"] < 1e-8
         # each generator of K shifts by zero, which reads near 0, not near P
         fixing = [g for g, f in doc["symmetry"]["phase_fractions"].items() if f == "0/1"]
         assert fixing == ["0,1"]
@@ -246,22 +246,44 @@ class TestSimulateClassify:
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_classify_derivatives_in_bounded_memory(self, rng):
-        # an N=11 file of 5,000 rows: one stencil call on the whole file
-        # traced 62.9 MB, the field before the stencil 29.1 MB
+    def test_classify_derivatives_in_bounded_memory(self):
+        # the rebuild ``classify --input`` makes of 5,000 nodes of an
+        # N=11 run, 48.4 MB of derivatives and coefficients: the steps
+        # go a block at a time, 3.1 MB above them when this bound was
+        # set; one field call on the whole file gathers five times its size
         lp = LatticeParams(n=11, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
-        states = rng.standard_normal((5000, 242))
-        times = np.arange(5000.0)
+        z0 = 0.3 * np.random.default_rng(11).standard_normal(242)
+        ts, ys, fs, ks, _ = _rk.solve(cli.make_rhs(lp), 0.0, z0, 60.0)
+        tq = np.linspace(0.0, 60.0, 5000)
+        nodes = _rk.dense_eval(ts, ys, fs, ks, tq)
+        del ys, fs, ks
         tracemalloc.start()
         try:
-            derivs = cli._node_derivatives(lp, times, states)
+            got_fs, got_ks = _rk.dense_from_nodes(cli.make_rhs(lp), tq, nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 29.1e6
-        rhs = cli.make_rhs(lp)
-        for i in (0, cli._DERIV_ROWS - 1, cli._DERIV_ROWS, 4999):
-            assert np.array_equal(derivs[i], rhs(times[i], states[i]))
+        assert peak - got_fs.nbytes - got_ks.nbytes <= 3.5e6
+        assert np.isfinite(got_ks).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("states", [
+        lambda rng: np.full((5, 18), 1e120),
+        lambda rng: rng.standard_normal((5000, 242)),
+    ], ids=["huge-n3", "noise-n11"])
+    def test_classify_refuses_states_the_field_cannot_step(self, states, rng,
+                                                           tmp_path, capsys):
+        # unit-spaced rows: the cubic field overflows on the first file,
+        # the retaken steps on the second; no RuntimeWarning may show
+        data = states(rng)
+        path = tmp_path / "bad.csv"
+        np.savetxt(path, np.column_stack([np.arange(len(data)), data]), delimiter=",",
+                   header="t," + ",".join(["z"] * data.shape[1]), comments="")
+        code = parse_and_dispatch(["classify", "--input", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "not finite" in err
 
 
 class TestSweep:

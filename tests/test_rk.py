@@ -1,5 +1,5 @@
 """The DOP853 tables, step counters and dense output of ``_rk``, and the
-Hermite interpolant of node-only data."""
+dense output rebuilt from node-only data."""
 
 import math
 
@@ -128,45 +128,61 @@ class TestDenseOutput:
         tb, yb, fb, kb, sb = _rk.solve(make_rhs([LP] * 3), 0.0,
                                        np.repeat(z0[:, None], 3, axis=1), 30.0)
         tq = np.linspace(0.0, 30.0, 777)
-        want = Trajectory(ts, ys, fs, stats, ks).sample(tq)
-        got = Trajectory(tb, yb, fb, sb, kb).sample(tq)
+        want = Trajectory(ts, ys, fs, ks, stats).sample(tq)
+        got = Trajectory(tb, yb, fb, kb, sb).sample(tq)
         for j in range(3):
             assert np.array_equal(got[:, :, j], want)
 
 
-class TestHermite:
+class TestDenseFromNodes:
     @pytest.mark.parametrize("nt, degree", [(2, 3), (3, 5), (4, 7), (9, 7)])
     def test_exact_on_polynomials_of_its_degree(self, nt, degree):
+        # y' = p'(t): DOP853's interpolant is of degree 7, so up to
+        # degree 7 it gives p back to rounding (3.5e-8 off at degree 8)
         rng = np.random.default_rng(nt)
         ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.6, nt - 1))])
         p = np.polynomial.Polynomial(rng.standard_normal(degree + 1))
+        dp = p.deriv()
+        ys = p(ts)[:, None]
+        fs, ks = _rk.dense_from_nodes(lambda t, y: dp(t) * np.ones_like(y), ts, ys)
         tq = np.linspace(0.0, ts[-1], 1001)
-        got = _rk.hermite_eval(ts, p(ts)[:, None], p.deriv()(ts)[:, None], tq)
+        got = _rk.dense_eval(ts, ys, fs, ks, tq)
         assert np.max(np.abs(got[:, 0] - p(tq))) <= 1e-13 * np.max(np.abs(p(tq)))
 
     def test_gives_the_nodes_back(self):
         z0 = 0.3 * np.random.default_rng(7).standard_normal(18)
-        ts, ys, fs, _, _ = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
-        assert np.array_equal(_rk.hermite_eval(ts, ys, fs, ts), ys)
+        ts, ys, _, _, _ = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
+        fs, ks = _rk.dense_from_nodes(make_rhs(LP), ts, ys)
+        assert np.array_equal(_rk.dense_eval(ts, ys, fs, ks, ts), ys)
+
+    def test_retakes_the_steps_of_the_solver(self):
+        z0 = 0.3 * np.random.default_rng(7).standard_normal(18)
+        ts, ys, fs, ks, _ = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
+        got_fs, got_ks = _rk.dense_from_nodes(make_rhs(LP), ts, ys)
+        assert np.array_equal(got_fs, fs)
+        assert got_ks.shape == ks.shape
+        tq = np.linspace(0.0, 40.0, 10_000)
+        want = _rk.dense_eval(ts, ys, fs, ks, tq)
+        got = _rk.dense_eval(ts, ys, got_fs, got_ks, tq)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_rotation_between_the_solvers_nodes(self):
-        # node-only data, as read back from CSV: DOP853's steps of about
-        # 0.4 leave cubic Hermite 8.8e-5 off, degree 7 1.7e-8
-        ts, ys, fs, _, _ = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0)
+        # node-only data, as read back from CSV: the solver's own
+        # interpolant, where degree-7 Hermite on four nodes left 1.7e-8
+        ts, ys, _, _, _ = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0)
+        fs, ks = _rk.dense_from_nodes(rotation, ts, ys)
         tq = np.linspace(0.0, 50.0, 10_000)
         exact = np.stack([np.cos(tq), -np.sin(tq)], axis=1)
-        assert np.max(np.abs(_rk.hermite_eval(ts, ys, fs, tq) - exact)) <= 1e-7
-        assert _rk.hermite_eval(ts, ys, fs, math.pi).shape == (2,)
+        assert np.max(np.abs(_rk.dense_eval(ts, ys, fs, ks, tq) - exact)) <= 1e-8
+        assert np.array_equal(_rk.dense_eval(ts, ys, fs, ks, ts[:-1]), ys[:-1])
 
-    def test_a_node_close_to_the_last_is_left_out(self):
-        # a last step of 1e-9 after steps of about 0.4: reaching across
-        # it would put the interpolant 2e9 off; leaving it out gives
-        # degree 5 on the last steps, 8e-7 off
+    def test_a_node_close_to_the_last(self):
+        # a last step of 1e-9 after steps of about 0.4, as when a run is
+        # cut short to end on t_end, is one more short step
         ts, _, _, _, _ = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0)
         ts = np.append(ts, ts[-1] + 1e-9)
         ys = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
-        fs = rotation(ts, ys.T).T
+        fs, ks = _rk.dense_from_nodes(rotation, ts, ys)
         tq = np.linspace(0.0, ts[-1], 10_000)
         exact = np.stack([np.cos(tq), -np.sin(tq)], axis=1)
-        assert np.max(np.abs(_rk.hermite_eval(ts, ys, fs, tq) - exact)) <= 1e-6
-        assert np.array_equal(_rk.hermite_eval(ts, ys, fs, ts), ys)
+        assert np.max(np.abs(_rk.dense_eval(ts, ys, fs, ks, tq) - exact)) <= 1e-8

@@ -43,8 +43,7 @@ SYNC = LatticeParams(n=3, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
 
 def integrate_cell(p: CellParams, u0, t_end):
     f = lambda t, u: np.asarray(rhs_cell(u, p))
-    ts, ys, fs, ks, stats = _rk.solve(f, 0.0, np.asarray(u0, dtype=float), t_end)
-    return Trajectory(ts, ys, fs, stats, ks)
+    return Trajectory(*_rk.solve(f, 0.0, np.asarray(u0, dtype=float), t_end))
 
 
 def synchronized_state(x, y, n=3):
@@ -219,26 +218,19 @@ class TestBatchedSolve:
 
     def test_sample_of_a_batch_at_as_many_times_as_slots(self):
         # q == dim: weights of shape (q, 1) would broadcast along the
-        # slot axis instead of the time axis; with the solver's dense
-        # coefficients and, as for node-only data, without them
+        # slot axis instead of the time axis
         f = lambda t, y: np.stack([y[1], -y[0]])
         ts, ys, fs, ks, stats = _rk.solve(f, 0.0, np.array([[1.0, 0.0, 2.0],
                                                              [0.0, 1.0, -1.0]]), 3.0)
         tq = np.array([0.7, 2.2])
-        for traj, column in (
-                (Trajectory(ts, ys, fs, stats, ks),
-                 lambda j: _rk.dense_eval(ts, ys[:, :, j], fs[:, :, j], ks[..., j], tq)),
-                (Trajectory(ts, ys, fs, stats),
-                 lambda j: _rk.hermite_eval(ts, ys[:, :, j], fs[:, :, j], tq))):
-            got = traj.sample(tq)
-            assert got.shape == (2, 2, 3)
-            for j in range(3):
-                assert np.array_equal(got[:, :, j], column(j))
-            assert np.array_equal(traj.sample(0.7), got[0])
-        dense = Trajectory(ts, ys, fs, stats, ks).sample(tq)
-        assert np.allclose(dense[:, 0, 0], np.cos(tq), rtol=0.0, atol=1e-9)
-        node_only = Trajectory(ts, ys, fs, stats).sample(tq)
-        assert np.allclose(node_only[:, 0, 0], np.cos(tq), rtol=0.0, atol=1e-7)
+        traj = Trajectory(ts, ys, fs, ks, stats)
+        got = traj.sample(tq)
+        assert got.shape == (2, 2, 3)
+        for j in range(3):
+            assert np.array_equal(got[:, :, j],
+                                  _rk.dense_eval(ts, ys[:, :, j], fs[:, :, j], ks[..., j], tq))
+        assert np.array_equal(traj.sample(0.7), got[0])
+        assert np.allclose(got[:, 0, 0], np.cos(tq), rtol=0.0, atol=1e-9)
 
     def test_quotient_batch_checks_every_column(self):
         K = IsotropySubgroup.full(3)
@@ -281,27 +273,8 @@ class TestClassifySpatiotemporal:
     def test_exact_rotating_wave(self):
         # closed-form wave on the (1, 2) frequency: shifting by g must
         # equal a time shift of (g.k mod N)/N periods
-        n, k1, k2, omega = 3, 1, 2, 1.3
-        period = 2.0 * math.pi / omega
-        ii = np.arange(n)
-        gi, gj = np.meshgrid(ii, ii, indexing="ij")
-        phase = 2.0 * math.pi * (gi * k1 + gj * k2) / n
-
-        def state(t):
-            return from_grids(np.cos(omega * t + phase), np.sin(omega * t + phase))
-
-        def deriv(t):
-            return from_grids(
-                -omega * np.sin(omega * t + phase), omega * np.cos(omega * t + phase)
-            )
-
-        ts = np.linspace(0.0, 3.0 * period, 901)
-        traj = Trajectory(
-            ts, np.stack([state(t) for t in ts]), np.stack([deriv(t) for t in ts]), {}
-        )
-        orbit = PeriodicOrbit(period, 0.0, traj.states[0], traj, 0.0)
-        lp = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=1.0, delta=0.7)
-        sym = classify_spatiotemporal(orbit, lp)
+        orbit = wave_orbit(3, [((1, 2), 1, 1.0)])
+        sym = classify_spatiotemporal(orbit, wave_lattice(3))
         assert sym.spatial.kind == "full"
         assert sym.fixing == IsotropySubgroup.cyclic((1, 1), 3)
         assert sym.phase_fractions == {
@@ -407,7 +380,7 @@ class TestClassifySpatiotemporal:
 
         monkeypatch.setattr(simulate, "state_permutation",
                             counted("perm", simulate.state_permutation))
-        monkeypatch.setattr(_rk, "hermite_eval", counted("dense", _rk.hermite_eval))
+        monkeypatch.setattr(_rk, "dense_eval", counted("dense", _rk.dense_eval))
         monkeypatch.setattr(simulate, "_golden_min",
                             counted("golden", simulate._golden_min))
         orbit = wave_orbit(5, [((1, 0), 1, 1.0), ((0, 1), 2, 0.5)])
@@ -506,26 +479,30 @@ def wave_orbit(n, waves, omega=1.3, reported_periods=1):
 
     Each wave ((k1, k2), h, A) adds A cos and A sin of
     h*omega*t + 2*pi*(i*k1 + j*k2)/n to the x and y lattices, so the
-    shift g maps it onto itself after h*t/P = g.k/n periods.
+    shift g maps it onto itself after h*t/P = g.k/n periods.  The dense
+    output is rebuilt from the closed-form time derivative, taken as a
+    field of t alone.
     """
     period = 2.0 * math.pi / omega
     ii = np.arange(n)
     gi, gj = np.meshgrid(ii, ii, indexing="ij")
+    is_x = np.arange(2 * n * n) % 2 == 0
 
     def node(t):
-        x, y, dx, dy = (np.zeros((n, n)) for _ in range(4))
+        # states and derivatives at the times t, one row each
+        t = np.asarray(t)[:, None]
+        z = dz = 0.0
         for (k1, k2), h, A in waves:
-            ph = h * omega * t + 2.0 * math.pi * (gi * k1 + gj * k2) / n
-            x += A * np.cos(ph)
-            y += A * np.sin(ph)
-            dx -= A * h * omega * np.sin(ph)
-            dy += A * h * omega * np.cos(ph)
-        return from_grids(x, y), from_grids(dx, dy)
+            grid = 2.0 * math.pi * (gi * k1 + gj * k2) / n
+            ph = h * omega * t + from_grids(grid, grid)
+            z = z + A * np.where(is_x, np.cos(ph), np.sin(ph))
+            dz = dz + A * h * omega * np.where(is_x, -np.sin(ph), np.cos(ph))
+        return z, dz
 
     ts = np.linspace(0.0, 3.0 * period, 901)
-    states, derivs = zip(*(node(t) for t in ts))
-    traj = Trajectory(ts, np.stack(states), np.stack(derivs), {})
-    return PeriodicOrbit(reported_periods * period, 0.0, traj.states[0], traj, 0.0)
+    ys = node(ts)[0]
+    traj = Trajectory(ts, ys, *_rk.dense_from_nodes(lambda t, z: node(t)[1].T, ts, ys))
+    return PeriodicOrbit(reported_periods * period, 0.0, ys[0], traj, 0.0)
 
 
 def wave_lattice(n):
