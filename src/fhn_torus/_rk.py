@@ -16,11 +16,14 @@ and the weights of each stage input as a row of 1 and h a_ij, written
 for all stages at once when the step size is set; each stage input and
 the 8th-order solution is then one product of a weight row and rows of
 the buffer, instead of a product, a scaling and a sum, and both error
-estimates are one product.  At the lattice sizes in use a step costs
-about as much as its numpy calls' overhead, which is why they are few.
+estimates are one product.  Each stage is one field call on one flat
+state, and the step error is taken in Python floats: at the lattice
+sizes in use a step costs about as much as its numpy calls' overhead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -187,25 +190,33 @@ def _rms(v):
 def _error(h, e):
     """DOP853's scaled error of a step from its 5th- and 3rd-order
     estimates, already divided by the error scale, shape (2, dim) or
-    (B, 2, dim); the largest over batch rows.  A non-finite estimate
-    gives NaN, which rejects."""
-    s5, s3 = np.add.reduce(e * e, axis=-1).T
-    den = s5 + 0.01 * s3
-    # a zero den stands for 1
-    r = h * s5 / np.sqrt((den + (den == 0.0)) * e.shape[-1])
-    return float(np.max(r))
+    (B, 2, dim); the largest over batch rows.  Python floats up to 16
+    rows, arrays beyond, with the same IEEE operations either way.  A
+    non-finite estimate gives NaN, which rejects."""
+    s = np.add.reduce(e * e, axis=-1)
+    if s.size > 32:
+        s5, s3 = s.T
+        den = s5 + 0.01 * s3
+        r = h * s5 / np.sqrt((den + (den == 0.0)) * e.shape[-1])
+        return float(np.maximum.reduce(r))
+    err = 0.0
+    for s5, s3 in s.reshape(-1, 2).tolist():
+        r = h * s5 / math.sqrt(((s5 + 0.01 * s3) or 1.0) * e.shape[-1])  # zero den as 1
+        if r > err or r != r:  # a NaN stays
+            err = r
+    return err
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, span):
     """Starting step of Hairer, Norsett and Wanner for order 8; the
-    smallest over the batch rows."""
+    smallest over the batch rows, which f takes laid end to end."""
     sc = atol + rtol * np.abs(y0)
     d0 = [_rms(row) for row in np.atleast_2d(y0 / sc)]
     d1 = [_rms(row) for row in np.atleast_2d(f0 / sc)]
     h0 = min(1e-6 if e0 < 1e-5 or e1 < 1e-5 else 0.01 * e0 / e1
              for e0, e1 in zip(d0, d1))
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    f1 = f(t0 + h0, y1.reshape(-1)).reshape(y1.shape)
     d2 = [_rms(row) / h0 for row in np.atleast_2d((f1 - f0) / sc)]
     h1 = min(max(1e-6, h0 * 1e-3) if max(e1, e2) <= 1e-15
              else (0.01 / max(e1, e2)) ** _EXPONENT
@@ -220,19 +231,20 @@ def _grown(buf, n):
     return out
 
 
-def _dense_coefficients(rows, y, t, h, k, first=13):
+def _dense_coefficients(f, y, t, h, k, first=13):
     """``dense_eval``'s coefficients of a block of P steps.
 
     y, t and h hold each step's start state, time and size, and k its
     sixteen stages, shape (P, ..., 16, dim) in the row layout of
     ``solve``, with the stages before ``first`` set: 0-12 for the
     accepted steps of ``solve``, 0 for steps taken again from nodes.
-    The others are filled in here, each by one field call on the P
-    stacked states.
+    The others are filled in here, each by one call of f on the P
+    stacked states, each state's rows laid end to end.
     """
     hs = h.reshape(h.shape + (1,) * (y.ndim - 1))
     for i in range(first, 16):
-        k[..., i, :] = rows(t + _C[i] * h, y + hs * (_A[i] @ k[..., :i, :]))
+        x = y + hs * (_A[i] @ k[..., :i, :])
+        k[..., i, :] = f(t + _C[i] * h, x.reshape(len(x), -1).T).T.reshape(x.shape)
     return hs[..., None] * (_D @ k)
 
 
@@ -247,15 +259,16 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     column's arithmetic is that of its own one-state run; a batch of
     equal columns reproduces the one-state run bit for bit.
 
-    f maps a float t and a state of y0's shape to its derivative.  It
-    must also take P such states stacked on a last axis, shape
-    y0.shape + (P,), with an array of their P times, and return their
-    derivatives in the same layout: the three dense-output stages of
-    each accepted step (13 to 15) are evaluated that way, for blocks of
-    _DENSE_BLOCK steps and once at the end.  The step sequence never
-    depends on them.  Each of the other stages is one call of f on the
-    product of a row of 1 and h a_ij with the step's start state and
-    the stages before it.
+    f maps a float t and one flat state to its derivative: y0, or a
+    batch's columns laid end to end (``y0.T.ravel()``), as the field of
+    ``simulate.make_rhs`` on B lattices takes them.  It must also take
+    P such states stacked on a last axis, shape (y0.size, P), with an
+    array of their P times, and return their derivatives in the same
+    layout: the three dense-output stages of each accepted step (13 to
+    15) are evaluated that way, for blocks of _DENSE_BLOCK steps and
+    once at the end.  The step sequence never depends on them.  Each
+    of the other stages is one call of f on the product of a row of 1
+    and h a_ij with the step's start state and the stages before it.
 
     Returns (ts, ys, fs, ks, stats): accepted nodes, states and
     derivatives there, shape (nt,) + y0.shape, the four coefficients of
@@ -287,15 +300,11 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             f"integration span {span!r} is shorter than the smallest step {min_step!r}"
         )
 
-    def rows(t, r):
-        # f on states in the row layout of y, and on stacks of them
-        return f(t, r.T).T
-
-    # a one-state run calls f directly and sums its stages by
-    # ndarray.dot, cheaper calls than rows and np.matmul; a batch keeps
-    # np.matmul, which sums each column as its one-state run does, where
-    # np.dot of stacked operands leaves BLAS and rounds otherwise
-    one, dot = (f, np.ndarray.dot) if y.ndim == 1 else (rows, np.matmul)
+    # a one-state run sums its stages by ndarray.dot, a cheaper call
+    # than np.matmul; a batch keeps np.matmul, which sums each column as
+    # its one-state run does (np.dot leaves BLAS on stacked operands and
+    # rounds otherwise), and passes its rows to f as one flat view
+    dot, flat = (np.ndarray.dot, None) if y.ndim == 1 else (np.matmul, y.shape)
 
     c = _C.tolist()  # the step loop's times stay Python floats
     # the step's start state and its stages 0-12, (14, dim) or
@@ -313,8 +322,10 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     h_a = wts[:, 1:]
     sums = [(wts[i, :i + 1], k[..., :i + 1, :]) for i in range(13)]
     errs = k[..., 1:13, :]
-    stage[0][...] = rows(t, y)
-    h = _initial_step(rows, t, y, stage[0], rtol, atol, span)
+    sc = np.empty_like(y)  # the error scale, and its view for both estimates
+    sc_e = sc[..., None, :]
+    stage[0][...] = f(t, y.reshape(-1)).reshape(y.shape)
+    h = _initial_step(f, t, y, stage[0], rtol, atol, span)
     # result buffers, in the row layout of y
     ts = np.empty(_FIRST_CAPACITY)
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
@@ -336,15 +347,18 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         np.multiply(_A_STEP, h, out=h_a)
         for i in range(1, 12):
             row, prior = sums[i]
-            stage[i][...] = one(t + c[i] * h, dot(row, prior))
+            x = dot(row, prior)
+            ti = t + c[i] * h
+            stage[i][...] = f(ti, x) if flat is None else f(ti, x.ravel()).reshape(flat)
         row, prior = sums[12]
         y_new = dot(row, prior)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        np.add(atol, rtol * np.maximum(np.abs(y), np.abs(y_new)), out=sc)
         e = _E @ errs
-        e /= sc[..., None, :]
+        e /= sc_e
         err = _error(h, e)
         if err <= 1.0:
-            stage[12][...] = one(t + h, y_new)
+            stage[12][...] = (f(t + h, y_new) if flat is None
+                              else f(t + h, y_new.ravel()).reshape(flat))
             if n == len(ts):
                 ts, ys, fs, ks = (_grown(b, n) for b in (ts, ys, fs, ks))
             pt[p], ph[p] = t, h
@@ -358,7 +372,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             n += 1
             if p == _DENSE_BLOCK or t >= t_end:
                 ks[n - 1 - p:n - 1] = _dense_coefficients(
-                    rows, ys[n - 1 - p:n - 1], pt[:p], ph[:p], pk[:p])
+                    f, ys[n - 1 - p:n - 1], pt[:p], ph[:p], pk[:p])
                 p = 0
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -_EXPONENT
@@ -385,12 +399,6 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     return ts, ys.swapaxes(1, -1), fs.swapaxes(1, -1), ks, stats
 
 
-def _per_state(w, ys):
-    """Weights w, one per query time, shaped (q, 1, ..., 1) to broadcast
-    over the states of ys."""
-    return w.reshape((-1,) + (1,) * (np.ndim(ys) - 1))
-
-
 def dense_eval(ts, ys, fs, ks, tq):
     """DOP853's 7th-order interpolant of the stored solution at query
     times (Hairer's ``contd8``).
@@ -407,8 +415,9 @@ def dense_eval(ts, ys, fs, ks, tq):
     t = np.clip(t, ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     h = ts[idx + 1] - ts[idx]
-    s = _per_state((t - ts[idx]) / h, ys)
-    h = _per_state(h, ys)
+    per_state = (-1,) + (1,) * (np.ndim(ys) - 1)  # one weight per query time
+    s = ((t - ts[idx]) / h).reshape(per_state)
+    h = h.reshape(per_state)
     s1 = 1.0 - s
     # Hairer's nested form
     #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
@@ -451,9 +460,6 @@ def dense_from_nodes(f, ts, ys):
     time, one call per stage.  Returns (fs, ks) in the shapes of
     ``solve``, which may hold non-finite values where f overflows.
     """
-    def rows(t, r):
-        return f(t, r.T).T
-
     h = np.diff(ts)
     fs = np.empty_like(ys)
     ks = np.empty((len(h), 4) + ys.shape[1:])
@@ -461,7 +467,7 @@ def dense_from_nodes(f, ts, ys):
     for i in range(0, len(h), _DENSE_BLOCK):
         s = slice(i, min(i + _DENSE_BLOCK, len(h)))
         kb = k[:s.stop - i]
-        kb[:, 0] = fs[s] = rows(ts[s], ys[s])
-        ks[s] = _dense_coefficients(rows, ys[s], ts[s], h[s], kb, first=1)
-    fs[-1:] = rows(ts[-1:], ys[-1:])
+        kb[:, 0] = fs[s] = f(ts[s], ys[s].T).T
+        ks[s] = _dense_coefficients(f, ys[s], ts[s], h[s], kb, first=1)
+    fs[-1:] = f(ts[-1:], ys[-1:].T).T
     return fs, ks

@@ -85,24 +85,22 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
 
     With a subgroup K the field is the exact flow on Fix(K): one cell
     per K-orbit of cells, in the order of :func:`_cell_classes`, whose
-    successors are read through the class of each successor cell.  The
-    field also takes states stacked along further axes with the state
-    slot first, shape (dim, ...), and returns the derivative of each in
-    the same layout: a stack of row states ``Z`` goes in as ``Z.T``.
-    The slot axis comes first because indexing it adds nothing to a
-    one-state call, where ``z[..., idx]`` adds about a quarter.  A
-    stack of P states gathers a (5, dim, P) array, five times the
-    stack.
+    successors are read through the class of each successor cell.
+    ``lp`` is one LatticeParams, or a sequence of B with the same n:
+    then the stencil is that of one block-diagonal lattice, the B laid
+    end to end, with one weight per entry, on states of B * dim slots
+    whose slots j*dim to (j+1)*dim - 1 hold a state of ``lp[j]``; a
+    (dim, B) batch ``Z`` goes in as ``Z.T.ravel()``, as ``_rk.solve``
+    passes it.  Each entry sees the arithmetic of a one-state call.
 
-    ``lp`` is one LatticeParams, or a sequence of B with the same n;
-    then the field takes states of shape (dim, B), or (dim, B, ...)
-    stacked, and column j follows the lattice ``lp[j]``.  The columns
-    are laid end to end as one block-diagonal lattice, column j's cells
-    after those of columns 0..j-1, with one weight per entry: each
-    entry sees the arithmetic of a one-state call.
+    The field also takes states stacked along further axes with the
+    state slot first, shape (dim, ...), and returns the derivative of
+    each in the same layout: a stack of row states ``Z`` goes in as
+    ``Z.T``.  The slot axis comes first because indexing it adds
+    nothing to a one-state call, where ``z[..., idx]`` adds about a
+    quarter.  A stack of P states gathers a (5, dim, P) array.
     """
-    batch = not isinstance(lp, LatticeParams)
-    lps = list(lp) if batch else [lp]
+    lps = [lp] if isinstance(lp, LatticeParams) else list(lp)
     n = lps[0].n
     if any(p.n != n for p in lps):
         raise DimensionMismatchError("a batch of lattices must share n")
@@ -136,19 +134,7 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
         g *= w
         return np.add.reduce(g, axis=0)
 
-    if not batch:
-        return rhs
-
-    def batched(t, z):
-        # (dim, B) as (B * dim,), and (dim, B, ...) as (B * dim, P): free
-        # views when z is the transpose of a C-ordered array, as
-        # ``_rk.solve`` passes it
-        if z.ndim == 2:
-            return rhs(t, z.T.reshape(-1)).reshape(len(lps), -1).T
-        out = rhs(t, z.swapaxes(0, 1).reshape(len(lps) * len(z), -1))
-        return out.reshape(z.shape[1::-1] + z.shape[2:]).swapaxes(0, 1)
-
-    return batched
+    return rhs
 
 
 def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
@@ -213,6 +199,13 @@ def _golden_min(fun, lo, hi):
     return (a + b) / 2.0
 
 
+def _median(d: np.ndarray) -> float:
+    """``np.median`` of a 1-D array bit for bit, NaN if any entry is,
+    without the 20 ms import of ``numpy.ma`` that its first call makes."""
+    d, m = np.sort(d).tolist(), len(d) // 2  # a NaN sorts last
+    return d[-1] if d[-1] != d[-1] else d[m] if len(d) % 2 else (d[m - 1] + d[m]) / 2
+
+
 def detect_periodic_orbit(traj: Trajectory):
     """Locate a periodic orbit in the tail of a trajectory.
 
@@ -239,7 +232,7 @@ def detect_periodic_orbit(traj: Trajectory):
     # linear interpolation of each upward crossing time
     frac = -centered[up] / (centered[up + 1] - centered[up])
     t_cross = ts[up] + frac * (ts[1] - ts[0])
-    p0 = float(np.median(np.diff(t_cross)))
+    p0 = _median(np.diff(t_cross))
     if not np.isfinite(p0) or p0 <= 0.0:
         return None
     anchor_t = t_cut

@@ -133,15 +133,17 @@ class TestRhsNetwork:
         rhs = make_rhs(lps, K)
         dim = 50 if K is None else 10
         ts = np.linspace(0.0, 1.0, 7)
-        # C order, and the transposed layout ``_rk.solve`` passes
-        for Z in (rng.standard_normal((dim, 3, 7)), rng.standard_normal((7, 3, dim)).T):
+        # lattice j in slots j*dim to (j+1)*dim - 1; C order, and the
+        # transposed layout ``_rk.solve`` passes its dense-output stages
+        for Z in (rng.standard_normal((3 * dim, 7)), rng.standard_normal((7, 3 * dim)).T):
             got = rhs(ts, Z)
-            assert got.shape == (dim, 3, 7)
+            assert got.shape == (3 * dim, 7)
             for j, lp in enumerate(lps):
                 one = make_rhs(lp, K)
+                slots = slice(j * dim, (j + 1) * dim)
                 for q in range(7):
-                    assert np.array_equal(got[:, j, q], one(ts[q], Z[:, j, q]))
-            assert np.array_equal(rhs(0.0, Z[:, :, 0]), got[:, :, 0])
+                    assert np.array_equal(got[slots, q], one(ts[q], Z[slots, q]))
+            assert np.array_equal(rhs(0.0, Z[:, 0]), got[:, 0])
 
     @pytest.mark.parametrize("n, K", [(3, None), (5, None), (7, None),
                                       (5, IsotropySubgroup.cyclic((1, 2), 5)),
@@ -158,7 +160,8 @@ class TestRhsNetwork:
         for batch in (lps[:1], lps):
             rhs = make_rhs(batch if len(batch) > 1 else batch[0], K)
             for q in 1.5 * rng.standard_normal((5, 2 * len(reps), len(batch))):
-                got = rhs(0.0, q if len(batch) > 1 else q[:, 0]).reshape(q.shape)
+                # the columns of q laid end to end
+                got = rhs(0.0, q.T.reshape(-1)).reshape(q.shape[::-1]).T
                 for j, lp in enumerate(batch):
                     z = q[:, j].reshape(-1, 2)[cls].reshape(-1)
                     want = reference_field(z, lp).reshape(-1, 2)[reps].reshape(-1)

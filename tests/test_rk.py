@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fhn_torus import LatticeParams, Trajectory, _rk
+from fhn_torus import (IsotropySubgroup, LatticeParams, Trajectory, _rk, fix_projection,
+                       reduced_integrate_fix, simulate)
 from fhn_torus.simulate import make_rhs
 
 LP = LatticeParams(n=3, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
@@ -52,18 +53,61 @@ class TestTables:
         assert abs(terms.sum() - 1.0 / k) <= 4e-16 * np.abs(terms).sum()
 
 
+def old_error(h, e):
+    """``_rk._error`` as array arithmetic, the formula it must match."""
+    s5, s3 = np.add.reduce(e * e, axis=-1).T
+    den = s5 + 0.01 * s3
+    r = h * s5 / np.sqrt((den + (den == 0.0)) * e.shape[-1])
+    return float(np.max(r))
+
+
+# one state, batches on the scalar path, and batches past its 16 rows
+ERROR_SHAPES = [(2, 18), (1, 2, 18), (4, 2, 10), (16, 2, 50), (17, 2, 50), (100, 2, 8)]
+
+
+class TestError:
+    @pytest.mark.parametrize("shape", ERROR_SHAPES)
+    def test_matches_the_array_formula_bit_for_bit(self, shape, rng):
+        for _ in range(50):
+            e = rng.standard_normal(shape) * np.exp(rng.uniform(-25.0, 5.0, shape))
+            h = float(np.exp(rng.uniform(-12.0, 1.0)))
+            err = _rk._error(h, e)
+            assert type(err) is float and err == old_error(h, e)
+
+    @pytest.mark.parametrize("shape", ERROR_SHAPES)
+    def test_zero_denominator_stands_for_one(self, shape, rng):
+        e = np.zeros(shape)
+        assert _rk._error(0.5, e) == old_error(0.5, e) == 0.0
+        if len(shape) == 3 and shape[0] > 1:  # a zero row next to nonzero ones
+            e[1:] = rng.standard_normal((shape[0] - 1,) + shape[1:])
+            assert _rk._error(0.5, e) == old_error(0.5, e) > 0.0
+
+    @pytest.mark.parametrize("shape", ERROR_SHAPES)
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_nan_estimate_rejects(self, shape, row, rng):
+        e = 1e-3 * rng.standard_normal(shape)
+        e[(row,) * (len(shape) - 2) + (1, 3)] = np.nan
+        err = _rk._error(0.1, e)
+        assert math.isnan(err) and math.isnan(old_error(0.1, e))
+        assert not err <= 1.0
+
+
 class TestStats:
-    def test_counters_match_the_run(self):
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_counters_match_the_run(self, batch):
         calls, states = [0], [0]
-        f = make_rhs(LP)
+        f = make_rhs(LP if batch is None else [LP] * batch)
 
         def counted(t, z):
-            # a call on P stacked states evaluates P states
+            # one flat state, the columns of a batch end to end, or P
+            # of them stacked, which evaluates P states
+            assert len(z) == 18 * (batch or 1)
             calls[0] += 1
             states[0] += 1 if z.ndim == 1 else z.shape[-1]
             return f(t, z)
 
-        z0 = 0.3 * np.random.default_rng(3).standard_normal(18)
+        z0 = 0.3 * np.random.default_rng(3).standard_normal((18, batch or 1))
+        z0 = z0[:, 0] if batch is None else z0
         ts, _, _, _, stats = _rk.solve(counted, 0.0, z0, 40.0)
         n_acc = stats["accepted"]
         assert n_acc == len(ts) - 1
@@ -73,6 +117,36 @@ class TestStats:
         assert blocks > 1
         assert calls[0] == states[0] - 3 * n_acc + 3 * blocks
         assert set(stats) == {"accepted", "rejected", "rhs_evals"}
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_counters_match_a_quotient_run(self, batch, monkeypatch):
+        # the flow on Fix(K), one run through reduced_integrate_fix and
+        # a batch through _quotient_solve, as the criticality probe runs it
+        K = IsotropySubgroup.cyclic((1, 2), 5)
+        lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+               for a in (-0.1, -0.05, 0.3)]
+        states = [0]
+        real = simulate.make_rhs
+
+        def counting_make_rhs(lp, K=None):
+            f = real(lp, K)
+
+            def counted(t, z):
+                states[0] += 1 if z.ndim == 1 else z.shape[-1]
+                return f(t, z)
+
+            return counted
+
+        monkeypatch.setattr(simulate, "make_rhs", counting_make_rhs)
+        rng = np.random.default_rng(9)
+        z0 = np.stack([0.3 * fix_projection(rng.standard_normal(50), K)
+                       for _ in range(batch or 1)], axis=1)
+        if batch is None:
+            stats = reduced_integrate_fix(K, z0[:, 0], lps[0], 30.0).stats
+        else:
+            _, (_, _, _, _, stats) = simulate._quotient_solve(K, z0, lps[:batch], 30.0)
+        assert stats["accepted"] > _rk._DENSE_BLOCK
+        assert stats["rhs_evals"] == states[0]
 
     def test_growing_buffers_keep_every_node(self, monkeypatch):
         z0 = 0.3 * np.random.default_rng(4).standard_normal(18)

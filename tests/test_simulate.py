@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -218,8 +221,13 @@ class TestBatchedSolve:
 
     def test_sample_of_a_batch_at_as_many_times_as_slots(self):
         # q == dim: weights of shape (q, 1) would broadcast along the
-        # slot axis instead of the time axis
-        f = lambda t, y: np.stack([y[1], -y[0]])
+        # slot axis instead of the time axis.  f rotates each column's
+        # (u, v), the columns laid end to end as (u0, v0, u1, v1, u2, v2)
+        def f(t, y):
+            out = np.empty_like(y)
+            out[0::2], out[1::2] = y[1::2], -y[0::2]
+            return out
+
         ts, ys, fs, ks, stats = _rk.solve(f, 0.0, np.array([[1.0, 0.0, 2.0],
                                                              [0.0, 1.0, -1.0]]), 3.0)
         tq = np.array([0.7, 2.2])
@@ -241,6 +249,36 @@ class TestBatchedSolve:
 
 
 class TestDetectPeriodicOrbit:
+    @pytest.mark.parametrize("size", [1, 2, 5, 6, 99, 100])
+    def test_median_is_numpy_median_bit_for_bit(self, size, rng):
+        for _ in range(20):
+            d = rng.standard_normal(size) * np.exp(rng.uniform(-20.0, 20.0, size))
+            got = simulate._median(d)
+            assert type(got) is float and got == float(np.median(d))
+        d[size // 2] = np.nan
+        assert math.isnan(simulate._median(d)) and math.isnan(np.median(d))
+
+    def test_detect_and_classify_leave_numpy_ma_unimported(self):
+        # np.median imports numpy.ma, about 20 ms, in every process
+        # that calls it first
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fhn_torus import (LatticeParams, classify_spatiotemporal,\n"
+            "                       detect_periodic_orbit, integrate)\n"
+            "lp = LatticeParams(n=3, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)\n"
+            "z = np.zeros(18)\n"
+            "z[0::2] = 0.25\n"
+            "orbit = detect_periodic_orbit(integrate(z, lp, 400.0))\n"
+            "classify_spatiotemporal(orbit, lp)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
+
     def test_equilibrium_gives_none(self):
         lp = LatticeParams(n=3, a=0.3, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         traj = integrate(synchronized_state(0.05, 0.0), lp, 200.0)
