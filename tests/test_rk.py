@@ -61,8 +61,10 @@ def old_error(h, e):
     return float(np.max(r))
 
 
-# one state, batches on the scalar path, and batches past its 16 rows
-ERROR_SHAPES = [(2, 18), (1, 2, 18), (4, 2, 10), (16, 2, 50), (17, 2, 50), (100, 2, 8)]
+# one state, batches on the scalar path, and batches past its rows
+_ROWS = _rk._SCALAR_ERROR_ROWS
+ERROR_SHAPES = [(2, 18), (1, 2, 18), (4, 2, 10), (_ROWS, 2, 50), (_ROWS + 1, 2, 50),
+                (100, 2, 8)]
 
 
 class TestError:
