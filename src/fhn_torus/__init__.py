@@ -30,7 +30,6 @@ from .model import (
     assemble_jacobian_origin,
     from_grids,
     infer_n,
-    is_odd_prime,
     jacobian_at,
     jacobian_blocks_origin,
     rhs_cell,
@@ -39,22 +38,15 @@ from .model import (
 )
 from .symmetry import (
     IsotropySubgroup,
-    IsotypicComponent,
     ModeIndex,
-    SymmetryPrediction,
     act,
     canonical_mode,
-    embed_pattern,
     fix_modes,
     fix_projection,
     group_elements,
     isotropy_of,
-    isotypic_component,
-    mode_basis,
-    mode_coordinate,
     mode_index_set,
     predict_hopf_symmetries,
-    project_isotypic,
 )
 from .spectral import (
     EigenRecord,
@@ -65,32 +57,22 @@ from .spectral import (
     genericity_violations,
     symbol_grid,
     spectrum_report,
-    uncoupled_eigenvalues,
 )
 from .bifurcation import (
-    CriticalPoint,
-    CrossingMode,
-    DulacCertificate,
     HopfReport,
-    ProbeResult,
     ProbeSettings,
-    Resonance,
-    StabilityVerdict,
     branch_criticality_probe,
     critical_a,
-    dulac_certificate,
     hopf_crossing,
     hopf_report_at_critical,
     locate_stability_loss,
     lyapunov_coefficient_sync,
     origin_stability,
     psi,
-    resonance_check,
     resonant_coupling,
     theta_n,
 )
 from .simulate import (
-    OrbitSymmetry,
     PeriodicOrbit,
     Trajectory,
     classify_spatiotemporal,
@@ -116,29 +98,21 @@ __all__ = [
     "assemble_jacobian_origin",
     "from_grids",
     "infer_n",
-    "is_odd_prime",
     "jacobian_at",
     "jacobian_blocks_origin",
     "rhs_cell",
     "state_dim",
     "to_grids",
     "IsotropySubgroup",
-    "IsotypicComponent",
     "ModeIndex",
-    "SymmetryPrediction",
     "act",
     "canonical_mode",
-    "embed_pattern",
     "fix_modes",
     "fix_projection",
     "group_elements",
     "isotropy_of",
-    "isotypic_component",
-    "mode_basis",
-    "mode_coordinate",
     "mode_index_set",
     "predict_hopf_symmetries",
-    "project_isotypic",
     "EigenRecord",
     "analytic_eigenvalues",
     "analytic_eigenvector",
@@ -147,28 +121,18 @@ __all__ = [
     "genericity_violations",
     "spectrum_report",
     "symbol_grid",
-    "uncoupled_eigenvalues",
-    "CriticalPoint",
-    "CrossingMode",
-    "DulacCertificate",
     "HopfReport",
-    "ProbeResult",
     "ProbeSettings",
-    "Resonance",
-    "StabilityVerdict",
     "branch_criticality_probe",
     "critical_a",
-    "dulac_certificate",
     "hopf_crossing",
     "hopf_report_at_critical",
     "locate_stability_loss",
     "lyapunov_coefficient_sync",
     "origin_stability",
     "psi",
-    "resonance_check",
     "resonant_coupling",
     "theta_n",
-    "OrbitSymmetry",
     "PeriodicOrbit",
     "Trajectory",
     "classify_spatiotemporal",

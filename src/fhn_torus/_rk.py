@@ -177,12 +177,6 @@ _FIRST_CAPACITY = 256
 # field calls on the stacked states per block instead of three per step.
 _DENSE_BLOCK = 64
 
-# Batch rows up to which _error loops in Python floats: about 2.7 us a
-# call against 5 us for the array path at one row and 4.3 against 10 us
-# at four; the two cost the same between 24 and 26 rows.
-_SCALAR_ERROR_ROWS = 24
-
-
 def _rms(v):
     """Root mean square along the last axis; the largest over batch rows.
 
@@ -195,16 +189,12 @@ def _rms(v):
 def _error(h, e):
     """DOP853's scaled error of a step from its 5th- and 3rd-order
     estimates, already divided by the error scale, shape (2, dim) or
-    (B, 2, dim); the largest over batch rows.  Python floats up to
-    _SCALAR_ERROR_ROWS rows, arrays beyond, with the same IEEE
-    operations either way.  A non-finite estimate gives NaN, which
-    rejects."""
+    (B, 2, dim); the largest over batch rows, in Python floats: about
+    2.7 us a call against 5 us for the same arithmetic on arrays at one
+    row and 4.3 against 10 us at four, and arrays pay off only past 24
+    to 26 rows, a batch no caller runs.  A non-finite estimate gives
+    NaN, which rejects."""
     s = np.add.reduce(e * e, axis=-1)
-    if s.size > 2 * _SCALAR_ERROR_ROWS:
-        s5, s3 = s.T
-        den = s5 + 0.01 * s3
-        r = h * s5 / np.sqrt((den + (den == 0.0)) * e.shape[-1])
-        return float(np.maximum.reduce(r))
     err = 0.0
     for s5, s3 in s.reshape(-1, 2).tolist():
         r = h * s5 / math.sqrt(((s5 + 0.01 * s3) or 1.0) * e.shape[-1])  # zero den as 1

@@ -45,7 +45,6 @@ __all__ = [
     "StabilityVerdict",
     "HopfReport",
     "Resonance",
-    "DulacCertificate",
     "ProbeSettings",
     "ProbeRun",
     "ProbeResult",
@@ -55,8 +54,6 @@ __all__ = [
     "origin_stability",
     "locate_stability_loss",
     "lyapunov_coefficient_sync",
-    "dulac_certificate",
-    "resonance_check",
     "resonant_coupling",
     "psi",
     "hopf_crossing",
@@ -314,37 +311,6 @@ def lyapunov_coefficient_sync(p: CellParams) -> float:
 
 
 @dataclass(frozen=True)
-class DulacCertificate:
-    """Sign certificate ruling out cell-level periodic orbits for c = 0.
-
-    With weight exp(-2y/b) the weighted divergence of the cell field is
-    q(x) * exp(-2y/b), q(x) = -3x^2 + 2ax - a; the certificate holds
-    when q never becomes positive, i.e. 0 <= a <= 3.
-    """
-
-    holds: bool
-    discriminant: float
-    a: float
-    b: float
-
-    def divergence(self, x, y):
-        q = -3.0 * np.asarray(x) ** 2 + 2.0 * self.a * np.asarray(x) - self.a
-        return q * np.exp(-2.0 * np.asarray(y) / self.b)
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def dulac_certificate(p: CellParams) -> DulacCertificate:
-    if p.c != 0.0:
-        raise DomainError("certificate is for c = 0")
-    if p.b <= 0.0:
-        raise DomainError("requires b > 0")
-    disc = 4.0 * p.a * p.a - 12.0 * p.a
-    return DulacCertificate(holds=disc <= 0.0, discriminant=disc, a=p.a, b=p.b)
-
-
-@dataclass(frozen=True)
 class Resonance:
     k: int
     larger: tuple  # (r, s, branch) of the faster crossing pair
@@ -352,19 +318,14 @@ class Resonance:
     ratio: float
 
 
-def resonance_check(lp: LatticeParams):
-    """Integer ratios among the crossing frequencies at a*.
+def _resonances(crossing) -> list:
+    """Integer ratios among the crossing frequencies of one critical point.
 
-    Returns Resonance entries for every ordered pair of crossing
-    frequencies whose ratio is within 1e-9 * k of an integer k with
-    2 <= k <= 10.  A single crossing pair cannot resonate, so the
+    Returns Resonance entries for every ordered pair of CrossingMode
+    entries whose frequency ratio is within 1e-9 * k of an integer k
+    with 2 <= k <= 10.  A single crossing pair cannot resonate, so the
     synchronized pattern always yields an empty list.
     """
-    return _resonances(critical_a(lp).crossing)
-
-
-def _resonances(crossing) -> list:
-    """Resonance entries among the CrossingMode entries of one critical point."""
     out = []
     for big in crossing:
         for small in crossing:

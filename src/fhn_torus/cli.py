@@ -199,14 +199,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve(args: argparse.Namespace):
     """Merge defaults, the config file and flags, in rising priority,
     into ``args.params`` (the lattice), ``args.t_end``, ``args.rtol``
-    and ``args.atol``."""
-    vals = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        vals.update(_read_config(args.config))
+    and ``args.atol``; ``args.n_source`` names where a given n came
+    from, its flag or the config file, and is None for the default."""
+    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    vals = {**_DEFAULTS, **config}
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             vals[key] = flag
+    args.n_source = ("--n" if getattr(args, "n", None) is not None
+                     else args.config if "n" in config else None)
     args.params = LatticeParams(**{f.name: vals.pop(f.name) for f in fields(LatticeParams)})
     vars(args).update(vals)
 
@@ -361,10 +363,9 @@ def _cmd_classify(args):
     states = data[:, 1:]
     n_file = infer_n(states[0])
     lp = args.params
-    if args.n is not None and lp.n != n_file:
-        raise DomainError(
-            f"--n {lp.n} does not match the {n_file}x{n_file} trajectory file"
-        )
+    if args.n_source is not None and lp.n != n_file:
+        raise DomainError(f"n = {lp.n} from {args.n_source} does not match "
+                          f"the {n_file}x{n_file} trajectory file")
     if lp.n != n_file:
         lp = replace(lp, n=n_file)
     if np.any(np.diff(times) <= 0.0):

@@ -17,8 +17,11 @@ component immediately after.
 
 :func:`_cell_shift` and :func:`_mode_vector` are the only code that
 knows this numbering, for single states and Fourier modes as for stacks
-and blocks of them; ``to_grids``/``from_grids``, ``rhs_cell`` and the
-dense ``assemble_jacobian_origin`` stay independent of them as references.
+and blocks of them: the vector field, the group action and the
+matrix-free Jacobian are built from the first, the analytic eigenvectors
+and mode coordinates from the second.  ``to_grids``/``from_grids``,
+``rhs_cell`` and the dense ``assemble_jacobian_origin`` stay independent
+of them as references.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .errors import DimensionMismatchError, DomainError, LatticeSizeError
 __all__ = [
     "CellParams",
     "LatticeParams",
-    "is_odd_prime",
     "state_dim",
     "to_grids",
     "from_grids",
@@ -44,19 +46,9 @@ __all__ = [
 ]
 
 
-def is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _require_odd_prime(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not is_odd_prime(int(n)):
+    if not (isinstance(n, (int, np.integer)) and n >= 3 and n % 2 == 1
+            and all(n % d for d in range(3, math.isqrt(n) + 1, 2))):
         raise LatticeSizeError(f"lattice side must be an odd prime, got {n!r}")
 
 

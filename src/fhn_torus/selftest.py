@@ -18,7 +18,7 @@ from .bifurcation import (
     hopf_crossing,
     psi,
 )
-from .model import CellParams, LatticeParams, assemble_jacobian_origin
+from .model import CellParams, LatticeParams, _mode_vector, assemble_jacobian_origin
 from .simulate import detect_periodic_orbit, integrate
 from .spectral import (
     analytic_eigenvector,
@@ -27,7 +27,7 @@ from .spectral import (
     spectrum_report,
 )
 from .symmetry import (IsotropySubgroup, act, fix_modes, fix_projection, group_elements,
-                       isotropy_of, mode_coordinate, mode_index_set)
+                       isotropy_of, mode_index_set)
 
 
 def _check_spectrum(rng):
@@ -63,9 +63,10 @@ def _check_rotation(rng):
     ok = True
     detail = ""
     for k in mode_index_set(n):
+        e = _mode_vector(k.k1, k.k2, n)  # the phases w^(i*k1 + j*k2) of the cells
         for g in ((1, 0), (0, 1), (2, 3)):
-            lhs = mode_coordinate(act(g, z, n)[0::2], k, n)
-            rhs = mode_coordinate(z[0::2], k, n) * np.exp(
+            lhs = np.vdot(e, act(g, z, n)[0::2])
+            rhs = np.vdot(e, z[0::2]) * np.exp(
                 2j * np.pi * (g[0] * k.k1 + g[1] * k.k2) / n
             )
             err = abs(lhs - rhs)

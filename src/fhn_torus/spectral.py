@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import CellParams, LatticeParams, _make_jacobian_apply, _mode_vector
+from .model import LatticeParams, _make_jacobian_apply, _mode_vector
 
 __all__ = [
     "EigenRecord",
@@ -37,7 +37,6 @@ __all__ = [
     "analytic_eigenvector",
     "spectrum_report",
     "genericity_violations",
-    "uncoupled_eigenvalues",
 ]
 
 
@@ -189,8 +188,3 @@ def genericity_violations(lp: LatticeParams):
         for i, j in _coincident_pairs(symbol_grid(lp).ravel(), _COINCIDENCE_TOL)
     ]
 
-
-def uncoupled_eigenvalues(p: CellParams):
-    """Eigenvalue pair of a single cell linearized at the origin."""
-    lam_p, lam_m = _roots(-p.a, p.b, p.c)
-    return complex(lam_p), complex(lam_m)

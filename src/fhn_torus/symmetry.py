@@ -2,18 +2,16 @@
 
 The group is Z_N x Z_N acting by cyclic index shifts: the element
 g = (r, s) replaces the cell value at (i, j) with the value previously
-held at (i + r, j + s).  The x lattice splits into invariant planes
-
-    V_k = { Re(z * w^(i*k1 + j*k2)) : z complex },   w = exp(2*pi*1j/N)
-
-with 0-based cell indices i, j, indexed by k = (k1, k2) with k and -k
-giving the same plane; g acts on the complex coordinate of V_k as
-multiplication by w^(r*k1 + s*k2).  Which flat cell a shift reads and
-which phase a frequency puts on a cell come from ``model._cell_shift``
-and ``model._mode_vector``, the only code that knows the cell layout.
-A canonical index set with one representative per plane is produced by
-:func:`mode_index_set`.  Full states carry two copies of each plane
-(one in the x slots, one in the y slots).
+held at (i + r, j + s).  Modes are labels only: the frequency
+k = (k1, k2) puts the phase w^(i*k1 + j*k2), w = exp(2*pi*1j/N), on
+cell (i, j) with 0-based indices, k and -k label the same invariant
+real plane of the x lattice, and g multiplies the complex coordinate of
+that plane by w^(r*k1 + s*k2).  :func:`mode_index_set` lists one
+canonical label per plane and :func:`canonical_mode` finds the label of
+any frequency.  Which flat cell a shift reads and the Fourier vector of
+a frequency come from ``model._cell_shift`` and ``model._mode_vector``,
+the only code that knows the cell layout.  Full states carry two copies
+of each plane (one in the x slots, one in the y slots).
 """
 
 from __future__ import annotations
@@ -23,14 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ClassificationError, DimensionMismatchError
-from .model import (_cell_shift, _check_state, _mode_vector, _require_odd_prime,
-                    infer_n)
+from .errors import ClassificationError
+from .model import _cell_shift, _check_state, _require_odd_prime, infer_n
 
 __all__ = [
-    "GroupElement",
     "ModeIndex",
-    "IsotypicComponent",
     "IsotropySubgroup",
     "SymmetryPrediction",
     "group_elements",
@@ -38,18 +33,11 @@ __all__ = [
     "state_permutation",
     "mode_index_set",
     "canonical_mode",
-    "mode_basis",
-    "mode_coordinate",
-    "embed_pattern",
-    "isotypic_component",
-    "project_isotypic",
     "fix_modes",
     "fix_projection",
     "isotropy_of",
     "predict_hopf_symmetries",
 ]
-
-GroupElement = tuple  # (r, s) with entries mod N
 
 
 def group_elements(n: int) -> list:
@@ -130,72 +118,6 @@ def canonical_mode(r: int, s: int, n: int) -> ModeIndex:
         if 1 <= k2 < k1 <= n - 1:
             return ModeIndex(k1, k2)
     raise ClassificationError(f"no canonical representative for ({r}, {s}) mod {n}")
-
-
-def _plane_vector(k: ModeIndex, n: int) -> np.ndarray:
-    """x slots of the unit Fourier vector of k: w^(i*k1 + j*k2) / N."""
-    return _mode_vector(k.k1, k.k2, n, 0.0)[0::2]
-
-
-def mode_basis(k: ModeIndex, n: int) -> list[np.ndarray]:
-    """Orthonormal x-lattice patterns spanning the plane of k.
-
-    Returns the patterns for complex coordinate 1 and -1j, the cosine
-    and sine of the phase 2*pi*(i*k1 + j*k2)/N with 0-based i, j; just
-    the constant pattern for k = (0, 0).  Patterns are flat length-N^2
-    arrays in the same order as the x slots of a state.
-    """
-    _require_odd_prime(n)
-    e = _plane_vector(k, n)
-    if k.dim == 1:
-        return [e.real]
-    return [np.sqrt(2.0) * e.real, np.sqrt(2.0) * e.imag]
-
-
-def mode_coordinate(pattern: np.ndarray, k: ModeIndex, n: int) -> complex:
-    """Complex coordinate z of an x-lattice pattern within the plane of k:
-    the pattern's component in that plane is Re(z * w^(i*k1 + j*k2)),
-    with 0-based cell indices i, j."""
-    e = _plane_vector(k, n)
-    return complex(k.dim * np.vdot(e, np.asarray(pattern, dtype=float)) / n)
-
-
-def embed_pattern(xpat: np.ndarray, ypat: np.ndarray, n: int) -> np.ndarray:
-    """Build a flat state from separate x and y lattice patterns."""
-    z = np.zeros(2 * n * n)
-    z[0::2] = xpat
-    z[1::2] = ypat
-    return z
-
-
-@dataclass(frozen=True)
-class IsotypicComponent:
-    """The four-dimensional (two for k = 0) piece of state space built
-    from two copies of the plane of k, one in x slots and one in y."""
-
-    mode: ModeIndex
-    basis: tuple
-
-
-def isotypic_component(k: ModeIndex, n: int) -> IsotypicComponent:
-    pats = mode_basis(k, n)
-    zeros = np.zeros(n * n)
-    vecs = [embed_pattern(p, zeros, n) for p in pats]
-    vecs += [embed_pattern(zeros, p, n) for p in pats]
-    return IsotypicComponent(mode=k, basis=tuple(vecs))
-
-
-def project_isotypic(z: np.ndarray, k: ModeIndex, n: int | None = None) -> np.ndarray:
-    """Orthogonal projection of a state onto the isotypic piece of k.
-
-    The x and y halves are each projected onto the plane of k, spanned
-    by the Fourier vector of k and its conjugate.
-    """
-    if n is None:
-        n = infer_n(z)
-    cells = _check_state(z, n).reshape(-1, 2)
-    e = _plane_vector(k, n)
-    return (k.dim * np.outer(e, e.conj() @ cells).real).reshape(-1)
 
 
 def fix_modes(g, n: int) -> list[ModeIndex]:

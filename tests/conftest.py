@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fhn_torus import LatticeParams, assemble_jacobian_origin
+from fhn_torus import LatticeParams, assemble_jacobian_origin, from_grids, to_grids
 
 
 @pytest.fixture
@@ -42,3 +42,18 @@ def random_lattice(rng, n: int = 3, c_zero: bool = False) -> LatticeParams:
         gamma=sign() * float(rng.uniform(0.2, 2.0)),
         delta=sign() * float(rng.uniform(0.2, 2.0)),
     )
+
+
+def fft_projection(z, k, n):
+    """Projection of a state onto the invariant plane of the mode k in
+    each lattice half, by keeping the 2-D DFT bins (k1, k2) and
+    (-k1, -k2) of its x and y grids."""
+    x, y = to_grids(z, n)
+    mask = np.zeros((n, n))
+    mask[k.k1 % n, k.k2 % n] = 1.0
+    mask[(-k.k1) % n, (-k.k2) % n] = 1.0
+
+    def filt(g):
+        return np.real(np.fft.ifft2(np.fft.fft2(g) * mask))
+
+    return from_grids(filt(x), filt(y))

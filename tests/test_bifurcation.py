@@ -21,13 +21,11 @@ from fhn_torus import (
     analytic_eigenvector,
     branch_criticality_probe,
     critical_a,
-    dulac_certificate,
     hopf_crossing,
     locate_stability_loss,
     lyapunov_coefficient_sync,
     origin_stability,
     psi,
-    resonance_check,
     spectrum_report,
     StiffnessError,
     theta_n,
@@ -266,31 +264,6 @@ class TestLyapunovCoefficient:
             lyapunov_coefficient_sync(CellParams(a=0.0, b=0.0, c=0.0))
 
 
-class TestDulacCertificate:
-    def test_interior_holds(self):
-        cert = dulac_certificate(CellParams(a=1.0, b=1.0, c=0.0))
-        assert cert.holds and bool(cert)
-        assert cert.discriminant == pytest.approx(-8.0)
-
-    def test_boundaries_hold(self):
-        assert dulac_certificate(CellParams(a=0.0, b=1.0, c=0.0)).holds
-        assert dulac_certificate(CellParams(a=3.0, b=2.0, c=0.0)).holds
-
-    def test_negative_a_fails_with_positive_divergence(self):
-        cert = dulac_certificate(CellParams(a=-0.1, b=1.0, c=0.0))
-        assert not cert.holds
-        assert cert.divergence(0.0, 0.0) == pytest.approx(0.1)
-
-    def test_beyond_upper_boundary_fails(self):
-        assert not dulac_certificate(CellParams(a=3.05, b=1.0, c=0.0)).holds
-
-    def test_divergence_sign_certifies(self, rng):
-        cert = dulac_certificate(CellParams(a=2.0, b=1.5, c=0.0))
-        xs = rng.uniform(-3, 3, size=200)
-        ys = rng.uniform(-3, 3, size=200)
-        assert all(cert.divergence(x, y) <= 1e-12 for x, y in zip(xs, ys))
-
-
 class TestResonance:
     def test_resonant_coupling_value(self):
         g2 = resonant_coupling(3, 1.0, 2)
@@ -299,16 +272,16 @@ class TestResonance:
 
     def test_flagged_at_engineered_coupling(self):
         lp = lattice(gamma=resonant_coupling(3, 1.0, 2), delta=-1.0)
-        hits = resonance_check(lp)
+        hits = hopf_report_at_critical(lp).resonances
         assert len(hits) == 1
         assert hits[0].k == 2
         assert hits[0].ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_generic_coupling_clean(self):
-        assert resonance_check(lattice(gamma=1.0, delta=-1.0)) == []
+        assert hopf_report_at_critical(lattice(gamma=1.0, delta=-1.0)).resonances == ()
 
     def test_single_crossing_pair_trivially_clean(self):
-        assert resonance_check(lattice()) == []
+        assert hopf_report_at_critical(lattice()).resonances == ()
 
     @pytest.mark.parametrize("report, lp", [
         (hopf_crossing, lattice(n=5, c=0.05, gamma=1.0, delta=0.7)),
@@ -321,7 +294,8 @@ class TestResonance:
                             lambda lp: calls.append(lp) or real(lp))
         rep = report(lp)
         assert len(calls) == 1
-        assert rep.resonances == tuple(resonance_check(replace(lp, c=0.0)))
+        want = bifurcation._resonances(critical_a(replace(lp, c=0.0)).crossing)
+        assert rep.resonances == tuple(want)
 
 
 class TestPsi:

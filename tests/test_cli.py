@@ -226,6 +226,21 @@ class TestSimulateClassify:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_classify_lattice_size_mismatch_in_config(self, tmp_path, capsys):
+        # an n from the config file is checked as one from --n is
+        _, traj_path = run_cli(
+            ["simulate", "--n", "3", "--t-end", "2"], tmp_path,
+            name="traj.csv", fmt="csv",
+        )
+        cfg = tmp_path / "five.cfg"
+        cfg.write_text("n = 5\n")
+        code = parse_and_dispatch(
+            ["classify", "--input", str(traj_path), "--config", str(cfg)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "does not match" in err and str(cfg) in err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows", [0, 1])
     def test_classify_too_few_rows(self, rows, tmp_path, capsys):

@@ -1,0 +1,50 @@
+"""The package's public names: every ``__all__`` entry exists, star
+imports work from a fresh interpreter, and ``fhn_torus.__all__`` lists
+exactly what the package ``__init__`` imports."""
+
+import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fhn_torus
+
+SRC = Path(fhn_torus.__file__).resolve().parents[1]
+
+# every submodule but __main__, which runs the command line on import
+SUBMODULES = [f"fhn_torus.{m.name}" for m in pkgutil.iter_modules(fhn_torus.__path__)
+              if m.name != "__main__"]
+WITH_ALL = ["fhn_torus"] + [name for name in SUBMODULES
+                            if hasattr(importlib.import_module(name), "__all__")]
+
+
+@pytest.mark.parametrize("module", WITH_ALL)
+def test_star_import_in_a_fresh_interpreter(module):
+    code = (f"from {module} import *\n"
+            f"import {module} as m\n"
+            "missing = [n for n in m.__all__ if n not in globals()]\n"
+            "assert not missing, missing\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", WITH_ALL)
+def test_every_listed_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_all_is_what_init_imports():
+    tree = ast.parse(Path(fhn_torus.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(fhn_torus.__all__)) == len(fhn_torus.__all__)
+    assert set(fhn_torus.__all__) == imported | {"__version__"}

@@ -61,10 +61,8 @@ def old_error(h, e):
     return float(np.max(r))
 
 
-# one state, batches on the scalar path, and batches past its rows
-_ROWS = _rk._SCALAR_ERROR_ROWS
-ERROR_SHAPES = [(2, 18), (1, 2, 18), (4, 2, 10), (_ROWS, 2, 50), (_ROWS + 1, 2, 50),
-                (100, 2, 8)]
+# one state, the probe's batch of four, and batches larger than any caller runs
+ERROR_SHAPES = [(2, 18), (1, 2, 18), (4, 2, 10), (24, 2, 50), (25, 2, 50), (100, 2, 8)]
 
 
 class TestError:

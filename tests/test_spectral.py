@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_spectrum, match_distance, random_lattice
+from conftest import dense_spectrum, fft_projection, match_distance, random_lattice
 from fhn_torus import (
-    CellParams,
     DomainError,
     LatticeParams,
     ModeIndex,
@@ -19,10 +18,8 @@ from fhn_torus import (
     coupling_symbol,
     eigenvalue_grids,
     genericity_violations,
-    project_isotypic,
     spectrum_report,
     symbol_grid,
-    uncoupled_eigenvalues,
 )
 from fhn_torus import spectral
 
@@ -139,7 +136,7 @@ class TestAnalyticEigenvector:
             xi = analytic_eigenvector(r, s, "+", lp)
             k = canonical_mode(r, s, 3)
             re = np.real(xi)
-            assert np.max(np.abs(re - project_isotypic(re, k, 3))) <= 1e-10
+            assert np.max(np.abs(re - fft_projection(re, k, 3))) <= 1e-10
 
 
 class TestSpectrumReport:
@@ -325,34 +322,33 @@ class TestGenericityViolations:
             genericity_violations(lp)
 
 
+def uncoupled_eigenvalues(a, b, c):
+    """The (0, 0) pair at gamma = delta = 0, the eigenvalues of one cell."""
+    return analytic_eigenvalues(0, 0, LatticeParams(n=3, a=a, b=b, c=c, gamma=0.0, delta=0.0))
+
+
 class TestUncoupledEigenvalues:
     def test_rotation(self):
-        lam_p, lam_m = uncoupled_eigenvalues(CellParams(a=0.0, b=1.0, c=0.0))
+        lam_p, lam_m = uncoupled_eigenvalues(a=0.0, b=1.0, c=0.0)
         assert abs(lam_p - 1j) < 1e-15 and abs(lam_m + 1j) < 1e-15
 
     def test_triangular_case(self):
-        lam_p, lam_m = uncoupled_eigenvalues(CellParams(a=2.0, b=0.0, c=1.0))
+        lam_p, lam_m = uncoupled_eigenvalues(a=2.0, b=0.0, c=1.0)
         assert {round(lam_p.real, 12), round(lam_m.real, 12)} == {-2.0, -1.0}
         assert lam_p.imag == 0.0 and lam_m.imag == 0.0
 
     def test_vieta(self, rng):
         for _ in range(50):
-            p = CellParams(
-                a=float(rng.uniform(-2, 3)),
-                b=float(rng.uniform(0, 4)),
-                c=float(rng.uniform(0, 1)),
-            )
-            lam_p, lam_m = uncoupled_eigenvalues(p)
-            assert abs(lam_p + lam_m + (p.a + p.c)) < 1e-12
-            assert abs(lam_p * lam_m - (p.a * p.c + p.b)) < 1e-12
+            a, b, c = rng.uniform(-2, 3), rng.uniform(0, 4), rng.uniform(0, 1)
+            lam_p, lam_m = uncoupled_eigenvalues(float(a), float(b), float(c))
+            assert abs(lam_p + lam_m + (a + c)) < 1e-12
+            assert abs(lam_p * lam_m - (a * c + b)) < 1e-12
 
-    def test_agrees_with_zero_frequency_network_mode(self, rng):
-        p = CellParams(a=0.7, b=1.3, c=0.2)
-        lp = LatticeParams(n=3, a=p.a, b=p.b, c=p.c, gamma=0.9, delta=-0.4)
-        want = uncoupled_eigenvalues(p)
-        lp0 = LatticeParams(n=3, a=p.a, b=p.b, c=p.c, gamma=0.0, delta=0.0)
-        got = analytic_eigenvalues(0, 0, lp0)
-        assert abs(want[0] - got[0]) < 1e-14 and abs(want[1] - got[1]) < 1e-14
+    def test_agrees_with_zero_frequency_network_mode(self):
+        a, b, c = 0.7, 1.3, 0.2
+        want = uncoupled_eigenvalues(a, b, c)
+        cell = np.linalg.eigvals(np.array([[-a, -1.0], [b, -c]]))
+        assert match_distance(want, cell) < 1e-14
         # nonzero coupling shifts only nonzero frequencies
-        got_coupled = analytic_eigenvalues(0, 0, lp)
-        assert abs(want[0] - got_coupled[0]) < 1e-14
+        lp = LatticeParams(n=3, a=a, b=b, c=c, gamma=0.9, delta=-0.4)
+        assert analytic_eigenvalues(0, 0, lp) == want

@@ -5,27 +5,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import fft_projection
 from fhn_torus import (
     ClassificationError,
     IsotropySubgroup,
     ModeIndex,
     act,
     canonical_mode,
-    embed_pattern,
     fix_modes,
     fix_projection,
     from_grids,
     group_elements,
     isotropy_of,
-    isotypic_component,
-    mode_basis,
-    mode_coordinate,
     mode_index_set,
     predict_hopf_symmetries,
-    project_isotypic,
     to_grids,
 )
 from fhn_torus import symmetry
+from fhn_torus.model import _mode_vector
 from fhn_torus.symmetry import state_permutation
 
 
@@ -114,47 +111,40 @@ class TestModeIndexSet:
         assert canonical_mode(4, 0, 5) == ModeIndex(1, 0)
 
 
+def plane_projection(z, k, n):
+    """Orthogonal projection of a state onto the invariant plane of k in
+    each lattice half, spanned by the Fourier vector of k and its
+    conjugate."""
+    e = _mode_vector(k.k1, k.k2, n) / n
+    return (k.dim * np.outer(e, e.conj() @ z.reshape(-1, 2)).real).reshape(-1)
+
+
 class TestModeBasis:
     def test_constant_mode(self):
-        (pat,) = mode_basis(ModeIndex(0, 0), 3)
-        assert np.allclose(pat, 1.0 / 3.0, rtol=0.0, atol=1e-15)
+        assert np.array_equal(_mode_vector(0, 0, 3), np.ones(9))
+        assert np.allclose(_mode_vector(0, 0, 3, 0.0)[0::2], 1.0 / 3.0, rtol=0.0, atol=1e-15)
 
     def test_row_mode_constant_in_first_index(self):
-        for pat in mode_basis(ModeIndex(0, 1), 3):
-            grid = pat.reshape(3, 3).T
-            assert np.allclose(grid, grid[0], rtol=0.0, atol=1e-15)
+        grid = _mode_vector(0, 1, 3).reshape(3, 3).T  # [i, j], as to_grids
+        assert np.allclose(grid, grid[0], rtol=0.0, atol=1e-15)
+        assert not np.allclose(grid, grid[:, :1], rtol=0.0, atol=1e-3)
 
     def test_orthonormal(self):
-        for k in mode_index_set(5):
-            pats = mode_basis(k, 5)
-            G = np.array([[float(p @ q) for q in pats] for p in pats])
-            assert np.allclose(G, np.eye(len(pats)), rtol=0.0, atol=1e-12)
+        vecs = np.array([_mode_vector(r, s, 5, 0.0) for r in range(5) for s in range(5)])
+        assert np.allclose(vecs.conj() @ vecs.T, np.eye(25), rtol=0.0, atol=1e-12)
 
     def test_rotation_property(self, rng):
         # shifting a pattern multiplies its complex coordinate by the
         # root of unity with exponent g.k
         n = 5
         for k in mode_index_set(n):
-            z = embed_pattern(rng.standard_normal(25), np.zeros(25), n)
+            z = from_grids(rng.standard_normal((n, n)), np.zeros((n, n)))
+            e = _mode_vector(k.k1, k.k2, n)
             for g in [(1, 0), (0, 1), (2, 3)]:
-                before = mode_coordinate(z[0::2], k, n)
-                after = mode_coordinate(act(g, z, n)[0::2], k, n)
+                before = np.vdot(e, z[0::2])
+                after = np.vdot(e, act(g, z, n)[0::2])
                 phase = np.exp(2j * np.pi * (g[0] * k.k1 + g[1] * k.k2) / n)
                 assert abs(after - phase * before) < 1e-12
-
-
-def fft_projection(z, k, n):
-    """Projection onto the isotypic piece of k by keeping the 2-D DFT bins
-    (k1, k2) and (-k1, -k2) of each lattice half."""
-    x, y = to_grids(z, n)
-    mask = np.zeros((n, n))
-    mask[k.k1 % n, k.k2 % n] = 1.0
-    mask[(-k.k1) % n, (-k.k2) % n] = 1.0
-
-    def filt(g):
-        return np.real(np.fft.ifft2(np.fft.fft2(g) * mask))
-
-    return from_grids(filt(x), filt(y))
 
 
 class TestPhaseConvention:
@@ -169,13 +159,14 @@ class TestPhaseConvention:
                 for j in range(n):
                     x[i, j] = np.real(z * np.exp(2j * np.pi * (i * k.k1 + j * k.k2) / n))
             pattern = from_grids(x, np.zeros((n, n)))[0::2]
-            assert abs(mode_coordinate(pattern, k, n) - z) <= 1e-12
+            coordinate = k.dim * np.vdot(_mode_vector(k.k1, k.k2, n), pattern) / n**2
+            assert abs(coordinate - z) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_projection_matches_fft_oracle(self, rng, n):
         z = rng.standard_normal(2 * n * n)
         for k in mode_index_set(n):
-            got = project_isotypic(z, k, n)
+            got = plane_projection(z, k, n)
             assert np.max(np.abs(got - fft_projection(z, k, n))) <= 1e-13
 
 
@@ -184,29 +175,34 @@ class TestIsotypicProjection:
         z = np.empty(18)
         z[0::2] = 1.3
         z[1::2] = -0.2
-        assert np.allclose(project_isotypic(z, ModeIndex(0, 0), 3), z, rtol=0.0, atol=1e-14)
+        assert np.allclose(plane_projection(z, ModeIndex(0, 0), 3), z, rtol=0.0, atol=1e-14)
         assert np.allclose(
-            project_isotypic(z, ModeIndex(1, 1), 3), 0.0, rtol=0.0, atol=1e-14
+            plane_projection(z, ModeIndex(1, 1), 3), 0.0, rtol=0.0, atol=1e-14
         )
 
     def test_component_basis_is_reproduced(self):
+        # the real and imaginary parts of the Fourier vector of k, in
+        # the x slots or the y slots, span the piece of k
         for k in mode_index_set(3):
-            for v in isotypic_component(k, 3).basis:
-                assert np.allclose(project_isotypic(v, k, 3), v, rtol=0.0, atol=1e-12)
+            e = _mode_vector(k.k1, k.k2, 3)
+            for part in (e.real, e.imag)[:k.dim]:
+                for slot in ((1.0, 0.0), (0.0, 1.0)):
+                    v = np.kron(part, slot)
+                    assert np.allclose(plane_projection(v, k, 3), v, rtol=0.0, atol=1e-12)
 
     def test_components_are_orthogonal(self, rng):
         z = rng.standard_normal(18)
         for k in mode_index_set(3):
-            pk = project_isotypic(z, k, 3)
+            pk = plane_projection(z, k, 3)
             for q in mode_index_set(3):
                 if q != k:
-                    overlap = project_isotypic(pk, q, 3)
+                    overlap = plane_projection(pk, q, 3)
                     assert np.max(np.abs(overlap)) < 1e-12
 
     def test_completeness(self, rng):
         for n in (3, 5):
             z = rng.standard_normal(2 * n * n)
-            total = sum(project_isotypic(z, k, n) for k in mode_index_set(n))
+            total = sum(plane_projection(z, k, n) for k in mode_index_set(n))
             assert np.max(np.abs(total - z)) < 1e-12
 
 
@@ -272,10 +268,10 @@ class TestIsotropyOf:
     def test_plane_plus_constant(self, rng):
         # generic point of the (2,1) plane plus a constant offset is
         # fixed exactly by the (1,1) diagonal subgroup
-        c, s = mode_basis(ModeIndex(2, 1), 3)
-        xpat = 0.3 + 0.8 * c - 0.5 * s
-        z = embed_pattern(xpat, np.zeros(9), 3)
-        sub = isotropy_of(z)
+        i, j = np.indices((3, 3))
+        angle = 2.0 * np.pi * ((2 * i + j) % 3) / 3.0
+        x = 0.3 + 0.8 * np.cos(angle) - 0.5 * np.sin(angle)
+        sub = isotropy_of(from_grids(x, np.zeros((3, 3))))
         assert sub == IsotropySubgroup.cyclic((1, 1), 3)
 
     def test_random_state_trivial(self, rng):
