@@ -117,6 +117,8 @@ def _parse_range(text: str) -> tuple:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"range must be lo:hi:count, got {text!r}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError(f"range ends must be finite, got {text!r}")
     if count < 1:
         raise DomainError("range count must be at least 1")
     return lo, hi, count

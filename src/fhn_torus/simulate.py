@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -80,8 +81,12 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     (5, dim) weight table weighs them, with zeros for the last three
     entries of a y slot.  At the lattice sizes in use a call costs
     about as much as its numpy operations' call overhead, so it makes
-    few: the cubic parts, one concatenation, one gather, one product
-    and one sum over the five rows, added in the table's order.
+    few: a one-state call copies the state into an extended-state
+    buffer the field keeps and writes the cubic parts after it, then
+    makes one gather, one product and one sum over the five rows, a
+    BLAS product with a row of ones that adds them in the table's
+    order; a stack makes one concatenation instead of the buffer.  The
+    buffer makes a field unfit for calls from two threads at once.
 
     With a subgroup K the field is the exact flow on Fix(K): one cell
     per K-orbit of cells, in the order of :func:`_cell_classes`, whose
@@ -122,17 +127,31 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     w[:, 0::2] = gam + dlt - a, -one, -gam, -dlt, one
     w[:2, 1::2] = b, -c
     a1 = a + 1.0
-    # the operands of one state and of a stack of them, by state rank
-    coef = {1: (a1, w), 2: (a1[:, None], w[:, :, None])}
+    a1_s, w_s = a1[:, None], w[:, :, None]  # the operands of a stack
+    # a one-state call's extended state: the state, then the cubic parts
+    ext = np.empty(3 * cells)
+    state, cubic, x = ext[:2 * cells], ext[2 * cells:], ext[0:2 * cells:2]
+    # a row of ones times g is a gemv (0.6 us a call, np.add.reduce 1.6
+    # to 2.7) that on OpenBLAS 0.3.31 adds the rows of g in row order,
+    # as the reduction does, for 4 or more columns; with 2 or 3 it
+    # rounds otherwise (8,091 of 20,000 random (5, 2) cases), so a
+    # one-cell lattice keeps the reduction
+    total = np.ones(5).dot if cells > 1 else partial(np.add.reduce, axis=0)
 
     def rhs(t, z):
+        if z.ndim == 1:
+            np.copyto(state, z)
+            np.multiply(x, x, out=cubic)
+            np.multiply(cubic, a1 - x, out=cubic)
+            g = ext[idx]  # a fresh array: the buffer never leaves
+            g *= w
+            return total(g)
         if z.ndim > 2:  # further stack axes, as one
             return rhs(t, z.reshape(len(z), -1)).reshape(z.shape)
-        a1, w = coef[z.ndim]
-        x = z[0::2]
-        g = np.concatenate((z, x * x * (a1 - x)))[idx]
-        g *= w
-        return np.add.reduce(g, axis=0)
+        xs = z[0::2]
+        g = np.concatenate((z, xs * xs * (a1_s - xs)))[idx]
+        g *= w_s
+        return total(g.reshape(5, -1)).reshape(z.shape)
 
     return rhs
 

@@ -417,6 +417,15 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--gamma-range", "--delta-range"])
+    @pytest.mark.parametrize("text", ["nan:1:2", "1:nan:2", "inf:1:2", "1:inf:2",
+                                      "-inf:1:2", "1:-inf:2"])
+    def test_nonfinite_range_end(self, flag, text, capsys):
+        code = parse_and_dispatch(["sweep", "--n", "3", "--c", "0.05",
+                                   f"{flag}={text}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: range ends must be finite")
+
     @pytest.mark.parametrize("flags", [
         ["--t-end", "nan"],
         ["--t-end", "inf"],

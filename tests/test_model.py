@@ -39,6 +39,29 @@ def reference_field(z, lp):
     return from_grids(dx, dy)
 
 
+def quotient_dim(K, n):
+    """State slots of the flow on Fix(K), two per K-orbit of cells."""
+    return 2 * len(_cell_classes(K or IsotropySubgroup.trivial(n), n)[0])
+
+
+def ordered_field(q, lp, K=None):
+    """The field on Fix(K), one cell per K-orbit, with each slot's five
+    weighted entries summed strictly in table order,
+    (((p0 + p1) + p2) + p3) + p4, by elementwise numpy; q has the slot
+    axis first and any stack axes after it."""
+    n = lp.n
+    reps, cls = _cell_classes(K or IsotropySubgroup.trivial(n), n)
+    i, j = reps % n, reps // n  # flat cell j*N + i is cell (i, j)
+    s1, s2 = cls[j * n + (i + 1) % n], cls[(j + 1) % n * n + i]
+    x, y = q[0::2], q[1::2]
+    cubic = x * x * (lp.a + 1.0 - x)
+    out = np.empty_like(q)
+    out[0::2] = ((((lp.gamma + lp.delta - lp.a) * x + -1.0 * y)
+                  + -lp.gamma * x[s1]) + -lp.delta * x[s2]) + 1.0 * cubic
+    out[1::2] = (((lp.b * x + -lp.c * y) + 0.0 * x[s1]) + 0.0 * x[s2]) + 0.0 * cubic
+    return out
+
+
 def fd_jacobian(fun, z, h=1e-5):
     """Central finite-difference Jacobian oracle."""
     z = np.asarray(z, dtype=float)
@@ -166,6 +189,58 @@ class TestRhsNetwork:
                     z = q[:, j].reshape(-1, 2)[cls].reshape(-1)
                     want = reference_field(z, lp).reshape(-1, 2)[reps].reshape(-1)
                     assert np.max(np.abs(got[:, j] - want)) <= 1e-15 * np.max(np.abs(want))
+
+    LP5 = LatticeParams(n=5, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
+    SUBGROUPS = [None, IsotropySubgroup.cyclic((1, 2), 5), IsotropySubgroup.full(5)]
+
+    @pytest.mark.parametrize("n, K", [(3, None), (5, None), (7, None),
+                                      (5, IsotropySubgroup.cyclic((1, 2), 5)),
+                                      (5, IsotropySubgroup.full(5))])
+    def test_one_state_is_the_ordered_sum_bit_for_bit(self, n, K, rng):
+        # full lattices, the 10-slot Fix(Z(1,2)) quotient and the one-cell
+        # Fix(Gamma) quotient, whose 2 slots take the other row sum
+        lp = LatticeParams(n=n, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
+        rhs = make_rhs(lp, K)
+        dim = quotient_dim(K, n)
+        for q in 1.5 * rng.standard_normal((20, dim)):
+            assert np.array_equal(rhs(0.0, q), ordered_field(q, lp, K))
+
+    def test_batch_is_the_ordered_sum_bit_for_bit(self, rng):
+        lps = [LatticeParams(n=5, a=a, b=b, c=0.1, gamma=g, delta=1.3)
+               for a, b, g in ((0.3, 2.0, -0.7), (-0.2, 0.5, 0.4), (1.1, 1.0, -1.5))]
+        rhs = make_rhs(lps)
+        for q in 1.5 * rng.standard_normal((20, 3, 50)):
+            want = np.concatenate([ordered_field(col, lp) for col, lp in zip(q, lps)])
+            assert np.array_equal(rhs(0.0, q.reshape(-1)), want)
+
+    @pytest.mark.parametrize("K", SUBGROUPS)
+    @pytest.mark.parametrize("P", [1, 7, 64])
+    def test_stacks_are_the_ordered_sum_bit_for_bit(self, K, P, rng):
+        # C order, and the transposed layout ``_rk.solve`` passes
+        rhs = make_rhs(self.LP5, K)
+        dim = quotient_dim(K, 5)
+        ts = np.linspace(0.0, 1.0, P)
+        for Z in (rng.standard_normal((dim, P)), rng.standard_normal((P, dim)).T):
+            assert np.array_equal(rhs(ts, Z), ordered_field(Z, self.LP5, K))
+
+    @pytest.mark.parametrize("K", SUBGROUPS)
+    def test_3d_stack_is_the_ordered_sum_bit_for_bit(self, K, rng):
+        rhs = make_rhs(self.LP5, K)
+        dim = quotient_dim(K, 5)
+        Z = rng.standard_normal((dim, 4, 3))
+        assert np.array_equal(rhs(0.0, Z), ordered_field(Z, self.LP5, K))
+
+    @pytest.mark.parametrize("K", SUBGROUPS)
+    def test_outputs_never_share_the_kept_buffer(self, K, rng):
+        rhs = make_rhs(self.LP5, K)
+        dim = quotient_dim(K, 5)
+        z1, z2 = rng.standard_normal((2, dim))
+        first = rhs(0.0, z1)
+        kept = first.copy()
+        second = rhs(0.0, z2)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, ordered_field(z2, self.LP5, K))
 
     def test_zero_state_fixed(self):
         lp = LatticeParams(n=3, a=0.5, b=1.0, c=0.2, gamma=-1.0, delta=0.5)
