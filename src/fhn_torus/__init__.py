@@ -30,7 +30,6 @@ from .model import (
     assemble_jacobian_origin,
     from_grids,
     infer_n,
-    jacobian_at,
     jacobian_blocks_origin,
     rhs_cell,
     state_dim,
@@ -98,7 +97,6 @@ __all__ = [
     "assemble_jacobian_origin",
     "from_grids",
     "infer_n",
-    "jacobian_at",
     "jacobian_blocks_origin",
     "rhs_cell",
     "state_dim",

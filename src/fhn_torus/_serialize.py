@@ -2,6 +2,13 @@
 
 Floats are written with 17 significant digits, enough to round-trip
 IEEE doubles exactly, so identical inputs give byte-identical files.
+JSON is rendered straight from the result objects in one pass:
+dataclasses become objects whose first key ``"type"`` names the class,
+complex values ``{"re": .., "im": ..}``, Fractions ``"p/q"`` strings,
+numpy scalars and arrays the python numbers and lists they hold, tuple
+dict keys their entries joined by commas, and non-finite floats the
+strings ``"inf"``, ``"-inf"`` and ``"nan"``.  Any other type raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,53 +27,7 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def to_jsonable(obj):
-    """Recursively convert results to plain JSON types.
-
-    complex -> {"re": .., "im": ..}; dataclasses -> dicts with a "type"
-    tag; Fractions -> "p/q" strings; numpy scalars and arrays -> python
-    numbers and lists; non-finite floats -> strings; dict keys -> strings.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        if _finite(obj):
-            return obj
-        return repr(obj)
-    if isinstance(obj, complex):
-        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.complexfloating):
-        return to_jsonable(complex(obj))
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {"type": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            out[f.name] = to_jsonable(getattr(obj, f.name))
-        return out
-    if isinstance(obj, dict):
-        return {_key(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in seq]
-    if callable(obj):
-        return f"<callable {getattr(obj, '__name__', 'anonymous')}>"
-    return str(obj)
-
-
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
-
-
-def _key(k):
+def _key(k) -> str:
     if isinstance(k, str):
         return k
     if isinstance(k, tuple):
@@ -73,38 +35,56 @@ def _key(k):
     return str(k)
 
 
-def _render(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _object(items, pad: str) -> str:
+    """A JSON object of (key, value) pairs, its members indented past pad."""
+    inner = pad + "  "
+    members = [f"{inner}{json.dumps(_key(k))}: {_render(v, inner)}" for k, v in items]
+    if not members:
+        return "{}"
+    return "{\n" + ",\n".join(members) + "\n" + pad + "}"
+
+
+def _render(obj, pad: str = "") -> str:
+    """The JSON text of obj, its nested lines indented past pad.
+
+    Floats come first: they are most of every large report.
+    """
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return _fmt17(obj)
+        return f'"{float(obj)!r}"'  # numpy 2's repr is "np.float64(inf)"
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt17(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, complex):
+        return _object((("re", obj.real), ("im", obj.imag)), pad)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _object(obj.items(), pad)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {_render(v, indent + 1)}" for v in obj]
+        inner = pad + "  "
+        items = [inner + _render(v, inner) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+        return _object([("type", type(obj).__name__)] + fields, pad)
+    if isinstance(obj, Fraction):
+        return f'"{obj.numerator}/{obj.denominator}"'
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _render(obj.tolist(), pad)
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
 def dumps_json(obj) -> str:
-    return _render(to_jsonable(obj)) + "\n"
+    return _render(obj) + "\n"
 
 
 # Rows of a float block formatted per write, so that only this many
@@ -149,7 +129,4 @@ def _cell(v):
         return _fmt17(float(v))
     if isinstance(v, (int, np.integer)):
         return int(v)
-    if isinstance(v, (complex, np.complexfloating)):
-        c = complex(v)
-        return f"{_fmt17(c.real)}{'+' if c.imag >= 0 else '-'}{_fmt17(abs(c.imag))}j"
     return v

@@ -44,6 +44,7 @@ from .errors import DomainError
 from .model import LatticeParams, infer_n
 from .simulate import (
     Trajectory,
+    _require_tol,
     classify_spatiotemporal,
     detect_periodic_orbit,
     integrate,
@@ -330,6 +331,8 @@ def _traj_header(n: int) -> tuple:
 
 
 def _cmd_simulate(args):
+    if args.classify:
+        _require_tol(args.tol)
     lp = args.params
     z0 = _initial_state(args)
     traj = integrate(z0, lp, args.t_end, rtol=args.rtol, atol=args.atol)
@@ -352,6 +355,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_classify(args):
+    _require_tol(args.tol)
     with warnings.catch_warnings():  # an empty file is refused just below
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)

@@ -42,7 +42,6 @@ __all__ = [
     "rhs_cell",
     "jacobian_blocks_origin",
     "assemble_jacobian_origin",
-    "jacobian_at",
 ]
 
 
@@ -221,20 +220,3 @@ def _make_jacobian_apply(lp: LatticeParams):
         return jx + D[0, 1] * y, D[1, 0] * x + D[1, 1] * y
 
     return apply
-
-
-def jacobian_at(z: np.ndarray, lp: LatticeParams) -> np.ndarray:
-    """Exact Jacobian of ``simulate.make_rhs`` at an arbitrary state.
-
-    Only the cubic term varies with the state, so this is the origin
-    Jacobian with cellwise corrections on the x-diagonal.
-    """
-    n = lp.n
-    z = _check_state(z, n)
-    M = assemble_jacobian_origin(lp)
-    x = z[0::2]
-    # d/dx of the cubic relative to its value at 0.
-    M[np.arange(0, 2 * n * n, 2), np.arange(0, 2 * n * n, 2)] += (
-        -3.0 * x * x + 2.0 * (lp.a + 1.0) * x
-    )
-    return M

@@ -313,6 +313,12 @@ def _peak_shift(cross: np.ndarray, omega: np.ndarray, tau: float) -> float:
     return tau
 
 
+def _require_tol(tol: float) -> None:
+    """Refuse a classification tolerance that is not positive and finite."""
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+
+
 def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
                             tol: float = 1e-2) -> OrbitSymmetry:
     """Identify which lattice shifts preserve a periodic orbit.
@@ -331,8 +337,7 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     quantized shift is zero, exact since every subgroup is generated by
     the canonical generators it contains.
     """
-    if not (tol > 0.0 and np.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    _require_tol(tol)
     n = lp.n
     P = orbit.period
     m = n * 64

@@ -16,6 +16,20 @@ def dense_spectrum(lp: LatticeParams) -> np.ndarray:
     return np.linalg.eigvals(assemble_jacobian_origin(lp))
 
 
+def jacobian_at(z, lp: LatticeParams) -> np.ndarray:
+    """Dense Jacobian of the lattice field at a state z.
+
+    Only the cubic term varies with the state, so this is the origin
+    Jacobian with cellwise corrections on the x-diagonal.
+    """
+    M = assemble_jacobian_origin(lp)
+    x = np.asarray(z, dtype=float)[0::2]
+    diag = np.arange(0, 2 * lp.n * lp.n, 2)
+    # d/dx of the cubic relative to its value at 0.
+    M[diag, diag] += -3.0 * x * x + 2.0 * (lp.a + 1.0) * x
+    return M
+
+
 def match_distance(computed, reference) -> float:
     """Largest pairing error under greedy nearest-neighbour matching.
 

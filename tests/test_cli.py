@@ -466,6 +466,19 @@ class TestExitCodes:
         assert code == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_classify_tolerance_refused_without_an_orbit(self, command, tol,
+                                                         tmp_path, capsys):
+        # a run this short finds no orbit, so nothing else reads tol
+        code, path = run_cli(["simulate", "--t-end", "3"], tmp_path,
+                             name="short.csv", fmt="csv")
+        assert code == 0
+        args = (["simulate", "--t-end", "3", "--classify"] if command == "simulate"
+                else ["classify", "--input", str(path)])
+        assert parse_and_dispatch(args + [f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err.startswith("error: tol must be positive and finite")
+
 
 class TestSelftest:
     def test_quick_battery_passes(self, capsys):

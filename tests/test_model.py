@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import jacobian_at
 from fhn_torus import (
     CellParams,
     DimensionMismatchError,
@@ -12,7 +13,6 @@ from fhn_torus import (
     assemble_jacobian_origin,
     from_grids,
     infer_n,
-    jacobian_at,
     jacobian_blocks_origin,
     rhs_cell,
     state_dim,
