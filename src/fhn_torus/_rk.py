@@ -178,12 +178,10 @@ _FIRST_CAPACITY = 256
 _DENSE_BLOCK = 64
 
 def _rms(v):
-    """Root mean square along the last axis; the largest over batch rows.
-
-    The arithmetic of ``np.sqrt(np.mean(v * v, axis=-1))``, bit for
-    bit, without the Python layers of ``np.mean``."""
-    r = np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])
-    return float(r if r.ndim == 0 else r.max())
+    """Root mean square of a 1-D array: the arithmetic of
+    ``np.sqrt(np.mean(v * v))``, bit for bit, without the Python layers
+    of ``np.mean``."""
+    return float(np.sqrt(np.add.reduce(v * v) / len(v)))
 
 
 def _error(h, e):
@@ -414,7 +412,7 @@ def dense_eval(ts, ys, fs, ks, tq):
     tq.  At a node it is the node state up to rounding.
     """
     t = np.atleast_1d(np.asarray(tq, dtype=float))
-    if np.any(t < ts[0] - 1e-12) or np.any(t > ts[-1] + 1e-12):
+    if not np.all((t >= ts[0] - 1e-12) & (t <= ts[-1] + 1e-12)):  # NaN fails
         raise DomainError("query time outside the integrated range")
     t = np.clip(t, ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)

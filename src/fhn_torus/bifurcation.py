@@ -25,8 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rk import dense_eval
-from .errors import BracketError, DegenerateCouplingWarning, DomainError
+from .errors import BracketError, DegenerateCouplingWarning, DomainError, StiffnessError
 from .model import CellParams, LatticeParams
+from .simulate import _quotient_solve
 from .spectral import (
     EigenRecord,
     analytic_eigenvalues,
@@ -528,9 +529,6 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     the probe stays inside Fix(K), so it cannot see transversal
     instability, and a coexisting attractor can shadow the branch.
     """
-    from .simulate import _quotient_solve
-    from .errors import StiffnessError
-
     st = settings or ProbeSettings()
     _checked_pattern(lp)
     K = _crossing_K(report.mode, lp.n)

@@ -39,6 +39,7 @@ from .bifurcation import (
     hopf_crossing,
     hopf_report_at_critical,
     locate_stability_loss,
+    origin_stability,
 )
 from .errors import DomainError
 from .model import LatticeParams, infer_n
@@ -126,8 +127,6 @@ def _parse_range(text: str) -> tuple:
 
 
 def _range_values(lo: float, hi: float, count: int) -> tuple:
-    if count == 1:
-        return (lo,)
     return tuple(np.linspace(lo, hi, count).tolist())
 
 
@@ -310,8 +309,6 @@ def _initial_state(args) -> np.ndarray:
         rng = np.random.default_rng(args.seed)
         return args.amplitude * rng.standard_normal(dim)
     # "mode": excite the eigenvector of largest real part
-    from .bifurcation import origin_stability
-
     lead = origin_stability(lp).leading[0]
     vec = np.real(analytic_eigenvector(lead.r, lead.s, lead.branch, lp))
     scale = np.max(np.abs(vec))

@@ -17,10 +17,13 @@ component immediately after.
 
 :func:`_cell_shift` and :func:`_mode_vector` are the only code that
 knows this numbering, for single states and Fourier modes as for stacks
-and blocks of them: the vector field, the group action and the
-matrix-free Jacobian are built from the first, the analytic eigenvectors
-and mode coordinates from the second.  ``to_grids``/``from_grids``,
-``rhs_cell`` and the dense ``assemble_jacobian_origin`` stay independent
+and blocks of them: the vector field, the group action, the cell classes
+of a subgroup and the spectrum residuals read the first, the analytic
+eigenvectors and the residuals' blocks of modes the second.
+:func:`_linear_weights` is the only statement of a cell's linear part,
+which the vector field and the spectrum residuals both apply.
+``to_grids``/``from_grids``, ``rhs_cell`` and the dense
+``jacobian_blocks_origin``/``assemble_jacobian_origin`` stay independent
 of them as references.
 """
 
@@ -90,8 +93,10 @@ def state_dim(n: int) -> int:
     return 2 * n * n
 
 
-def _check_state(z: np.ndarray, n: int) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
+def _check_state(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
+    """z as an array of dtype (None keeps its own), refused with
+    DimensionMismatchError unless it is one state of the N x N lattice."""
+    z = np.asarray(z, dtype=dtype)
     if z.shape != (state_dim(n),):
         raise DimensionMismatchError(
             f"state must have shape ({state_dim(n)},) for n={n}, got {z.shape}"
@@ -107,6 +112,14 @@ def infer_n(z: np.ndarray) -> int:
         raise DimensionMismatchError(f"state length {m} is not of the form 2*N^2")
     _require_odd_prime(n)
     return n
+
+
+def _linear_weights(lp: LatticeParams) -> tuple:
+    """The six weights of a cell's linear part, in the arithmetic of the
+    lattice field: x' = w0 x + w1 y + w2 x_(1,0) + w3 x_(0,1) plus the
+    cubic part, y' = w4 x + w5 y, with x_(1,0) and x_(0,1) the x of the
+    cell's two coupling successors."""
+    return (lp.gamma + lp.delta - lp.a, -1.0, -lp.gamma, -lp.delta, lp.b, -lp.c)
 
 
 def _cell_shift(g, n: int) -> np.ndarray:
@@ -202,21 +215,3 @@ def assemble_jacobian_origin(lp: LatticeParams) -> np.ndarray:
     S = _shift_matrix(n)
     inner = np.kron(eye, D) + np.kron(S, E)
     return np.kron(eye, inner) + np.kron(S, np.kron(eye, F))
-
-
-def _make_jacobian_apply(lp: LatticeParams):
-    """``(x, y) -> (x', y')``, ``assemble_jacobian_origin(lp)`` applied
-    cell by cell in O(N^2): x and y are the cells' x and y parts, last
-    axis in flat cell order, leading stack axes broadcasting, possibly
-    complex.  From the entries of D, E and F (E and F couple x to x),
-    x' = d*x - y - gamma*x[succ_i] - delta*x[succ_j] and y' = b*x - c*y;
-    the gathers read x alone, so y's that share one x gather it once.
-    """
-    D, E, F = jacobian_blocks_origin(lp)
-    succ_i, succ_j = _cell_shift((1, 0), lp.n), _cell_shift((0, 1), lp.n)
-
-    def apply(x, y):
-        jx = D[0, 0] * x + E[0, 0] * x[..., succ_i] + F[0, 0] * x[..., succ_j]
-        return jx + D[0, 1] * y, D[1, 0] * x + D[1, 1] * y
-
-    return apply

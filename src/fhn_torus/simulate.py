@@ -12,7 +12,8 @@ import numpy as np
 from . import _rk
 from .errors import (ClassificationError, DimensionMismatchError, DomainError,
                      InvarianceError)
-from .model import LatticeParams, _cell_shift, state_dim
+from .model import (LatticeParams, _cell_shift, _check_state, _linear_weights,
+                    state_dim)
 from .symmetry import (
     IsotropySubgroup,
     _cell_classes,
@@ -76,7 +77,8 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
              + x^2 (a + 1 - x)
         y' = b x - c y
 
-    A (5, dim) index table picks the cell's x and y, the x of its two
+    whose linear weights are those of ``model._linear_weights``.  A
+    (5, dim) index table picks the cell's x and y, the x of its two
     successors and its cubic part for both slots of the cell, and a
     (5, dim) weight table weighs them, with zeros for the last three
     entries of a y slot.  At the lattice sizes in use a call costs
@@ -98,12 +100,12 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     (dim, B) batch ``Z`` goes in as ``Z.T.ravel()``, as ``_rk.solve``
     passes it.  Each entry sees the arithmetic of a one-state call.
 
-    The field also takes states stacked along further axes with the
-    state slot first, shape (dim, ...), and returns the derivative of
-    each in the same layout: a stack of row states ``Z`` goes in as
-    ``Z.T``.  The slot axis comes first because indexing it adds
-    nothing to a one-state call, where ``z[..., idx]`` adds about a
-    quarter.  A stack of P states gathers a (5, dim, P) array.
+    The field also takes a stack of P states with the state slot first,
+    shape (dim, P), and returns the derivative of each in the same
+    layout: a stack of row states ``Z`` goes in as ``Z.T``.  The slot
+    axis comes first because indexing it adds nothing to a one-state
+    call, where ``z[..., idx]`` adds about a quarter.  A stack of P
+    states gathers a (5, dim, P) array.
     """
     lps = [lp] if isinstance(lp, LatticeParams) else list(lp)
     n = lps[0].n
@@ -120,13 +122,12 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     cell = np.arange(cells)
     idx = np.repeat([2 * cell, 2 * cell + 1, 2 * succ[0], 2 * succ[1],
                      2 * cells + cell], 2, axis=1)
-    a, b, c, gam, dlt = (np.repeat([getattr(p, name) for p in lps], m)
-                         for name in ("a", "b", "c", "gamma", "delta"))
-    one = np.ones(cells)
+    lin = np.repeat([_linear_weights(p) for p in lps], m, axis=0).T
     w = np.zeros((5, 2 * cells))
-    w[:, 0::2] = gam + dlt - a, -one, -gam, -dlt, one
-    w[:2, 1::2] = b, -c
-    a1 = a + 1.0
+    w[:4, 0::2] = lin[:4]
+    w[4, 0::2] = 1.0
+    w[:2, 1::2] = lin[4:]
+    a1 = np.repeat([p.a for p in lps], m) + 1.0
     a1_s, w_s = a1[:, None], w[:, :, None]  # the operands of a stack
     # a one-state call's extended state: the state, then the cubic parts
     ext = np.empty(3 * cells)
@@ -146,8 +147,6 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
             g = ext[idx]  # a fresh array: the buffer never leaves
             g *= w
             return total(g)
-        if z.ndim > 2:  # further stack axes, as one
-            return rhs(t, z.reshape(len(z), -1)).reshape(z.shape)
         xs = z[0::2]
         g = np.concatenate((z, xs * xs * (a1_s - xs)))[idx]
         g *= w_s
@@ -173,11 +172,7 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
     -------
     Trajectory
     """
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (state_dim(lp.n),):
-        raise DimensionMismatchError(
-            f"initial state must have shape ({state_dim(lp.n)},)"
-        )
+    z0 = _check_state(z0, lp.n)
     return Trajectory(*_rk.solve(make_rhs(lp), 0.0, z0, t_end, rtol=rtol, atol=atol))
 
 
@@ -335,10 +330,12 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     amplitude.  H is the subgroup the matching generators generate; K
     (Golubitsky-Stewart H/K) the one generated by those inside H whose
     quantized shift is zero, exact since every subgroup is generated by
-    the canonical generators it contains.
+    the canonical generators it contains.  An orbit whose state is not
+    one of the lattice of ``lp`` raises DimensionMismatchError.
     """
     _require_tol(tol)
     n = lp.n
+    _check_state(orbit.anchor_state, n)
     P = orbit.period
     m = n * 64
     Z = orbit.trajectory.sample(orbit.anchor_time + P * np.arange(m) / m)

@@ -16,6 +16,8 @@ are the only evaluations of A and of the roots, and per-mode functions
 read grid entries.  ``_roots`` holds the principal-root convention: a
 negative real radicand maps to the positive imaginary axis.
 Conjugation pairs the + branch of (r, s) with the + branch of (-r, -s).
+The residuals of :func:`spectrum_report` check each closed-form pair
+against the lattice field's own linear weights, not against the symbol.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import LatticeParams, _make_jacobian_apply, _mode_vector
+from .model import LatticeParams, _cell_shift, _linear_weights, _mode_vector
 
 __all__ = [
     "EigenRecord",
@@ -135,10 +137,11 @@ def spectrum_report(lp: LatticeParams):
 
     Records are ordered by (r, s) lexicographically, '+' before '-'.
     ``residual`` is max|J xi - lambda xi| / max|xi| for the analytic
-    eigenvector xi, with J applied cell by cell from its 2x2 blocks.
-    J takes the 2N modes of one r as one block, its x parts one grid of
-    unnormalised phases (the residual is scale invariant) that both
-    branches share, its y parts (A - lambda) times that grid.
+    eigenvector xi, with J the lattice field's own linear weights
+    (``model._linear_weights``) applied cell by cell.  J takes the 2N
+    modes of one r as one block, its x parts one grid of unnormalised
+    phases (the residual is scale invariant) that both branches share,
+    its y parts (A - lambda) times that grid.
     ``coincident`` lists, in record order, the other (r, s, branch)
     triples whose eigenvalue agrees to 1e-12; nonempty entries indicate
     degeneracy across distinct frequencies.
@@ -146,13 +149,15 @@ def spectrum_report(lp: LatticeParams):
     n = lp.n
     A = symbol_grid(lp)
     lam = np.stack(_roots(A, lp.b, lp.c), axis=-1)
-    jac = _make_jacobian_apply(lp)
+    w = _linear_weights(lp)
+    succ_i, succ_j = _cell_shift((1, 0), n), _cell_shift((0, 1), n)
     res = np.empty((n, n, 2))
     for r in range(n):
         x = _mode_vector(r, np.arange(n).reshape(n, 1, 1), n)
         lam_r = lam[r, :, :, None]
         y = (A[r, :, None, None] - lam_r) * x
-        jx, jy = jac(x, y)
+        jx = (w[0] * x + w[2] * x[..., succ_i] + w[3] * x[..., succ_j]) + w[1] * y
+        jy = w[4] * x + w[5] * y
         res[r] = np.maximum(np.abs(jx - lam_r * x).max(-1), np.abs(jy - lam_r * y).max(-1))
         res[r] /= np.maximum(np.abs(x).max(-1), np.abs(y).max(-1))
     lam = lam.reshape(-1)

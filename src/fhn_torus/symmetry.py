@@ -56,12 +56,12 @@ def act(g, z: np.ndarray, n: int | None = None) -> np.ndarray:
 
     The returned state holds at cell (i, j) the old value of cell
     (i + r, j + s); x and y slots move together.  The dtype of z is
-    preserved, so complex eigenvectors can be shifted as well.
+    preserved, so complex eigenvectors can be shifted as well.  A z that
+    is not one state of the N x N lattice raises DimensionMismatchError.
     """
-    z = np.asarray(z)
     if n is None:
         n = infer_n(z)
-    return z[state_permutation(g, n)]
+    return _check_state(z, n, dtype=None)[state_permutation(g, n)]
 
 
 @dataclass(frozen=True, order=True)
@@ -82,42 +82,29 @@ class ModeIndex:
         return self.k1 * g[0] + self.k2 * g[1]
 
 
-def mode_index_set(n: int) -> list[ModeIndex]:
-    """Canonical mode labels, one per invariant plane.
-
-    Families, in order: (0,0); (0,k) and (k,0) and (k,k) for
-    1 <= k <= (N-1)/2; (k1,k2) with 1 <= k2 < k1 <= N-1.  Dimensions
-    add up to N^2.
-    """
+def _canonical_labels(n: int) -> list:
+    """The canonical label (k1, k2) of every invariant plane, in order:
+    (0,0); (0,k) and (k,0) and (k,k) for 1 <= k <= (N-1)/2; (k1,k2)
+    with 1 <= k2 < k1 <= N-1.  Of k and -k mod N exactly one is listed."""
     _require_odd_prime(n)
-    half = (n - 1) // 2
-    out = [ModeIndex(0, 0)]
-    out += [ModeIndex(0, k) for k in range(1, half + 1)]
-    out += [ModeIndex(k, 0) for k in range(1, half + 1)]
-    out += [ModeIndex(k, k) for k in range(1, half + 1)]
-    out += [
-        ModeIndex(k1, k2) for k1 in range(2, n) for k2 in range(1, k1)
-    ]
-    return out
+    half = range(1, (n - 1) // 2 + 1)
+    return ([(0, 0)] + [(0, k) for k in half] + [(k, 0) for k in half]
+            + [(k, k) for k in half]
+            + [(k1, k2) for k1 in range(2, n) for k2 in range(1, k1)])
+
+
+def mode_index_set(n: int) -> list[ModeIndex]:
+    """Canonical mode labels, one per invariant plane, in the order of
+    ``_canonical_labels``.  Dimensions add up to N^2."""
+    return [ModeIndex(*k) for k in _canonical_labels(n)]
 
 
 def canonical_mode(r: int, s: int, n: int) -> ModeIndex:
-    """Canonical representative of the plane containing frequency (r, s)."""
-    _require_odd_prime(n)
-    r, s = r % n, s % n
-    for cand in ((r, s), ((n - r) % n, (n - s) % n)):
-        k1, k2 = cand
-        if k1 == 0 and k2 == 0:
-            return ModeIndex(0, 0)
-        if k1 == 0 and 1 <= k2 <= (n - 1) // 2:
-            return ModeIndex(k1, k2)
-        if k2 == 0 and 1 <= k1 <= (n - 1) // 2:
-            return ModeIndex(k1, k2)
-        if k1 == k2 and 1 <= k1 <= (n - 1) // 2:
-            return ModeIndex(k1, k2)
-        if 1 <= k2 < k1 <= n - 1:
-            return ModeIndex(k1, k2)
-    raise ClassificationError(f"no canonical representative for ({r}, {s}) mod {n}")
+    """Canonical representative of the plane containing frequency (r, s):
+    whichever of (r, s) and (-r, -s) mod N ``_canonical_labels`` lists."""
+    labels = _canonical_labels(n)
+    k = (r % n, s % n)
+    return ModeIndex(*(k if k in labels else ((n - k[0]) % n, (n - k[1]) % n)))
 
 
 def fix_modes(g, n: int) -> list[ModeIndex]:
@@ -128,8 +115,14 @@ def fix_modes(g, n: int) -> list[ModeIndex]:
 
 @dataclass(frozen=True)
 class IsotropySubgroup:
-    """Subgroup descriptor: the full group, a cyclic order-N subgroup
-    with a canonical generator, or the trivial group."""
+    """Subgroup descriptor: the full group, a cyclic order-N subgroup,
+    or the trivial group.
+
+    Canonical on construction: a cyclic subgroup stores the smallest
+    nonzero multiple of its generator mod N, so every generator of one
+    subgroup gives one equal descriptor and label; a generator that is
+    0 mod N, and any generator of the full or the trivial group, raise
+    ClassificationError."""
 
     kind: str  # "full" | "cyclic" | "trivial"
     n: int
@@ -139,9 +132,17 @@ class IsotropySubgroup:
         _require_odd_prime(self.n)
         if self.kind not in ("full", "cyclic", "trivial"):
             raise ClassificationError(f"unknown subgroup kind {self.kind!r}")
-        if self.kind == "cyclic":
-            if self.generator is None or tuple(self.generator) == (0, 0):
-                raise ClassificationError("cyclic subgroup needs a nonzero generator")
+        if self.kind != "cyclic":
+            if self.generator is not None:
+                raise ClassificationError(f"the {self.kind} group takes no generator")
+            return
+        n = self.n
+        g = (0, 0) if self.generator is None else self.generator
+        r, s = int(g[0]) % n, int(g[1]) % n
+        if (r, s) == (0, 0):
+            raise ClassificationError("cyclic subgroup needs a nonzero generator")
+        gen = min(((m * r) % n, (m * s) % n) for m in range(1, n))
+        object.__setattr__(self, "generator", gen)
 
     @staticmethod
     def full(n: int) -> "IsotropySubgroup":
@@ -153,11 +154,7 @@ class IsotropySubgroup:
 
     @staticmethod
     def cyclic(g, n: int) -> "IsotropySubgroup":
-        r, s = int(g[0]) % n, int(g[1]) % n
-        if (r, s) == (0, 0):
-            raise ClassificationError("cyclic subgroup needs a nonzero generator")
-        gen = min(((m * r) % n, (m * s) % n) for m in range(1, n))
-        return IsotropySubgroup("cyclic", n, gen)
+        return IsotropySubgroup("cyclic", n, g)
 
     def elements(self) -> list:
         if self.kind == "full":

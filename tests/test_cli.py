@@ -16,6 +16,7 @@ import pytest
 
 from fhn_torus import LatticeParams, _rk, bifurcation, cli
 from fhn_torus.cli import parse_and_dispatch
+from fhn_torus.selftest import run_selftest
 
 
 def run_cli(args, tmp_path, name="out.json", fmt=None):
@@ -487,6 +488,11 @@ class TestSelftest:
         assert code == 0
         assert "checks passed" in out
         assert "[FAIL]" not in out
+
+    def test_full_battery_passes(self):
+        results = run_selftest()
+        assert len(results) == 10
+        assert all(ok for _, ok, _ in results), results
 
     def test_report_goes_to_file_when_asked(self, tmp_path):
         code, path = run_cli(["selftest", "--quick"], tmp_path, name="st.json")

@@ -159,6 +159,14 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             traj.sample(1.5)
 
+    def test_sample_rejects_nan_times(self, rng):
+        traj = integrate(0.1 * rng.standard_normal(18), SYNC, 1.0)
+        for tq in (np.nan, np.array([0.2, np.nan, 0.7])):
+            with pytest.raises(DomainError):
+                traj.sample(tq)
+            with pytest.raises(DomainError):
+                _rk.dense_eval(traj.times, traj.states, traj.derivs, traj.dense, tq)
+
     def test_sample_reproduces_nodes(self, rng):
         traj = integrate(0.1 * rng.standard_normal(18), SYNC, 10.0)
         mid = traj.times[len(traj.times) // 2]
@@ -199,10 +207,10 @@ class TestBatchedSolve:
             # about 5e-10 apart at |z| ~ 2.5
             assert np.max(np.abs(yb[-1, :, j] - ys[-1])) < 1e-8
 
-    @pytest.mark.parametrize("shape", [(50,), (1001,), (4, 50), (3, 1001)])
+    @pytest.mark.parametrize("shape", [(50,), (1001,)])
     def test_rms_is_the_mean_formula_bit_for_bit(self, shape, rng):
         v = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
-        assert _rk._rms(v) == float(np.sqrt(np.mean(v * v, axis=-1)).max())
+        assert _rk._rms(v) == float(np.sqrt(np.mean(v * v)))
 
     def test_one_column_blowing_up_stops_the_batch(self):
         # y' = y^2 blows up at t = 1/y0: at t = 1 in the second column,
@@ -299,6 +307,12 @@ class TestDetectPeriodicOrbit:
 
 
 class TestClassifySpatiotemporal:
+    @pytest.mark.parametrize("n_orbit, n_lattice", [(3, 5), (5, 3)])
+    def test_rejects_an_orbit_of_another_lattice_size(self, n_orbit, n_lattice):
+        orbit = wave_orbit(n_orbit, [((1, 2), 1, 1.0)])
+        with pytest.raises(DimensionMismatchError):
+            classify_spatiotemporal(orbit, wave_lattice(n_lattice))
+
     def test_synchronized_orbit_fully_symmetric(self, sync_orbit):
         sym = classify_spatiotemporal(sync_orbit, SYNC)
         assert sym.spatial.kind == "full"

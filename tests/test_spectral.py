@@ -192,16 +192,17 @@ class TestSpectrumReport:
 
     @pytest.mark.parametrize("n", [5, 23])
     def test_one_jacobian_apply_per_block_of_one_r(self, n, monkeypatch):
-        # one call per first frequency r, on the x grid the branches share,
-        # not one per mode
+        # the operator is applied to one (n, 1, N^2) grid of phases per
+        # first frequency r, the x grid the branches share, not per mode
         calls = []
-        real_make = spectral._make_jacobian_apply
+        real_mode_vector = spectral._mode_vector
 
-        def counted_make(lp):
-            apply = real_make(lp)
-            return lambda x, y: calls.append(x.shape) or apply(x, y)
+        def counted(*args):
+            out = real_mode_vector(*args)
+            calls.append(out.shape)
+            return out
 
-        monkeypatch.setattr(spectral, "_make_jacobian_apply", counted_make)
+        monkeypatch.setattr(spectral, "_mode_vector", counted)
         spectrum_report(random_lattice(np.random.default_rng(n), n=n))
         assert calls == [(n, 1, n * n)] * n
 

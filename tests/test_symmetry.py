@@ -8,6 +8,7 @@ import pytest
 from conftest import fft_projection
 from fhn_torus import (
     ClassificationError,
+    DimensionMismatchError,
     IsotropySubgroup,
     ModeIndex,
     act,
@@ -72,6 +73,11 @@ class TestAction:
         assert out.dtype == z.dtype
         assert np.array_equal(np.sort_complex(out), np.sort_complex(z))
 
+    @pytest.mark.parametrize("size", [50, 8])
+    def test_rejects_a_state_of_another_size(self, size):
+        with pytest.raises(DimensionMismatchError):
+            act((1, 0), np.arange(float(size)), 3)
+
     def test_permutation_is_involution_free_bookkeeping(self, rng):
         # acting twice by g equals indexing twice by the permutation
         z = rng.standard_normal(18)
@@ -109,6 +115,23 @@ class TestModeIndexSet:
         assert canonical_mode(0, 2, 3) == ModeIndex(0, 1)
         assert canonical_mode(1, 2, 3) == ModeIndex(2, 1)
         assert canonical_mode(4, 0, 5) == ModeIndex(1, 0)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 23])
+    def test_canonical_mode_matches_the_family_conditions(self, n):
+        # the five conditions the families of mode_index_set stand for,
+        # tried on (r, s), then on (-r, -s)
+        def by_conditions(r, s):
+            for k1, k2 in ((r % n, s % n), (-r % n, -s % n)):
+                if (k1 == k2 == 0 or (k1 == 0 and 1 <= k2 <= (n - 1) // 2)
+                        or (k2 == 0 and 1 <= k1 <= (n - 1) // 2)
+                        or (k1 == k2 and 1 <= k1 <= (n - 1) // 2)
+                        or 1 <= k2 < k1 <= n - 1):
+                    return ModeIndex(k1, k2)
+            raise AssertionError((r, s))
+
+        for r in range(-n, n):
+            for s in range(-n, n):
+                assert canonical_mode(r, s, n) == by_conditions(r, s)
 
 
 def plane_projection(z, k, n):
@@ -238,6 +261,30 @@ class TestIsotropySubgroup:
     def test_rejects_zero_generator(self):
         with pytest.raises(ClassificationError):
             IsotropySubgroup.cyclic((0, 0), 3)
+        for g in [(3, 0), (0, -3), (6, 9), None]:
+            with pytest.raises(ClassificationError):
+                IsotropySubgroup("cyclic", 3, g)
+
+    @pytest.mark.parametrize("kind", ["full", "trivial"])
+    def test_full_and_trivial_take_no_generator(self, kind):
+        with pytest.raises(ClassificationError):
+            IsotropySubgroup(kind, 3, (1, 0))
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_constructor_stores_the_canonical_generator(self, n):
+        # every generator of one subgroup, reduced or not, gives one
+        # descriptor, label and hash
+        for r in range(-n, 2 * n):
+            for s in range(-n, 2 * n):
+                if r % n == s % n == 0:
+                    continue
+                sub = IsotropySubgroup("cyclic", n, (r, s))
+                assert sub == IsotropySubgroup.cyclic((r, s), n)
+                assert sub.generator == min(((m * r) % n, (m * s) % n) for m in range(1, n))
+                assert hash(sub) == hash(IsotropySubgroup.cyclic(sub.generator, n))
+        assert IsotropySubgroup("cyclic", 5, (2, 4)).label() == "Z(1,2)"
+        assert IsotropySubgroup("cyclic", 3, (4, 0)).contains((1, 0))
+        assert not IsotropySubgroup("cyclic", 3, (4, 0)).contains((0, 1))
 
     def test_fix_projection_idempotent_and_invariant(self, rng):
         sub = IsotropySubgroup.cyclic((1, 1), 3)
