@@ -209,6 +209,8 @@ def _initial_step(f, t0, y0, f0, rtol, atol, span):
     d1 = [_rms(row) for row in np.atleast_2d(f0 / sc)]
     h0 = min(1e-6 if e0 < 1e-5 or e1 < 1e-5 else 0.01 * e0 / e1
              for e0, e1 in zip(d0, d1))
+    if not h0 > 0.0:  # a derivative that overflows: solve reports the underflow
+        return h0
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1.reshape(-1)).reshape(y1.shape)
     d2 = [_rms(row) / h0 for row in np.atleast_2d((f1 - f0) / sc)]
@@ -273,8 +275,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     Raises DomainError for a state that is not one- or two-dimensional
     or not finite, t_end that is not finite, rtol < 0, atol <= 0,
     t_end <= t0 or a span shorter than the smallest step,
-    1e-14 * max(1, |t0|); StiffnessError if the step size underflows or
-    after _MAX_STEPS step attempts.
+    1e-14 * max(1, |t0|); StiffnessError if the step size underflows (as
+    it does at once for a start whose derivative overflows) or after
+    _MAX_STEPS step attempts.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.size == 0:
@@ -320,8 +323,11 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     errs = k[..., 1:13, :]
     sc = np.empty_like(y)  # the error scale, and its view for both estimates
     sc_e = sc[..., None, :]
-    stage[0][...] = f(t, y.reshape(-1)).reshape(y.shape)
-    h = _initial_step(f, t, y, stage[0], rtol, atol, span)
+    # a start whose derivative overflows gives a zero or NaN first step,
+    # which the underflow test below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        stage[0][...] = f(t, y.reshape(-1)).reshape(y.shape)
+        h = _initial_step(f, t, y, stage[0], rtol, atol, span)
     # result buffers, in the row layout of y
     ts = np.empty(_FIRST_CAPACITY)
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
@@ -338,7 +344,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     p = 0  # steps waiting
     while t < t_end:
         h = min(h, t_end - t)
-        if h < _MIN_STEP * max(1.0, abs(t)):
+        if not h >= _MIN_STEP * max(1.0, abs(t)):  # NaN fails
             raise StiffnessError(f"step size underflow at t={t!r}", t=t)
         np.multiply(_A_STEP, h, out=h_a)
         for i in range(1, 12):

@@ -12,12 +12,12 @@ carries two eigenvalues
     lambda_{(r,s),+-} = ((A - c) +- sqrt((A + c)^2 - 4b)) / 2
 
 with the principal square root.  :func:`symbol_grid` and :func:`_roots`
-are the only evaluations of A and of the roots, and per-mode functions
-read grid entries.  ``_roots`` holds the principal-root convention: a
-negative real radicand maps to the positive imaginary axis.
-Conjugation pairs the + branch of (r, s) with the + branch of (-r, -s).
-The residuals of :func:`spectrum_report` check each closed-form pair
-against the lattice field's own linear weights, not against the symbol.
+are the only evaluations of A and of the roots (a negative real radicand
+maps to the positive imaginary axis); per-mode functions read grid
+entries.  Conjugation pairs the + branch of (r, s) with the + branch of
+(-r, -s).  :func:`spectrum_report` checks each closed-form pair against
+the lattice field's own linear weights: cell by cell in the x row, the
+only one the coupling enters, and per mode in the y row.
 """
 
 from __future__ import annotations
@@ -137,11 +137,10 @@ def spectrum_report(lp: LatticeParams):
 
     Records are ordered by (r, s) lexicographically, '+' before '-'.
     ``residual`` is max|J xi - lambda xi| / max|xi| for the analytic
-    eigenvector xi, with J the lattice field's own linear weights
-    (``model._linear_weights``) applied cell by cell.  J takes the 2N
-    modes of one r as one block, its x parts one grid of unnormalised
-    phases (the residual is scale invariant) that both branches share,
-    its y parts (A - lambda) times that grid.
+    eigenvector xi, cells (x, d x), d = A - lambda, with J the field's own
+    linear weights w (``model._linear_weights``): x row (w0 + w1 d - lambda)
+    x + w2 x_(1,0) + w3 x_(0,1) cell by cell on one phase grid x per first
+    frequency r, y row (w4 + (w5 - lambda) d) x, max|xi| = max(1, |d|) max|x|.
     ``coincident`` lists, in record order, the other (r, s, branch)
     triples whose eigenvalue agrees to 1e-12; nonempty entries indicate
     degeneracy across distinct frequencies.
@@ -149,29 +148,30 @@ def spectrum_report(lp: LatticeParams):
     n = lp.n
     A = symbol_grid(lp)
     lam = np.stack(_roots(A, lp.b, lp.c), axis=-1)
+    d = A[..., None] - lam
     w = _linear_weights(lp)
-    succ_i, succ_j = _cell_shift((1, 0), n), _cell_shift((0, 1), n)
-    res = np.empty((n, n, 2))
+    succ = {2: _cell_shift((1, 0), n), 3: _cell_shift((0, 1), n)}
+    cx = w[0] + w[1] * d - lam  # per mode, the x row's factor of x
+    # buffers kept for the call; np.take fills g unbuffered only in "clip" mode
+    g = np.empty((n, 1, n * n), complex)
+    rx, ax, res = np.empty((n, 2, n * n), complex), np.empty((n, 2, n * n)), np.empty((n, n, 2))
     for r in range(n):
         x = _mode_vector(r, np.arange(n).reshape(n, 1, 1), n)
-        lam_r = lam[r, :, :, None]
-        y = (A[r, :, None, None] - lam_r) * x
-        jx = (w[0] * x + w[2] * x[..., succ_i] + w[3] * x[..., succ_j]) + w[1] * y
-        jy = w[4] * x + w[5] * y
-        res[r] = np.maximum(np.abs(jx - lam_r * x).max(-1), np.abs(jy - lam_r * y).max(-1))
-        res[r] /= np.maximum(np.abs(x).max(-1), np.abs(y).max(-1))
-    lam = lam.reshape(-1)
-    records = [EigenRecord(r, s, "+-"[k], eig, rho) for (r, s, k), eig, rho
-               in zip(np.ndindex(n, n, 2), lam.tolist(), res.ravel().tolist())]
+        np.multiply(cx[r, :, :, None], x, out=rx)
+        for k, sk in succ.items():
+            rx += np.multiply(np.take(x, sk, axis=-1, out=g, mode="clip"), w[k], out=g)
+        res[r] = np.abs(rx, out=ax).max(-1)
+        res[r] /= np.abs(x, out=ax[:, :1]).max(-1)
+    res = np.maximum(res, np.abs(w[4] + (w[5] - lam) * d)) / np.maximum(1.0, np.abs(d))
+    keys = [(r, s, b) for r in range(n) for s in range(n) for b in "+-"]
     # pairs come sorted, so every hit list is in record order
-    hits = [[] for _ in records]
-    for i, j in _coincident_pairs(lam, _COINCIDENCE_TOL):
+    hits = [[] for _ in keys]
+    for i, j in _coincident_pairs(lam.reshape(-1), _COINCIDENCE_TOL):
         if i // 2 != j // 2:
-            hits[i].append(records[j].mode + (records[j].branch,))
-            hits[j].append(records[i].mode + (records[i].branch,))
-    for rec, found in zip(records, hits):
-        rec.coincident = tuple(found)
-    return records
+            hits[i].append(keys[j])
+            hits[j].append(keys[i])
+    return [EigenRecord(*key, eig, rho, tuple(found)) for key, eig, rho, found
+            in zip(keys, lam.ravel().tolist(), res.ravel().tolist(), hits)]
 
 
 def genericity_violations(lp: LatticeParams):

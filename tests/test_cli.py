@@ -444,6 +444,21 @@ class TestExitCodes:
         assert parse_and_dispatch(["simulate", "--t-end", "1e-20"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("amplitude", ["1e100", "1e300"])
+    def test_start_whose_derivative_overflows(self, amplitude):
+        # a process with a timeout: the NaN starting step of 1e300 once
+        # made the integrator loop forever
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fhn_torus", "simulate", "--n", "3", "--t-end", "5",
+             "--ic", "random", "--amplitude", amplitude],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: step size underflow")
+        assert proc.stderr.count("\n") == 1
+
     def test_tiny_span_above_smallest_step_integrates(self, tmp_path):
         code, _ = run_cli(["simulate", "--t-end", "1e-12"], tmp_path)
         assert code == 0

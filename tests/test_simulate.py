@@ -133,6 +133,16 @@ class TestIntegrate:
             _rk.solve(lambda t, y: y * y, 0.0, np.ones(1), 2.0)
         assert abs(info.value.t - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("amplitude", [1e100, 1e300])
+    def test_start_whose_derivative_overflows_raises_stiffness_error(self, amplitude,
+                                                                    monkeypatch):
+        # the starting step is 0 (1e100) or NaN (1e300); NaN once made the
+        # step loop reject forever at t = 0 (the small budget fails fast)
+        monkeypatch.setattr(_rk, "_MAX_STEPS", 100)
+        with pytest.raises(StiffnessError, match="underflow") as info:
+            integrate(np.full(18, amplitude), SYNC, 5.0)
+        assert info.value.t == 0.0
+
     def test_step_budget_raises_stiffness_error(self, monkeypatch):
         monkeypatch.setattr(_rk, "_MAX_STEPS", 10)
         with pytest.raises(StiffnessError, match="step budget") as info:

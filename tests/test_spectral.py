@@ -21,9 +21,30 @@ from fhn_torus import (
     spectrum_report,
     symbol_grid,
 )
-from fhn_torus import spectral
+from fhn_torus import model, spectral
 
 LP_HALF = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=-0.5, delta=-0.5)
+
+
+def elementwise_residuals(lp):
+    """(eigenvalue, residual) of every record in record order, with J
+    applied to both rows of each unnormalised mode cell by cell: x' =
+    w0 x + w1 y + w2 x_(1,0) + w3 x_(0,1), y' = w4 x + w5 y, over the
+    largest of |x| and |y|."""
+    n = lp.n
+    w = model._linear_weights(lp)
+    succ_i, succ_j = model._cell_shift((1, 0), n), model._cell_shift((0, 1), n)
+    A = symbol_grid(lp)
+    out = []
+    for r, s in np.ndindex(n, n):
+        x = model._mode_vector(r, np.array([s]), n)
+        for lam in (grid[r, s] for grid in eigenvalue_grids(lp)):
+            y = (A[r, s] - lam) * x
+            jx = w[0] * x + w[2] * x[succ_i] + w[3] * x[succ_j] + w[1] * y
+            jy = w[4] * x + w[5] * y
+            rho = max(np.abs(jx - lam * x).max(), np.abs(jy - lam * y).max())
+            out.append((complex(lam), rho / np.maximum(np.abs(x), np.abs(y)).max()))
+    return out
 
 
 class TestCouplingSymbol:
@@ -174,6 +195,29 @@ class TestSpectrumReport:
             want = np.max(np.abs(M @ xi - rec.eigenvalue * xi)) / np.max(np.abs(xi))
             assert abs(rec.residual - want) <= 1e-13
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 11])
+    @pytest.mark.parametrize("c", [0.0, 0.05])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_residuals_match_elementwise_oracle(self, n, c, signs):
+        lp = LatticeParams(n=n, a=0.3, b=1.2, c=c,
+                           gamma=1.3 * signs[0], delta=0.7 * signs[1])
+        recs = spectrum_report(lp)
+        want = elementwise_residuals(lp)
+        assert [rec.eigenvalue for rec in recs] == [lam for lam, _ in want]
+        assert all(abs(rec.residual - rho) <= 1e-15 for rec, (_, rho) in zip(recs, want))
+
+    def test_planted_coupling_stencil_error_shows_at_every_record(self, monkeypatch):
+        lp = LatticeParams(n=5, a=0.3, b=1.2, c=0.05, gamma=1.3, delta=-0.7)
+        real_weights = spectral._linear_weights
+
+        def planted(lp):
+            w = list(real_weights(lp))
+            w[2] += 1e-6
+            return tuple(w)
+
+        monkeypatch.setattr(spectral, "_linear_weights", planted)
+        assert all(rec.residual >= 1e-7 for rec in spectrum_report(lp))
+
     def test_planted_eigenvalue_error_shows_at_its_record_only(self, monkeypatch):
         lp = LatticeParams(n=5, a=0.2, b=1.0, c=0.05, gamma=0.731, delta=-1.292)
         real_roots = spectral._roots
@@ -207,8 +251,9 @@ class TestSpectrumReport:
         assert calls == [(n, 1, n * n)] * n
 
     def test_memory_peak_at_n23(self, rng):
-        # a block holds 2N^3 complex entries per array, about 0.4 MB at
-        # N=23; the report peaked near 3.1 MB when this bound was set
+        # the kept block buffers hold 3N^3 complex and 2N^3 real entries,
+        # about 0.8 MB at N=23; the report peaked at 1.52 MB when this bound
+        # was set (2.50 MB before the residuals were split into two rows)
         lp = random_lattice(rng, n=23)
         spectrum_report(lp)
         tracemalloc.start()
@@ -217,7 +262,7 @@ class TestSpectrumReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4e6
+        assert peak <= 2.1e6
 
 
 class TestSingleClosedForm:
