@@ -16,9 +16,10 @@ and the weights of each stage input as a row of 1 and h a_ij, written
 for all stages at once when the step size is set; each stage input and
 the 8th-order solution is then one product of a weight row and rows of
 the buffer, instead of a product, a scaling and a sum, and both error
-estimates are one product.  Each stage is one field call on one flat
-state, and the step error is taken in Python floats: at the lattice
-sizes in use a step costs about as much as its numpy calls' overhead.
+estimates are one product.  Each stage is one field call on a state
+of the start's own shape, and the step error is taken in Python floats:
+at the lattice sizes in use a step costs about as much as its numpy
+calls' overhead.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def _error(h, e):
 
 def _initial_step(f, t0, y0, f0, rtol, atol, span):
     """Starting step of Hairer, Norsett and Wanner for order 8; the
-    smallest over the batch rows, which f takes laid end to end."""
+    smallest over the batch rows."""
     sc = atol + rtol * np.abs(y0)
     d0 = [_rms(row) for row in np.atleast_2d(y0 / sc)]
     d1 = [_rms(row) for row in np.atleast_2d(f0 / sc)]
@@ -212,7 +213,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol, span):
     if not h0 > 0.0:  # a derivative that overflows: solve reports the underflow
         return h0
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1.reshape(-1)).reshape(y1.shape)
+    f1 = f(t0 + h0, y1)
     d2 = [_rms(row) / h0 for row in np.atleast_2d((f1 - f0) / sc)]
     h1 = min(max(1e-6, h0 * 1e-3) if max(e1, e2) <= 1e-15
              else (0.01 / max(e1, e2)) ** _EXPONENT
@@ -231,16 +232,14 @@ def _dense_coefficients(f, y, t, h, k, first=13):
     """``dense_eval``'s coefficients of a block of P steps.
 
     y, t and h hold each step's start state, time and size, and k its
-    sixteen stages, shape (P, ..., 16, dim) in the row layout of
-    ``solve``, with the stages before ``first`` set: 0-12 for the
-    accepted steps of ``solve``, 0 for steps taken again from nodes.
-    The others are filled in here, each by one call of f on the P
-    stacked states, each state's rows laid end to end.
+    sixteen stages, shape (P,) + y.shape[1:-1] + (16, dim), with the
+    stages before ``first`` set: 0-12 for the accepted steps of
+    ``solve``, 0 for steps taken again from nodes.  The others are
+    filled in here, each by one call of f on the stack of P states.
     """
     hs = h.reshape(h.shape + (1,) * (y.ndim - 1))
     for i in range(first, 16):
-        x = y + hs * (_A[i] @ k[..., :i, :])
-        k[..., i, :] = f(t + _C[i] * h, x.reshape(len(x), -1).T).T.reshape(x.shape)
+        k[..., i, :] = f(t + _C[i] * h, y + hs * (_A[i] @ k[..., :i, :]))
     return hs[..., None] * (_D @ k)
 
 
@@ -248,30 +247,30 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     """Integrate y' = f(t, y) from t0 to t_end.
 
     y0 is one state, shape (dim,), or a batch of B states, shape
-    (dim, B) with the slot axis first.  A batch shares one step
-    sequence: the error that accepts or rejects a step and sets the
-    next one is the largest of the per-column errors, so every column
-    meets the tolerances.  The stages are kept one column per row, so a
-    column's arithmetic is that of its own one-state run; a batch of
-    equal columns reproduces the one-state run bit for bit.
+    (B, dim), one row each.  A batch shares one step sequence: the
+    error that accepts or rejects a step and sets the next one is the
+    largest of the per-row errors, so every row meets the tolerances.
+    A row's arithmetic is that of its own one-state run; a batch of
+    equal rows reproduces the one-state run bit for bit.
 
-    f maps a float t and one flat state to its derivative: y0, or a
-    batch's columns laid end to end (``y0.T.ravel()``), as the field of
-    ``simulate.make_rhs`` on B lattices takes them.  It must also take
-    P such states stacked on a last axis, shape (y0.size, P), with an
-    array of their P times, and return their derivatives in the same
-    layout: the three dense-output stages of each accepted step (13 to
-    15) are evaluated that way, for blocks of _DENSE_BLOCK steps and
-    once at the end.  The step sequence never depends on them.  Each
-    of the other stages is one call of f on the product of a row of 1
-    and h a_ij with the step's start state and the stages before it.
+    f maps a float t and a state of y0's shape to its derivative, as
+    the field of ``simulate.make_rhs`` does for one lattice or for B.
+    It must also take a stack of P such states, shape (P,) + y0.shape,
+    with an array of their P times, and return their derivatives in
+    the same shape: the three dense-output stages of each accepted
+    step (13 to 15) are evaluated that way, for blocks of _DENSE_BLOCK
+    steps and once at the end.  The step sequence never depends on
+    them.  Each of the other stages is one call of f on the product of
+    a row of 1 and h a_ij with the step's start state and the stages
+    before it.
 
     Returns (ts, ys, fs, ks, stats): accepted nodes, states and
     derivatives there, shape (nt,) + y0.shape, the four coefficients of
     each step's 7th-order interpolant beyond its cubic Hermite part,
-    shape (nt - 1, 4) + y0.shape (see ``dense_eval``), and a counter
-    dict: accepted and rejected steps and the states (of y0's shape) at
-    which f was evaluated.
+    shape (nt - 1,) + y0.shape[:-1] + (4, dim) (see ``dense_eval``),
+    so that batch row j is ``[:, j]`` of all three, and a counter dict:
+    accepted and rejected steps and the states (of y0's shape) at which
+    f was evaluated.
     Raises DomainError for a state that is not one- or two-dimensional
     or not finite, t_end that is not finite, rtol < 0, atol <= 0,
     t_end <= t0 or a span shorter than the smallest step,
@@ -279,10 +278,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     it does at once for a start whose derivative overflows) or after
     _MAX_STEPS step attempts.
     """
-    y0 = np.asarray(y0, dtype=float)
-    if y0.ndim not in (1, 2) or y0.size == 0:
-        raise DomainError(f"state must have shape (dim,) or (dim, B), got {y0.shape}")
-    y = np.array(y0.T)  # one row per batch column
+    y = np.asarray(y0, dtype=float)
+    if y.ndim not in (1, 2) or y.size == 0:
+        raise DomainError(f"state must have shape (dim,) or (B, dim), got {y.shape}")
     t = float(t0)
     if not (np.isfinite(t_end) and np.all(np.isfinite(y))):
         raise DomainError("t_end and the initial state must be finite")
@@ -298,17 +296,15 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         )
 
     # a one-state run sums its stages by ndarray.dot, a cheaper call
-    # than np.matmul, and passes them to f as they are (a ravel and a
-    # reshape would add 0.4-0.7 us a call); a batch keeps np.matmul,
-    # which sums each column as its one-state run does (np.dot leaves
-    # BLAS on stacked operands and rounds otherwise), and passes its rows
-    # to f as one flat view
-    dot, flat = (np.ndarray.dot, None) if y.ndim == 1 else (np.matmul, y.shape)
+    # than np.matmul; a batch keeps np.matmul, which sums each row as
+    # its one-state run does (np.dot leaves BLAS on stacked operands and
+    # rounds otherwise)
+    dot = np.ndarray.dot if y.ndim == 1 else np.matmul
 
     c = _C.tolist()  # the step loop's times stay Python floats
     # the step's start state and its stages 0-12, (14, dim) or
-    # (B, 14, dim): each column's rows contiguous, so the stage sums
-    # below run column by column
+    # (B, 14, dim): each batch row's stages contiguous, so the stage
+    # sums below run row by row
     k = np.empty(y.shape[:-1] + (14, y.shape[-1]))
     k[..., 0, :] = y
     stage = [k[..., i + 1, :] for i in range(13)]
@@ -326,9 +322,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # a start whose derivative overflows gives a zero or NaN first step,
     # which the underflow test below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        stage[0][...] = f(t, y.reshape(-1)).reshape(y.shape)
+        stage[0][...] = f(t, y)
         h = _initial_step(f, t, y, stage[0], rtol, atol, span)
-    # result buffers, in the row layout of y
+    # result buffers, returned as they are
     ts = np.empty(_FIRST_CAPACITY)
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
     fs = np.empty_like(ys)
@@ -349,9 +345,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         np.multiply(_A_STEP, h, out=h_a)
         for i in range(1, 12):
             row, prior = sums[i]
-            x = dot(row, prior)
-            ti = t + c[i] * h
-            stage[i][...] = f(ti, x) if flat is None else f(ti, x.ravel()).reshape(flat)
+            stage[i][...] = f(t + c[i] * h, dot(row, prior))
         row, prior = sums[12]
         y_new = dot(row, prior)
         np.add(atol, rtol * np.maximum(np.abs(y), np.abs(y_new)), out=sc)
@@ -359,8 +353,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         e /= sc_e
         err = _error(h, e)
         if err <= 1.0:
-            stage[12][...] = (f(t + h, y_new) if flat is None
-                              else f(t + h, y_new.ravel()).reshape(flat))
+            stage[12][...] = f(t + h, y_new)
             if n == len(ts):
                 ts, ys, fs, ks = (_grown(b, n) for b in (ts, ys, fs, ks))
             pt[p], ph[p] = t, h
@@ -397,8 +390,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     ys = ys[:n].copy()
     fs = fs[:n].copy()
     ts = ts[:n].copy()
-    ks = ks if y.ndim == 1 else np.moveaxis(ks, 1, -1)
-    return ts, ys.swapaxes(1, -1), fs.swapaxes(1, -1), ks, stats
+    return ts, ys, fs, ks, stats
 
 
 def _per_state(w, ys):
@@ -412,10 +404,11 @@ def dense_eval(ts, ys, fs, ks, tq):
     times (Hairer's ``contd8``).
 
     ys and fs hold one state per node and ks the coefficients of each
-    step from ``solve`` or ``dense_from_nodes``, of any state shape:
-    (nt, dim) and (nt - 1, 4, dim), or with a batch axis B last.  The
-    result has one state per query time, or a single state for a scalar
-    tq.  At a node it is the node state up to rounding.
+    step, in the shapes ``solve`` and ``dense_from_nodes`` return for
+    one state or a batch: (nt,) + state shape and (nt - 1,) + state
+    shape[:-1] + (4, dim).  The result has one state per query time, or
+    a single state for a scalar tq.  At a node it is the node state up
+    to rounding.
     """
     t = np.atleast_1d(np.asarray(tq, dtype=float))
     if not np.all((t >= ts[0] - 1e-12) & (t <= ts[-1] + 1e-12)):  # NaN fails
@@ -430,10 +423,10 @@ def dense_eval(ts, ys, fs, ks, tq):
     #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
     # with ydiff = y1 - y0, bspl = h f0 - ydiff, r4 = ydiff - h f1 - bspl,
     # evaluated in place: at most four arrays of one state per query
-    out = ks[idx, 3]
+    out = ks[idx, ..., 3, :]
     out *= s
     for j, w in ((2, s1), (1, s), (0, s1)):
-        out += ks[idx, j]
+        out += ks[idx, ..., j, :]
         out *= w
     ydiff = ys[idx + 1]
     ydiff -= ys[idx]
@@ -459,22 +452,24 @@ def dense_from_nodes(f, ts, ys):
     """Derivatives and ``dense_eval`` coefficients of node-only data.
 
     ts and ys hold the nodes and states of one trajectory, shape (nt,)
-    and (nt, dim).  Each step is taken again as one DOP853 step from
-    its start node with h = ts[i + 1] - ts[i], so on the nodes of a
-    ``solve`` run the derivatives are the solver's and the interpolant
-    its own up to rounding.  f takes P stacked states, shape (dim, P),
-    with their P times, as in ``solve``; the steps go _DENSE_BLOCK at a
-    time, one call per stage.  Returns (fs, ks) in the shapes of
-    ``solve``, which may hold non-finite values where f overflows.
+    and (nt,) + state shape, as ``solve`` returns them.  Each step is
+    taken again as one DOP853 step from its start node with
+    h = ts[i + 1] - ts[i], so on the nodes of a ``solve`` run the
+    derivatives are the solver's and the interpolant its own up to
+    rounding.  f takes stacks of states with their times, as in
+    ``solve``; the steps go _DENSE_BLOCK at a time, one call per stage.
+    Returns (fs, ks) in the shapes of ``solve``, which may hold
+    non-finite values where f overflows.
     """
     h = np.diff(ts)
     fs = np.empty_like(ys)
-    ks = np.empty((len(h), 4) + ys.shape[1:])
-    k = np.empty((_DENSE_BLOCK, 16) + ys.shape[1:])
+    lead, dim = ys.shape[1:-1], ys.shape[-1]
+    ks = np.empty((len(h),) + lead + (4, dim))
+    k = np.empty((_DENSE_BLOCK,) + lead + (16, dim))
     for i in range(0, len(h), _DENSE_BLOCK):
         s = slice(i, min(i + _DENSE_BLOCK, len(h)))
         kb = k[:s.stop - i]
-        kb[:, 0] = fs[s] = f(ts[s], ys[s].T).T
+        kb[..., 0, :] = fs[s] = f(ts[s], ys[s])
         ks[s] = _dense_coefficients(f, ys[s], ts[s], h[s], kb, first=1)
-    fs[-1:] = f(ts[-1:], ys[-1:].T).T
+    fs[-1:] = f(ts[-1:], ys[-1:])
     return fs, ks

@@ -577,12 +577,12 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     sides = ["below"] * len(st.fractions) + ["above"]
     lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in st.fractions]
     lps.append(replace(lp, a=report.a_hat + _PROBE_DELTA_A))
-    z0 = np.repeat((eps * vec)[:, None], len(lps), axis=1)
+    z0 = np.tile(eps * vec, (len(lps), 1))
     try:
         _, (ts, qs, fs, ks, _) = _quotient_solve(K, z0, lps, t_end)
         # one run at a time: the samples of the whole batch would add
         # several MB to the peak
-        results = [outcome(dense_eval(ts, qs[..., j], fs[..., j], ks[..., j], grid))
+        results = [outcome(dense_eval(ts, qs[:, j], fs[:, j], ks[:, j], grid))
                    for j in range(len(lps))]
     except StiffnessError:
         results = [alone(lpa) for lpa in lps]

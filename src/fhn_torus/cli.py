@@ -307,15 +307,15 @@ def _initial_state(args) -> np.ndarray:
         return z0
     if args.ic == "random":
         rng = np.random.default_rng(args.seed)
-        return args.amplitude * rng.standard_normal(dim)
-    # "mode": excite the eigenvector of largest real part
+        # an amplitude near the float limit overflows to inf, which
+        # integrate refuses with its one typed error
+        with np.errstate(over="ignore"):
+            return args.amplitude * rng.standard_normal(dim)
+    # "mode": excite the eigenvector of largest real part, whose first
+    # cell has a real positive x
     lead = origin_stability(lp).leading[0]
     vec = np.real(analytic_eigenvector(lead.r, lead.s, lead.branch, lp))
-    scale = np.max(np.abs(vec))
-    if scale == 0.0:
-        vec = np.imag(analytic_eigenvector(lead.r, lead.s, lead.branch, lp))
-        scale = np.max(np.abs(vec))
-    return args.amplitude * vec / scale
+    return args.amplitude * vec / np.max(np.abs(vec))
 
 
 def _traj_header(n: int) -> tuple:

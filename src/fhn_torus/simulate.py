@@ -66,7 +66,7 @@ class Trajectory:
 
 def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
              K: IsotropySubgroup | None = None):
-    """Flat-vector network field: one five-entry stencil, built once.
+    """The network field: one five-entry stencil, built once.
 
     Every cell is the same FitzHugh-Nagumo cell, fed by its two coupling
     successors, so the derivative of each slot is a fixed weighted sum
@@ -81,33 +81,31 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     (5, dim) index table picks the cell's x and y, the x of its two
     successors and its cubic part for both slots of the cell, and a
     (5, dim) weight table weighs them, with zeros for the last three
-    entries of a y slot.  At the lattice sizes in use a call costs
-    about as much as its numpy operations' call overhead, so it makes
-    few: a one-state call copies the state into an extended-state
-    buffer the field keeps and writes the cubic parts after it, then
-    makes one gather, one product and one sum over the five rows, a
-    BLAS product with a row of ones that adds them in the table's
-    order; a stack makes one concatenation instead of the buffer.  The
-    buffer makes a field unfit for calls from two threads at once.
+    entries of a y slot.
 
     With a subgroup K the field is the exact flow on Fix(K): one cell
     per K-orbit of cells, in the order of :func:`_cell_classes`, whose
     successors are read through the class of each successor cell.
-    ``lp`` is one LatticeParams, or a sequence of B with the same n:
-    then the stencil is that of one block-diagonal lattice, the B laid
-    end to end, with one weight per entry, on states of B * dim slots
-    whose slots j*dim to (j+1)*dim - 1 hold a state of ``lp[j]``; a
-    (dim, B) batch ``Z`` goes in as ``Z.T.ravel()``, as ``_rk.solve``
-    passes it.  Each entry sees the arithmetic of a one-state call.
 
-    The field also takes a stack of P states with the state slot first,
-    shape (dim, P), and returns the derivative of each in the same
-    layout: a stack of row states ``Z`` goes in as ``Z.T``.  The slot
-    axis comes first because indexing it adds nothing to a one-state
-    call, where ``z[..., idx]`` adds about a quarter.  A stack of P
-    states gathers a (5, dim, P) array.
+    ``lp`` is one LatticeParams, whose states have shape (dim,), or a
+    sequence of B with the same n, whose states have shape (B, dim),
+    row j a state of ``lp[j]``; the field takes a state, or a stack of
+    P, shape (P,) + state shape, with their P times, and returns the
+    derivatives in the same shape.  Only here are a batch's lattices
+    one block-diagonal lattice, laid end to end with one weight per
+    entry; each row sees the arithmetic of its one-state call.
+
+    At the lattice sizes in use a call costs about as much as its numpy
+    operations' call overhead, so it makes few: a state's call copies
+    it into an extended-state buffer the field keeps and writes the
+    cubic parts after it, then makes one gather, one product and one
+    sum over the five rows, a BLAS product with a row of ones that adds
+    them in the table's order; a stack makes one concatenation instead
+    of the buffer and one reduction over a (P, 5, B * dim) gather.  The
+    buffer makes a field unfit for calls from two threads at once.
     """
-    lps = [lp] if isinstance(lp, LatticeParams) else list(lp)
+    one = isinstance(lp, LatticeParams)
+    lps = [lp] if one else list(lp)
     n = lps[0].n
     if any(p.n != n for p in lps):
         raise DimensionMismatchError("a batch of lattices must share n")
@@ -128,29 +126,32 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     w[4, 0::2] = 1.0
     w[:2, 1::2] = lin[4:]
     a1 = np.repeat([p.a for p in lps], m) + 1.0
-    a1_s, w_s = a1[:, None], w[:, :, None]  # the operands of a stack
-    # a one-state call's extended state: the state, then the cubic parts
+    shape = (2 * m,) if one else (len(lps), 2 * m)
+    ndim = len(shape)
+    # a state's extended state: the state, then the cubic parts
     ext = np.empty(3 * cells)
-    state, cubic, x = ext[:2 * cells], ext[2 * cells:], ext[0:2 * cells:2]
+    state, cubic, x = ext[:2 * cells].reshape(shape), ext[2 * cells:], ext[0:2 * cells:2]
     # a row of ones times g is a gemv (0.6 us a call, np.add.reduce 1.6
     # to 2.7) that on OpenBLAS 0.3.31 adds the rows of g in row order,
     # as the reduction does, for 4 or more columns; with 2 or 3 it
     # rounds otherwise (8,091 of 20,000 random (5, 2) cases), so a
     # one-cell lattice keeps the reduction
-    total = np.ones(5).dot if cells > 1 else partial(np.add.reduce, axis=0)
+    add_rows = np.ones(5).dot if cells > 1 else partial(np.add.reduce, axis=0)
+    total = add_rows if one else lambda g: add_rows(g).reshape(shape)
 
     def rhs(t, z):
-        if z.ndim == 1:
+        if z.ndim == ndim:
             np.copyto(state, z)
             np.multiply(x, x, out=cubic)
             np.multiply(cubic, a1 - x, out=cubic)
             g = ext[idx]  # a fresh array: the buffer never leaves
             g *= w
             return total(g)
-        xs = z[0::2]
-        g = np.concatenate((z, xs * xs * (a1_s - xs)))[idx]
-        g *= w_s
-        return total(g.reshape(5, -1)).reshape(z.shape)
+        zs = z.reshape(len(z), -1)  # each state's lattices end to end
+        xs = zs[:, 0::2]
+        g = np.concatenate((zs, xs * xs * (a1 - xs)), axis=1)[:, idx]
+        g *= w
+        return np.add.reduce(g, axis=1).reshape(z.shape)
 
     return rhs
 
@@ -381,11 +382,11 @@ def _quotient_solve(K: IsotropySubgroup, z0,
     """The flow on Fix(K), restricted to one cell per K-orbit.
 
     ``lp`` is one LatticeParams and z0 a full state, shape (2*N^2,), or
-    a sequence of B lattices with one full state per column, shape
-    (2*N^2, B).  Every column must lie in Fix(K) to 1e-10 of its size,
+    a sequence of B lattices with one full state per row, shape
+    (B, 2*N^2).  Every row must lie in Fix(K) to 1e-10 of its size,
     else InvarianceError.  Returns the cell classes of K and
     ``_rk.solve``'s (ts, ys, fs, ks, stats) on the quotient, whose
-    states have shape (2 * #classes,) or (2 * #classes, B); a batch
+    states have shape (2 * #classes,) or (B, 2 * #classes); a batch
     shares one step sequence.
     """
     single = isinstance(lp, LatticeParams)
@@ -394,16 +395,16 @@ def _quotient_solve(K: IsotropySubgroup, z0,
         raise DimensionMismatchError("subgroup and lattice sizes disagree")
     batch = () if single else (len(lp),)
     z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (state_dim(n),) + batch:
+    if z0.shape != batch + (state_dim(n),):
         raise DimensionMismatchError(
-            f"initial state must have shape {(state_dim(n),) + batch}"
+            f"initial state must have shape {batch + (state_dim(n),)}"
         )
     reps, cls = _cell_classes(K, n)
-    cells = z0.reshape((-1, 2) + batch)
-    scale = np.maximum(1.0, np.max(np.abs(z0), axis=0))
-    if np.any(np.max(np.abs(cells - cells[reps][cls]), axis=(0, 1)) > 1e-10 * scale):
+    cells = z0.reshape(batch + (-1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(z0), axis=-1))
+    if np.any(np.max(np.abs(cells - cells[..., reps[cls], :]), axis=(-2, -1)) > 1e-10 * scale):
         raise InvarianceError("initial state is not in Fix(K)")
-    q0 = cells[reps].reshape((-1,) + batch)
+    q0 = cells[..., reps, :].reshape(batch + (-1,))
     return cls, _rk.solve(make_rhs(lp, K), 0.0, q0, t_end)
 
 
@@ -418,10 +419,10 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
     must lie in Fix(K) to 1e-10, else InvarianceError.
 
     The restriction and the solve are ``_quotient_solve``, which also
-    takes a batch: B lattices with one start per column, states of
-    shape (dim, B) with the slot axis first, integrated with one shared
-    step sequence whose error is the largest per-column RMS error.  The
-    criticality probe runs its batch there, on the quotient, unlifted.
+    takes a batch: B lattices with one start per row, states of shape
+    (B, dim), integrated with one shared step sequence whose error is
+    the largest per-row RMS error.  The criticality probe runs its
+    batch there, on the quotient, unlifted.
     """
     cls, (ts, ys, fs, ks, stats) = _quotient_solve(K, z0, lp, t_end)
 

@@ -408,7 +408,7 @@ class TestCriticalityProbe:
         lp = lattice()
         res = branch_criticality_probe(hopf_report_at_critical(lp), lp,
                                        ProbeSettings(horizon_periods=10.0))
-        assert shapes == [(2, 4)]
+        assert shapes == [(4, 2)]
         assert len(res.runs) == 4
 
     def test_stiff_batch_reruns_each_run_alone(self, monkeypatch):
@@ -416,7 +416,7 @@ class TestCriticalityProbe:
         monkeypatch.setattr(_rk, "_MAX_STEPS", 10)
         lp = lattice()
         res = branch_criticality_probe(hopf_report_at_critical(lp), lp)
-        assert shapes == [(2, 4)] + [(2,)] * 4
+        assert shapes == [(4, 2)] + [(2,)] * 4
         assert [(r.side, r.outcome, r.amplitude) for r in res.runs] == (
             [("below", "escape", math.inf)] * 3 + [("above", "escape", math.inf)])
         assert res.classification == "undetermined" and res.samples == ()

@@ -444,8 +444,14 @@ class TestExitCodes:
         assert parse_and_dispatch(["simulate", "--t-end", "1e-20"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("amplitude", ["1e100", "1e300"])
-    def test_start_whose_derivative_overflows(self, amplitude):
+    @pytest.mark.parametrize("amplitude, code, error", [
+        pytest.param("1e100", 3, "error: step size underflow", id="1e100"),
+        pytest.param("1e300", 3, "error: step size underflow", id="1e300"),
+        # the start itself overflows to inf, with no numpy warning
+        pytest.param("1e308", 2, "error: t_end and the initial state must be finite",
+                     id="1e308"),
+    ])
+    def test_start_whose_derivative_overflows(self, amplitude, code, error):
         # a process with a timeout: the NaN starting step of 1e300 once
         # made the integrator loop forever
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -455,8 +461,8 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=30,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("error: step size underflow")
+        assert proc.returncode == code
+        assert proc.stderr.startswith(error)
         assert proc.stderr.count("\n") == 1
 
     def test_tiny_span_above_smallest_step_integrates(self, tmp_path):

@@ -48,17 +48,18 @@ def ordered_field(q, lp, K=None):
     """The field on Fix(K), one cell per K-orbit, with each slot's five
     weighted entries summed strictly in table order,
     (((p0 + p1) + p2) + p3) + p4, by elementwise numpy; q has the slot
-    axis first and any stack axes after it."""
+    axis last and any stack axes before it."""
     n = lp.n
     reps, cls = _cell_classes(K or IsotropySubgroup.trivial(n), n)
     i, j = reps % n, reps // n  # flat cell j*N + i is cell (i, j)
     s1, s2 = cls[j * n + (i + 1) % n], cls[(j + 1) % n * n + i]
-    x, y = q[0::2], q[1::2]
+    x, y = q[..., 0::2], q[..., 1::2]
     cubic = x * x * (lp.a + 1.0 - x)
     out = np.empty_like(q)
-    out[0::2] = ((((lp.gamma + lp.delta - lp.a) * x + -1.0 * y)
-                  + -lp.gamma * x[s1]) + -lp.delta * x[s2]) + 1.0 * cubic
-    out[1::2] = (((lp.b * x + -lp.c * y) + 0.0 * x[s1]) + 0.0 * x[s2]) + 0.0 * cubic
+    out[..., 0::2] = ((((lp.gamma + lp.delta - lp.a) * x + -1.0 * y)
+                       + -lp.gamma * x[..., s1]) + -lp.delta * x[..., s2]) + 1.0 * cubic
+    out[..., 1::2] = (((lp.b * x + -lp.c * y) + 0.0 * x[..., s1])
+                      + 0.0 * x[..., s2]) + 0.0 * cubic
     return out
 
 
@@ -146,7 +147,7 @@ class TestRhsNetwork:
         Z = rng.standard_normal((37, dim))
         ts = np.linspace(0.0, 1.0, 37)
         rows = np.stack([rhs(t, z) for t, z in zip(ts, Z)])
-        assert np.array_equal(rhs(ts, Z.T).T, rows)
+        assert np.array_equal(rhs(ts, Z), rows)
 
     @pytest.mark.parametrize("K", [None, IsotropySubgroup.cyclic((1, 2), 5)])
     def test_batched_lattices_on_stacked_states_match_column_calls(self, K, rng):
@@ -155,17 +156,15 @@ class TestRhsNetwork:
         rhs = make_rhs(lps, K)
         dim = 50 if K is None else 10
         ts = np.linspace(0.0, 1.0, 7)
-        # lattice j in slots j*dim to (j+1)*dim - 1; C order, and the
-        # transposed layout ``_rk.solve`` passes its dense-output stages
-        for Z in (rng.standard_normal((3 * dim, 7)), rng.standard_normal((7, 3 * dim)).T):
-            got = rhs(ts, Z)
-            assert got.shape == (3 * dim, 7)
-            for j, lp in enumerate(lps):
-                one = make_rhs(lp, K)
-                slots = slice(j * dim, (j + 1) * dim)
-                for q in range(7):
-                    assert np.array_equal(got[slots, q], one(ts[q], Z[slots, q]))
-            assert np.array_equal(rhs(0.0, Z[:, 0]), got[:, 0])
+        # a stack of 7 states, lattice j in row j of each
+        Z = rng.standard_normal((7, 3, dim))
+        got = rhs(ts, Z)
+        assert got.shape == (7, 3, dim)
+        for j, lp in enumerate(lps):
+            one = make_rhs(lp, K)
+            for q in range(7):
+                assert np.array_equal(got[q, j], one(ts[q], Z[q, j]))
+        assert np.array_equal(rhs(0.0, Z[0]), got[0])
 
     @pytest.mark.parametrize("n, K", [(3, None), (5, None), (7, None),
                                       (5, IsotropySubgroup.cyclic((1, 2), 5)),
@@ -175,19 +174,18 @@ class TestRhsNetwork:
         # on Fix(K), one cell per K-orbit, the field is that of the
         # lifted state read at the orbits' first cells; Z(1,0) maps a
         # cell's first successor, the full group both, to its own class.
-        # One lattice, and a batch of three with one column each.
+        # One lattice, and a batch of three with one row each.
         lps = [LatticeParams(n=n, a=a, b=b, c=0.1, gamma=g, delta=1.3)
                for a, b, g in ((0.3, 2.0, -0.7), (-0.2, 0.5, 0.4), (1.1, 1.0, -1.5))]
         reps, cls = _cell_classes(K or IsotropySubgroup.trivial(n), n)
         for batch in (lps[:1], lps):
             rhs = make_rhs(batch if len(batch) > 1 else batch[0], K)
-            for q in 1.5 * rng.standard_normal((5, 2 * len(reps), len(batch))):
-                # the columns of q laid end to end
-                got = rhs(0.0, q.T.reshape(-1)).reshape(q.shape[::-1]).T
+            for q in 1.5 * rng.standard_normal((5, len(batch), 2 * len(reps))):
+                got = rhs(0.0, q if len(batch) > 1 else q[0]).reshape(q.shape)
                 for j, lp in enumerate(batch):
-                    z = q[:, j].reshape(-1, 2)[cls].reshape(-1)
+                    z = q[j].reshape(-1, 2)[cls].reshape(-1)
                     want = reference_field(z, lp).reshape(-1, 2)[reps].reshape(-1)
-                    assert np.max(np.abs(got[:, j] - want)) <= 1e-15 * np.max(np.abs(want))
+                    assert np.max(np.abs(got[j] - want)) <= 1e-15 * np.max(np.abs(want))
 
     LP5 = LatticeParams(n=5, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
     SUBGROUPS = [None, IsotropySubgroup.cyclic((1, 2), 5), IsotropySubgroup.full(5)]
@@ -209,18 +207,17 @@ class TestRhsNetwork:
                for a, b, g in ((0.3, 2.0, -0.7), (-0.2, 0.5, 0.4), (1.1, 1.0, -1.5))]
         rhs = make_rhs(lps)
         for q in 1.5 * rng.standard_normal((20, 3, 50)):
-            want = np.concatenate([ordered_field(col, lp) for col, lp in zip(q, lps)])
-            assert np.array_equal(rhs(0.0, q.reshape(-1)), want)
+            want = np.stack([ordered_field(row, lp) for row, lp in zip(q, lps)])
+            assert np.array_equal(rhs(0.0, q), want)
 
     @pytest.mark.parametrize("K", SUBGROUPS)
     @pytest.mark.parametrize("P", [1, 7, 64])
     def test_stacks_are_the_ordered_sum_bit_for_bit(self, K, P, rng):
-        # C order, and the transposed layout ``_rk.solve`` passes
         rhs = make_rhs(self.LP5, K)
         dim = quotient_dim(K, 5)
         ts = np.linspace(0.0, 1.0, P)
-        for Z in (rng.standard_normal((dim, P)), rng.standard_normal((P, dim)).T):
-            assert np.array_equal(rhs(ts, Z), ordered_field(Z, self.LP5, K))
+        Z = rng.standard_normal((P, dim))
+        assert np.array_equal(rhs(ts, Z), ordered_field(Z, self.LP5, K))
 
     @pytest.mark.parametrize("K", SUBGROUPS)
     def test_outputs_never_share_the_kept_buffer(self, K, rng):

@@ -14,7 +14,7 @@ LP = LatticeParams(n=3, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
 
 
 def rotation(t, y):
-    return np.stack([y[1], -y[0]])
+    return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
 
 class TestTables:
@@ -92,6 +92,32 @@ class TestError:
         assert not err <= 1.0
 
 
+class TestSolverContract:
+    """f sees y0's shape, or a stack of P states of it, and nothing else."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_states_and_stacks_of_the_start_shape(self, batch):
+        z0 = 0.3 * np.random.default_rng(3).standard_normal((batch or 1, 18))
+        z0 = z0[0] if batch is None else z0
+        rhs = make_rhs(LP if batch is None else [LP] * batch)
+        seen = []
+
+        def checked(t, z):
+            assert z.shape == z0.shape or z.shape == (len(z),) + z0.shape, z.shape
+            assert np.shape(t) == z.shape[:z.ndim - z0.ndim]
+            seen.append(z.ndim - z0.ndim)
+            return rhs(t, z)
+
+        ts, ys, fs, ks, _ = _rk.solve(checked, 0.0, z0, 10.0)
+        assert set(seen) == {0, 1}
+        assert ys.shape == fs.shape == (len(ts),) + z0.shape
+        assert ks.shape == (len(ts) - 1,) + z0.shape[:-1] + (4, 18)
+        seen.clear()
+        got_fs, got_ks = _rk.dense_from_nodes(checked, ts, ys)
+        assert set(seen) == {1}
+        assert np.array_equal(got_fs, fs) and got_ks.shape == ks.shape
+
+
 class TestStats:
     @pytest.mark.parametrize("batch", [None, 3])
     def test_counters_match_the_run(self, batch):
@@ -99,15 +125,13 @@ class TestStats:
         f = make_rhs(LP if batch is None else [LP] * batch)
 
         def counted(t, z):
-            # one flat state, the columns of a batch end to end, or P
-            # of them stacked, which evaluates P states
-            assert len(z) == 18 * (batch or 1)
+            # one state of y0's shape, or a stack of len(z) of them
             calls[0] += 1
-            states[0] += 1 if z.ndim == 1 else z.shape[-1]
+            states[0] += 1 if z.ndim == z0.ndim else len(z)
             return f(t, z)
 
-        z0 = 0.3 * np.random.default_rng(3).standard_normal((18, batch or 1))
-        z0 = z0[:, 0] if batch is None else z0
+        z0 = 0.3 * np.random.default_rng(3).standard_normal((batch or 1, 18))
+        z0 = z0[0] if batch is None else z0
         ts, _, _, _, stats = _rk.solve(counted, 0.0, z0, 40.0)
         n_acc = stats["accepted"]
         assert n_acc == len(ts) - 1
@@ -130,9 +154,10 @@ class TestStats:
 
         def counting_make_rhs(lp, K=None):
             f = real(lp, K)
+            ndim = 1 if isinstance(lp, LatticeParams) else 2  # of one state
 
             def counted(t, z):
-                states[0] += 1 if z.ndim == 1 else z.shape[-1]
+                states[0] += 1 if z.ndim == ndim else len(z)
                 return f(t, z)
 
             return counted
@@ -140,9 +165,9 @@ class TestStats:
         monkeypatch.setattr(simulate, "make_rhs", counting_make_rhs)
         rng = np.random.default_rng(9)
         z0 = np.stack([0.3 * fix_projection(rng.standard_normal(50), K)
-                       for _ in range(batch or 1)], axis=1)
+                       for _ in range(batch or 1)])
         if batch is None:
-            stats = reduced_integrate_fix(K, z0[:, 0], lps[0], 30.0).stats
+            stats = reduced_integrate_fix(K, z0[0], lps[0], 30.0).stats
         else:
             _, (_, _, _, _, stats) = simulate._quotient_solve(K, z0, lps[:batch], 30.0)
         assert stats["accepted"] > _rk._DENSE_BLOCK
@@ -164,7 +189,7 @@ class TestStats:
         if batch:
             lp = [LatticeParams(n=3, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
                   for a in (-0.1, -0.05, 0.3)]
-            z0 = 0.3 * rng.standard_normal((18, 3))
+            z0 = 0.3 * rng.standard_normal((3, 18))
         else:
             lp, z0 = LP, 0.3 * rng.standard_normal(18)
         whole = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
@@ -199,13 +224,12 @@ class TestDenseOutput:
     def test_equal_columns_sample_like_the_one_state_run(self):
         z0 = 0.3 * np.random.default_rng(6).standard_normal(18)
         ts, ys, fs, ks, stats = _rk.solve(make_rhs(LP), 0.0, z0, 30.0)
-        tb, yb, fb, kb, sb = _rk.solve(make_rhs([LP] * 3), 0.0,
-                                       np.repeat(z0[:, None], 3, axis=1), 30.0)
+        tb, yb, fb, kb, sb = _rk.solve(make_rhs([LP] * 3), 0.0, np.tile(z0, (3, 1)), 30.0)
         tq = np.linspace(0.0, 30.0, 777)
         want = Trajectory(ts, ys, fs, ks, stats).sample(tq)
         got = Trajectory(tb, yb, fb, kb, sb).sample(tq)
         for j in range(3):
-            assert np.array_equal(got[:, :, j], want)
+            assert np.array_equal(got[:, j], want)
 
 
 class TestDenseFromNodes:
@@ -218,7 +242,7 @@ class TestDenseFromNodes:
         p = np.polynomial.Polynomial(rng.standard_normal(degree + 1))
         dp = p.deriv()
         ys = p(ts)[:, None]
-        fs, ks = _rk.dense_from_nodes(lambda t, y: dp(t) * np.ones_like(y), ts, ys)
+        fs, ks = _rk.dense_from_nodes(lambda t, y: dp(t)[:, None] * np.ones_like(y), ts, ys)
         tq = np.linspace(0.0, ts[-1], 1001)
         got = _rk.dense_eval(ts, ys, fs, ks, tq)
         assert np.max(np.abs(got[:, 0] - p(tq))) <= 1e-13 * np.max(np.abs(p(tq)))

@@ -45,7 +45,7 @@ SYNC = LatticeParams(n=3, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
 
 
 def integrate_cell(p: CellParams, u0, t_end):
-    f = lambda t, u: np.asarray(rhs_cell(u, p))
+    f = lambda t, u: np.stack(rhs_cell((u[..., 0], u[..., 1]), p), axis=-1)
     return Trajectory(*_rk.solve(f, 0.0, np.asarray(u0, dtype=float), t_end))
 
 
@@ -187,7 +187,7 @@ class TestIntegrate:
 
 
 class TestBatchedSolve:
-    """A (dim, B) state: B columns on one shared step sequence."""
+    """A (B, dim) state: B rows on one shared step sequence."""
 
     LP5 = LatticeParams(n=5, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
 
@@ -195,27 +195,27 @@ class TestBatchedSolve:
     def test_equal_columns_are_the_one_state_run_bit_for_bit(self, batch, rng):
         z0 = 0.1 * rng.standard_normal(50)
         ts, ys, fs, ks, stats = _rk.solve(simulate.make_rhs(self.LP5), 0.0, z0, 30.0)
-        zb = np.repeat(z0[:, None], batch, axis=1)
+        zb = np.tile(z0, (batch, 1))
         tb, yb, fb, kb, sb = _rk.solve(simulate.make_rhs([self.LP5] * batch), 0.0, zb,
                                        30.0)
-        assert yb.shape == fb.shape == (len(ts), 50, batch)
-        assert kb.shape == (len(ts) - 1, 4, 50, batch)
+        assert yb.shape == fb.shape == (len(ts), batch, 50)
+        assert kb.shape == (len(ts) - 1, batch, 4, 50)
         assert np.array_equal(tb, ts) and sb == stats
         for j in range(batch):
-            assert np.array_equal(yb[:, :, j], ys)
-            assert np.array_equal(fb[:, :, j], fs)
-            assert np.array_equal(kb[:, :, :, j], ks)
+            assert np.array_equal(yb[:, j], ys)
+            assert np.array_equal(fb[:, j], fs)
+            assert np.array_equal(kb[:, j], ks)
 
     def test_columns_with_different_a_match_their_own_runs(self, rng):
         lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
                for a in (-0.1, -0.05, 0.3)]
-        z0 = 0.1 * rng.standard_normal((50, 3))
+        z0 = 0.1 * rng.standard_normal((3, 50))
         tb, yb, _, _, _ = _rk.solve(simulate.make_rhs(lps), 0.0, z0, 30.0)
         for j, lp in enumerate(lps):
-            ts, ys, _, _, _ = _rk.solve(simulate.make_rhs(lp), 0.0, z0[:, j], 30.0)
+            ts, ys, _, _, _ = _rk.solve(simulate.make_rhs(lp), 0.0, z0[j], 30.0)
             # both runs meet rtol 1e-9 per step; their end states sit
             # about 5e-10 apart at |z| ~ 2.5
-            assert np.max(np.abs(yb[-1, :, j] - ys[-1])) < 1e-8
+            assert np.max(np.abs(yb[-1, j] - ys[-1])) < 1e-8
 
     @pytest.mark.parametrize("shape", [(50,), (1001,)])
     def test_rms_is_the_mean_formula_bit_for_bit(self, shape, rng):
@@ -223,10 +223,10 @@ class TestBatchedSolve:
         assert _rk._rms(v) == float(np.sqrt(np.mean(v * v)))
 
     def test_one_column_blowing_up_stops_the_batch(self):
-        # y' = y^2 blows up at t = 1/y0: at t = 1 in the second column,
+        # y' = y^2 blows up at t = 1/y0: at t = 1 in the second row,
         # after t_end in the others
         with pytest.raises(StiffnessError) as info:
-            _rk.solve(lambda t, y: y * y, 0.0, np.array([[0.25, 1.0, -1.0]]), 2.0)
+            _rk.solve(lambda t, y: y * y, 0.0, np.array([[0.25], [1.0], [-1.0]]), 2.0)
         assert abs(info.value.t - 1.0) < 1e-6
 
     def test_rejects_state_of_three_axes(self):
@@ -238,30 +238,27 @@ class TestBatchedSolve:
             simulate.make_rhs([self.LP5, SYNC])
 
     def test_sample_of_a_batch_at_as_many_times_as_slots(self):
-        # q == dim: weights of shape (q, 1) would broadcast along the
-        # slot axis instead of the time axis.  f rotates each column's
-        # (u, v), the columns laid end to end as (u0, v0, u1, v1, u2, v2)
+        # q == dim: weights of shape (q,) would broadcast along the
+        # slot axis instead of the time axis.  f rotates each row's (u, v)
         def f(t, y):
-            out = np.empty_like(y)
-            out[0::2], out[1::2] = y[1::2], -y[0::2]
-            return out
+            return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
-        ts, ys, fs, ks, stats = _rk.solve(f, 0.0, np.array([[1.0, 0.0, 2.0],
-                                                             [0.0, 1.0, -1.0]]), 3.0)
+        ts, ys, fs, ks, stats = _rk.solve(f, 0.0, np.array([[1.0, 0.0], [0.0, 1.0],
+                                                             [2.0, -1.0]]), 3.0)
         tq = np.array([0.7, 2.2])
         traj = Trajectory(ts, ys, fs, ks, stats)
         got = traj.sample(tq)
-        assert got.shape == (2, 2, 3)
+        assert got.shape == (2, 3, 2)
         for j in range(3):
-            assert np.array_equal(got[:, :, j],
-                                  _rk.dense_eval(ts, ys[:, :, j], fs[:, :, j], ks[..., j], tq))
+            assert np.array_equal(got[:, j],
+                                  _rk.dense_eval(ts, ys[:, j], fs[:, j], ks[:, j], tq))
         assert np.array_equal(traj.sample(0.7), got[0])
         assert np.allclose(got[:, 0, 0], np.cos(tq), rtol=0.0, atol=1e-9)
 
     def test_quotient_batch_checks_every_column(self):
         K = IsotropySubgroup.full(3)
-        z0 = np.repeat(synchronized_state(0.2, -0.1)[:, None], 2, axis=1)
-        z0[4, 1] += 1e-3
+        z0 = np.tile(synchronized_state(0.2, -0.1), (2, 1))
+        z0[1, 4] += 1e-3
         with pytest.raises(InvarianceError):
             simulate._quotient_solve(K, z0, [SYNC, SYNC], 1.0)
 
@@ -563,7 +560,7 @@ def wave_orbit(n, waves, omega=1.3, reported_periods=1):
 
     ts = np.linspace(0.0, 3.0 * period, 901)
     ys = node(ts)[0]
-    traj = Trajectory(ts, ys, *_rk.dense_from_nodes(lambda t, z: node(t)[1].T, ts, ys))
+    traj = Trajectory(ts, ys, *_rk.dense_from_nodes(lambda t, z: node(t)[1], ts, ys))
     return PeriodicOrbit(reported_periods * period, 0.0, ys[0], traj, 0.0)
 
 
