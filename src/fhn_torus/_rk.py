@@ -144,16 +144,15 @@ def _dense_row(entries, width):
     return np.array([entries.get(j, 0.0) for j in range(width)])
 
 
-_A = [_dense_row(row, i) for i, row in enumerate(_A_ENTRIES)]
-_B = _A[12]
+# One (16, 16) table in scipy's layout; its first 13 rows and columns
+# weigh a step's stages 0-12 in the inputs of stages 0-11 and in row 12.
+_A = np.array([_dense_row(row, 16) for row in _A_ENTRIES])
+_A_STEP = _A[:13, :13]
+_B = _A[12, :12]
 _E5 = _dense_row(_E5_ENTRIES, 12)
 _E3 = _B - _dense_row(_BHH_ENTRIES, 12)
 _D = np.array([_dense_row(row, 16) for row in _D_ENTRIES])
-# The weights of stages 0-12 in the inputs of stages 0-11 and in the
-# 8th-order solution (row 12), one row each, and the two error
-# estimates as the rows of one matrix.
-_A_STEP = np.array([_dense_row(row, 13) for row in _A_ENTRIES[:13]])
-_E = np.stack([_E5, _E3])
+_E = np.stack([_E5, _E3])  # both error estimates, one product
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -239,7 +238,7 @@ def _dense_coefficients(f, y, t, h, k, first=13):
     """
     hs = h.reshape(h.shape + (1,) * (y.ndim - 1))
     for i in range(first, 16):
-        k[..., i, :] = f(t + _C[i] * h, y + hs * (_A[i] @ k[..., :i, :]))
+        k[..., i, :] = f(t + _C[i] * h, y + hs * (_A[i, :i] @ k[..., :i, :]))
     return hs[..., None] * (_D @ k)
 
 
@@ -332,9 +331,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     ts[0], ys[0], fs[0] = t, y, stage[0]
     n = 1  # nodes stored
     n_rej = 0
-    # accepted steps waiting for their dense-output stages: start time,
-    # size and stages of each
-    pt = np.empty(_DENSE_BLOCK)
+    # accepted steps waiting for their dense-output stages, which start
+    # at the p nodes before the last: size and stages of each (a size is
+    # not the difference of its node times to the last bit)
     ph = np.empty(_DENSE_BLOCK)
     pk = np.empty((_DENSE_BLOCK,) + k.shape[:-2] + (16, y.shape[-1]))
     p = 0  # steps waiting
@@ -356,7 +355,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             stage[12][...] = f(t + h, y_new)
             if n == len(ts):
                 ts, ys, fs, ks = (_grown(b, n) for b in (ts, ys, fs, ks))
-            pt[p], ph[p] = t, h
+            ph[p] = h
             pk[p, ..., :13, :] = k[..., 1:, :]
             p += 1
             t += h
@@ -366,8 +365,8 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             ts[n], ys[n], fs[n] = t, y, stage[0]
             n += 1
             if p == _DENSE_BLOCK or t >= t_end:
-                ks[n - 1 - p:n - 1] = _dense_coefficients(
-                    f, ys[n - 1 - p:n - 1], pt[:p], ph[:p], pk[:p])
+                start = slice(n - 1 - p, n - 1)
+                ks[start] = _dense_coefficients(f, ys[start], ts[start], ph[:p], pk[:p])
                 p = 0
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -_EXPONENT

@@ -86,9 +86,11 @@ _RESONANCE_K_MAX = 10
 _RESONANCE_REL_TOL = 1e-9
 
 # Criticality probe: spacing of the probed values of a around a_hat, the
-# start amplitude in units of sqrt(b), and the growth over that start an
-# oscillation needs to count as settled at branch scale.
+# multiples of it below a_hat that are run, the start amplitude in units
+# of sqrt(b), and the growth over that start an oscillation needs to
+# count as settled at branch scale.
 _PROBE_DELTA_A = 0.04
+_PROBE_FRACTIONS = (1.0, 1.5, 2.0)
 _PROBE_PERTURBATION = 1e-3
 _PROBE_GROWTH = 10.0
 # The probe reads its amplitudes from the dense output at this many
@@ -111,8 +113,7 @@ def _checked_pattern(lp: LatticeParams):
 
 def _crossing_K(mode: tuple, n: int) -> IsotropySubgroup:
     """Subgroup predicted to fix the Hopf branch of a crossing mode."""
-    full = IsotropySubgroup.full(n)
-    return predict_hopf_symmetries(full, canonical_mode(*mode, n)).fixing
+    return predict_hopf_symmetries(canonical_mode(*mode, n), n).fixing
 
 
 def _upper_branch(lam_p, lam_m) -> str:
@@ -460,23 +461,17 @@ def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega,
 
 @dataclass(frozen=True)
 class ProbeSettings:
-    """Where and how long the criticality probe integrates.
+    """How long the criticality probe integrates.
 
-    ``fractions`` places the runs below a_hat at a_hat - f * 0.04, and
-    each run lasts ``horizon_periods`` periods of the crossing.  Both
-    must be positive and finite, and ``fractions`` not empty, else
-    DomainError.
+    Each run lasts ``horizon_periods`` periods of the crossing, which
+    must be positive and finite, else DomainError.  Where the runs are
+    placed is fixed: at a_hat - f * 0.04 for f = 1, 1.5 and 2, and at
+    a_hat + 0.04.
     """
 
-    fractions: tuple = (1.0, 1.5, 2.0)
     horizon_periods: float = 50.0
 
     def __post_init__(self):
-        if not self.fractions or not all(f > 0.0 and math.isfinite(f)
-                                         for f in self.fractions):
-            raise DomainError(
-                f"fractions must be positive and finite, got {self.fractions!r}"
-            )
         if not (self.horizon_periods > 0.0 and math.isfinite(self.horizon_periods)):
             raise DomainError(
                 f"horizon_periods must be positive and finite, "
@@ -504,13 +499,14 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     """Numerical side check of the branch direction.
 
     Integrates inside Fix(K) of the crossing mode at a_hat - f * 0.04
-    for each f in ``settings.fractions`` and at a_hat + 0.04, for
+    for f = 1, 1.5 and 2 and at a_hat + 0.04, for
     ``settings.horizon_periods`` crossing periods each.  Every run
     starts at amplitude 1e-3 * sqrt(b) along the real part of the
     crossing eigenvector whose eigenvalue at a_hat has the larger
     imaginary part.  The runs are one batch on the quotient flow of
     Fix(K), sharing one step sequence; if the batch is stiff, each run
-    is redone alone.  Amplitudes are sup norms of the dense output at
+    is redone alone as a batch of one, and a run that is stiff alone
+    has escaped.  Amplitudes are sup norms of the dense output at
     64 evenly spaced times per crossing period, over the whole run or
     over its last two quarters.  With scale = max(1, sqrt(b)), outcomes
     per run:
@@ -566,26 +562,25 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
             return "transient", amp_tail
         return ("orbit" if amp_tail <= cap else "distant"), amp_tail
 
-    def alone(lpa):
-        """One run by itself; a stiff abort is an escape."""
+    def batch(lps):
+        """Outcomes of runs on the lattices lps, solved as one batch; a
+        stiff batch is redone run by run, and a stiff run has escaped."""
         try:
-            _, (ts, qs, fs, ks, _) = _quotient_solve(K, eps * vec, lpa, t_end)
+            _, (ts, qs, fs, ks, _) = _quotient_solve(
+                K, np.tile(eps * vec, (len(lps), 1)), lps, t_end)
         except StiffnessError:
-            return "escape", math.inf
-        return outcome(dense_eval(ts, qs, fs, ks, grid))
-
-    sides = ["below"] * len(st.fractions) + ["above"]
-    lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in st.fractions]
-    lps.append(replace(lp, a=report.a_hat + _PROBE_DELTA_A))
-    z0 = np.tile(eps * vec, (len(lps), 1))
-    try:
-        _, (ts, qs, fs, ks, _) = _quotient_solve(K, z0, lps, t_end)
+            if len(lps) == 1:
+                return [("escape", math.inf)]
+            return [batch([lpa])[0] for lpa in lps]
         # one run at a time: the samples of the whole batch would add
         # several MB to the peak
-        results = [outcome(dense_eval(ts, qs[:, j], fs[:, j], ks[:, j], grid))
-                   for j in range(len(lps))]
-    except StiffnessError:
-        results = [alone(lpa) for lpa in lps]
+        return [outcome(dense_eval(ts, qs[:, j], fs[:, j], ks[:, j], grid))
+                for j in range(len(lps))]
+
+    sides = ["below"] * len(_PROBE_FRACTIONS) + ["above"]
+    lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in _PROBE_FRACTIONS]
+    lps.append(replace(lp, a=report.a_hat + _PROBE_DELTA_A))
+    results = batch(lps)
     runs = [ProbeRun(lpa.a, side, out, amp)
             for lpa, side, (out, amp) in zip(lps, sides, results)]
     above = runs[-1]

@@ -42,7 +42,7 @@ from .bifurcation import (
     origin_stability,
 )
 from .errors import DomainError
-from .model import LatticeParams, infer_n
+from .model import LatticeParams, infer_n, state_dim
 from .simulate import (
     Trajectory,
     _require_tol,
@@ -300,7 +300,7 @@ def _cmd_hopf(args):
 
 def _initial_state(args) -> np.ndarray:
     lp = args.params
-    dim = 2 * lp.n * lp.n
+    dim = state_dim(lp.n)
     if args.ic == "uniform-x":
         z0 = np.zeros(dim)
         z0[0::2] = args.amplitude

@@ -93,14 +93,15 @@ def state_dim(n: int) -> int:
     return 2 * n * n
 
 
-def _check_state(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
+def _check_state(z: np.ndarray, n: int, dtype=float, batch: tuple = ()) -> np.ndarray:
     """z as an array of dtype (None keeps its own), refused with
-    DimensionMismatchError unless it is one state of the N x N lattice."""
+    DimensionMismatchError unless its shape is ``batch`` followed by
+    that of one state of the N x N lattice: one state for the default
+    empty ``batch``, (B,) for B states, one per row."""
     z = np.asarray(z, dtype=dtype)
-    if z.shape != (state_dim(n),):
-        raise DimensionMismatchError(
-            f"state must have shape ({state_dim(n)},) for n={n}, got {z.shape}"
-        )
+    shape = batch + (state_dim(n),)
+    if z.shape != shape:
+        raise DimensionMismatchError(f"state must have shape {shape} for n={n}, got {z.shape}")
     return z
 
 

@@ -12,8 +12,7 @@ import numpy as np
 from . import _rk
 from .errors import (ClassificationError, DimensionMismatchError, DomainError,
                      InvarianceError)
-from .model import (LatticeParams, _cell_shift, _check_state, _linear_weights,
-                    state_dim)
+from .model import LatticeParams, _cell_shift, _check_state, _linear_weights
 from .symmetry import (
     IsotropySubgroup,
     _cell_classes,
@@ -91,7 +90,8 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     sequence of B with the same n, whose states have shape (B, dim),
     row j a state of ``lp[j]``; the field takes a state, or a stack of
     P, shape (P,) + state shape, with their P times, and returns the
-    derivatives in the same shape.  Only here are a batch's lattices
+    derivatives in the same shape; any other shape raises
+    DimensionMismatchError.  Only here are a batch's lattices
     one block-diagonal lattice, laid end to end with one weight per
     entry; each row sees the arithmetic of its one-state call.
 
@@ -127,7 +127,6 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     w[:2, 1::2] = lin[4:]
     a1 = np.repeat([p.a for p in lps], m) + 1.0
     shape = (2 * m,) if one else (len(lps), 2 * m)
-    ndim = len(shape)
     # a state's extended state: the state, then the cubic parts
     ext = np.empty(3 * cells)
     state, cubic, x = ext[:2 * cells].reshape(shape), ext[2 * cells:], ext[0:2 * cells:2]
@@ -140,13 +139,17 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     total = add_rows if one else lambda g: add_rows(g).reshape(shape)
 
     def rhs(t, z):
-        if z.ndim == ndim:
+        if z.shape == shape:
             np.copyto(state, z)
             np.multiply(x, x, out=cubic)
             np.multiply(cubic, a1 - x, out=cubic)
             g = ext[idx]  # a fresh array: the buffer never leaves
             g *= w
             return total(g)
+        if z.shape[1:] != shape:
+            raise DimensionMismatchError(
+                f"the field takes states of shape {shape} and stacks of them, "
+                f"got {z.shape}")
         zs = z.reshape(len(z), -1)  # each state's lattices end to end
         xs = zs[:, 0::2]
         g = np.concatenate((zs, xs * xs * (a1 - xs)), axis=1)[:, idx]
@@ -180,7 +183,10 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
 # Orbit detection: the leading share of the run discarded as transient,
 # the number of samples of the tail, the fewest upward mean crossings
 # that count as oscillation, and the largest accepted recurrence
-# residual relative to the tail amplitude.
+# residual relative to the tail amplitude.  Five crossings give four
+# intervals inside the tail, so their median, the period estimate, is at
+# most half the tail, and the recurrence search, up to 1.25 periods past
+# the tail's start, stays inside it.
 _TRANSIENT_FRACTION = 0.5
 _RESAMPLE = 4096
 _MIN_CROSSINGS = 5
@@ -251,8 +257,6 @@ def detect_periodic_orbit(traj: Trajectory):
     if not np.isfinite(p0) or p0 <= 0.0:
         return None
     anchor_t = t_cut
-    if anchor_t + 1.3 * p0 > t1:
-        return None
     z_a = traj.sample(anchor_t)
 
     def recur(p):
@@ -394,11 +398,7 @@ def _quotient_solve(K: IsotropySubgroup, z0,
     if K.n != n:
         raise DimensionMismatchError("subgroup and lattice sizes disagree")
     batch = () if single else (len(lp),)
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != batch + (state_dim(n),):
-        raise DimensionMismatchError(
-            f"initial state must have shape {batch + (state_dim(n),)}"
-        )
+    z0 = _check_state(z0, n, batch=batch)
     reps, cls = _cell_classes(K, n)
     cells = z0.reshape(batch + (-1, 2))
     scale = np.maximum(1.0, np.max(np.abs(z0), axis=-1))

@@ -51,7 +51,7 @@ def state_permutation(g, n: int) -> np.ndarray:
     return (2 * _cell_shift(g, n)[:, None] + np.arange(2)).reshape(-1)
 
 
-def act(g, z: np.ndarray, n: int | None = None) -> np.ndarray:
+def act(g, z: np.ndarray, n: int) -> np.ndarray:
     """Apply the shift g = (r, s) to a flat state.
 
     The returned state holds at cell (i, j) the old value of cell
@@ -59,8 +59,6 @@ def act(g, z: np.ndarray, n: int | None = None) -> np.ndarray:
     preserved, so complex eigenvectors can be shifted as well.  A z that
     is not one state of the N x N lattice raises DimensionMismatchError.
     """
-    if n is None:
-        n = infer_n(z)
     return _check_state(z, n, dtype=None)[state_permutation(g, n)]
 
 
@@ -254,58 +252,45 @@ def _perp_generator(k: ModeIndex, n: int) -> tuple:
     return ((n - k.k2) % n, k.k1 % n)
 
 
-def predict_hopf_symmetries(
-    equilibrium_isotropy: IsotropySubgroup,
-    center_mode: ModeIndex,
-) -> SymmetryPrediction:
-    """Spatio-temporal symmetries forced by a simple Hopf bifurcation.
+def predict_hopf_symmetries(center_mode: ModeIndex, n: int) -> SymmetryPrediction:
+    """Spatio-temporal symmetries forced by a simple Hopf bifurcation of
+    the origin.
+
+    The origin is fixed by the whole group, so H is Gamma, and the
+    H/K theorem (Golubitsky and Stewart) gives K as the kernel of the
+    action on the crossing plane: Gamma for the (0, 0) mode, else the
+    cyclic subgroup of the shifts perpendicular to k.
 
     Parameters
     ----------
-    equilibrium_isotropy : IsotropySubgroup
-        Isotropy of the equilibrium undergoing the bifurcation.
     center_mode : ModeIndex
-        Canonical mode carrying the critical eigenvalue pair, on the
-        lattice side of the subgroup.
+        Canonical mode carrying the critical eigenvalue pair.
+    n : int
+        Lattice side.
 
     Returns
     -------
     SymmetryPrediction
-        The predicted time shifts are those of the wave rotating with
-        the canonical exponent k; the mirror-image wave (exponent N-k,
-        the same plane) realizes the complementary shifts.  The fixing
-        subgroup is the same for both.
+        ``spatial`` is always Gamma.  The predicted time shifts are
+        those of the wave rotating with the canonical exponent k; the
+        mirror-image wave (exponent N-k, the same plane) realizes the
+        complementary shifts.  The fixing subgroup is the same for both.
     """
-    H = equilibrium_isotropy
-    n = H.n
+    H = IsotropySubgroup.full(n)
     k = canonical_mode(center_mode.k1, center_mode.k2, n)
     if k != center_mode:
         raise ClassificationError(
             f"center mode {center_mode.as_tuple()} is not canonical for n={n}"
         )
-
-    if H.kind == "full":
-        if k.as_tuple() == (0, 0):
-            return SymmetryPrediction(
-                spatial=H,
-                fixing=H,
-                phases={(1, 0): Fraction(0), (0, 1): Fraction(0)},
-            )
-        K = IsotropySubgroup.cyclic(_perp_generator(k, n), n)
-        phases = {
-            (1, 0): Fraction(k.k1 % n, n),
-            (0, 1): Fraction(k.k2 % n, n),
-        }
-        return SymmetryPrediction(spatial=H, fixing=K, phases=phases)
-
-    if H.kind == "trivial":
-        return SymmetryPrediction(spatial=H, fixing=H, phases={})
-
-    g = H.generator
-    if k.dot(g) % n == 0:
-        return SymmetryPrediction(spatial=H, fixing=H, phases={g: Fraction(0)})
-    return SymmetryPrediction(
-        spatial=H,
-        fixing=IsotropySubgroup.trivial(n),
-        phases={g: Fraction(k.dot(g) % n, n)},
-    )
+    if k.as_tuple() == (0, 0):
+        return SymmetryPrediction(
+            spatial=H,
+            fixing=H,
+            phases={(1, 0): Fraction(0), (0, 1): Fraction(0)},
+        )
+    K = IsotropySubgroup.cyclic(_perp_generator(k, n), n)
+    phases = {
+        (1, 0): Fraction(k.k1 % n, n),
+        (0, 1): Fraction(k.k2 % n, n),
+    }
+    return SymmetryPrediction(spatial=H, fixing=K, phases=phases)

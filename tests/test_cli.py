@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhn_torus import LatticeParams, _rk, bifurcation, cli
+from fhn_torus import BracketError, LatticeParams, _rk, bifurcation, cli
 from fhn_torus.cli import parse_and_dispatch
 from fhn_torus.selftest import run_selftest
 
@@ -32,6 +32,11 @@ def run_cli(args, tmp_path, name="out.json", fmt=None):
 def load_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestCritical:
@@ -119,6 +124,19 @@ class TestHopf:
         assert tuple(rep["mode"]) == (2, 2)
         assert rep["omega_hopf"] > 0.0
         assert doc["K"] == "Z(1,2)"
+
+    def test_probe_verdict_is_the_reported_criticality(self, tmp_path):
+        args = ["hopf", "--n", "3", "--gamma", "1", "--delta", "-1", "--c", "0.05",
+                "--probe"]
+        code, path = run_cli(args, tmp_path)
+        assert code == 0
+        doc = load_json(path)
+        code, path = run_cli(args, tmp_path, name="hopf.csv", fmt="csv")
+        assert code == 0
+        (row,) = load_csv(path)
+        verdict = doc["probe"]["classification"]
+        assert verdict == doc["report"]["criticality"] == row["criticality"]
+        assert len(doc["probe"]["runs"]) == 4
 
     def test_rejects_zero_c(self, tmp_path, capsys):
         code = parse_and_dispatch(
@@ -331,6 +349,34 @@ class TestSweep:
         assert len(rows) == 3
         assert rows[1].endswith("invalid")
         assert rows[0].endswith("undetermined") and rows[2].endswith("undetermined")
+
+    def test_probe_fills_the_criticality_column(self, tmp_path):
+        code, path = run_cli(
+            ["sweep", "--n", "3", "--c", "0", "--gamma-range=-1.2:-0.8:2",
+             "--delta=-1", "--probe"],
+            tmp_path, name="sweep.csv", fmt="csv",
+        )
+        assert code == 0
+        assert [r["criticality"] for r in load_csv(path)] == ["subcritical", "subcritical"]
+
+    def test_point_whose_search_fails_is_marked_failed(self, tmp_path, monkeypatch):
+        base = ["sweep", "--n", "3", "--c", "0.05", "--gamma-range=-1.2:-0.8:2",
+                "--delta=-1", "--jobs", "1"]
+        _, path = run_cli(base, tmp_path, name="clean.csv", fmt="csv")
+        clean = load_csv(path)
+        real = cli.hopf_crossing
+
+        def refuse_first(lp):
+            if lp.gamma == -1.2:
+                raise BracketError("no bracket", a_lo=0.0, a_hi=1.0)
+            return real(lp)
+
+        monkeypatch.setattr(cli, "hopf_crossing", refuse_first)
+        code, path = run_cli(base, tmp_path, name="sweep.csv", fmt="csv")
+        assert code == 0
+        rows = load_csv(path)
+        assert math.isnan(float(rows[0]["a_hat"])) and rows[0]["criticality"] == "failed"
+        assert clean[0]["criticality"] != "failed" and rows[1] == clean[1]
 
     def test_jobs_capped_by_points_and_cpus(self, tmp_path, monkeypatch):
         # the pool forks all its workers at the first submit; a stand-in

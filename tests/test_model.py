@@ -231,6 +231,24 @@ class TestRhsNetwork:
         assert not np.shares_memory(first, second)
         assert np.array_equal(second, ordered_field(z2, self.LP5, K))
 
+    @pytest.mark.parametrize("K", [None, IsotropySubgroup.cyclic((1, 0), 3)])
+    def test_refuses_what_is_neither_a_state_nor_a_stack(self, K):
+        lp = LatticeParams(n=3, a=0.3, b=2.0, c=0.1, gamma=-0.7, delta=1.3)
+        dim = quotient_dim(K, 3)
+        one, two = make_rhs(lp, K), make_rhs([lp, lp], K)
+        # one value, a short state, a stack of short states and a scalar;
+        # a batch of one, its two rows end to end, a stack of one-lattice
+        # states and a stack of batches of three
+        for rhs, shape in ((one, (1,)), (one, (dim - 1,)), (one, (4, dim - 1)), (one, ()),
+                           (two, (1, dim)), (two, (2 * dim,)), (two, (4, dim)),
+                           (two, (4, 3, dim))):
+            with pytest.raises(DimensionMismatchError):
+                rhs(0.0, np.zeros(shape))
+        assert one(0.0, np.zeros(dim)).shape == (dim,)
+        assert one(np.zeros(4), np.zeros((4, dim))).shape == (4, dim)
+        assert two(0.0, np.zeros((2, dim))).shape == (2, dim)
+        assert two(np.zeros(4), np.zeros((4, 2, dim))).shape == (4, 2, dim)
+
     def test_zero_state_fixed(self):
         lp = LatticeParams(n=3, a=0.5, b=1.0, c=0.2, gamma=-1.0, delta=0.5)
         assert np.array_equal(lattice_field(np.zeros(18), lp), np.zeros(18))

@@ -23,8 +23,7 @@ class TestTables:
         from scipy.integrate._ivp import dop853_coefficients as ref
 
         assert np.array_equal(_rk._C, ref.C)
-        for i in range(1, 16):
-            assert np.array_equal(_rk._A[i], ref.A[i, :i]), i
+        assert np.array_equal(_rk._A, ref.A)
         assert np.array_equal(_rk._B, ref.B)
         assert np.array_equal(_rk._E5, ref.E5[:12]) and ref.E5[12] == 0.0
         assert np.array_equal(_rk._E3, ref.E3[:12]) and ref.E3[12] == 0.0
@@ -36,14 +35,14 @@ class TestTables:
         w = _rk._A_STEP
         assert w.shape == (13, 13)
         for i in range(13):
-            assert np.array_equal(w[i, :i], _rk._A[i]), i
+            assert np.array_equal(w[i, :i], _rk._A[i, :i]), i
             assert not w[i, i:].any(), i
         assert np.array_equal(w[12, :12], _rk._B)
         assert np.array_equal(_rk._E, np.stack([_rk._E5, _rk._E3]))
 
     def test_row_sums_are_the_nodes(self):
         for i in range(1, 16):
-            a = _rk._A[i]
+            a = _rk._A[i, :i]
             assert abs(a.sum() - _rk._C[i]) <= 4e-16 * max(1.0, np.abs(a).sum()), i
 
     @pytest.mark.parametrize("k", range(1, 9))

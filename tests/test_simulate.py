@@ -299,6 +299,22 @@ class TestDetectPeriodicOrbit:
         traj = integrate(synchronized_state(0.05, 0.0), lp, 200.0)
         assert detect_periodic_orbit(traj) is None
 
+    def test_decayed_tail_gives_none(self):
+        # the whole tail lies within 1e-8 of the origin: an equilibrium
+        lp = LatticeParams(n=3, a=1.0, b=1.0, c=1.0, gamma=-1.0, delta=-1.0)
+        traj = integrate(synchronized_state(0.05, 0.0), lp, 100.0)
+        tail = traj.sample(np.linspace(50.0, 100.0, 101))
+        assert np.max(np.ptp(tail, axis=0)) < 1e-8
+        assert detect_periodic_orbit(traj) is None
+
+    def test_tail_of_fewer_than_five_periods_gives_none(self):
+        # the synchronized orbit (period about 6.35) at full amplitude,
+        # but the tail of a run to t = 40 holds about three periods
+        traj = integrate(synchronized_state(0.25, 0.0), SYNC, 40.0)
+        tail = traj.sample(np.linspace(20.0, 40.0, 101))
+        assert np.max(np.ptp(tail, axis=0)) > 0.1
+        assert detect_periodic_orbit(traj) is None
+
     def test_single_cell_period_near_linear_frequency(self):
         traj = integrate_cell(CellParams(a=-0.05, b=1.0, c=0.0), (0.25, 0.0), 400.0)
         orbit = detect_periodic_orbit(traj)
@@ -450,7 +466,7 @@ class TestClassifySpatiotemporal:
         # the classifier reports the realized wave's shifts; the
         # prediction quotes the canonical orientation, so fractions
         # agree directly or as complements
-        pred = predict_hopf_symmetries(IsotropySubgroup.full(3), ModeIndex(2, 1))
+        pred = predict_hopf_symmetries(ModeIndex(2, 1), 3)
         measured = {(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)}
         direct = pred.phases == measured
         complement = {

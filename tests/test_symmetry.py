@@ -362,12 +362,12 @@ def test_contains_matches_element_list(n):
 
 class TestPredictHopfSymmetries:
     def test_synchronized_mode(self):
-        pred = predict_hopf_symmetries(IsotropySubgroup.full(3), ModeIndex(0, 0))
+        pred = predict_hopf_symmetries(ModeIndex(0, 0), 3)
         assert pred.spatial.kind == "full" and pred.fixing.kind == "full"
         assert all(v == 0 for v in pred.phases.values())
 
     def test_nonzero_mode_from_full_symmetry(self):
-        pred = predict_hopf_symmetries(IsotropySubgroup.full(3), ModeIndex(1, 0))
+        pred = predict_hopf_symmetries(ModeIndex(1, 0), 3)
         assert pred.spatial.kind == "full"
         assert pred.fixing == IsotropySubgroup.cyclic((0, 1), 3)
         assert pred.phases == {(1, 0): Fraction(1, 3), (0, 1): Fraction(0)}
@@ -377,18 +377,14 @@ class TestPredictHopfSymmetries:
             for k in mode_index_set(n):
                 if k.as_tuple() == (0, 0):
                     continue
-                pred = predict_hopf_symmetries(IsotropySubgroup.full(n), k)
+                pred = predict_hopf_symmetries(k, n)
                 for g in pred.fixing.elements():
                     assert k.dot(g) % n == 0
 
     def test_phases_follow_generator_exponents(self):
-        pred = predict_hopf_symmetries(IsotropySubgroup.full(3), ModeIndex(2, 1))
+        pred = predict_hopf_symmetries(ModeIndex(2, 1), 3)
         assert pred.phases == {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 3)}
-
-    def test_trivial_equilibrium_symmetry(self):
-        pred = predict_hopf_symmetries(IsotropySubgroup.trivial(3), ModeIndex(1, 0))
-        assert pred.spatial.kind == "trivial" and pred.fixing.kind == "trivial"
 
     def test_rejects_non_canonical_mode(self):
         with pytest.raises(ClassificationError):
-            predict_hopf_symmetries(IsotropySubgroup.full(3), ModeIndex(2, 2))
+            predict_hopf_symmetries(ModeIndex(2, 2), 3)
