@@ -37,7 +37,6 @@ from .model import (
 )
 from .symmetry import (
     IsotropySubgroup,
-    ModeIndex,
     act,
     canonical_mode,
     fix_modes,
@@ -102,7 +101,6 @@ __all__ = [
     "state_dim",
     "to_grids",
     "IsotropySubgroup",
-    "ModeIndex",
     "act",
     "canonical_mode",
     "fix_modes",

@@ -34,11 +34,7 @@ from .spectral import (
     analytic_eigenvector,
     eigenvalue_grids,
 )
-from .symmetry import (
-    IsotropySubgroup,
-    canonical_mode,
-    predict_hopf_symmetries,
-)
+from .symmetry import IsotropySubgroup, predict_hopf_symmetries
 
 __all__ = [
     "CriticalPoint",
@@ -109,11 +105,6 @@ def _checked_pattern(lp: LatticeParams):
             stacklevel=3,
         )
     return pat
-
-
-def _crossing_K(mode: tuple, n: int) -> IsotropySubgroup:
-    """Subgroup predicted to fix the Hopf branch of a crossing mode."""
-    return predict_hopf_symmetries(canonical_mode(*mode, n), n).fixing
 
 
 def _upper_branch(lam_p, lam_m) -> str:
@@ -199,7 +190,7 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
         omega = (lam_p if branch == "+" else lam_m)[r, s].imag
         crossing.append(CrossingMode(r, s, branch, float(omega)))
     crossing.sort(key=lambda cm: (-cm.omega, cm.r, cm.s))
-    mode_syms = {cm.mode: _crossing_K(cm.mode, n) for cm in crossing}
+    mode_syms = {cm.mode: predict_hopf_symmetries(cm.mode, n).fixing for cm in crossing}
     return CriticalPoint(
         a_star=a_star,
         theta=th,
@@ -527,7 +518,7 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     """
     st = settings or ProbeSettings()
     _checked_pattern(lp)
-    K = _crossing_K(report.mode, lp.n)
+    K = predict_hopf_symmetries(report.mode, lp.n).fixing
     lp_hat = replace(lp, a=report.a_hat)
     branch = _upper_branch(*analytic_eigenvalues(*report.mode, lp_hat))
     vec = np.real(analytic_eigenvector(*report.mode, branch, lp_hat))

@@ -32,7 +32,6 @@ import numpy as np
 from . import _rk, _serialize
 from .bifurcation import (
     HopfReport,
-    _crossing_K,
     _hopf_report,
     branch_criticality_probe,
     critical_a,
@@ -52,6 +51,7 @@ from .simulate import (
     make_rhs,
 )
 from .spectral import analytic_eigenvector, spectrum_report
+from .symmetry import predict_hopf_symmetries
 
 __all__ = ["Report", "parse_and_dispatch", "emit_report", "main"]
 
@@ -220,7 +220,7 @@ def _crossing_row(lp: LatticeParams, rep: HopfReport) -> tuple:
     return (
         lp.n, lp.a, lp.b, lp.c, lp.gamma, lp.delta, rep.a_star, rep.a_hat,
         rep.mode[0], rep.mode[1], rep.omega_hopf,
-        _crossing_K(rep.mode, lp.n).label(), rep.criticality,
+        predict_hopf_symmetries(rep.mode, lp.n).fixing.label(), rep.criticality,
     )
 
 
@@ -290,7 +290,7 @@ def _cmd_hopf(args):
     lp = args.params
     rep = hopf_crossing(lp)
     payload = {"command": "hopf", "params": asdict(lp), "report": rep,
-               "K": _crossing_K(rep.mode, lp.n).label()}
+               "K": predict_hopf_symmetries(rep.mode, lp.n).fixing.label()}
     if args.probe:
         probe = branch_criticality_probe(rep, lp)
         rep.criticality = probe.classification
@@ -500,6 +500,9 @@ def parse_and_dispatch(argv=None) -> int:
     Returns the process exit code instead of raising: 2 for anything
     rooted in bad input, 3 for numerical failures (lost brackets, step
     size underflow, a start outside an invariant subspace) and I/O errors.
+    Each distinct warning message of the run goes to stderr once, as
+    ``warning: <message>``, ahead of any ``error:`` line; the warning
+    filters are restored on return.
     """
     parser = _build_parser()
     try:
@@ -507,18 +510,23 @@ def parse_and_dispatch(argv=None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    try:
-        _resolve(args)
-        report, code = _COMMANDS[args.command](args)
-        if report is not None:
-            emit_report(report, args.format, args.output)
-        return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            _resolve(args)
+            report, code = _COMMANDS[args.command](args)
+            if report is not None:
+                emit_report(report, args.format, args.output)
+        except ValueError as exc:
+            error, code = exc, 2
+        except (RuntimeError, OSError) as exc:
+            error, code = exc, 3
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

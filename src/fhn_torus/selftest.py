@@ -63,29 +63,29 @@ def _check_rotation(rng):
     ok = True
     detail = ""
     for k in mode_index_set(n):
-        e = _mode_vector(k.k1, k.k2, n)  # the phases w^(i*k1 + j*k2) of the cells
+        e = _mode_vector(*k, n)  # the phases w^(i*k1 + j*k2) of the cells
         for g in ((1, 0), (0, 1), (2, 3)):
             lhs = np.vdot(e, act(g, z, n)[0::2])
             rhs = np.vdot(e, z[0::2]) * np.exp(
-                2j * np.pi * (g[0] * k.k1 + g[1] * k.k2) / n
+                2j * np.pi * (g[0] * k[0] + g[1] * k[1]) / n
             )
             err = abs(lhs - rhs)
             if err > 1e-10:
                 ok = False
-                detail = f"k={k.as_tuple()} g={g} err={err:.3e}"
+                detail = f"k={k} g={g} err={err:.3e}"
                 break
     return "rotations act on mode coordinates by phases", ok, detail or "all phases exact"
 
 
 def _check_dimensions(_rng):
     for n in (3, 5, 7):
-        total = sum(k.dim for k in mode_index_set(n))
+        total = sum(1 if k == (0, 0) else 2 for k in mode_index_set(n))
         if total != n * n:
             return "isotypic dimensions sum to N^2", False, f"N={n}: {total}"
         for g in group_elements(n):
             if g == (0, 0):
                 continue
-            d = sum(k.dim for k in fix_modes(g, n))
+            d = sum(1 if k == (0, 0) else 2 for k in fix_modes(g, n))
             if d != n:
                 return "fixed spaces have dimension N", False, f"N={n} g={g}: {d}"
     return "isotypic dimensions sum to N^2, fixed spaces have dimension N", True, "N in {3,5,7}"

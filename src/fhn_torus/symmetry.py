@@ -2,16 +2,17 @@
 
 The group is Z_N x Z_N acting by cyclic index shifts: the element
 g = (r, s) replaces the cell value at (i, j) with the value previously
-held at (i + r, j + s).  Modes are labels only: the frequency
+held at (i + r, j + s).  A mode is a plain int pair: the frequency
 k = (k1, k2) puts the phase w^(i*k1 + j*k2), w = exp(2*pi*1j/N), on
 cell (i, j) with 0-based indices, k and -k label the same invariant
-real plane of the x lattice, and g multiplies the complex coordinate of
-that plane by w^(r*k1 + s*k2).  :func:`mode_index_set` lists one
-canonical label per plane and :func:`canonical_mode` finds the label of
-any frequency.  Which flat cell a shift reads and the Fourier vector of
-a frequency come from ``model._cell_shift`` and ``model._mode_vector``,
-the only code that knows the cell layout.  Full states carry two copies
-of each plane (one in the x slots, one in the y slots).
+real plane of the x lattice (of dimension 1 for (0, 0), else 2), and g
+multiplies the complex coordinate of that plane by w^(r*k1 + s*k2).
+:func:`mode_index_set` lists one canonical pair per plane and
+:func:`canonical_mode` finds the pair of any frequency.  Which flat
+cell a shift reads and the Fourier vector of a frequency come from
+``model._cell_shift`` and ``model._mode_vector``, the only code that
+knows the cell layout.  Full states carry two copies of each plane
+(one in the x slots, one in the y slots).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import ClassificationError
 from .model import _cell_shift, _check_state, _require_odd_prime, infer_n
 
 __all__ = [
-    "ModeIndex",
     "IsotropySubgroup",
     "SymmetryPrediction",
     "group_elements",
@@ -62,28 +62,11 @@ def act(g, z: np.ndarray, n: int) -> np.ndarray:
     return _check_state(z, n, dtype=None)[state_permutation(g, n)]
 
 
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Canonical label (k1, k2) of an invariant plane of the x lattice."""
-
-    k1: int
-    k2: int
-
-    @property
-    def dim(self) -> int:
-        return 1 if (self.k1, self.k2) == (0, 0) else 2
-
-    def as_tuple(self):
-        return (self.k1, self.k2)
-
-    def dot(self, g) -> int:
-        return self.k1 * g[0] + self.k2 * g[1]
-
-
-def _canonical_labels(n: int) -> list:
-    """The canonical label (k1, k2) of every invariant plane, in order:
+def mode_index_set(n: int) -> list:
+    """The canonical pair (k1, k2) of every invariant plane, in order:
     (0,0); (0,k) and (k,0) and (k,k) for 1 <= k <= (N-1)/2; (k1,k2)
-    with 1 <= k2 < k1 <= N-1.  Of k and -k mod N exactly one is listed."""
+    with 1 <= k2 < k1 <= N-1.  Of k and -k mod N exactly one is listed.
+    Dimensions (1 for (0, 0), else 2) add up to N^2."""
     _require_odd_prime(n)
     half = range(1, (n - 1) // 2 + 1)
     return ([(0, 0)] + [(0, k) for k in half] + [(k, 0) for k in half]
@@ -91,24 +74,16 @@ def _canonical_labels(n: int) -> list:
             + [(k1, k2) for k1 in range(2, n) for k2 in range(1, k1)])
 
 
-def mode_index_set(n: int) -> list[ModeIndex]:
-    """Canonical mode labels, one per invariant plane, in the order of
-    ``_canonical_labels``.  Dimensions add up to N^2."""
-    return [ModeIndex(*k) for k in _canonical_labels(n)]
-
-
-def canonical_mode(r: int, s: int, n: int) -> ModeIndex:
-    """Canonical representative of the plane containing frequency (r, s):
-    whichever of (r, s) and (-r, -s) mod N ``_canonical_labels`` lists."""
-    labels = _canonical_labels(n)
+def canonical_mode(r: int, s: int, n: int) -> tuple:
+    """Canonical pair of the plane containing frequency (r, s):
+    whichever of (r, s) and (-r, -s) mod N ``mode_index_set`` lists."""
     k = (r % n, s % n)
-    return ModeIndex(*(k if k in labels else ((n - k[0]) % n, (n - k[1]) % n)))
+    return k if k in mode_index_set(n) else ((n - k[0]) % n, (n - k[1]) % n)
 
 
-def fix_modes(g, n: int) -> list[ModeIndex]:
-    """Canonical modes whose planes are fixed pointwise by g."""
-    _require_odd_prime(n)
-    return [k for k in mode_index_set(n) if k.dot(g) % n == 0]
+def fix_modes(g, n: int) -> list:
+    """Canonical pairs whose planes are fixed pointwise by g."""
+    return [k for k in mode_index_set(n) if (k[0] * g[0] + k[1] * g[1]) % n == 0]
 
 
 @dataclass(frozen=True)
@@ -161,9 +136,6 @@ class IsotropySubgroup:
             return [(0, 0)]
         r, s = self.generator
         return [((m * r) % self.n, (m * s) % self.n) for m in range(self.n)]
-
-    def order(self) -> int:
-        return {"full": self.n * self.n, "cyclic": self.n, "trivial": 1}[self.kind]
 
     def contains(self, g) -> bool:
         g0, g1 = int(g[0]) % self.n, int(g[1]) % self.n
@@ -248,49 +220,34 @@ class SymmetryPrediction:
     phases: dict = field(default_factory=dict)
 
 
-def _perp_generator(k: ModeIndex, n: int) -> tuple:
-    return ((n - k.k2) % n, k.k1 % n)
-
-
-def predict_hopf_symmetries(center_mode: ModeIndex, n: int) -> SymmetryPrediction:
+def predict_hopf_symmetries(center_mode, n: int) -> SymmetryPrediction:
     """Spatio-temporal symmetries forced by a simple Hopf bifurcation of
     the origin.
 
     The origin is fixed by the whole group, so H is Gamma, and the
     H/K theorem (Golubitsky and Stewart) gives K as the kernel of the
     action on the crossing plane: Gamma for the (0, 0) mode, else the
-    cyclic subgroup of the shifts perpendicular to k.
+    cyclic subgroup of the shifts (-s, r) perpendicular to k = (r, s).
 
     Parameters
     ----------
-    center_mode : ModeIndex
-        Canonical mode carrying the critical eigenvalue pair.
+    center_mode : (int, int)
+        Frequency (r, s) carrying the critical eigenvalue pair, as the
+        spectrum reports it; it is read mod N and need not be canonical.
     n : int
         Lattice side.
 
     Returns
     -------
     SymmetryPrediction
-        ``spatial`` is always Gamma.  The predicted time shifts are
-        those of the wave rotating with the canonical exponent k; the
-        mirror-image wave (exponent N-k, the same plane) realizes the
-        complementary shifts.  The fixing subgroup is the same for both.
+        ``spatial`` is always Gamma.  The phases are the time shifts of
+        the wave rotating with the given frequency k, so -k, the other
+        orientation of the same plane, gets the complementary shifts.
+        The fixing subgroup is the same for k and -k.
     """
     H = IsotropySubgroup.full(n)
-    k = canonical_mode(center_mode.k1, center_mode.k2, n)
-    if k != center_mode:
-        raise ClassificationError(
-            f"center mode {center_mode.as_tuple()} is not canonical for n={n}"
-        )
-    if k.as_tuple() == (0, 0):
-        return SymmetryPrediction(
-            spatial=H,
-            fixing=H,
-            phases={(1, 0): Fraction(0), (0, 1): Fraction(0)},
-        )
-    K = IsotropySubgroup.cyclic(_perp_generator(k, n), n)
-    phases = {
-        (1, 0): Fraction(k.k1 % n, n),
-        (0, 1): Fraction(k.k2 % n, n),
-    }
-    return SymmetryPrediction(spatial=H, fixing=K, phases=phases)
+    r, s = center_mode[0] % n, center_mode[1] % n
+    K = H if (r, s) == (0, 0) else IsotropySubgroup.cyclic((-s, r), n)
+    return SymmetryPrediction(
+        spatial=H, fixing=K, phases={(1, 0): Fraction(r, n), (0, 1): Fraction(s, n)}
+    )

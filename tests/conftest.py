@@ -64,8 +64,8 @@ def fft_projection(z, k, n):
     (-k1, -k2) of its x and y grids."""
     x, y = to_grids(z, n)
     mask = np.zeros((n, n))
-    mask[k.k1 % n, k.k2 % n] = 1.0
-    mask[(-k.k1) % n, (-k.k2) % n] = 1.0
+    mask[k[0] % n, k[1] % n] = 1.0
+    mask[(-k[0]) % n, (-k[1]) % n] = 1.0
 
     def filt(g):
         return np.real(np.fft.ifft2(np.fft.fft2(g) * mask))

@@ -91,13 +91,13 @@ def test_criterion_1_eigen_residuals(capsys):
 def test_criterion_2_decomposition_counts(capsys):
     ok = True
     for n in (3, 5, 7, 11):
-        total = sum(k.dim for k in mode_index_set(n))
+        total = sum(1 if k == (0, 0) else 2 for k in mode_index_set(n))
         ok = ok and total == n * n
         for g1 in range(n):
             for g2 in range(n):
                 if (g1, g2) == (0, 0):
                     continue
-                via_modes = sum(k.dim for k in fix_modes((g1, g2), n))
+                via_modes = sum(1 if k == (0, 0) else 2 for k in fix_modes((g1, g2), n))
                 # independent count: frequencies annihilated by g
                 direct = sum(
                     1

@@ -360,6 +360,14 @@ class TestHopfCrossing:
         with pytest.raises(DomainError):
             hopf_crossing(lattice(c=1.5, b=1.0))
 
+    def test_warns_when_c_is_not_small_against_sqrt_b(self):
+        # the warning starts above c = 0.2 sqrt(b)
+        with pytest.warns(UserWarning, match="not small against sqrt"):
+            hopf_crossing(lattice(c=0.5, b=1.0, gamma=0.3, delta=-0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hopf_crossing(lattice(c=0.2, b=1.0, gamma=0.3, delta=-0.2))
+
     def test_crossing_identity_links_gap_to_frequency(self):
         # y^2 = psi(a* - a_hat) at the crossing, y the imaginary part
         # of the coupling symbol on the crossing mode

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,7 +421,8 @@ class TestSweep:
 class TestConfigFile:
     def test_config_supplies_parameters(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 3\ngamma = -1  # associative\ndelta = -1\nb = 1\n")
+        cfg.write_text("# synchronized example\n\nn = 3\ngamma = -1  # associative\n"
+                       "   # indented comment\n   \ndelta = -1\nb = 1\n")
         code, path = run_cli(["critical", "--config", str(cfg)], tmp_path)
         assert code == 0
         assert load_json(path)["a_star"] == 0.0
@@ -443,6 +445,19 @@ class TestConfigFile:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, error", [
+        ("# header\n\nn 3\n", "3: expected key=value"),
+        ("n = 3\n# header\ngamma = -1\nn = x\n", "4: bad value 'x' for n"),
+        ("gamma = minus one\n", "1: bad value 'minus one' for gamma"),
+    ])
+    def test_malformed_line_rejected(self, text, error, tmp_path, capsys):
+        # the line number counts comment and blank lines
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = parse_and_dispatch(["critical", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{error}\n"
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -463,6 +478,30 @@ class TestExitCodes:
         code = parse_and_dispatch(["sweep", "--gamma-range", "1:2"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text, error", [
+        ("t,x\n0,1\n1,2\n", "expected t plus 2*N^2 state columns"),
+        ("t" + ",s" * 18 + "\n" + "".join(f"{t}" + ",0" * 18 + "\n" for t in (0, 1, 1)),
+         "times must increase strictly"),
+        ("t" + ",s" * 18 + "\n" + "".join(f"{t}" + ",0" * 18 + "\n" for t in (0, 2, 1)),
+         "times must increase strictly"),
+    ])
+    def test_classify_malformed_file(self, text, error, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = parse_and_dispatch(["classify", "--input", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: {error}\n"
+
+    @pytest.mark.parametrize("text, error", [
+        ("a:b:3", "range must be lo:hi:count, got 'a:b:3'"),
+        ("-1:1:0", "range count must be at least 1"),
+    ])
+    def test_range_refused(self, text, error, capsys):
+        code = parse_and_dispatch(["sweep", "--n", "3", "--c", "0.05",
+                                   f"--delta-range={text}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("flag", ["--gamma-range", "--delta-range"])
     @pytest.mark.parametrize("text", ["nan:1:2", "1:nan:2", "inf:1:2", "1:inf:2",
@@ -546,6 +585,39 @@ class TestExitCodes:
                 else ["classify", "--input", str(path)])
         assert parse_and_dispatch(args + [f"--tol={tol}"]) == 2
         assert capsys.readouterr().err.startswith("error: tol must be positive and finite")
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("args", [
+        ["critical", "--n", "3", "--gamma", "1", "--delta", "1"],
+        ["hopf", "--n", "3", "--gamma", "1", "--delta", "1", "--c", "0.05", "--probe"],
+    ])
+    def test_one_line_per_distinct_warning(self, args, tmp_path, capsys):
+        # hopf --probe warns from hopf_crossing and again from the probe;
+        # a second call in one process prints the warning again
+        for name in ("first.json", "second.json"):
+            code, _ = run_cli(args, tmp_path, name=name)
+            assert code == 0
+            err = capsys.readouterr().err
+            assert err == ("warning: gamma == delta collapses mode frequencies "
+                           "in the (+,+) case\n")
+            assert ".py" not in err
+
+    def test_warning_filters_restored(self, tmp_path, capsys):
+        before = list(warnings.filters)
+        run_cli(["critical", "--n", "3", "--gamma", "1", "--delta", "1"], tmp_path)
+        capsys.readouterr()
+        assert warnings.filters == before
+
+    def test_warning_precedes_error(self, tmp_path, capsys):
+        # the report is computed, with its warning, then cannot be written
+        code = parse_and_dispatch(["critical", "--n", "3", "--gamma", "1", "--delta", "1",
+                                   "--output", str(tmp_path / "missing" / "out.json")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: gamma == delta")
+        assert lines[1].startswith("error: ")
 
 
 class TestSelftest:

@@ -14,13 +14,13 @@ import pytest
 
 from fhn_torus import (
     CellParams,
+    ClassificationError,
     DimensionMismatchError,
     DomainError,
     InvarianceError,
     IsotropySubgroup,
     StiffnessError,
     LatticeParams,
-    ModeIndex,
     PeriodicOrbit,
     Trajectory,
     act,
@@ -336,6 +336,13 @@ class TestClassifySpatiotemporal:
         with pytest.raises(DimensionMismatchError):
             classify_spatiotemporal(orbit, wave_lattice(n_lattice))
 
+    def test_rejects_a_constant_orbit(self):
+        # the origin is an equilibrium: every sample of the orbit is zero
+        traj = integrate(np.zeros(18), SYNC, 10.0)
+        orbit = PeriodicOrbit(2.0, 0.0, traj.states[0], traj, 0.0)
+        with pytest.raises(ClassificationError, match="zero amplitude"):
+            classify_spatiotemporal(orbit, SYNC)
+
     def test_synchronized_orbit_fully_symmetric(self, sync_orbit):
         sym = classify_spatiotemporal(sync_orbit, SYNC)
         assert sym.spatial.kind == "full"
@@ -464,9 +471,9 @@ class TestClassifySpatiotemporal:
 
     def test_wave_matches_prediction_up_to_orientation(self):
         # the classifier reports the realized wave's shifts; the
-        # prediction quotes the canonical orientation, so fractions
+        # prediction quotes the orientation it is given, so fractions
         # agree directly or as complements
-        pred = predict_hopf_symmetries(ModeIndex(2, 1), 3)
+        pred = predict_hopf_symmetries((2, 1), 3)
         measured = {(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)}
         direct = pred.phases == measured
         complement = {
@@ -514,6 +521,11 @@ class TestReducedIntegrateFix:
             reduced_integrate_fix(K, rng.standard_normal(18), SYNC, 1.0)
         with pytest.raises(DimensionMismatchError):
             reduced_integrate_fix(K, np.zeros(50), SYNC, 1.0)
+
+    def test_rejects_subgroup_of_another_lattice_size(self):
+        K = IsotropySubgroup.cyclic((0, 1), 5)
+        with pytest.raises(DimensionMismatchError, match="sizes disagree"):
+            reduced_integrate_fix(K, np.zeros(18), SYNC, 1.0)
 
     def test_ring_branch_orbit_keeps_predicted_symmetry(self):
         # one-directional coupling: integrate inside the fixed space of

@@ -10,7 +10,6 @@ from conftest import dense_spectrum, fft_projection, match_distance, random_latt
 from fhn_torus import (
     DomainError,
     LatticeParams,
-    ModeIndex,
     analytic_eigenvalues,
     analytic_eigenvector,
     assemble_jacobian_origin,
@@ -144,6 +143,10 @@ class TestAnalyticEigenvector:
                     xi = analytic_eigenvector(r, s, branch, lp)
                     res = np.max(np.abs(M @ xi - lam * xi)) / np.max(np.abs(xi))
                     assert res <= 1e-10
+
+    def test_rejects_unknown_branch(self):
+        with pytest.raises(DomainError, match="branch must be"):
+            analytic_eigenvector(1, 0, "x", LP_HALF)
 
     def test_first_cell_component_real_positive(self, rng):
         lp = random_lattice(rng, n=3)
@@ -365,6 +368,11 @@ class TestGenericityViolations:
     def test_requires_c_zero(self):
         lp = LatticeParams(n=3, a=0.0, b=1.0, c=0.1, gamma=1.0, delta=1.0)
         with pytest.raises(DomainError):
+            genericity_violations(lp)
+
+    def test_requires_b_nonzero(self):
+        lp = LatticeParams(n=3, a=0.0, b=0.0, c=0.0, gamma=1.0, delta=-0.5)
+        with pytest.raises(DomainError, match="b != 0"):
             genericity_violations(lp)
 
 

@@ -10,7 +10,6 @@ from fhn_torus import (
     ClassificationError,
     DimensionMismatchError,
     IsotropySubgroup,
-    ModeIndex,
     act,
     canonical_mode,
     fix_modes,
@@ -87,18 +86,18 @@ class TestAction:
 
 class TestModeIndexSet:
     def test_n3_catalogue(self):
-        kset = {k.as_tuple() for k in mode_index_set(3)}
+        kset = set(mode_index_set(3))
         assert kset == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)}
-        assert sum(k.dim for k in mode_index_set(3)) == 9
+        assert sum(1 if k == (0, 0) else 2 for k in mode_index_set(3)) == 9
 
     def test_n5_count_and_total(self):
         modes = mode_index_set(5)
         assert len(modes) == 13
-        assert sum(k.dim for k in modes) == 25
+        assert sum(1 if k == (0, 0) else 2 for k in modes) == 25
 
     @pytest.mark.parametrize("n", [3, 5, 7, 11])
     def test_dimensions_tile_the_lattice(self, n):
-        assert sum(k.dim for k in mode_index_set(n)) == n * n
+        assert sum(1 if k == (0, 0) else 2 for k in mode_index_set(n)) == n * n
 
     def test_planes_cover_all_frequencies_once(self):
         # every (r, s) belongs to exactly one canonical plane
@@ -106,15 +105,15 @@ class TestModeIndexSet:
             seen = {}
             for r in range(n):
                 for s in range(n):
-                    seen.setdefault(canonical_mode(r, s, n).as_tuple(), set()).add((r, s))
-            assert set(seen) == {k.as_tuple() for k in mode_index_set(n)}
+                    seen.setdefault(canonical_mode(r, s, n), set()).add((r, s))
+            assert set(seen) == set(mode_index_set(n))
             assert sum(len(v) for v in seen.values()) == n * n
 
     def test_canonical_mode_folds_conjugates(self):
-        assert canonical_mode(2, 2, 3) == ModeIndex(1, 1)
-        assert canonical_mode(0, 2, 3) == ModeIndex(0, 1)
-        assert canonical_mode(1, 2, 3) == ModeIndex(2, 1)
-        assert canonical_mode(4, 0, 5) == ModeIndex(1, 0)
+        assert canonical_mode(2, 2, 3) == (1, 1)
+        assert canonical_mode(0, 2, 3) == (0, 1)
+        assert canonical_mode(1, 2, 3) == (2, 1)
+        assert canonical_mode(4, 0, 5) == (1, 0)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 23])
     def test_canonical_mode_matches_the_family_conditions(self, n):
@@ -126,7 +125,7 @@ class TestModeIndexSet:
                         or (k2 == 0 and 1 <= k1 <= (n - 1) // 2)
                         or (k1 == k2 and 1 <= k1 <= (n - 1) // 2)
                         or 1 <= k2 < k1 <= n - 1):
-                    return ModeIndex(k1, k2)
+                    return (k1, k2)
             raise AssertionError((r, s))
 
         for r in range(-n, n):
@@ -138,8 +137,9 @@ def plane_projection(z, k, n):
     """Orthogonal projection of a state onto the invariant plane of k in
     each lattice half, spanned by the Fourier vector of k and its
     conjugate."""
-    e = _mode_vector(k.k1, k.k2, n) / n
-    return (k.dim * np.outer(e, e.conj() @ z.reshape(-1, 2)).real).reshape(-1)
+    e = _mode_vector(*k, n) / n
+    dim = 1 if k == (0, 0) else 2
+    return (dim * np.outer(e, e.conj() @ z.reshape(-1, 2)).real).reshape(-1)
 
 
 class TestModeBasis:
@@ -162,11 +162,11 @@ class TestModeBasis:
         n = 5
         for k in mode_index_set(n):
             z = from_grids(rng.standard_normal((n, n)), np.zeros((n, n)))
-            e = _mode_vector(k.k1, k.k2, n)
+            e = _mode_vector(*k, n)
             for g in [(1, 0), (0, 1), (2, 3)]:
                 before = np.vdot(e, z[0::2])
                 after = np.vdot(e, act(g, z, n)[0::2])
-                phase = np.exp(2j * np.pi * (g[0] * k.k1 + g[1] * k.k2) / n)
+                phase = np.exp(2j * np.pi * (g[0] * k[0] + g[1] * k[1]) / n)
                 assert abs(after - phase * before) < 1e-12
 
 
@@ -175,14 +175,14 @@ class TestPhaseConvention:
     def test_coordinate_of_zero_based_wave(self, n):
         z = 0.8 - 0.35j
         for k in mode_index_set(n):
-            if k.dim == 1:
+            if k == (0, 0):
                 continue
             x = np.empty((n, n))
             for i in range(n):
                 for j in range(n):
-                    x[i, j] = np.real(z * np.exp(2j * np.pi * (i * k.k1 + j * k.k2) / n))
+                    x[i, j] = np.real(z * np.exp(2j * np.pi * (i * k[0] + j * k[1]) / n))
             pattern = from_grids(x, np.zeros((n, n)))[0::2]
-            coordinate = k.dim * np.vdot(_mode_vector(k.k1, k.k2, n), pattern) / n**2
+            coordinate = 2 * np.vdot(_mode_vector(*k, n), pattern) / n**2
             assert abs(coordinate - z) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -198,17 +198,17 @@ class TestIsotypicProjection:
         z = np.empty(18)
         z[0::2] = 1.3
         z[1::2] = -0.2
-        assert np.allclose(plane_projection(z, ModeIndex(0, 0), 3), z, rtol=0.0, atol=1e-14)
+        assert np.allclose(plane_projection(z, (0, 0), 3), z, rtol=0.0, atol=1e-14)
         assert np.allclose(
-            plane_projection(z, ModeIndex(1, 1), 3), 0.0, rtol=0.0, atol=1e-14
+            plane_projection(z, (1, 1), 3), 0.0, rtol=0.0, atol=1e-14
         )
 
     def test_component_basis_is_reproduced(self):
         # the real and imaginary parts of the Fourier vector of k, in
         # the x slots or the y slots, span the piece of k
         for k in mode_index_set(3):
-            e = _mode_vector(k.k1, k.k2, 3)
-            for part in (e.real, e.imag)[:k.dim]:
+            e = _mode_vector(*k, 3)
+            for part in (e.real, e.imag)[:1 if k == (0, 0) else 2]:
                 for slot in ((1.0, 0.0), (0.0, 1.0)):
                     v = np.kron(part, slot)
                     assert np.allclose(plane_projection(v, k, 3), v, rtol=0.0, atol=1e-12)
@@ -231,17 +231,17 @@ class TestIsotypicProjection:
 
 class TestFixModes:
     def test_diagonal_generator(self):
-        assert {k.as_tuple() for k in fix_modes((1, 1), 3)} == {(0, 0), (2, 1)}
+        assert set(fix_modes((1, 1), 3)) == {(0, 0), (2, 1)}
 
     def test_column_generator(self):
-        assert {k.as_tuple() for k in fix_modes((0, 1), 3)} == {(0, 0), (1, 0)}
+        assert set(fix_modes((0, 1), 3)) == {(0, 0), (1, 0)}
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_fixed_dimension_is_n(self, n):
         for g in group_elements(n):
             if g == (0, 0):
                 continue
-            assert sum(k.dim for k in fix_modes(g, n)) == n
+            assert sum(1 if k == (0, 0) else 2 for k in fix_modes(g, n)) == n
 
 
 class TestIsotropySubgroup:
@@ -249,12 +249,10 @@ class TestIsotropySubgroup:
         assert IsotropySubgroup.cyclic((2, 2), 3) == IsotropySubgroup.cyclic((1, 1), 3)
         assert IsotropySubgroup.cyclic((0, 2), 3).generator == (0, 1)
 
-    def test_orders_and_labels(self):
-        assert IsotropySubgroup.full(3).order() == 9
+    def test_labels(self):
         assert IsotropySubgroup.full(3).label() == "Gamma"
         assert IsotropySubgroup.trivial(5).label() == "1"
         sub = IsotropySubgroup.cyclic((1, 2), 3)
-        assert sub.order() == 3
         assert sub.label() == "Z(1,2)"
         assert sub.contains((2, 4)) and not sub.contains((1, 0))
 
@@ -362,29 +360,62 @@ def test_contains_matches_element_list(n):
 
 class TestPredictHopfSymmetries:
     def test_synchronized_mode(self):
-        pred = predict_hopf_symmetries(ModeIndex(0, 0), 3)
+        pred = predict_hopf_symmetries((0, 0), 3)
         assert pred.spatial.kind == "full" and pred.fixing.kind == "full"
         assert all(v == 0 for v in pred.phases.values())
 
     def test_nonzero_mode_from_full_symmetry(self):
-        pred = predict_hopf_symmetries(ModeIndex(1, 0), 3)
+        pred = predict_hopf_symmetries((1, 0), 3)
         assert pred.spatial.kind == "full"
         assert pred.fixing == IsotropySubgroup.cyclic((0, 1), 3)
         assert pred.phases == {(1, 0): Fraction(1, 3), (0, 1): Fraction(0)}
 
-    def test_perp_generator_fixes_the_mode_plane(self):
+    def test_fixing_subgroup_fixes_the_mode_plane(self):
         for n in (3, 5):
             for k in mode_index_set(n):
-                if k.as_tuple() == (0, 0):
+                if k == (0, 0):
                     continue
                 pred = predict_hopf_symmetries(k, n)
                 for g in pred.fixing.elements():
-                    assert k.dot(g) % n == 0
+                    assert (k[0] * g[0] + k[1] * g[1]) % n == 0
 
     def test_phases_follow_generator_exponents(self):
-        pred = predict_hopf_symmetries(ModeIndex(2, 1), 3)
+        pred = predict_hopf_symmetries((2, 1), 3)
         assert pred.phases == {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 3)}
 
-    def test_rejects_non_canonical_mode(self):
-        with pytest.raises(ClassificationError):
-            predict_hopf_symmetries(ModeIndex(2, 2), 3)
+    def test_k_and_minus_k_give_one_K(self):
+        # the two orientations of one plane: one fixing subgroup, and
+        # time shifts that are complements of each other
+        for n in (3, 5):
+            for r in range(n):
+                for s in range(n):
+                    pred = predict_hopf_symmetries((r, s), n)
+                    mirror = predict_hopf_symmetries((-r, -s), n)
+                    assert mirror.fixing == pred.fixing
+                    assert mirror.spatial == pred.spatial
+                    for g, f in pred.phases.items():
+                        assert (f + mirror.phases[g]) % 1 == 0
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_every_canonical_mode(self, n):
+        # K is the kernel of the action on the plane of k, and the shift
+        # of each generator is its exponent k_i / N; at N = 3 the values
+        # are written out
+        written_out = {
+            (0, 0): ("Gamma", Fraction(0), Fraction(0)),
+            (0, 1): ("Z(1,0)", Fraction(0), Fraction(1, 3)),
+            (1, 0): ("Z(0,1)", Fraction(1, 3), Fraction(0)),
+            (1, 1): ("Z(1,2)", Fraction(1, 3), Fraction(1, 3)),
+            (2, 1): ("Z(1,1)", Fraction(2, 3), Fraction(1, 3)),
+        }
+        for k in mode_index_set(n):
+            pred = predict_hopf_symmetries(k, n)
+            kernel = {g for g in group_elements(n) if (k[0] * g[0] + k[1] * g[1]) % n == 0}
+            assert pred.spatial == IsotropySubgroup.full(n)
+            assert set(pred.fixing.elements()) == kernel
+            assert pred.phases == {(1, 0): Fraction(k[0], n), (0, 1): Fraction(k[1], n)}
+            if n == 3:
+                label, f1, f2 = written_out[k]
+                assert pred.fixing.label() == label
+                assert pred.phases == {(1, 0): f1, (0, 1): f2}
+        assert n != 3 or set(mode_index_set(n)) == set(written_out)
