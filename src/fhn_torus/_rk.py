@@ -170,12 +170,18 @@ _MAX_STEPS = 5_000_000
 # underflow, and a shorter span is refused.
 _MIN_STEP = 1e-14
 
-# Accepted nodes the result buffers first hold; they double when full.
+# Accepted nodes the result buffers first hold; they double in place
+# when full.
 _FIRST_CAPACITY = 256
 
 # Accepted steps whose dense-output stages are evaluated together, three
 # field calls on the stacked states per block instead of three per step.
 _DENSE_BLOCK = 64
+
+# Floats of interpolated states per block of query times in dense_eval
+# (256 kB): its temporaries stay a few such blocks, not a few results.
+_SAMPLE_FLOATS = 32768
+
 
 def _rms(v):
     """Root mean square of a 1-D array: the arithmetic of
@@ -218,13 +224,6 @@ def _initial_step(f, t0, y0, f0, rtol, atol, span):
              else (0.01 / max(e1, e2)) ** _EXPONENT
              for e1, e2 in zip(d1, d2))
     return min(100 * h0, h1, span)
-
-
-def _grown(buf, n):
-    """A buffer of twice the rows of buf holding its first n rows."""
-    out = np.empty((2 * len(buf),) + buf.shape[1:])
-    out[:n] = buf[:n]
-    return out
 
 
 def _dense_coefficients(f, y, t, h, k, first=13):
@@ -323,7 +322,8 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     with np.errstate(over="ignore", invalid="ignore"):
         stage[0][...] = f(t, y)
         h = _initial_step(f, t, y, stage[0], rtol, atol, span)
-    # result buffers, returned as they are
+    # result buffers, grown and trimmed in place and returned as they
+    # are: with the last doubling they hold at most twice the result
     ts = np.empty(_FIRST_CAPACITY)
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
     fs = np.empty_like(ys)
@@ -354,7 +354,13 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         if err <= 1.0:
             stage[12][...] = f(t + h, y_new)
             if n == len(ts):
-                ts, ys, fs, ks = (_grown(b, n) for b in (ts, ys, fs, ks))
+                # in place, by name: numpy's reference check refuses a
+                # buffer a view or a second name still holds, as a
+                # debugger stepping through this frame does
+                ts.resize(2 * n)
+                ys.resize((2 * n,) + ys.shape[1:])
+                fs.resize((2 * n,) + fs.shape[1:])
+                ks.resize((2 * n,) + ks.shape[1:])
             ph[p] = h
             pk[p, ..., :13, :] = k[..., 1:, :]
             p += 1
@@ -382,14 +388,20 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # derivative and 3 dense-output stages per accepted step
     stats = {"accepted": n_acc, "rejected": n_rej,
              "rhs_evals": 2 + 11 * (n_acc + n_rej) + 4 * n_acc}
-    # copies that free the unused rows, one buffer at a time and after
-    # the dense-output block: together they would set the peak
+    # the unused rows freed in place, after the dense-output block: no
+    # buffer is copied, so the peak is the buffers and one block
     del pk
-    ks = ks[:n_acc].copy()
-    ys = ys[:n].copy()
-    fs = fs[:n].copy()
-    ts = ts[:n].copy()
+    ks.resize((n_acc,) + ks.shape[1:])
+    ys.resize((n,) + ys.shape[1:])
+    fs.resize((n,) + fs.shape[1:])
+    ts.resize(n)
     return ts, ys, fs, ks, stats
+
+
+def _block_len(ys):
+    """Query times per block of ``dense_eval`` for the states of ys: at
+    least one, and _SAMPLE_FLOATS floats of states."""
+    return max(1, _SAMPLE_FLOATS // ys[0].size)
 
 
 def _per_state(w, ys):
@@ -405,46 +417,59 @@ def dense_eval(ts, ys, fs, ks, tq):
     ys and fs hold one state per node and ks the coefficients of each
     step, in the shapes ``solve`` and ``dense_from_nodes`` return for
     one state or a batch: (nt,) + state shape and (nt - 1,) + state
-    shape[:-1] + (4, dim).  The result has one state per query time, or
-    a single state for a scalar tq.  At a node it is the node state up
-    to rounding.
+    shape[:-1] + (4, dim).  tq is a scalar or a 1-D array of times
+    inside the nodes' range, else DomainError.  The result has one state
+    per query time, or a single state for a scalar tq.  At a node it is
+    the node state up to rounding.
+
+    The queries go one block of ``_block_len`` at a time, each written
+    into the one result array, so the memory beyond the result is that
+    of a few blocks of _SAMPLE_FLOATS floats, however many times are
+    asked for; every element has the arithmetic of a one-shot call.
     """
-    t = np.atleast_1d(np.asarray(tq, dtype=float))
+    t = np.asarray(tq, dtype=float)
+    if t.ndim > 1:
+        raise DomainError(f"query times must be a scalar or 1-D, got shape {t.shape}")
+    t = np.atleast_1d(t)
     if not np.all((t >= ts[0] - 1e-12) & (t <= ts[-1] + 1e-12)):  # NaN fails
         raise DomainError("query time outside the integrated range")
     t = np.clip(t, ts[0], ts[-1])
-    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-    h = ts[idx + 1] - ts[idx]
-    s = _per_state((t - ts[idx]) / h, ys)
-    h = _per_state(h, ys)
-    s1 = 1.0 - s
-    # Hairer's nested form
-    #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
-    # with ydiff = y1 - y0, bspl = h f0 - ydiff, r4 = ydiff - h f1 - bspl,
-    # evaluated in place: at most four arrays of one state per query
-    out = ks[idx, ..., 3, :]
-    out *= s
-    for j, w in ((2, s1), (1, s), (0, s1)):
-        out += ks[idx, ..., j, :]
-        out *= w
-    ydiff = ys[idx + 1]
-    ydiff -= ys[idx]
-    bspl = fs[idx]
-    bspl *= h
-    bspl -= ydiff
-    r4 = fs[idx + 1]
-    r4 *= -h
-    r4 += ydiff
-    r4 -= bspl
-    out += r4
-    out *= s
-    out += bspl
-    out *= s1
-    out += ydiff
-    out *= s
-    del r4, bspl, ydiff  # before the last gather
-    out += ys[idx]
-    return out if np.ndim(tq) else out[0]
+    res = np.empty(t.shape + ys.shape[1:])
+    q = _block_len(ys)
+    for i in range(0, len(t), q):
+        tb, out = t[i:i + q], res[i:i + q]
+        idx = np.clip(np.searchsorted(ts, tb, side="right") - 1, 0, len(ts) - 2)
+        h = ts[idx + 1] - ts[idx]
+        s = _per_state((tb - ts[idx]) / h, ys)
+        h = _per_state(h, ys)
+        s1 = 1.0 - s
+        # Hairer's nested form
+        #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
+        # with ydiff = y1 - y0, bspl = h f0 - ydiff, r4 = ydiff - h f1 - bspl,
+        # evaluated in place in the block of the result
+        out[...] = ks[idx, ..., 3, :]
+        out *= s
+        for j, w in ((2, s1), (1, s), (0, s1)):
+            out += ks[idx, ..., j, :]
+            out *= w
+        ydiff = ys[idx + 1]
+        ydiff -= ys[idx]
+        bspl = fs[idx]
+        bspl *= h
+        bspl -= ydiff
+        r4 = fs[idx + 1]
+        r4 *= -h
+        r4 += ydiff
+        r4 -= bspl
+        out += r4
+        out *= s
+        out += bspl
+        out *= s1
+        out += ydiff
+        out *= s
+        del r4, bspl, ydiff  # before the last gather
+        out += ys[idx]
+    return res if np.ndim(tq) else res[0]
 
 
 def dense_from_nodes(f, ts, ys):

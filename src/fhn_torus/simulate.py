@@ -50,8 +50,8 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
 
     def sample(self, t):
-        """The state at scalar or array times, by DOP853's 7th-order
-        interpolant (``_rk.dense_eval``)."""
+        """The state at a scalar time or at each of a 1-D array of
+        times, by DOP853's 7th-order interpolant (``_rk.dense_eval``)."""
         return _rk.dense_eval(self.times, self.states, self.derivs, self.dense, t)
 
     @property
@@ -236,16 +236,33 @@ def detect_periodic_orbit(traj: Trajectory):
     PeriodicOrbit, or None when the tail is an equilibrium, shows fewer
     than five upward crossings, or returns to its anchor state with a
     sup distance above 1e-6 of the tail amplitude.
+
+    The tail's _RESAMPLE states are never held together: each
+    coordinate's span comes from maxima and minima taken one
+    ``dense_eval`` block at a time, which are exact, and the most active
+    coordinate alone is then resampled, through one-column views of the
+    trajectory's arrays.  Beyond the trajectory, detection holds the
+    temporaries of one block and _RESAMPLE values of one coordinate,
+    however large the lattice.
     """
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     t_cut = t0 + _TRANSIENT_FRACTION * (t1 - t0)
     ts = np.linspace(t_cut, t1, _RESAMPLE)
-    Z = traj.sample(ts)
-    spans = Z.max(axis=0) - Z.min(axis=0)
+    hi = np.full(traj.states.shape[1:], -np.inf)
+    lo = np.full_like(hi, np.inf)
+    q = _rk._block_len(traj.states)
+    for i in range(0, _RESAMPLE, q):
+        Z = traj.sample(ts[i:i + q])
+        np.maximum(hi, Z.max(axis=0), out=hi)
+        np.minimum(lo, Z.min(axis=0), out=lo)
+    spans = hi - lo
     amp = float(spans.max())
-    if amp < 1e-8 * max(1.0, float(np.max(np.abs(Z)))):
+    if amp < 1e-8 * max(1.0, float(np.max(np.abs([hi, lo])))):
         return None
-    ref = Z[:, int(np.argmax(spans))]
+    j = int(np.argmax(spans))
+    col = slice(j, j + 1)
+    ref = _rk.dense_eval(traj.times, traj.states[:, col], traj.derivs[:, col],
+                         traj.dense[..., col], ts)[:, 0]
     centered = ref - ref.mean()
     up = np.nonzero((centered[:-1] <= 0.0) & (centered[1:] > 0.0))[0]
     if len(up) < _MIN_CROSSINGS:

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fhn_torus import (IsotropySubgroup, LatticeParams, Trajectory, _rk, fix_projection,
-                       reduced_integrate_fix, simulate)
+from fhn_torus import (DomainError, IsotropySubgroup, LatticeParams, Trajectory, _rk,
+                       fix_projection, reduced_integrate_fix, simulate)
 from fhn_torus.simulate import make_rhs
 
 LP = LatticeParams(n=3, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
@@ -15,6 +15,39 @@ LP = LatticeParams(n=3, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
 
 def rotation(t, y):
     return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+
+def one_shot_dense_eval(ts, ys, fs, ks, tq):
+    """``dense_eval``'s formula on all queries at once, as it stood
+    before the queries went in blocks: the oracle of the blocked one."""
+    t = np.clip(np.atleast_1d(np.asarray(tq, dtype=float)), ts[0], ts[-1])
+    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    h = ts[idx + 1] - ts[idx]
+    s = _rk._per_state((t - ts[idx]) / h, ys)
+    h = _rk._per_state(h, ys)
+    s1 = 1.0 - s
+    out = ks[idx, ..., 3, :]
+    out *= s
+    for j, w in ((2, s1), (1, s), (0, s1)):
+        out += ks[idx, ..., j, :]
+        out *= w
+    ydiff = ys[idx + 1]
+    ydiff -= ys[idx]
+    bspl = fs[idx]
+    bspl *= h
+    bspl -= ydiff
+    r4 = fs[idx + 1]
+    r4 *= -h
+    r4 += ydiff
+    r4 -= bspl
+    out += r4
+    out *= s
+    out += bspl
+    out *= s1
+    out += ydiff
+    out *= s
+    out += ys[idx]
+    return out if np.ndim(tq) else out[0]
 
 
 class TestTables:
@@ -229,6 +262,35 @@ class TestDenseOutput:
         got = Trajectory(tb, yb, fb, kb, sb).sample(tq)
         for j in range(3):
             assert np.array_equal(got[:, j], want)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_blocks_are_the_one_shot_formula_bit_for_bit(self, batch):
+        rng = np.random.default_rng(12)
+        if batch:
+            lp = [LatticeParams(n=3, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+                  for a in (-0.1, -0.05, 0.3)]
+            z0 = 0.3 * rng.standard_normal((3, 18))
+        else:
+            lp, z0 = LP, 0.3 * rng.standard_normal(18)
+        ts, ys, fs, ks, _ = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
+        q = _rk._block_len(ys)
+        assert q == _rk._SAMPLE_FLOATS // ys[0].size
+        for count in (0, 1, q - 1, q, q + 1, 3 * q + 7):
+            # both ends, a node and times between
+            tq = np.concatenate(([0.0, 40.0, ts[len(ts) // 2]],
+                                 rng.uniform(0.0, 40.0, count)))[:count]
+            got = _rk.dense_eval(ts, ys, fs, ks, tq)
+            assert got.shape == (count,) + ys.shape[1:]
+            assert np.array_equal(got, one_shot_dense_eval(ts, ys, fs, ks, tq)), count
+        got = _rk.dense_eval(ts, ys, fs, ks, 17.3)
+        assert got.shape == ys.shape[1:]
+        assert np.array_equal(got, one_shot_dense_eval(ts, ys, fs, ks, 17.3))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2)])
+    def test_rejects_query_times_of_two_axes(self, shape):
+        traj = Trajectory(*_rk.solve(make_rhs(LP), 0.0, np.full(18, 0.1), 5.0))
+        with pytest.raises(DomainError, match="1-D"):
+            traj.sample(np.full(shape, 1.0))
 
 
 class TestDenseFromNodes:

@@ -56,6 +56,44 @@ def synchronized_state(x, y, n=3):
     return z
 
 
+def near_sync_start(n, seed):
+    """The start of the benchmark's ``orbit`` workload: x near 0.25 and
+    y near 0 in every cell, with noise of 1e-3."""
+    rng = np.random.default_rng(seed)
+    return from_grids(0.25 + 1e-3 * rng.standard_normal((n, n)),
+                      1e-3 * rng.standard_normal((n, n)))
+
+
+def full_resample_detect(traj):
+    """``detect_periodic_orbit`` as it stood while it sampled every
+    coordinate of the tail at once: the oracle of the blocked one."""
+    t0, t1 = float(traj.times[0]), float(traj.times[-1])
+    t_cut = t0 + simulate._TRANSIENT_FRACTION * (t1 - t0)
+    ts = np.linspace(t_cut, t1, simulate._RESAMPLE)
+    Z = traj.sample(ts)
+    spans = Z.max(axis=0) - Z.min(axis=0)
+    amp = float(spans.max())
+    if amp < 1e-8 * max(1.0, float(np.max(np.abs(Z)))):
+        return None
+    ref = Z[:, int(np.argmax(spans))]
+    centered = ref - ref.mean()
+    up = np.nonzero((centered[:-1] <= 0.0) & (centered[1:] > 0.0))[0]
+    if len(up) < simulate._MIN_CROSSINGS:
+        return None
+    frac = -centered[up] / (centered[up + 1] - centered[up])
+    t_cross = ts[up] + frac * (ts[1] - ts[0])
+    p0 = simulate._median(np.diff(t_cross))
+    if not np.isfinite(p0) or p0 <= 0.0:
+        return None
+    z_a = traj.sample(t_cut)
+    period = simulate._golden_min(
+        lambda p: float(np.linalg.norm(traj.sample(t_cut + p) - z_a)), 0.75 * p0, 1.25 * p0)
+    residual = float(np.max(np.abs(traj.sample(t_cut + period) - z_a))) / amp
+    if residual > simulate._REL_THRESHOLD:
+        return None
+    return PeriodicOrbit(period, t_cut, z_a, traj, residual)
+
+
 @pytest.fixture(scope="module")
 def sync_orbit():
     traj = integrate(synchronized_state(0.25, 0.0), SYNC, 400.0)
@@ -150,9 +188,11 @@ class TestIntegrate:
         assert 0.0 < info.value.t < 100.0
 
     def test_memory_peak_of_the_cli_trajectory(self):
-        # the ring wave of `simulate --ic mode`, 3181 steps: 6.4 MB traced
-        # before the dense-output stages waited in a block of steps; the
-        # block must stay bounded, not grow with the run
+        # the ring wave of `simulate --ic mode`, 3181 steps, 2.8 MB of
+        # result: 6.4 MB traced before the dense-output stages waited in
+        # a block of steps, 5.5 MB while the buffers grew and were
+        # trimmed by copies, 3.85 MB in place; the block must stay
+        # bounded, not grow with the run
         lp = LatticeParams(n=3, a=1.42, b=1.0, c=0.0, gamma=1.0, delta=-1.0)
         z0 = _initial_state(SimpleNamespace(params=lp, ic="mode", amplitude=1e-3))
         tracemalloc.start()
@@ -162,7 +202,7 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         assert traj.stats["accepted"] > 3000
-        assert peak <= 6.4e6
+        assert peak <= 4.7e6
 
     def test_sample_rejects_time_outside_range(self, rng):
         traj = integrate(0.1 * rng.standard_normal(18), SYNC, 1.0)
@@ -272,6 +312,34 @@ class TestDetectPeriodicOrbit:
             assert type(got) is float and got == float(np.median(d))
         d[size // 2] = np.nan
         assert math.isnan(simulate._median(d)) and math.isnan(np.median(d))
+
+    @pytest.mark.parametrize("t_end", [400.0, 40.0])
+    def test_is_the_full_resample_bit_for_bit(self, t_end):
+        # the benchmark's N=7 orbit input; to t = 40 the tail holds too
+        # few crossings, and to t = 400 an orbit is found
+        lp = LatticeParams(n=7, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
+        traj = integrate(near_sync_start(7, 7), lp, t_end)
+        got, want = detect_periodic_orbit(traj), full_resample_detect(traj)
+        assert (got is None) == (want is None) == (t_end < 100.0)
+        if got is not None:
+            assert (got.period, got.anchor_time, got.residual) == \
+                (want.period, want.anchor_time, want.residual)
+            assert np.array_equal(got.anchor_state, want.anchor_state)
+
+    def test_memory_peak_at_n11(self):
+        # the whole resample of the tail, 4096 states of 242 floats, and
+        # its temporaries traced 32 MB; by blocks and one coordinate,
+        # 1.4 MB when this bound was set
+        lp = LatticeParams(n=11, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
+        traj = integrate(near_sync_start(11, 11), lp, 400.0)
+        tracemalloc.start()
+        try:
+            orbit = detect_periodic_orbit(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert orbit is not None
+        assert peak <= 2.0e6
 
     def test_detect_and_classify_leave_numpy_ma_unimported(self):
         # np.median imports numpy.ma, about 20 ms, in every process
