@@ -73,6 +73,9 @@ _DEFAULTS = {
 # any point is built.
 _MAX_SWEEP_POINTS = 100_000
 
+_TOL_HELP = ("classification tolerance: the largest RMS, relative to the "
+             "orbit's, of the part that breaks a matched symmetry (default 0.01)")
+
 _SWEEP_HEADER = (
     "N", "a", "b", "c", "gamma", "delta", "a_star", "a_hat",
     "mode_r", "mode_s", "omega", "K", "criticality",
@@ -174,14 +177,13 @@ def _build_parser() -> argparse.ArgumentParser:
     si.add_argument("--seed", type=int, default=0)
     si.add_argument("--classify", action="store_true",
                     help="detect a periodic orbit and classify its symmetry")
-    si.add_argument("--tol", type=float, default=1e-2,
-                    help="relative match tolerance for classification")
+    si.add_argument("--tol", type=float, default=1e-2, help=_TOL_HELP)
 
     cl = sub.add_parser("classify", help="orbit symmetry from a trajectory CSV")
     _add_param_flags(cl)
     cl.add_argument("--input", required=True, metavar="FILE",
                     help="trajectory CSV written by `simulate --format csv`")
-    cl.add_argument("--tol", type=float, default=1e-2)
+    cl.add_argument("--tol", type=float, default=1e-2, help=_TOL_HELP)
 
     sw = sub.add_parser("sweep", help="grid over gamma and delta")
     _add_param_flags(sw)
@@ -244,7 +246,6 @@ def _orbit_report(traj: Trajectory, lp: LatticeParams, tol: float):
             "fixing": sym.fixing.label(),
             "phases": sym.phases,
             "phase_fractions": sym.phase_fractions,
-            "unquantized": sym.unquantized,
             "match_residual": sym.match_residual,
         },
     }

@@ -18,7 +18,7 @@ from .symmetry import (
     _cell_classes,
     _generators,
     _subgroup_of,
-    state_permutation,
+    state_permutation,  # noqa: F401  bench/selfcheck.py checks this binding
 )
 
 __all__ = [
@@ -291,16 +291,15 @@ class OrbitSymmetry:
     """Spatio-temporal symmetry of a periodic orbit.
 
     ``spatial`` (H) collects the shifts mapping the orbit to itself up
-    to a time shift, ``fixing`` (K) those with zero shift.  ``phases``
-    holds the raw time shift of each generator of ``spatial``, (1, 0)
-    and (0, 1) for the full group, in [-P/(2N), P - P/(2N)) so that a
-    zero shift reads near 0; entries of ``phase_fractions`` are
-    the matching multiples of P/N, or None for a shift that fails
-    quantization.  ``unquantized`` lists the tested subgroup generators
-    inside ``spatial`` whose shift fails quantization, and
-    ``match_residual`` is the largest distance, relative to the orbit
-    amplitude, between the orbit and the time-shifted image of one of
-    those generators (0 when ``spatial`` is trivial).
+    to a time shift, ``fixing`` (K) those with zero shift.  ``period``
+    is the orbit's least period P, which is the given one divided by d
+    when the orbit was handed over with d times it.  ``phases`` holds
+    the time shift q P/N, 0 <= q < N, of each generator of ``spatial``,
+    (1, 0) and (0, 1) for the full group, and ``phase_fractions`` the
+    matching q/N.  ``match_residual`` is the largest relative RMS, over
+    the tested generators inside ``spatial``, of the part of the orbit
+    that breaks the generator's symmetry (0 when ``spatial`` is
+    trivial).
     """
 
     period: float
@@ -308,26 +307,7 @@ class OrbitSymmetry:
     fixing: IsotropySubgroup
     phases: dict
     phase_fractions: dict
-    unquantized: tuple
     match_residual: float
-
-
-def _peak_shift(cross: np.ndarray, omega: np.ndarray, tau: float) -> float:
-    """Refine a sampled maximum of the trigonometric interpolant
-
-        c(tau) = Re sum_k cross_k exp(i omega_k tau)
-
-    by Newton steps on c'(tau) = 0, starting from the sample time tau.
-    Started within half a sample of the peak, four steps reach it to
-    rounding.
-    """
-    for _ in range(4):
-        rot = cross * np.exp(1j * omega * tau)
-        d2 = float(np.real(np.sum(-omega * omega * rot)))
-        if d2 >= 0.0:
-            break
-        tau -= float(np.real(np.sum(1j * omega * rot))) / d2
-    return tau
 
 
 def _require_tol(tol: float) -> None:
@@ -340,60 +320,82 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
                             tol: float = 1e-2) -> OrbitSymmetry:
     """Identify which lattice shifts preserve a periodic orbit.
 
-    For prime N every subgroup of Z_N x Z_N is trivial, one of the N+1
-    cyclic subgroups, or the whole group, so only the canonical
-    generator of each cyclic subgroup is tested.  One period is sampled
-    once at N*64 times.  Each generator's time shift is the maximum of
-    the trigonometric interpolant of the cross-correlation between the
-    orbit and its shifted copy, found from the FFT of the samples and
-    refined by Newton steps; the time-shifted orbit is a Fourier phase
-    shift of the same samples.  A generator matches when the sup
-    distance stays below tol (positive and finite) times the orbit
-    amplitude.  H is the subgroup the matching generators generate; K
-    (Golubitsky-Stewart H/K) the one generated by those inside H whose
-    quantized shift is zero, exact since every subgroup is generated by
-    the canonical generators it contains.  An orbit whose state is not
-    one of the lattice of ``lp`` raises DimensionMismatchError.
+    A shift g = (r, s) maps the orbit onto itself after q/N of a period
+    exactly when its space-time Fourier transform lives on the bins
+    (l, k) of temporal harmonic l and spatial frequency k = (k1, k2)
+    with g.k = l q (mod N): g turns bin k by w^(g.k) and the time shift
+    turns harmonic l by w^(l q).  The x coordinates of one period, which
+    drive y, are sampled once at N*64 times and transformed by one real
+    FFT over (t, j, i); the energy of each bin, folded by l mod N, gives
+    for each canonical generator of the N+1 cyclic subgroups (for prime
+    N every subgroup is trivial, one of these, or the whole group) the
+    q whose bins hold the most energy.  g matches when the RMS of the
+    rest, relative to that of the whole orbit, is at most tol (positive
+    and finite).  The whole leaves out only the bin (0, (0, 0)), the
+    space-time mean, which lies in every set of bins; a static pattern
+    that is not uniform breaks symmetry.
+
+    H is the subgroup the matching generators generate; K
+    (Golubitsky-Stewart H/K) the one generated by those inside H with
+    q = 0, exact since every subgroup is generated by the canonical
+    generators it contains.  An orbit handed over with d times its
+    least period, d the gcd of the harmonics holding more than tol^2 of
+    the energy, is classified on its least period.  An orbit whose
+    state is not one of the lattice of ``lp`` raises
+    DimensionMismatchError, and one without amplitude
+    ClassificationError.
     """
     _require_tol(tol)
     n = lp.n
     _check_state(orbit.anchor_state, n)
     P = orbit.period
     m = n * 64
-    Z = orbit.trajectory.sample(orbit.anchor_time + P * np.arange(m) / m)
-    amp = float(np.max(np.abs(Z - Z.mean(axis=0))))
-    if amp <= 0.0:
+    traj, x = orbit.trajectory, slice(0, None, 2)
+    X = _rk.dense_eval(traj.times, traj.states[:, x], traj.derivs[:, x],
+                       traj.dense[..., x], orbit.anchor_time + P * np.arange(m) / m)
+    # x of the flat cell j*N + i (model's layout) at grid [j, i]; the
+    # real transform keeps harmonics l >= 0, and each of 0 < l < m/2
+    # stands for -l too, whose bins hold the same energy and lie in the
+    # same sets
+    E = np.abs(np.fft.rfftn(X.reshape(m, n, n), axes=(1, 2, 0)))
+    del X
+    E *= E
+    E[1:m // 2] *= 2.0
+    E[0, 0, 0] = 0.0
+    total = float(E.sum())
+    if not total > 0.0:
         raise ClassificationError("orbit has zero amplitude")
-    Fz = np.fft.fft(Z, axis=0)
-    omega = 2.0 * np.pi * np.fft.fftfreq(m, d=P / m)
-
+    per_l = E.sum(axis=(1, 2))
+    d = int(np.gcd.reduce(np.nonzero(per_l > tol * tol * total)[0])) or 1
+    # the harmonics that are not multiples of d lie in no set; the
+    # others, harmonics of the least period P/d, are folded mod N
+    stray = float(np.delete(per_l, np.s_[::d]).sum())
+    held = E[::d].reshape(-1, n * n)
+    jn = np.arange(n)
+    table = (np.arange(len(held)) % n == jn[:, None]) @ held
+    # off[q, j, v]: value v of g.k lies off the set for q at harmonic j
+    off = jn != (np.multiply.outer(jn, jn) % n)[:, :, None]
+    k2, k1 = np.indices((n, n)).reshape(2, -1)
+    q, residual = {}, {}
     gens = _generators(n)
-    shift, residual, fraction = {}, {}, {}
     for g in gens:
-        perm = state_permutation(g, n)
-        cross = np.sum(np.conj(Fz[:, perm]) * Fz, axis=1)
-        j0 = int(np.argmax(np.fft.ifft(cross).real))
-        th = _peak_shift(cross, omega, j0 * P / m)
-        moved = np.fft.ifft(Fz * np.exp(1j * omega * th)[:, None], axis=0).real
-        residual[g] = float(np.max(np.abs(Z[:, perm] - moved))) / amp
-        shift[g] = float(np.mod(th, P))
-        if shift[g] >= P - P / (2 * n):  # a zero shift reads 0, not P
-            shift[g] -= P
-        q = round(shift[g] * n / P)
-        quantized = abs(shift[g] - q * P / n) <= 0.02 * P
-        fraction[g] = Fraction(q % n, n) if quantized else None
+        v = (g[0] * k1 + g[1] * k2) % n
+        by_v = np.bincount((jn[:, None] * n + v).reshape(-1),
+                           weights=table.reshape(-1), minlength=n * n).reshape(n, n)
+        rest = np.tensordot(off, by_v, 2)  # summed, never differenced
+        q[g] = int(np.argmin(rest))
+        residual[g] = float(np.sqrt((rest[q[g]] + stray) / total))
 
+    period = P / d
     spatial = _subgroup_of([g for g in gens if residual[g] <= tol], n)
     tested = [g for g in gens if spatial.contains(g)]
     reported = [(1, 0), (0, 1)] if spatial.kind == "full" else tested
-    phase_fractions = {g: fraction[g] for g in reported}
     return OrbitSymmetry(
-        period=P,
+        period=period,
         spatial=spatial,
-        fixing=_subgroup_of([g for g in tested if fraction[g] == 0], n),
-        phases={g: shift[g] for g in reported},
-        phase_fractions=phase_fractions,
-        unquantized=tuple(g for g in tested if fraction[g] is None),
+        fixing=_subgroup_of([g for g in tested if q[g] == 0], n),
+        phases={g: q[g] * period / n for g in reported},
+        phase_fractions={g: Fraction(q[g], n) for g in reported},
         match_residual=max((residual[g] for g in tested), default=0.0),
     )
 

@@ -1,13 +1,17 @@
 """The DOP853 tables, step counters and dense output of ``_rk``, and the
 dense output rebuilt from node-only data."""
 
+import cProfile
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fhn_torus import (DomainError, IsotropySubgroup, LatticeParams, Trajectory, _rk,
                        fix_projection, reduced_integrate_fix, simulate)
+from fhn_torus.cli import _initial_state
 from fhn_torus.simulate import make_rhs
 
 LP = LatticeParams(n=3, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
@@ -212,6 +216,43 @@ class TestStats:
         grown = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
         assert grown[4] == whole[4] and whole[4]["accepted"] > 100
         for a, b in zip(grown[:4], whole[:4]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hook", ["settrace", "cprofile"])
+    def test_a_tracer_or_a_profiler_changes_no_bit(self, hook):
+        # a tracer that reads the frame's locals, as a debugger does,
+        # holds a second name for each buffer, and so does cProfile's
+        # hook; numpy's reference check then refuses to resize them in
+        # place, and they are copied instead.  The `simulate --ic mode`
+        # ring wave to t = 100 grows its buffers past their first
+        # capacity.
+        lp = LatticeParams(n=3, a=1.42, b=1.0, c=0.0, gamma=1.0, delta=-1.0)
+        z0 = _initial_state(SimpleNamespace(params=lp, ic="mode", amplitude=1e-3))
+        plain = _rk.solve(make_rhs(lp), 0.0, z0, 100.0)
+        assert plain[4]["accepted"] > _rk._FIRST_CAPACITY
+
+        def snapshot(frame, event, arg):
+            if frame.f_code is _rk.solve.__code__:
+                frame.f_locals
+                return snapshot
+            return None
+
+        if hook == "settrace":
+            before = sys.gettrace()
+            sys.settrace(snapshot)
+            try:
+                hooked = _rk.solve(make_rhs(lp), 0.0, z0, 100.0)
+            finally:
+                sys.settrace(before)
+        else:
+            profile = cProfile.Profile()
+            profile.enable()
+            try:
+                hooked = _rk.solve(make_rhs(lp), 0.0, z0, 100.0)
+            finally:
+                profile.disable()
+        assert hooked[4] == plain[4]
+        for a, b in zip(hooked[:4], plain[:4]):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("block", [1, 3])
