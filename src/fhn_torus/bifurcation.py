@@ -12,8 +12,8 @@ coupling weights.  Writing theta = (N-1)*pi/N:
 The crossing eigenvalues sit at frequency (0, 0) in the first case and
 at the frequencies nearest the half turn, r = (N -+ 1)/2, in the
 others.  For small c > 0 the origin is stable at a = a* and the first
-crossing moves to a_hat < a*; the crossing frequency is the c = 0 mode
-of largest imaginary part.
+crossing moves to a_hat < a*, the largest a at which a mode with
+coupling symbol sigma meets the paper's curve (Im sigma)^2 = psi(Re sigma - a).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .spectral import (
     analytic_eigenvalues,
     analytic_eigenvector,
     eigenvalue_grids,
+    symbol_grid,
 )
 from .symmetry import IsotropySubgroup, predict_hopf_symmetries
 
@@ -70,11 +71,8 @@ def sign_pattern(lp: LatticeParams):
     return ("+" if lp.gamma > 0 else "-", "+" if lp.delta > 0 else "-")
 
 
-# Root searches in a stop at a bracket of 4 * _EPS * max(1, |a|); an
-# eigenvalue within _AXIS_TOL of the imaginary axis at the root counts
-# as crossing.
+# The root search in a stops at a bracket of 4 * _EPS * max(1, |a|).
 _EPS = float(np.finfo(float).eps)
-_AXIS_TOL = 1e-10
 
 # Integer frequency ratios k, 2 <= k <= _RESONANCE_K_MAX, are resonant
 # within a relative error of _RESONANCE_REL_TOL * k.
@@ -143,13 +141,6 @@ class CriticalPoint:
         return self.crossing[0]
 
 
-def _require_c0(lp: LatticeParams, what: str):
-    if lp.c != 0.0:
-        raise DomainError(f"{what} requires c = 0")
-    if lp.b <= 0.0:
-        raise DomainError(f"{what} requires b > 0")
-
-
 def critical_a(lp: LatticeParams) -> CriticalPoint:
     """Critical value of ``a`` and the symmetry data of the crossing.
 
@@ -163,9 +154,12 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
         Closed-form a*, the crossing frequencies ordered by decreasing
         imaginary part, and the subgroup predicted to fix the branch of
         the leading one pointwise.  Each crossing names the branch whose
-        root has the larger imaginary part, omega.
+        root has the larger imaginary part, omega > 0 (else DomainError).
     """
-    _require_c0(lp, "critical_a")
+    if lp.c != 0.0:
+        raise DomainError("critical_a requires c = 0")
+    if lp.b <= 0.0:
+        raise DomainError("critical_a requires b > 0")
     pat = _checked_pattern(lp)
     n = lp.n
     th = theta_n(n)
@@ -187,8 +181,11 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     crossing = []
     for r, s in modes:
         branch = _upper_branch(lam_p[r, s], lam_m[r, s])
-        omega = (lam_p if branch == "+" else lam_m)[r, s].imag
-        crossing.append(CrossingMode(r, s, branch, float(omega)))
+        omega = float((lam_p if branch == "+" else lam_m)[r, s].imag)
+        if not omega > 0.0:
+            raise DomainError(f"crossing frequency of mode ({r}, {s}) rounds to "
+                              f"{omega!r}: the couplings are too large against b")
+        crossing.append(CrossingMode(r, s, branch, omega))
     crossing.sort(key=lambda cm: (-cm.omega, cm.r, cm.s))
     mode_syms = {cm.mode: predict_hopf_symmetries(cm.mode, n).fixing for cm in crossing}
     return CriticalPoint(
@@ -372,20 +369,33 @@ class HopfReport:
     matches_c0_prediction: bool | None = None
 
 
+def _crossing_frequencies(beta, b: float, c: float):
+    """Positive root omega of omega^3 - beta omega^2 - (b - c^2) omega - c^2 beta
+    for each beta >= 0, by Newton's method from omega0 = (beta + sqrt(beta^2
+    + 4b))/2, above it where the cubic is convex, until no step moves down."""
+    c2 = c * c
+    omega = 0.5 * (beta + np.hypot(beta, 2.0 * math.sqrt(b)))
+    while True:
+        # the cubic and its slope, both divided by omega to stay finite
+        f = (omega - beta) * omega - (b - c2) - c2 * beta / omega
+        df = 3.0 * omega - 2.0 * beta - (b - c2) / omega
+        nxt = omega - f / df
+        if not np.any(nxt < omega):
+            return omega
+        omega = np.minimum(omega, nxt)
+
+
 def hopf_crossing(lp: LatticeParams) -> HopfReport:
-    """First loss of stability of the origin for small c > 0.
+    """First loss of stability of the origin for small c > 0, in closed
+    form on the paper's crossing curve :func:`psi`.
 
-    Locates a_hat < a* with :func:`locate_stability_loss` and reports
-    the eigenvalue of largest positive imaginary part among those
-    within 1e-10 of the imaginary axis there.
-
-    Parameters
-    ----------
-    lp : LatticeParams with c > 0, c^2 < b and nonzero couplings.
-
-    Returns
-    -------
-    HopfReport
+    A mode with coupling symbol sigma at a = 0 and beta = Im sigma >= 0
+    has an eigenvalue i*omega at a = Re sigma - c (1 - beta/omega), where
+    omega is the one positive root of omega^3 - beta omega^2 - (b - c^2)
+    omega - c^2 beta; eliminating omega gives beta^2 = psi(Re sigma - a).
+    a_hat is the largest such a over the modes (the conjugate mode, with
+    Im sigma < 0, carries -i*omega), ties going to the larger omega, then
+    to the smaller (r, s).  Requires c > 0, c^2 < b and nonzero couplings.
     """
     if lp.c <= 0.0:
         raise DomainError("hopf_crossing requires c > 0; use critical_a at c = 0")
@@ -403,38 +413,28 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCouplingWarning)
         cp = critical_a(lp0)
-    lo = cp.a_star - max(1.0, 10.0 * lp.c)
-    a_hat = locate_stability_loss(lp, lo, cp.a_star)
-
-    lam_p, lam_m = eigenvalue_grids(replace(lp, a=a_hat))
-    on_axis = []
-    for branch, grid in (("+", lam_p), ("-", lam_m)):
-        hits = np.argwhere(np.abs(grid.real) <= _AXIS_TOL)
-        for r, s in hits:
-            on_axis.append((int(r), int(s), branch, complex(grid[r, s])))
-    positive = [rec for rec in on_axis if rec[3].imag > 0.0]
-    if not positive:
-        raise BracketError(
-            f"no eigenvalue within {_AXIS_TOL} of the axis at a={a_hat!r}",
-            a_lo=lo, a_hi=cp.a_star,
-        )
-    r, s, branch, lam = max(positive, key=lambda rec: rec[3].imag)
-    return _hopf_report(lp0, cp, a_hat, (r, s), lam.imag, (r, s) == cp.primary.mode)
+    sigma = symbol_grid(replace(lp, a=0.0)).ravel()
+    up = np.flatnonzero(sigma.imag >= 0.0)
+    beta = sigma.imag[up]
+    omega = _crossing_frequencies(beta, lp.b, lp.c)
+    a_k = sigma.real[up] - lp.c * (1.0 - beta / omega)
+    if not np.isfinite(a_k).all():
+        raise DomainError("the couplings overflow the coupling symbols")
+    k = np.lexsort((-omega, -a_k))[0]  # stable: the smaller (r, s) wins ties
+    return _hopf_report(lp0, cp, a_k[k], divmod(int(up[k]), lp.n), omega[k])
 
 
 def hopf_report_at_critical(lp: LatticeParams) -> HopfReport:
     """HopfReport built directly from the c = 0 closed form, for the
     criticality probe and sweeps at c = 0."""
     cp = critical_a(lp)
-    primary = cp.primary
-    return _hopf_report(lp, cp, cp.a_star, primary.mode, primary.omega, True)
+    return _hopf_report(lp, cp, cp.a_star, cp.primary.mode, cp.primary.omega)
 
 
-def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega,
-                 matches: bool) -> HopfReport:
+def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega) -> HopfReport:
     """HopfReport of a crossing whose c = 0 lattice lp0 has critical
-    point cp; adds the resonances at a* and, for the synchronized
-    pattern, s_star."""
+    point cp; adds the resonances at a*, whether the mode is cp's
+    primary and, for the synchronized pattern, s_star."""
     s_star = None
     if cp.pattern == ("-", "-"):
         s_star = lyapunov_coefficient_sync(CellParams(0.0, lp0.b, 0.0))
@@ -446,7 +446,7 @@ def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega,
         s_star=s_star,
         a_star=cp.a_star,
         pattern=cp.pattern,
-        matches_c0_prediction=matches,
+        matches_c0_prediction=mode == cp.primary.mode,
     )
 
 

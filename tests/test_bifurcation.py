@@ -21,6 +21,7 @@ from fhn_torus import (
     analytic_eigenvector,
     branch_criticality_probe,
     critical_a,
+    eigenvalue_grids,
     hopf_crossing,
     locate_stability_loss,
     lyapunov_coefficient_sync,
@@ -28,6 +29,7 @@ from fhn_torus import (
     psi,
     spectrum_report,
     StiffnessError,
+    symbol_grid,
     theta_n,
 )
 from fhn_torus import _rk, bifurcation
@@ -132,6 +134,17 @@ class TestCriticalA:
             critical_a(lattice(gamma=0.0))
         with pytest.raises(DomainError):
             critical_a(lattice(b=-1.0))
+
+    def test_huge_coupling_is_a_domain_error(self):
+        # from gamma ~ 3e8 at N=5, b=1, the smaller crossing frequency
+        # of the (+,-) pattern rounds to 0, and its resonance ratios
+        # would divide by it
+        assert critical_a(lattice(n=5, gamma=1e8, delta=-1.0)).crossing[-1].omega > 0.0
+        for gamma, delta in [(1e9, -1.0), (-1.0, 1e9)]:
+            with pytest.raises(DomainError, match="rounds to 0.0"):
+                critical_a(lattice(n=5, gamma=gamma, delta=delta))
+            with pytest.raises(DomainError, match="rounds to 0.0"):
+                hopf_crossing(lattice(n=5, c=0.05, gamma=gamma, delta=delta))
 
 
 class TestCrossingFrequencies:
@@ -322,11 +335,14 @@ class TestPsi:
 
 class TestHopfCrossing:
     def test_synchronized_crossing_is_exactly_minus_c(self):
-        rep = hopf_crossing(lattice(c=0.05))
-        assert rep.mode == (0, 0)
-        assert rep.a_hat == pytest.approx(-0.05, abs=1e-9)
-        assert rep.a_hat < rep.a_star == 0.0
-        assert rep.omega_hopf > 0.0
+        # the (0, 0) symbol is 0, so beta = 0 and x = c(1 - beta/omega) = c
+        for c in (0.01, 0.05, 0.2):
+            lp = lattice(c=c)
+            rep = hopf_crossing(lp)
+            assert rep.mode == (0, 0)
+            assert rep.a_hat == -lp.c
+            assert rep.a_hat < rep.a_star == 0.0
+            assert rep.omega_hopf > 0.0
 
     def test_doubly_dissociative_crossing(self):
         lp = lattice(c=0.05, gamma=1.0, delta=0.7)
@@ -360,6 +376,15 @@ class TestHopfCrossing:
         with pytest.raises(DomainError):
             hopf_crossing(lattice(c=1.5, b=1.0))
 
+    def test_overflowing_symbols_are_a_domain_error(self):
+        # finite couplings whose symbols overflow; the synchronized
+        # critical point itself stays finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="overflow"):
+                hopf_crossing(lattice(n=5, c=0.05, gamma=-1e308, delta=-1e308))
+            rep = hopf_crossing(lattice(n=5, c=0.05, gamma=-1e300, delta=-1e300))
+        assert rep.mode == (0, 0) and rep.a_hat == -0.05
+
     def test_warns_when_c_is_not_small_against_sqrt_b(self):
         # the warning starts above c = 0.2 sqrt(b)
         with pytest.warns(UserWarning, match="not small against sqrt"):
@@ -378,6 +403,64 @@ class TestHopfCrossing:
         x = rep.a_star - rep.a_hat
         y = coupling_symbol(*rep.mode, replace(lp, a=rep.a_hat)).imag
         assert abs(y * y - psi(x, lp.b, lp.c)) < 1e-8
+
+
+def searched_crossing(lp):
+    """(a_hat, mode, omega) as a search on the spectrum finds them: the
+    root of the stability margin on [a* - max(1, 10c), a*], then the
+    eigenvalue of largest positive imaginary part within 1e-10 of the
+    axis there, the first in grid order among equals."""
+    cp = critical_a(replace(lp, c=0.0))
+    a_hat = locate_stability_loss(lp, cp.a_star - max(1.0, 10.0 * lp.c), cp.a_star)
+    lam_p, lam_m = eigenvalue_grids(replace(lp, a=a_hat))
+    hits = [(grid[r, s].imag, (int(r), int(s))) for grid in (lam_p, lam_m)
+            for r, s in np.argwhere(np.abs(grid.real) <= 1e-10)
+            if grid[r, s].imag > 0.0]
+    omega, mode = max(hits, key=lambda hit: hit[0])
+    return a_hat, mode, omega
+
+
+class TestClosedFormCrossing:
+    GRID = [(n, g, d, c) for n in (3, 5, 7, 11, 23)
+            for g in (-1.7, -0.6, 0.4, 1.0, 2.3)
+            for d in (-1.2, -0.3, 0.5, 1.0, 1.4, 2.6)
+            for c in (0.02, 0.05, 0.1, 0.2)]
+
+    def test_agrees_with_the_searched_crossing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateCouplingWarning)
+            for n, g, d, c in self.GRID:
+                lp = lattice(n=n, c=c, gamma=g, delta=d)
+                a_hat, mode, omega = searched_crossing(lp)
+                rep = hopf_crossing(lp)
+                assert rep.mode == mode, (n, g, d, c)
+                assert abs(rep.omega_hopf - omega) <= 1e-15 * omega, (n, g, d, c)
+                assert abs(rep.a_hat - a_hat) <= 8 * np.spacing(abs(a_hat)), (n, g, d, c)
+
+    def test_exact_ties_go_to_the_smaller_mode(self, monkeypatch):
+        # two modes with one symbol cross at one a with one omega
+        grid = np.full((3, 3), -5.0 + 0.0j)
+        grid[2, 1] = grid[1, 2] = 1.0 + 0.5j
+        monkeypatch.setattr(bifurcation, "symbol_grid", lambda lp: grid - lp.a)
+        assert hopf_crossing(lattice(c=0.05, gamma=1.0, delta=-1.0)).mode == (1, 2)
+
+    @pytest.mark.parametrize("n, g, d", [
+        (5, 1.0, 1.0), (3, -1.0, -1.0), (7, 2.3, -0.6), (23, 0.4, 1.4)])
+    def test_newton_reaches_the_largest_positive_root(self, n, g, d):
+        sigma = symbol_grid(lattice(n=n, gamma=g, delta=d)).ravel()
+        if (n, g, d) == (5, 1.0, 1.0):  # (2, 3) has Im sigma = 0 up to rounding
+            assert abs(sigma[2 * n + 3].imag) <= 1e-15
+        beta = np.abs(sigma.imag)
+        for c in (0.02, 0.05, 0.2):
+            omega = bifurcation._crossing_frequencies(beta, 1.0, c)
+            for bk, w in zip(beta, omega):
+                companion = np.array([[bk, 1.0 - c * c, c * c * bk],
+                                      [1.0, 0.0, 0.0],
+                                      [0.0, 1.0, 0.0]])
+                roots = np.linalg.eigvals(companion)
+                top = roots[np.argmax(roots.real)]
+                assert abs(top.imag) <= 1e-12 * w, (bk, c)
+                assert w == pytest.approx(top.real, rel=1e-13), (bk, c)
 
 
 class TestCriticalityProbe:

@@ -351,6 +351,17 @@ class TestSweep:
         assert rows[1].endswith("invalid")
         assert rows[0].endswith("undetermined") and rows[2].endswith("undetermined")
 
+    def test_huge_coupling_marked_invalid(self, tmp_path):
+        code, path = run_cli(
+            ["sweep", "--n", "5", "--c", "0.05", "--gamma-range", "1:1e9:2",
+             "--delta=-1"],
+            tmp_path, name="sweep.csv", fmt="csv",
+        )
+        assert code == 0
+        rows = load_csv(path)
+        assert [r["criticality"] for r in rows] == ["undetermined", "invalid"]
+        assert (rows[0]["mode_r"], rows[0]["mode_s"]) == ("3", "0")
+
     def test_probe_fills_the_criticality_column(self, tmp_path):
         code, path = run_cli(
             ["sweep", "--n", "3", "--c", "0", "--gamma-range=-1.2:-0.8:2",
@@ -473,6 +484,16 @@ class TestExitCodes:
                                    "--delta", "-1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [["critical"], ["hopf", "--c", "0.05"]])
+    def test_huge_coupling(self, command, capsys):
+        # the smaller crossing frequency rounds to 0 at gamma = 1e9
+        code = parse_and_dispatch(command + ["--n", "5", "--gamma", "1e9",
+                                             "--delta=-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: crossing frequency of mode (2, 0) rounds to 0.0: "
+            "the couplings are too large against b\n")
 
     def test_bad_range_syntax(self, capsys):
         code = parse_and_dispatch(["sweep", "--gamma-range", "1:2"])
