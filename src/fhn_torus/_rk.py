@@ -4,12 +4,16 @@ The tables are those of Hairer's DOP853 (Hairer, Norsett and Wanner,
 *Solving Ordinary Differential Equations I*, section II.10): twelve
 stages give the 8th-order solution, a 5th-order and a 3rd-order estimate
 combine into the error, and three more stages of each accepted step give
-the coefficients of the 7th-order interpolant (``dense_eval``).  The step
-control is simpler than Hairer's: the factor 0.9 err^(-1/8) is bounded
-to [0.2, 5], where his code bounds it to [1/3, 6] and keeps a step from
-growing right after a rejection.  Data that holds only nodes, such as a
-trajectory read back from CSV, gets the same interpolant: each step is
-taken again from its start node to the next (``dense_from_nodes``).
+the coefficients of the 7th-order interpolant (``Trajectory.sample``).
+The step control is simpler than Hairer's: the factor 0.9 err^(-1/8) is
+bounded to [0.2, 5], where his code bounds it to [1/3, 6] and keeps a
+step from growing right after a rejection.  Data that holds only nodes,
+such as a trajectory read back from CSV, gets the same interpolant: each
+step is taken again from its start node to the next
+(``dense_from_nodes``).
+
+A solution is one ``Trajectory``; its readers take a batch row or some
+slots of it through ``row`` and ``slots``, not by slicing its arrays.
 
 A step keeps its start state and stages 0-12 as the rows of one buffer,
 and the weights of each stage input as a row of 1 and h a_ij, written
@@ -25,6 +29,8 @@ calls' overhead.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -180,8 +186,9 @@ _FIRST_CAPACITY = 256
 # field calls on the stacked states per block instead of three per step.
 _DENSE_BLOCK = 64
 
-# Floats of interpolated states per block of query times in dense_eval
-# (256 kB): its temporaries stay a few such blocks, not a few results.
+# Floats of interpolated states per block of query times in
+# Trajectory.sample (256 kB): its temporaries stay a few such blocks,
+# not a few results.
 _SAMPLE_FLOATS = 32768
 
 
@@ -239,7 +246,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol, span):
 
 
 def _dense_coefficients(f, y, t, h, k, first=13):
-    """``dense_eval``'s coefficients of a block of P steps.
+    """``Trajectory.sample``'s coefficients of a block of P steps.
 
     y, t and h hold each step's start state, time and size, and k its
     sixteen stages, shape (P,) + y.shape[1:-1] + (16, dim), with the
@@ -274,13 +281,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     a row of 1 and h a_ij with the step's start state and the stages
     before it.
 
-    Returns (ts, ys, fs, ks, stats): accepted nodes, states and
-    derivatives there, shape (nt,) + y0.shape, the four coefficients of
-    each step's 7th-order interpolant beyond its cubic Hermite part,
-    shape (nt - 1,) + y0.shape[:-1] + (4, dim) (see ``dense_eval``),
-    so that batch row j is ``[:, j]`` of all three, and a counter dict:
-    accepted and rejected steps and the states (of y0's shape) at which
-    f was evaluated.
+    Returns the ``Trajectory`` of the accepted nodes, whose ``stats``
+    count accepted and rejected steps and the states (of y0's shape) at
+    which f was evaluated.
     Raises DomainError for a state that is not one- or two-dimensional
     or not finite, t_end that is not finite, rtol < 0, atol <= 0,
     t_end <= t0 or a span shorter than the smallest step,
@@ -417,12 +420,12 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     except ValueError:
         ks = _copy_rows(ks, n_acc)
         ts, ys, fs = (_copy_rows(b, n) for b in (ts, ys, fs))
-    return ts, ys, fs, ks, stats
+    return Trajectory(ts, ys, fs, ks, stats)
 
 
 def _block_len(ys):
-    """Query times per block of ``dense_eval`` for the states of ys: at
-    least one, and _SAMPLE_FLOATS floats of states."""
+    """Query times per block of ``Trajectory.sample`` for the states of
+    ys: at least one, and _SAMPLE_FLOATS floats of states."""
     return max(1, _SAMPLE_FLOATS // ys[0].size)
 
 
@@ -432,70 +435,111 @@ def _per_state(w, ys):
     return w.reshape((-1,) + (1,) * (np.ndim(ys) - 1))
 
 
-def dense_eval(ts, ys, fs, ks, tq):
-    """DOP853's 7th-order interpolant of the stored solution at query
-    times (Hairer's ``contd8``).
+@dataclass
+class Trajectory:
+    """Accepted integration nodes with derivatives and dense output.
 
-    ys and fs hold one state per node and ks the coefficients of each
-    step, in the shapes ``solve`` and ``dense_from_nodes`` return for
-    one state or a batch: (nt,) + state shape and (nt - 1,) + state
-    shape[:-1] + (4, dim).  tq is a scalar or a 1-D array of times
-    inside the nodes' range, else DomainError.  The result has one state
-    per query time, or a single state for a scalar tq.  At a node it is
-    the node state up to rounding.
-
-    The queries go one block of ``_block_len`` at a time, each written
-    into the one result array, so the memory beyond the result is that
-    of a few blocks of _SAMPLE_FLOATS floats, however many times are
-    asked for; every element has the arithmetic of a one-shot call.
+    ``times`` holds the nt nodes, ``states`` and ``derivs`` the state and
+    its derivative at each, shape (nt,) + state shape, and ``dense`` the
+    four coefficients of each step's 7th-order interpolant beyond its
+    cubic Hermite part, shape (nt - 1,) + state shape[:-1] + (4, dim):
+    (nt - 1, 4, dim) for one state of dim slots, (nt - 1, B, 4, dim) for
+    a batch of B.  ``solve`` returns one, with its counters in
+    ``stats``; ``dense_from_nodes`` builds one from node-only data such
+    as a trajectory read back from CSV.
     """
-    t = np.asarray(tq, dtype=float)
-    if t.ndim > 1:
-        raise DomainError(f"query times must be a scalar or 1-D, got shape {t.shape}")
-    t = np.atleast_1d(t)
-    if not np.all((t >= ts[0] - 1e-12) & (t <= ts[-1] + 1e-12)):  # NaN fails
-        raise DomainError("query time outside the integrated range")
-    t = np.clip(t, ts[0], ts[-1])
-    res = np.empty(t.shape + ys.shape[1:])
-    q = _block_len(ys)
-    for i in range(0, len(t), q):
-        tb, out = t[i:i + q], res[i:i + q]
-        idx = np.clip(np.searchsorted(ts, tb, side="right") - 1, 0, len(ts) - 2)
-        h = ts[idx + 1] - ts[idx]
-        s = _per_state((tb - ts[idx]) / h, ys)
-        h = _per_state(h, ys)
-        s1 = 1.0 - s
-        # Hairer's nested form
-        #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
-        # with ydiff = y1 - y0, bspl = h f0 - ydiff, r4 = ydiff - h f1 - bspl,
-        # evaluated in place in the block of the result
-        out[...] = ks[idx, ..., 3, :]
-        out *= s
-        for j, w in ((2, s1), (1, s), (0, s1)):
-            out += ks[idx, ..., j, :]
-            out *= w
-        ydiff = ys[idx + 1]
-        ydiff -= ys[idx]
-        bspl = fs[idx]
-        bspl *= h
-        bspl -= ydiff
-        r4 = fs[idx + 1]
-        r4 *= -h
-        r4 += ydiff
-        r4 -= bspl
-        out += r4
-        out *= s
-        out += bspl
-        out *= s1
-        out += ydiff
-        out *= s
-        del r4, bspl, ydiff  # before the last gather
-        out += ys[idx]
-    return res if np.ndim(tq) else res[0]
+
+    times: np.ndarray
+    states: np.ndarray
+    derivs: np.ndarray
+    dense: np.ndarray
+    stats: dict = field(default_factory=dict)
+
+    @property
+    def t_end(self) -> float:
+        return float(self.times[-1])
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.states[-1]
+
+    def row(self, j):
+        """Row j of a batch solution: a one-state solution of views."""
+        return Trajectory(self.times, self.states[:, j], self.derivs[:, j],
+                          self.dense[:, j], self.stats)
+
+    def slots(self, idx):
+        """The slots idx of each state, a slice or an index array: views
+        for a slice, C-contiguous copies (``np.take``) for an array,
+        which may repeat slots, as the lift of a quotient flow does."""
+        part = ((lambda a: a[..., idx]) if isinstance(idx, slice)
+                else partial(np.take, indices=idx, axis=-1))
+        return Trajectory(self.times, part(self.states), part(self.derivs),
+                          part(self.dense), self.stats)
+
+    def sample(self, t):
+        """DOP853's 7th-order interpolant of the solution at query times
+        (Hairer's ``contd8``).
+
+        t is a scalar or a 1-D array of times inside the nodes' range,
+        else DomainError.  The result has one state per query time, or a
+        single state for a scalar t.  At a node it is the node state up
+        to rounding.
+
+        The queries go one block of ``_block_len`` at a time, each written
+        into the one result array, so the memory beyond the result is that
+        of a few blocks of _SAMPLE_FLOATS floats, however many times are
+        asked for; every element has the arithmetic of a one-shot call.
+        """
+        ts, ys, fs, ks = self.times, self.states, self.derivs, self.dense
+        scalar = np.ndim(t) == 0
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise DomainError(f"query times must be a scalar or 1-D, got shape {t.shape}")
+        t = np.atleast_1d(t)
+        if not np.all((t >= ts[0] - 1e-12) & (t <= ts[-1] + 1e-12)):  # NaN fails
+            raise DomainError("query time outside the integrated range")
+        t = np.clip(t, ts[0], ts[-1])
+        res = np.empty(t.shape + ys.shape[1:])
+        q = _block_len(ys)
+        for i in range(0, len(t), q):
+            tb, out = t[i:i + q], res[i:i + q]
+            idx = np.clip(np.searchsorted(ts, tb, side="right") - 1, 0, len(ts) - 2)
+            h = ts[idx + 1] - ts[idx]
+            s = _per_state((tb - ts[idx]) / h, ys)
+            h = _per_state(h, ys)
+            s1 = 1.0 - s
+            # Hairer's nested form
+            #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
+            # with ydiff = y1 - y0, bspl = h f0 - ydiff, r4 = ydiff - h f1 - bspl,
+            # evaluated in place in the block of the result
+            out[...] = ks[idx, ..., 3, :]
+            out *= s
+            for j, w in ((2, s1), (1, s), (0, s1)):
+                out += ks[idx, ..., j, :]
+                out *= w
+            ydiff = ys[idx + 1]
+            ydiff -= ys[idx]
+            bspl = fs[idx]
+            bspl *= h
+            bspl -= ydiff
+            r4 = fs[idx + 1]
+            r4 *= -h
+            r4 += ydiff
+            r4 -= bspl
+            out += r4
+            out *= s
+            out += bspl
+            out *= s1
+            out += ydiff
+            out *= s
+            del r4, bspl, ydiff  # before the last gather
+            out += ys[idx]
+        return res[0] if scalar else res
 
 
 def dense_from_nodes(f, ts, ys):
-    """Derivatives and ``dense_eval`` coefficients of node-only data.
+    """The ``Trajectory`` of node-only data.
 
     ts and ys hold the nodes and states of one trajectory, shape (nt,)
     and (nt,) + state shape, as ``solve`` returns them.  Each step is
@@ -504,8 +548,8 @@ def dense_from_nodes(f, ts, ys):
     derivatives are the solver's and the interpolant its own up to
     rounding.  f takes stacks of states with their times, as in
     ``solve``; the steps go _DENSE_BLOCK at a time, one call per stage.
-    Returns (fs, ks) in the shapes of ``solve``, which may hold
-    non-finite values where f overflows.
+    The derivatives and coefficients may hold non-finite values where f
+    overflows.
     """
     h = np.diff(ts)
     fs = np.empty_like(ys)
@@ -518,4 +562,4 @@ def dense_from_nodes(f, ts, ys):
         kb[..., 0, :] = fs[s] = f(ts[s], ys[s])
         ks[s] = _dense_coefficients(f, ys[s], ts[s], h[s], kb, first=1)
     fs[-1:] = f(ts[-1:], ys[-1:])
-    return fs, ks
+    return Trajectory(ts, ys, fs, ks)

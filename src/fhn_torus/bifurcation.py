@@ -9,11 +9,13 @@ coupling weights.  Writing theta = (N-1)*pi/N:
     gamma < 0, delta > 0 :  a* = delta*(1 - cos theta)
     gamma > 0, delta > 0 :  a* = (gamma + delta)*(1 - cos theta)
 
-The crossing eigenvalues sit at frequency (0, 0) in the first case and
-at the frequencies nearest the half turn, r = (N -+ 1)/2, in the
-others.  For small c > 0 the origin is stable at a = a* and the first
-crossing moves to a_hat < a*, the largest a at which a mode with
-coupling symbol sigma meets the paper's curve (Im sigma)^2 = psi(Re sigma - a).
+that is, a* = (max(gamma, 0) + max(delta, 0))*(1 - cos theta).  The
+crossing frequencies are the pairs (r, s) with r in R(gamma) and s in
+R(delta), where R(w) holds the two frequencies nearest the half turn,
+(N + 1)/2 and (N - 1)/2, for w > 0 and only 0 otherwise.  For small
+c > 0 the origin is stable at a = a* and the first crossing moves to
+a_hat < a*, the largest a at which a mode with coupling symbol sigma
+meets the paper's curve (Im sigma)^2 = psi(Re sigma - a).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._rk import dense_eval
 from .errors import BracketError, DegenerateCouplingWarning, DomainError, StiffnessError
 from .model import CellParams, LatticeParams
 from .simulate import _quotient_solve
@@ -164,19 +165,11 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     n = lp.n
     th = theta_n(n)
     factor = 1.0 - math.cos(th)
-    rp, rm = (n + 1) // 2, (n - 1) // 2
-    if pat == ("-", "-"):
-        a_star = 0.0
-        modes = [(0, 0)]
-    elif pat == ("+", "-"):
-        a_star = lp.gamma * factor
-        modes = [(rp, 0), (rm, 0)]
-    elif pat == ("-", "+"):
-        a_star = lp.delta * factor
-        modes = [(0, rp), (0, rm)]
-    else:
-        a_star = (lp.gamma + lp.delta) * factor
-        modes = [(rp, rp), (rp, rm), (rm, rp), (rm, rm)]
+    # the table as its product rule (module docstring)
+    near_half = ((n + 1) // 2, (n - 1) // 2)
+    rs, ss = (near_half if w > 0.0 else (0,) for w in (lp.gamma, lp.delta))
+    a_star = (max(lp.gamma, 0.0) + max(lp.delta, 0.0)) * factor
+    modes = [(r, s) for r in rs for s in ss]
     lam_p, lam_m = eigenvalue_grids(replace(lp, a=a_star))
     crossing = []
     for r, s in modes:
@@ -557,16 +550,14 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
         """Outcomes of runs on the lattices lps, solved as one batch; a
         stiff batch is redone run by run, and a stiff run has escaped."""
         try:
-            _, (ts, qs, fs, ks, _) = _quotient_solve(
-                K, np.tile(eps * vec, (len(lps), 1)), lps, t_end)
+            _, sol = _quotient_solve(K, np.tile(eps * vec, (len(lps), 1)), lps, t_end)
         except StiffnessError:
             if len(lps) == 1:
                 return [("escape", math.inf)]
             return [batch([lpa])[0] for lpa in lps]
         # one run at a time: the samples of the whole batch would add
         # several MB to the peak
-        return [outcome(dense_eval(ts, qs[:, j], fs[:, j], ks[:, j], grid))
-                for j in range(len(lps))]
+        return [outcome(sol.row(j).sample(grid)) for j in range(len(lps))]
 
     sides = ["below"] * len(_PROBE_FRACTIONS) + ["above"]
     lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in _PROBE_FRACTIONS]

@@ -375,11 +375,10 @@ def _cmd_classify(args):
     if np.any(np.diff(times) <= 0.0):
         raise DomainError(f"{args.input}: times must increase strictly")
     with np.errstate(all="ignore"):  # refused just below
-        derivs, dense = _rk.dense_from_nodes(make_rhs(lp), times, states)
-    if not (np.isfinite(derivs).all() and np.isfinite(dense).all()):
+        traj = _rk.dense_from_nodes(make_rhs(lp), times, states)
+    if not (np.isfinite(traj.derivs).all() and np.isfinite(traj.dense).all()):
         raise DomainError(f"{args.input}: the lattice field cannot step these "
                           "states; its values or the interpolant are not finite")
-    traj = Trajectory(times, states, derivs, dense, {"source": args.input})
     orbit, sym, entries = _orbit_report(traj, lp, args.tol)
     payload = {
         "command": "classify",

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from . import _rk
+from ._rk import Trajectory
 from .errors import (ClassificationError, DimensionMismatchError, DomainError,
                      InvarianceError)
 from .model import LatticeParams, _cell_shift, _check_state, _linear_weights
@@ -31,36 +32,6 @@ __all__ = [
     "classify_spatiotemporal",
     "reduced_integrate_fix",
 ]
-
-
-@dataclass
-class Trajectory:
-    """Accepted integration nodes with derivatives and dense output.
-
-    The fields are those ``_rk.solve`` returns, in its order: ``dense``
-    holds the 7th-order interpolation coefficients of each step, shape
-    (nt - 1, 4) + state shape; ``_rk.dense_from_nodes`` rebuilds them
-    for node-only data such as a trajectory read back from CSV.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
-    dense: np.ndarray
-    stats: dict = field(default_factory=dict)
-
-    def sample(self, t):
-        """The state at a scalar time or at each of a 1-D array of
-        times, by DOP853's 7th-order interpolant (``_rk.dense_eval``)."""
-        return _rk.dense_eval(self.times, self.states, self.derivs, self.dense, t)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
@@ -177,7 +148,7 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
     Trajectory
     """
     z0 = _check_state(z0, lp.n)
-    return Trajectory(*_rk.solve(make_rhs(lp), 0.0, z0, t_end, rtol=rtol, atol=atol))
+    return _rk.solve(make_rhs(lp), 0.0, z0, t_end, rtol=rtol, atol=atol)
 
 
 # Orbit detection: the leading share of the run discarded as transient,
@@ -239,9 +210,9 @@ def detect_periodic_orbit(traj: Trajectory):
 
     The tail's _RESAMPLE states are never held together: each
     coordinate's span comes from maxima and minima taken one
-    ``dense_eval`` block at a time, which are exact, and the most active
-    coordinate alone is then resampled, through one-column views of the
-    trajectory's arrays.  Beyond the trajectory, detection holds the
+    ``Trajectory.sample`` block at a time, which are exact, and the most
+    active coordinate alone is then resampled, through a one-slot view
+    of the trajectory.  Beyond the trajectory, detection holds the
     temporaries of one block and _RESAMPLE values of one coordinate,
     however large the lattice.
     """
@@ -260,9 +231,7 @@ def detect_periodic_orbit(traj: Trajectory):
     if amp < 1e-8 * max(1.0, float(np.max(np.abs([hi, lo])))):
         return None
     j = int(np.argmax(spans))
-    col = slice(j, j + 1)
-    ref = _rk.dense_eval(traj.times, traj.states[:, col], traj.derivs[:, col],
-                         traj.dense[..., col], ts)[:, 0]
+    ref = traj.slots(slice(j, j + 1)).sample(ts)[:, 0]
     centered = ref - ref.mean()
     up = np.nonzero((centered[:-1] <= 0.0) & (centered[1:] > 0.0))[0]
     if len(up) < _MIN_CROSSINGS:
@@ -350,9 +319,8 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     _check_state(orbit.anchor_state, n)
     P = orbit.period
     m = n * 64
-    traj, x = orbit.trajectory, slice(0, None, 2)
-    X = _rk.dense_eval(traj.times, traj.states[:, x], traj.derivs[:, x],
-                       traj.dense[..., x], orbit.anchor_time + P * np.arange(m) / m)
+    X = orbit.trajectory.slots(slice(0, None, 2)).sample(
+        orbit.anchor_time + P * np.arange(m) / m)
     # x of the flat cell j*N + i (model's layout) at grid [j, i]; the
     # real transform keeps harmonics l >= 0, and each of 0 < l < m/2
     # stands for -l too, whose bins hold the same energy and lie in the
@@ -407,10 +375,10 @@ def _quotient_solve(K: IsotropySubgroup, z0,
     ``lp`` is one LatticeParams and z0 a full state, shape (2*N^2,), or
     a sequence of B lattices with one full state per row, shape
     (B, 2*N^2).  Every row must lie in Fix(K) to 1e-10 of its size,
-    else InvarianceError.  Returns the cell classes of K and
-    ``_rk.solve``'s (ts, ys, fs, ks, stats) on the quotient, whose
-    states have shape (2 * #classes,) or (B, 2 * #classes); a batch
-    shares one step sequence.
+    else InvarianceError.  Returns the cell classes of K and the
+    ``Trajectory`` on the quotient, whose states have shape
+    (2 * #classes,) or (B, 2 * #classes); a batch shares one step
+    sequence.
     """
     single = isinstance(lp, LatticeParams)
     n = lp.n if single else lp[0].n
@@ -443,10 +411,6 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
     the largest per-row RMS error.  The criticality probe runs its
     batch there, on the quotient, unlifted.
     """
-    cls, (ts, ys, fs, ks, stats) = _quotient_solve(K, z0, lp, t_end)
-
-    def lift(q):
-        lead = q.shape[:-1]
-        return q.reshape(lead + (-1, 2))[..., cls, :].reshape(lead + (-1,))
-
-    return Trajectory(ts, lift(ys), lift(fs), lift(ks), stats)
+    cls, sol = _quotient_solve(K, z0, lp, t_end)
+    # slots x, y of cell i are those of its class cls[i]
+    return sol.slots((2 * cls[:, None] + (0, 1)).ravel())

@@ -288,13 +288,14 @@ class TestSimulateClassify:
         # set; one field call on the whole file gathers five times its size
         lp = LatticeParams(n=11, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         z0 = 0.3 * np.random.default_rng(11).standard_normal(242)
-        ts, ys, fs, ks, _ = _rk.solve(cli.make_rhs(lp), 0.0, z0, 60.0)
+        sol = _rk.solve(cli.make_rhs(lp), 0.0, z0, 60.0)
         tq = np.linspace(0.0, 60.0, 5000)
-        nodes = _rk.dense_eval(ts, ys, fs, ks, tq)
-        del ys, fs, ks
+        nodes = sol.sample(tq)
+        del sol
         tracemalloc.start()
         try:
-            got_fs, got_ks = _rk.dense_from_nodes(cli.make_rhs(lp), tq, nodes)
+            got = _rk.dense_from_nodes(cli.make_rhs(lp), tq, nodes)
+            got_fs, got_ks = got.derivs, got.dense
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

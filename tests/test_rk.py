@@ -21,8 +21,13 @@ def rotation(t, y):
     return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
 
+def arrays(sol):
+    """A solution's four arrays, in the order of its fields."""
+    return sol.times, sol.states, sol.derivs, sol.dense
+
+
 def one_shot_dense_eval(ts, ys, fs, ks, tq):
-    """``dense_eval``'s formula on all queries at once, as it stood
+    """``Trajectory.sample``'s formula on all queries at once, as it stood
     before the queries went in blocks: the oracle of the blocked one."""
     t = np.clip(np.atleast_1d(np.asarray(tq, dtype=float)), ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
@@ -144,12 +149,12 @@ class TestSolverContract:
             seen.append(z.ndim - z0.ndim)
             return rhs(t, z)
 
-        ts, ys, fs, ks, _ = _rk.solve(checked, 0.0, z0, 10.0)
+        ts, ys, fs, ks = arrays(_rk.solve(checked, 0.0, z0, 10.0))
         assert set(seen) == {0, 1}
         assert ys.shape == fs.shape == (len(ts),) + z0.shape
         assert ks.shape == (len(ts) - 1,) + z0.shape[:-1] + (4, 18)
         seen.clear()
-        got_fs, got_ks = _rk.dense_from_nodes(checked, ts, ys)
+        _, _, got_fs, got_ks = arrays(_rk.dense_from_nodes(checked, ts, ys))
         assert set(seen) == {1}
         assert np.array_equal(got_fs, fs) and got_ks.shape == ks.shape
 
@@ -168,7 +173,8 @@ class TestStats:
 
         z0 = 0.3 * np.random.default_rng(3).standard_normal((batch or 1, 18))
         z0 = z0[0] if batch is None else z0
-        ts, _, _, _, stats = _rk.solve(counted, 0.0, z0, 40.0)
+        sol = _rk.solve(counted, 0.0, z0, 40.0)
+        ts, stats = sol.times, sol.stats
         n_acc = stats["accepted"]
         assert n_acc == len(ts) - 1
         assert stats["rhs_evals"] == states[0]
@@ -205,7 +211,7 @@ class TestStats:
         if batch is None:
             stats = reduced_integrate_fix(K, z0[0], lps[0], 30.0).stats
         else:
-            _, (_, _, _, _, stats) = simulate._quotient_solve(K, z0, lps[:batch], 30.0)
+            stats = simulate._quotient_solve(K, z0, lps[:batch], 30.0)[1].stats
         assert stats["accepted"] > _rk._DENSE_BLOCK
         assert stats["rhs_evals"] == states[0]
 
@@ -214,8 +220,8 @@ class TestStats:
         whole = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
         monkeypatch.setattr(_rk, "_FIRST_CAPACITY", 1)
         grown = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
-        assert grown[4] == whole[4] and whole[4]["accepted"] > 100
-        for a, b in zip(grown[:4], whole[:4]):
+        assert grown.stats == whole.stats and whole.stats["accepted"] > 100
+        for a, b in zip(arrays(grown), arrays(whole)):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("hook", ["settrace", "cprofile"])
@@ -229,7 +235,7 @@ class TestStats:
         lp = LatticeParams(n=3, a=1.42, b=1.0, c=0.0, gamma=1.0, delta=-1.0)
         z0 = _initial_state(SimpleNamespace(params=lp, ic="mode", amplitude=1e-3))
         plain = _rk.solve(make_rhs(lp), 0.0, z0, 100.0)
-        assert plain[4]["accepted"] > _rk._FIRST_CAPACITY
+        assert plain.stats["accepted"] > _rk._FIRST_CAPACITY
 
         def snapshot(frame, event, arg):
             if frame.f_code is _rk.solve.__code__:
@@ -251,8 +257,8 @@ class TestStats:
                 hooked = _rk.solve(make_rhs(lp), 0.0, z0, 100.0)
             finally:
                 profile.disable()
-        assert hooked[4] == plain[4]
-        for a, b in zip(hooked[:4], plain[:4]):
+        assert hooked.stats == plain.stats
+        for a, b in zip(arrays(hooked), arrays(plain)):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("block", [1, 3])
@@ -267,40 +273,41 @@ class TestStats:
             lp, z0 = LP, 0.3 * rng.standard_normal(18)
         whole = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
         # several full blocks and a part of one
-        assert whole[4]["accepted"] % _rk._DENSE_BLOCK and whole[4]["accepted"] > 300
+        assert whole.stats["accepted"] % _rk._DENSE_BLOCK and whole.stats["accepted"] > 300
         monkeypatch.setattr(_rk, "_DENSE_BLOCK", block)
         small = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
-        assert small[4] == whole[4]
-        for a, b in zip(small[:4], whole[:4]):
+        assert small.stats == whole.stats
+        for a, b in zip(arrays(small), arrays(whole)):
             assert np.array_equal(a, b)
 
 
 class TestDenseOutput:
     def test_steps_join_at_the_nodes(self):
         z0 = 0.3 * np.random.default_rng(5).standard_normal(18)
-        ts, ys, fs, ks, _ = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
+        sol = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
+        ts, ys, fs, ks = arrays(sol)
         assert ks.shape == (len(ts) - 1, 4, 18)
-        assert np.array_equal(_rk.dense_eval(ts, ys, fs, ks, ts[:-1]), ys[:-1])
+        assert np.array_equal(sol.sample(ts[:-1]), ys[:-1])
         for i in range(len(ts) - 1):
             step = slice(i, i + 2)
-            ends = _rk.dense_eval(ts[step], ys[step], fs[step], ks[i:i + 1], ts[step])
+            ends = Trajectory(ts[step], ys[step], fs[step], ks[i:i + 1]).sample(ts[step])
             assert np.array_equal(ends[0], ys[i])
             assert np.max(np.abs(ends[1] - ys[i + 1])) <= 1e-14 * np.max(np.abs(ys[i + 1]))
 
     def test_rotation_between_the_nodes(self):
-        ts, ys, fs, ks, _ = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0)
+        sol = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0)
         tq = np.linspace(0.0, 50.0, 10_000)
         exact = np.stack([np.cos(tq), -np.sin(tq)], axis=1)
-        assert np.max(np.abs(_rk.dense_eval(ts, ys, fs, ks, tq) - exact)) <= 1e-8
-        assert _rk.dense_eval(ts, ys, fs, ks, math.pi).shape == (2,)
+        assert np.max(np.abs(sol.sample(tq) - exact)) <= 1e-8
+        assert sol.sample(math.pi).shape == (2,)
 
     def test_equal_columns_sample_like_the_one_state_run(self):
         z0 = 0.3 * np.random.default_rng(6).standard_normal(18)
-        ts, ys, fs, ks, stats = _rk.solve(make_rhs(LP), 0.0, z0, 30.0)
-        tb, yb, fb, kb, sb = _rk.solve(make_rhs([LP] * 3), 0.0, np.tile(z0, (3, 1)), 30.0)
+        one = _rk.solve(make_rhs(LP), 0.0, z0, 30.0)
+        batch = _rk.solve(make_rhs([LP] * 3), 0.0, np.tile(z0, (3, 1)), 30.0)
         tq = np.linspace(0.0, 30.0, 777)
-        want = Trajectory(ts, ys, fs, ks, stats).sample(tq)
-        got = Trajectory(tb, yb, fb, kb, sb).sample(tq)
+        want = one.sample(tq)
+        got = batch.sample(tq)
         for j in range(3):
             assert np.array_equal(got[:, j], want)
 
@@ -313,23 +320,24 @@ class TestDenseOutput:
             z0 = 0.3 * rng.standard_normal((3, 18))
         else:
             lp, z0 = LP, 0.3 * rng.standard_normal(18)
-        ts, ys, fs, ks, _ = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
+        sol = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
+        ts, ys, fs, ks = arrays(sol)
         q = _rk._block_len(ys)
         assert q == _rk._SAMPLE_FLOATS // ys[0].size
         for count in (0, 1, q - 1, q, q + 1, 3 * q + 7):
             # both ends, a node and times between
             tq = np.concatenate(([0.0, 40.0, ts[len(ts) // 2]],
                                  rng.uniform(0.0, 40.0, count)))[:count]
-            got = _rk.dense_eval(ts, ys, fs, ks, tq)
+            got = sol.sample(tq)
             assert got.shape == (count,) + ys.shape[1:]
             assert np.array_equal(got, one_shot_dense_eval(ts, ys, fs, ks, tq)), count
-        got = _rk.dense_eval(ts, ys, fs, ks, 17.3)
+        got = sol.sample(17.3)
         assert got.shape == ys.shape[1:]
         assert np.array_equal(got, one_shot_dense_eval(ts, ys, fs, ks, 17.3))
 
     @pytest.mark.parametrize("shape", [(2, 3), (1, 2)])
     def test_rejects_query_times_of_two_axes(self, shape):
-        traj = Trajectory(*_rk.solve(make_rhs(LP), 0.0, np.full(18, 0.1), 5.0))
+        traj = _rk.solve(make_rhs(LP), 0.0, np.full(18, 0.1), 5.0)
         with pytest.raises(DomainError, match="1-D"):
             traj.sample(np.full(shape, 1.0))
 
@@ -344,45 +352,113 @@ class TestDenseFromNodes:
         p = np.polynomial.Polynomial(rng.standard_normal(degree + 1))
         dp = p.deriv()
         ys = p(ts)[:, None]
-        fs, ks = _rk.dense_from_nodes(lambda t, y: dp(t)[:, None] * np.ones_like(y), ts, ys)
+        sol = _rk.dense_from_nodes(lambda t, y: dp(t)[:, None] * np.ones_like(y), ts, ys)
         tq = np.linspace(0.0, ts[-1], 1001)
-        got = _rk.dense_eval(ts, ys, fs, ks, tq)
+        got = sol.sample(tq)
         assert np.max(np.abs(got[:, 0] - p(tq))) <= 1e-13 * np.max(np.abs(p(tq)))
 
     def test_gives_the_nodes_back(self):
         z0 = 0.3 * np.random.default_rng(7).standard_normal(18)
-        ts, ys, _, _, _ = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
-        fs, ks = _rk.dense_from_nodes(make_rhs(LP), ts, ys)
-        assert np.array_equal(_rk.dense_eval(ts, ys, fs, ks, ts), ys)
+        ts, ys, _, _ = arrays(_rk.solve(make_rhs(LP), 0.0, z0, 40.0))
+        sol = _rk.dense_from_nodes(make_rhs(LP), ts, ys)
+        assert np.array_equal(sol.sample(ts), ys)
 
     def test_retakes_the_steps_of_the_solver(self):
         z0 = 0.3 * np.random.default_rng(7).standard_normal(18)
-        ts, ys, fs, ks, _ = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
-        got_fs, got_ks = _rk.dense_from_nodes(make_rhs(LP), ts, ys)
+        sol = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
+        ts, ys, fs, ks = arrays(sol)
+        again = _rk.dense_from_nodes(make_rhs(LP), ts, ys)
+        _, _, got_fs, got_ks = arrays(again)
         assert np.array_equal(got_fs, fs)
         assert got_ks.shape == ks.shape
         tq = np.linspace(0.0, 40.0, 10_000)
-        want = _rk.dense_eval(ts, ys, fs, ks, tq)
-        got = _rk.dense_eval(ts, ys, got_fs, got_ks, tq)
+        want = sol.sample(tq)
+        got = again.sample(tq)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_rotation_between_the_solvers_nodes(self):
         # node-only data, as read back from CSV: the solver's own
         # interpolant, where degree-7 Hermite on four nodes left 1.7e-8
-        ts, ys, _, _, _ = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0)
-        fs, ks = _rk.dense_from_nodes(rotation, ts, ys)
+        ts, ys, _, _ = arrays(_rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0))
+        sol = _rk.dense_from_nodes(rotation, ts, ys)
         tq = np.linspace(0.0, 50.0, 10_000)
         exact = np.stack([np.cos(tq), -np.sin(tq)], axis=1)
-        assert np.max(np.abs(_rk.dense_eval(ts, ys, fs, ks, tq) - exact)) <= 1e-8
-        assert np.array_equal(_rk.dense_eval(ts, ys, fs, ks, ts[:-1]), ys[:-1])
+        assert np.max(np.abs(sol.sample(tq) - exact)) <= 1e-8
+        assert np.array_equal(sol.sample(ts[:-1]), ys[:-1])
 
     def test_a_node_close_to_the_last(self):
         # a last step of 1e-9 after steps of about 0.4, as when a run is
         # cut short to end on t_end, is one more short step
-        ts, _, _, _, _ = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0)
+        ts = _rk.solve(rotation, 0.0, np.array([1.0, 0.0]), 50.0).times
         ts = np.append(ts, ts[-1] + 1e-9)
         ys = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
-        fs, ks = _rk.dense_from_nodes(rotation, ts, ys)
+        sol = _rk.dense_from_nodes(rotation, ts, ys)
         tq = np.linspace(0.0, ts[-1], 10_000)
         exact = np.stack([np.cos(tq), -np.sin(tq)], axis=1)
-        assert np.max(np.abs(_rk.dense_eval(ts, ys, fs, ks, tq) - exact)) <= 1e-8
+        assert np.max(np.abs(sol.sample(tq) - exact)) <= 1e-8
+
+
+class TestViews:
+    """``Trajectory.row`` and ``Trajectory.slots`` against the hand
+    slicing and the reshape lift that the readers of a solution made
+    before the views, bit for bit."""
+
+    TQ = np.linspace(0.0, 20.0, 333)
+
+    @staticmethod
+    def hand(sol, pick):
+        """The oracle: ``pick`` applied to each array, as each reader
+        sliced them; the times are shared."""
+        ts, ys, fs, ks = arrays(sol)
+        return ts, pick(ys), pick(fs), pick(ks)
+
+    def check(self, view, want):
+        for got, ref in zip(arrays(view), want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert np.array_equal(view.sample(self.TQ), one_shot_dense_eval(*want, self.TQ))
+
+    def test_one_coordinate_of_a_one_state_run(self):
+        z0 = 0.3 * np.random.default_rng(21).standard_normal(18)
+        sol = _rk.solve(make_rhs(LP), 0.0, z0, 20.0)
+        col = slice(5, 6)
+        view = sol.slots(col)
+        self.check(view, self.hand(sol, lambda a: a[..., col]))
+        assert np.shares_memory(view.states, sol.states)
+        assert view.stats is sol.stats
+
+    def test_x_slots(self):
+        z0 = 0.3 * np.random.default_rng(22).standard_normal(18)
+        sol = _rk.solve(make_rhs(LP), 0.0, z0, 20.0)
+        x = slice(0, None, 2)
+        view = sol.slots(x)
+        self.check(view, self.hand(sol, lambda a: a[..., x]))
+        for v, a in zip(arrays(view), arrays(sol)):
+            assert np.shares_memory(v, a)
+
+    def test_lifted_fix_k_run(self):
+        K = IsotropySubgroup.cyclic((1, 2), 5)
+        lp = LatticeParams(n=5, a=-0.1, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+        z0 = 0.3 * fix_projection(np.random.default_rng(23).standard_normal(50), K)
+        cls, sol = simulate._quotient_solve(K, z0, lp, 20.0)
+
+        def lift(q):
+            lead = q.shape[:-1]
+            return q.reshape(lead + (-1, 2))[..., cls, :].reshape(lead + (-1,))
+
+        lifted = reduced_integrate_fix(K, z0, lp, 20.0)
+        self.check(lifted, self.hand(sol, lift))
+        assert all(a.flags.c_contiguous for a in arrays(lifted))
+
+    def test_every_row_of_a_probe_batch(self):
+        # four lattices on the quotient of Fix(K), as the criticality
+        # probe runs them
+        K = IsotropySubgroup.cyclic((0, 1), 5)
+        lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+               for a in (-0.1, -0.05, 0.0, 0.3)]
+        q0 = 0.3 * fix_projection(np.random.default_rng(24).standard_normal(50), K)
+        sol = simulate._quotient_solve(K, np.tile(q0, (4, 1)), lps, 20.0)[1]
+        assert sol.states.shape[1] == 4
+        for j in range(4):
+            view = sol.row(j)
+            self.check(view, self.hand(sol, lambda a: a[:, j]))
+            assert np.shares_memory(view.dense, sol.dense)

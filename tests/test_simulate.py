@@ -47,7 +47,7 @@ N11 = LatticeParams(n=11, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
 
 def integrate_cell(p: CellParams, u0, t_end):
     f = lambda t, u: np.stack(rhs_cell((u[..., 0], u[..., 1]), p), axis=-1)
-    return Trajectory(*_rk.solve(f, 0.0, np.asarray(u0, dtype=float), t_end))
+    return _rk.solve(f, 0.0, np.asarray(u0, dtype=float), t_end)
 
 
 def synchronized_state(x, y, n=3):
@@ -170,7 +170,7 @@ class TestIntegrate:
             _rk.solve(lambda t, y: -y, t0, np.ones(2), t0 + span)
 
     def test_solve_accepts_zero_rtol(self):
-        ts, ys, _, _, _ = _rk.solve(lambda t, y: -y, 0.0, np.ones(2), 1.0, rtol=0.0)
+        ys = _rk.solve(lambda t, y: -y, 0.0, np.ones(2), 1.0, rtol=0.0).states
         assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9
 
     def test_finite_time_blow_up_raises_stiffness_error(self):
@@ -240,7 +240,7 @@ class TestIntegrate:
             with pytest.raises(DomainError):
                 traj.sample(tq)
             with pytest.raises(DomainError):
-                _rk.dense_eval(traj.times, traj.states, traj.derivs, traj.dense, tq)
+                traj.slots(slice(0, 1)).sample(tq)
 
     def test_sample_reproduces_nodes(self, rng):
         traj = integrate(0.1 * rng.standard_normal(18), SYNC, 10.0)
@@ -259,10 +259,11 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_equal_columns_are_the_one_state_run_bit_for_bit(self, batch, rng):
         z0 = 0.1 * rng.standard_normal(50)
-        ts, ys, fs, ks, stats = _rk.solve(simulate.make_rhs(self.LP5), 0.0, z0, 30.0)
+        one = _rk.solve(simulate.make_rhs(self.LP5), 0.0, z0, 30.0)
+        ts, ys, fs, ks, stats = one.times, one.states, one.derivs, one.dense, one.stats
         zb = np.tile(z0, (batch, 1))
-        tb, yb, fb, kb, sb = _rk.solve(simulate.make_rhs([self.LP5] * batch), 0.0, zb,
-                                       30.0)
+        sol = _rk.solve(simulate.make_rhs([self.LP5] * batch), 0.0, zb, 30.0)
+        tb, yb, fb, kb, sb = sol.times, sol.states, sol.derivs, sol.dense, sol.stats
         assert yb.shape == fb.shape == (len(ts), batch, 50)
         assert kb.shape == (len(ts) - 1, batch, 4, 50)
         assert np.array_equal(tb, ts) and sb == stats
@@ -275,9 +276,9 @@ class TestBatchedSolve:
         lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
                for a in (-0.1, -0.05, 0.3)]
         z0 = 0.1 * rng.standard_normal((3, 50))
-        tb, yb, _, _, _ = _rk.solve(simulate.make_rhs(lps), 0.0, z0, 30.0)
+        yb = _rk.solve(simulate.make_rhs(lps), 0.0, z0, 30.0).states
         for j, lp in enumerate(lps):
-            ts, ys, _, _, _ = _rk.solve(simulate.make_rhs(lp), 0.0, z0[j], 30.0)
+            ys = _rk.solve(simulate.make_rhs(lp), 0.0, z0[j], 30.0).states
             # both runs meet rtol 1e-9 per step; their end states sit
             # about 5e-10 apart at |z| ~ 2.5
             assert np.max(np.abs(yb[-1, j] - ys[-1])) < 1e-8
@@ -308,15 +309,12 @@ class TestBatchedSolve:
         def f(t, y):
             return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
-        ts, ys, fs, ks, stats = _rk.solve(f, 0.0, np.array([[1.0, 0.0], [0.0, 1.0],
-                                                             [2.0, -1.0]]), 3.0)
+        traj = _rk.solve(f, 0.0, np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]]), 3.0)
         tq = np.array([0.7, 2.2])
-        traj = Trajectory(ts, ys, fs, ks, stats)
         got = traj.sample(tq)
         assert got.shape == (2, 3, 2)
         for j in range(3):
-            assert np.array_equal(got[:, j],
-                                  _rk.dense_eval(ts, ys[:, j], fs[:, j], ks[:, j], tq))
+            assert np.array_equal(got[:, j], traj.row(j).sample(tq))
         assert np.array_equal(traj.sample(0.7), got[0])
         assert np.allclose(got[:, 0, 0], np.cos(tq), rtol=0.0, atol=1e-9)
 
@@ -586,7 +584,7 @@ class TestClassifySpatiotemporal:
         # energy: no permuted copy of the sample, no inverse transform
         monkeypatch.setattr(simulate, "state_permutation",
                             counted("perm", simulate.state_permutation))
-        monkeypatch.setattr(_rk, "dense_eval", counted("dense", _rk.dense_eval))
+        monkeypatch.setattr(Trajectory, "sample", counted("dense", Trajectory.sample))
         monkeypatch.setattr(simulate, "_golden_min",
                             counted("golden", simulate._golden_min))
         for name in ("rfftn", "ifft"):
@@ -714,7 +712,7 @@ def wave_orbit(n, waves, omega=1.3, reported_periods=1):
 
     ts = np.linspace(0.0, 3.0 * period, 901)
     ys = node(ts)[0]
-    traj = Trajectory(ts, ys, *_rk.dense_from_nodes(lambda t, z: node(t)[1], ts, ys))
+    traj = _rk.dense_from_nodes(lambda t, z: node(t)[1], ts, ys)
     return PeriodicOrbit(reported_periods * period, 0.0, ys[0], traj, 0.0)
 
 
