@@ -404,10 +404,9 @@ def _sweep_point(point: tuple) -> tuple:
             if probe:
                 rep.criticality = branch_criticality_probe(rep, lp).classification
             return _crossing_row(lp, rep)
-    except ValueError:
-        return (n, a, b, c, gamma, delta, nan, nan, -1, -1, nan, "", "invalid")
-    except RuntimeError:
-        return (n, a, b, c, gamma, delta, nan, nan, -1, -1, nan, "", "failed")
+    except (ValueError, RuntimeError) as exc:
+        verdict = "invalid" if isinstance(exc, ValueError) else "failed"
+        return (n, a, b, c, gamma, delta, nan, nan, -1, -1, nan, "", verdict)
 
 
 def _cmd_sweep(args):

@@ -15,11 +15,15 @@ appears in order of the first index.  With 0-based indices (i, j) the x
 component of cell (i, j) sits at flat position 2*(j*N + i) and its y
 component immediately after.
 
-:func:`_cell_shift` and :func:`_mode_vector` are the only code that
-knows this numbering, for single states and Fourier modes as for stacks
-and blocks of them: the vector field, the group action, the cell classes
-of a subgroup and the spectrum residuals read the first, the analytic
-eigenvectors and the residuals' blocks of modes the second.
+:func:`_cell_shift` and :func:`_mode_vector` are the only code in the
+package's computations that knows this numbering, for single states and
+Fourier modes as for stacks and blocks of them: the vector field, the
+group action, the cell classes of a subgroup and the spectrum residuals
+read the first, the analytic eigenvectors and the residuals' blocks of
+modes the second.  Two readers outside this module know it too: the CSV
+header of ``cli._traj_header`` names flat cell p as cell
+(p mod N, p // N), and ``simulate.classify_spatiotemporal`` reshapes the
+sampled x slots to a grid [t, j, i].
 :func:`_linear_weights` is the only statement of a cell's linear part,
 which the vector field and the spectrum residuals both apply.
 ``to_grids``/``from_grids``, ``rhs_cell`` and the dense

@@ -152,14 +152,12 @@ def integrate(z0, lp: LatticeParams, t_end, rtol=_rk._RTOL,
 
 
 # Orbit detection: the leading share of the run discarded as transient,
-# the number of samples of the tail, the fewest upward mean crossings
-# that count as oscillation, and the largest accepted recurrence
-# residual relative to the tail amplitude.  Five crossings give four
-# intervals inside the tail, so their median, the period estimate, is at
-# most half the tail, and the recurrence search, up to 1.25 periods past
-# the tail's start, stays inside it.
+# the fewest upward mean crossings that count as oscillation, and the
+# largest accepted recurrence residual relative to the tail amplitude.
+# Five crossings give four intervals inside the tail, so their median,
+# the period estimate, is at most half the tail, and the recurrence
+# search, up to 1.25 periods past the tail's start, stays inside it.
 _TRANSIENT_FRACTION = 0.5
-_RESAMPLE = 4096
 _MIN_CROSSINGS = 5
 _REL_THRESHOLD = 1e-6
 
@@ -208,37 +206,29 @@ def detect_periodic_orbit(traj: Trajectory):
     than five upward crossings, or returns to its anchor state with a
     sup distance above 1e-6 of the tail amplitude.
 
-    The tail's _RESAMPLE states are never held together: each
-    coordinate's span comes from maxima and minima taken one
-    ``Trajectory.sample`` block at a time, which are exact, and the most
-    active coordinate alone is then resampled, through a one-slot view
-    of the trajectory.  Beyond the trajectory, detection holds the
-    temporaries of one block and _RESAMPLE values of one coordinate,
-    however large the lattice.
+    The tail is the solver's nodes from t_cut on, whose states are
+    exact: they give each coordinate's span and the most active
+    coordinate's mean, and each upward crossing of that mean is
+    interpolated linearly between its two nodes.  Only the recurrence
+    search and its residual sample the interpolant.
     """
     t0, t1 = float(traj.times[0]), float(traj.times[-1])
     t_cut = t0 + _TRANSIENT_FRACTION * (t1 - t0)
-    ts = np.linspace(t_cut, t1, _RESAMPLE)
-    hi = np.full(traj.states.shape[1:], -np.inf)
-    lo = np.full_like(hi, np.inf)
-    q = _rk._block_len(traj.states)
-    for i in range(0, _RESAMPLE, q):
-        Z = traj.sample(ts[i:i + q])
-        np.maximum(hi, Z.max(axis=0), out=hi)
-        np.minimum(lo, Z.min(axis=0), out=lo)
+    i0 = int(np.searchsorted(traj.times, t_cut))
+    ts, Z = traj.times[i0:], traj.states[i0:]
+    hi, lo = Z.max(axis=0), Z.min(axis=0)
     spans = hi - lo
     amp = float(spans.max())
     if amp < 1e-8 * max(1.0, float(np.max(np.abs([hi, lo])))):
         return None
-    j = int(np.argmax(spans))
-    ref = traj.slots(slice(j, j + 1)).sample(ts)[:, 0]
+    ref = Z[:, int(np.argmax(spans))]
     centered = ref - ref.mean()
     up = np.nonzero((centered[:-1] <= 0.0) & (centered[1:] > 0.0))[0]
     if len(up) < _MIN_CROSSINGS:
         return None
     # linear interpolation of each upward crossing time
     frac = -centered[up] / (centered[up + 1] - centered[up])
-    t_cross = ts[up] + frac * (ts[1] - ts[0])
+    t_cross = ts[up] + frac * (ts[up + 1] - ts[up])
     p0 = _median(np.diff(t_cross))
     if not np.isfinite(p0) or p0 <= 0.0:
         return None

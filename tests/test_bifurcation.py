@@ -229,6 +229,13 @@ class TestStabilityScan:
                         margin = origin_stability(replace(lp, a=a_num)).margin
                         assert abs(margin) <= 1e-12
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_endpoint_of_zero_margin_is_returned(self, lo, hi):
+        # the synchronized mode of the (-,-) lattice crosses at a = 0,
+        # where the margin is exactly 0
+        assert origin_stability(lattice()).margin == 0.0
+        assert locate_stability_loss(lattice(), lo, hi) == 0.0
+
     def test_bracket_error_carries_endpoints(self):
         lp = lattice()
         with pytest.raises(BracketError) as exc:
@@ -283,6 +290,10 @@ class TestResonance:
         assert g2 == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
         assert g2 == pytest.approx(0.81649658092772592, abs=1e-16)
 
+    def test_order_below_two_is_refused(self):
+        with pytest.raises(DomainError):
+            resonant_coupling(3, 1.0, 1)
+
     def test_flagged_at_engineered_coupling(self):
         lp = lattice(gamma=resonant_coupling(3, 1.0, 2), delta=-1.0)
         hits = hopf_report_at_critical(lp).resonances
@@ -334,6 +345,11 @@ class TestPsi:
 
 
 class TestHopfCrossing:
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_refuses_b_not_positive(self, b):
+        with pytest.raises(DomainError, match="b > 0"):
+            hopf_crossing(lattice(b=b, c=0.05))
+
     def test_synchronized_crossing_is_exactly_minus_c(self):
         # the (0, 0) symbol is 0, so beta = 0 and x = c(1 - beta/omega) = c
         for c in (0.01, 0.05, 0.2):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhn_torus import BracketError, LatticeParams, _rk, bifurcation, cli
+from fhn_torus import BracketError, LatticeParams, _rk, bifurcation, cli, selftest
 from fhn_torus.cli import parse_and_dispatch
 from fhn_torus.selftest import run_selftest
 
@@ -201,6 +201,27 @@ class TestSimulateClassify:
         assert fixing == ["0,1"]
         for g in fixing:
             assert abs(doc["symmetry"]["phases"][g]) < doc["orbit"]["period"] / (2 * 3)
+
+    def test_simulate_classify_agrees_with_classify_of_its_csv(self, tmp_path):
+        # the CSV gives the nodes back bit for bit, and detection reads
+        # spans and crossings from the nodes, so only the retaken steps'
+        # rounding separates the two
+        params = ["--n", "3", "--gamma", "1", "--delta", "-1", "--a", "1.42"]
+        run = ["simulate", *params, "--ic", "mode", "--t-end", "450"]
+        code, sim_path = run_cli([*run, "--classify"], tmp_path, name="sim.json")
+        assert code == 0
+        code, traj_path = run_cli(run, tmp_path, name="traj.csv", fmt="csv")
+        assert code == 0
+        code, cls_path = run_cli(["classify", "--input", str(traj_path), *params],
+                                 tmp_path, name="cls.json")
+        assert code == 0
+        sim, cls = load_json(sim_path), load_json(cls_path)
+        for key in ("spatial", "fixing", "phase_fractions"):
+            assert sim["symmetry"][key] == cls["symmetry"][key]
+        assert (sim["symmetry"]["spatial"], sim["symmetry"]["fixing"]) == ("Gamma", "Z(0,1)")
+        for key in ("orbit", "symmetry"):
+            period = sim[key]["period"]
+            assert abs(cls[key]["period"] - period) <= 1e-12 * period
 
     def test_simulate_json_carries_stats(self, tmp_path):
         code, path = run_cli(
@@ -654,6 +675,14 @@ class TestSelftest:
         results = run_selftest()
         assert len(results) == 10
         assert all(ok for _, ok, _ in results), results
+
+    def test_failing_check_is_marked_and_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "_CHECKS",
+                            [lambda rng: ("always fails", False, "by design")])
+        code = parse_and_dispatch(["selftest"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out == "[FAIL] always fails  by design\n0/1 checks passed\n"
 
     def test_report_goes_to_file_when_asked(self, tmp_path):
         code, path = run_cli(["selftest", "--quick"], tmp_path, name="st.json")

@@ -102,6 +102,10 @@ class TestLayout:
         assert np.array_equal(x, x2)
         assert np.array_equal(y, y2)
 
+    def test_grids_of_different_shapes_are_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            from_grids(np.zeros((3, 3)), np.zeros((4, 4)))
+
     def test_flat_order_interleaves_cells(self):
         # cell (i, j) occupies slots 2*(j*n + i) and the one after
         x = np.zeros((3, 3))
