@@ -12,8 +12,8 @@ such as a trajectory read back from CSV, gets the same interpolant: each
 step is taken again from its start node to the next
 (``dense_from_nodes``).
 
-A solution is one ``Trajectory``; its readers take a batch row or some
-slots of it through ``row`` and ``slots``, not by slicing its arrays.
+A solution is one ``Trajectory`` of one state; its readers take some
+slots of it through ``slots``, not by slicing its arrays.
 
 A step keeps its start state and stages 0-12 as the rows of one buffer,
 and the weights of each stage input as a row of 1 and h a_ij, written
@@ -201,19 +201,12 @@ def _rms(v):
 
 def _error(h, e):
     """DOP853's scaled error of a step from its 5th- and 3rd-order
-    estimates, already divided by the error scale, shape (2, dim) or
-    (B, 2, dim); the largest over batch rows, in Python floats: about
-    2.7 us a call against 5 us for the same arithmetic on arrays at one
-    row and 4.3 against 10 us at four, and arrays pay off only past 24
-    to 26 rows, a batch no caller runs.  A non-finite estimate gives
-    NaN, which rejects."""
-    s = np.add.reduce(e * e, axis=-1)
-    err = 0.0
-    for s5, s3 in s.reshape(-1, 2).tolist():
-        r = h * s5 / math.sqrt(((s5 + 0.01 * s3) or 1.0) * e.shape[-1])  # zero den as 1
-        if r > err or r != r:  # a NaN stays
-            err = r
-    return err
+    estimates, already divided by the error scale, shape (2, dim), in
+    Python floats: about 2.7 us a call against 5 us for the same
+    arithmetic on arrays.  A non-finite estimate gives NaN, which
+    rejects."""
+    s5, s3 = np.add.reduce(e * e, axis=-1).tolist()
+    return h * s5 / math.sqrt(((s5 + 0.01 * s3) or 1.0) * e.shape[-1])  # zero den as 1
 
 
 def _copy_rows(a, rows):
@@ -227,21 +220,17 @@ def _copy_rows(a, rows):
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, span):
-    """Starting step of Hairer, Norsett and Wanner for order 8; the
-    smallest over the batch rows."""
+    """Starting step of Hairer, Norsett and Wanner for order 8."""
     sc = atol + rtol * np.abs(y0)
-    d0 = [_rms(row) for row in np.atleast_2d(y0 / sc)]
-    d1 = [_rms(row) for row in np.atleast_2d(f0 / sc)]
-    h0 = min(1e-6 if e0 < 1e-5 or e1 < 1e-5 else 0.01 * e0 / e1
-             for e0, e1 in zip(d0, d1))
+    d0, d1 = _rms(y0 / sc), _rms(f0 / sc)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not h0 > 0.0:  # a derivative that overflows: solve reports the underflow
         return h0
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
-    d2 = [_rms(row) / h0 for row in np.atleast_2d((f1 - f0) / sc)]
-    h1 = min(max(1e-6, h0 * 1e-3) if max(e1, e2) <= 1e-15
-             else (0.01 / max(e1, e2)) ** _EXPONENT
-             for e1, e2 in zip(d1, d2))
+    d2 = _rms((f1 - f0) / sc) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
+          else (0.01 / max(d1, d2)) ** _EXPONENT)
     return min(100 * h0, h1, span)
 
 
@@ -249,51 +238,48 @@ def _dense_coefficients(f, y, t, h, k, first=13):
     """``Trajectory.sample``'s coefficients of a block of P steps.
 
     y, t and h hold each step's start state, time and size, and k its
-    sixteen stages, shape (P,) + y.shape[1:-1] + (16, dim), with the
-    stages before ``first`` set: 0-12 for the accepted steps of
-    ``solve``, 0 for steps taken again from nodes.  The others are
-    filled in here, each by one call of f on the stack of P states.
+    sixteen stages, shape (P, 16, dim), with the stages before ``first``
+    set: 0-12 for the accepted steps of ``solve``, 0 for steps taken
+    again from nodes.  The others are filled in here, each by one call
+    of f on the stack of P states.
     """
-    hs = h.reshape(h.shape + (1,) * (y.ndim - 1))
+    hs = h[:, None]
     for i in range(first, 16):
-        k[..., i, :] = f(t + _C[i] * h, y + hs * (_A[i, :i] @ k[..., :i, :]))
-    return hs[..., None] * (_D @ k)
+        k[:, i] = f(t + _C[i] * h, y + hs * (_A[i, :i] @ k[:, :i]))
+    return hs[:, :, None] * (_D @ k)
 
 
 def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     """Integrate y' = f(t, y) from t0 to t_end.
 
-    y0 is one state, shape (dim,), or a batch of B states, shape
-    (B, dim), one row each.  A batch shares one step sequence: the
-    error that accepts or rejects a step and sets the next one is the
-    largest of the per-row errors, so every row meets the tolerances.
-    A row's arithmetic is that of its own one-state run; a batch of
-    equal rows reproduces the one-state run bit for bit.
+    y0 is one state, shape (dim,); the error that accepts or rejects a
+    step and sets the next one is the RMS over all its slots.  Several
+    systems integrated together are one state of their slots end to
+    end, as ``simulate.make_rhs`` lays out a sequence of lattices.
 
     f maps a float t and a state of y0's shape to its derivative, as
-    the field of ``simulate.make_rhs`` does for one lattice or for B.
-    It must also take a stack of P such states, shape (P,) + y0.shape,
-    with an array of their P times, and return their derivatives in
-    the same shape: the three dense-output stages of each accepted
-    step (13 to 15) are evaluated that way, for blocks of _DENSE_BLOCK
-    steps and once at the end.  The step sequence never depends on
-    them.  Each of the other stages is one call of f on the product of
-    a row of 1 and h a_ij with the step's start state and the stages
-    before it.
+    the field of ``simulate.make_rhs`` does.  It must also take a stack
+    of P such states, shape (P, dim), with an array of their P times,
+    and return their derivatives in the same shape: the three
+    dense-output stages of each accepted step (13 to 15) are evaluated
+    that way, for blocks of _DENSE_BLOCK steps and once at the end.
+    The step sequence never depends on them.  Each of the other stages
+    is one call of f on the product of a row of 1 and h a_ij with the
+    step's start state and the stages before it.
 
     Returns the ``Trajectory`` of the accepted nodes, whose ``stats``
-    count accepted and rejected steps and the states (of y0's shape) at
-    which f was evaluated.
-    Raises DomainError for a state that is not one- or two-dimensional
-    or not finite, t_end that is not finite, rtol < 0, atol <= 0,
+    count accepted and rejected steps and the states at which f was
+    evaluated.
+    Raises DomainError for a state that is not one-dimensional or not
+    finite, t_end that is not finite, rtol < 0, atol <= 0,
     t_end <= t0 or a span shorter than the smallest step,
     1e-14 * max(1, |t0|); StiffnessError if the step size underflows (as
     it does at once for a start whose derivative overflows) or after
     _MAX_STEPS step attempts.
     """
     y = np.asarray(y0, dtype=float)
-    if y.ndim not in (1, 2) or y.size == 0:
-        raise DomainError(f"state must have shape (dim,) or (B, dim), got {y.shape}")
+    if y.ndim != 1 or y.size == 0:
+        raise DomainError(f"state must have shape (dim,), got {y.shape}")
     t = float(t0)
     if not (np.isfinite(t_end) and np.all(np.isfinite(y))):
         raise DomainError("t_end and the initial state must be finite")
@@ -308,19 +294,11 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             f"integration span {span!r} is shorter than the smallest step {min_step!r}"
         )
 
-    # a one-state run sums its stages by ndarray.dot, a cheaper call
-    # than np.matmul; a batch keeps np.matmul, which sums each row as
-    # its one-state run does (np.dot leaves BLAS on stacked operands and
-    # rounds otherwise)
-    dot = np.ndarray.dot if y.ndim == 1 else np.matmul
-
     c = _C.tolist()  # the step loop's times stay Python floats
-    # the step's start state and its stages 0-12, (14, dim) or
-    # (B, 14, dim): each batch row's stages contiguous, so the stage
-    # sums below run row by row
-    k = np.empty(y.shape[:-1] + (14, y.shape[-1]))
-    k[..., 0, :] = y
-    stage = [k[..., i + 1, :] for i in range(13)]
+    # the step's start state and its stages 0-12
+    k = np.empty((14, len(y)))
+    k[0] = y
+    stage = list(k[1:])
     # row i holds the weights of the start state and stages 0..i-1 in
     # the input of stage i, row 12 those of the 8th-order solution:
     # 1 and h a_ij, written once per attempt, so each input is one
@@ -328,10 +306,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     wts = np.zeros((13, 14))
     wts[:, 0] = 1.0
     h_a = wts[:, 1:]
-    sums = [(wts[i, :i + 1], k[..., :i + 1, :]) for i in range(13)]
-    errs = k[..., 1:13, :]
-    sc = np.empty_like(y)  # the error scale, and its view for both estimates
-    sc_e = sc[..., None, :]
+    sums = [(wts[i, :i + 1], k[:i + 1]) for i in range(13)]
+    errs = k[1:13]
+    sc = np.empty_like(y)  # the error scale
     # a start whose derivative overflows gives a zero or NaN first step,
     # which the underflow test below rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,7 +320,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     ts = np.empty(_FIRST_CAPACITY)
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
     fs = np.empty_like(ys)
-    ks = np.empty((_FIRST_CAPACITY,) + k.shape[:-2] + (4, y.shape[-1]))
+    ks = np.empty((_FIRST_CAPACITY, 4, len(y)))
     ts[0], ys[0], fs[0] = t, y, stage[0]
     n = 1  # nodes stored
     n_rej = 0
@@ -351,7 +328,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # at the p nodes before the last: size and stages of each (a size is
     # not the difference of its node times to the last bit)
     ph = np.empty(_DENSE_BLOCK)
-    pk = np.empty((_DENSE_BLOCK,) + k.shape[:-2] + (16, y.shape[-1]))
+    pk = np.empty((_DENSE_BLOCK, 16, len(y)))
     p = 0  # steps waiting
     while t < t_end:
         h = min(h, t_end - t)
@@ -360,21 +337,21 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         np.multiply(_A_STEP, h, out=h_a)
         for i in range(1, 12):
             row, prior = sums[i]
-            stage[i][...] = f(t + c[i] * h, dot(row, prior))
+            stage[i][...] = f(t + c[i] * h, row.dot(prior))
         row, prior = sums[12]
-        y_new = dot(row, prior)
+        y_new = row.dot(prior)
         np.add(atol, rtol * np.maximum(np.abs(y), np.abs(y_new)), out=sc)
         e = _E @ errs
-        e /= sc_e
+        e /= sc
         err = _error(h, e)
         if err <= 1.0:
             stage[12][...] = f(t + h, y_new)
             ph[p] = h
-            pk[p, ..., :13, :] = k[..., 1:, :]
+            pk[p, :13] = k[1:]
             p += 1
             t += h
             y = y_new
-            k[..., 0, :] = y
+            k[0] = y
             stage[0][...] = stage[12]  # the next step's first stage
             if n == len(ts):
                 rows = min(2 * n, max(n + n // 8, math.ceil(
@@ -429,24 +406,16 @@ def _block_len(ys):
     return max(1, _SAMPLE_FLOATS // ys[0].size)
 
 
-def _per_state(w, ys):
-    """Weights w, one per query time, shaped (q, 1, ..., 1) to broadcast
-    over the states of ys."""
-    return w.reshape((-1,) + (1,) * (np.ndim(ys) - 1))
-
-
 @dataclass
 class Trajectory:
     """Accepted integration nodes with derivatives and dense output.
 
     ``times`` holds the nt nodes, ``states`` and ``derivs`` the state and
-    its derivative at each, shape (nt,) + state shape, and ``dense`` the
-    four coefficients of each step's 7th-order interpolant beyond its
-    cubic Hermite part, shape (nt - 1,) + state shape[:-1] + (4, dim):
-    (nt - 1, 4, dim) for one state of dim slots, (nt - 1, B, 4, dim) for
-    a batch of B.  ``solve`` returns one, with its counters in
-    ``stats``; ``dense_from_nodes`` builds one from node-only data such
-    as a trajectory read back from CSV.
+    its derivative at each, shape (nt, dim), and ``dense`` the four
+    coefficients of each step's 7th-order interpolant beyond its cubic
+    Hermite part, shape (nt - 1, 4, dim).  ``solve`` returns one, with
+    its counters in ``stats``; ``dense_from_nodes`` builds one from
+    node-only data such as a trajectory read back from CSV.
     """
 
     times: np.ndarray
@@ -462,11 +431,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def row(self, j):
-        """Row j of a batch solution: a one-state solution of views."""
-        return Trajectory(self.times, self.states[:, j], self.derivs[:, j],
-                          self.dense[:, j], self.stats)
 
     def slots(self, idx):
         """The slots idx of each state, a slice or an index array: views
@@ -506,17 +470,17 @@ class Trajectory:
             tb, out = t[i:i + q], res[i:i + q]
             idx = np.clip(np.searchsorted(ts, tb, side="right") - 1, 0, len(ts) - 2)
             h = ts[idx + 1] - ts[idx]
-            s = _per_state((tb - ts[idx]) / h, ys)
-            h = _per_state(h, ys)
+            s = ((tb - ts[idx]) / h)[:, None]
+            h = h[:, None]
             s1 = 1.0 - s
             # Hairer's nested form
             #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
             # with ydiff = y1 - y0, bspl = h f0 - ydiff, r4 = ydiff - h f1 - bspl,
             # evaluated in place in the block of the result
-            out[...] = ks[idx, ..., 3, :]
+            out[...] = ks[idx, 3]
             out *= s
             for j, w in ((2, s1), (1, s), (0, s1)):
-                out += ks[idx, ..., j, :]
+                out += ks[idx, j]
                 out *= w
             ydiff = ys[idx + 1]
             ydiff -= ys[idx]
@@ -542,7 +506,7 @@ def dense_from_nodes(f, ts, ys):
     """The ``Trajectory`` of node-only data.
 
     ts and ys hold the nodes and states of one trajectory, shape (nt,)
-    and (nt,) + state shape, as ``solve`` returns them.  Each step is
+    and (nt, dim), as ``solve`` returns them.  Each step is
     taken again as one DOP853 step from its start node with
     h = ts[i + 1] - ts[i], so on the nodes of a ``solve`` run the
     derivatives are the solver's and the interpolant its own up to
@@ -553,13 +517,12 @@ def dense_from_nodes(f, ts, ys):
     """
     h = np.diff(ts)
     fs = np.empty_like(ys)
-    lead, dim = ys.shape[1:-1], ys.shape[-1]
-    ks = np.empty((len(h),) + lead + (4, dim))
-    k = np.empty((_DENSE_BLOCK,) + lead + (16, dim))
+    ks = np.empty((len(h), 4, ys.shape[1]))
+    k = np.empty((_DENSE_BLOCK, 16, ys.shape[1]))
     for i in range(0, len(h), _DENSE_BLOCK):
         s = slice(i, min(i + _DENSE_BLOCK, len(h)))
         kb = k[:s.stop - i]
-        kb[..., 0, :] = fs[s] = f(ts[s], ys[s])
+        kb[:, 0] = fs[s] = f(ts[s], ys[s])
         ks[s] = _dense_coefficients(f, ys[s], ts[s], h[s], kb, first=1)
     fs[-1:] = f(ts[-1:], ys[-1:])
     return Trajectory(ts, ys, fs, ks)

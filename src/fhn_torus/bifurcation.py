@@ -487,10 +487,11 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     ``settings.horizon_periods`` crossing periods each.  Every run
     starts at amplitude 1e-3 * sqrt(b) along the real part of the
     crossing eigenvector whose eigenvalue at a_hat has the larger
-    imaginary part.  The runs are one batch on the quotient flow of
-    Fix(K), sharing one step sequence; if the batch is stiff, each run
-    is redone alone as a batch of one, and a run that is stiff alone
-    has escaped.  Amplitudes are sup norms of the dense output at
+    imaginary part.  The runs are one state on the quotient flow of
+    Fix(K), their four lattices laid end to end, with one step sequence
+    whose error is the RMS over all their slots; if that solve is
+    stiff, each run is redone alone, and a run that is stiff alone has
+    escaped.  Amplitudes are sup norms of the dense output at
     64 evenly spaced times per crossing period, over the whole run or
     over its last two quarters.  With scale = max(1, sqrt(b)), outcomes
     per run:
@@ -547,17 +548,19 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
         return ("orbit" if amp_tail <= cap else "distant"), amp_tail
 
     def batch(lps):
-        """Outcomes of runs on the lattices lps, solved as one batch; a
-        stiff batch is redone run by run, and a stiff run has escaped."""
+        """Outcomes of runs on the lattices lps, solved as one state; a
+        stiff solve is redone run by run, and a stiff run has escaped."""
         try:
-            _, sol = _quotient_solve(K, np.tile(eps * vec, (len(lps), 1)), lps, t_end)
+            _, sol = _quotient_solve(K, eps * vec, lps, t_end)
         except StiffnessError:
             if len(lps) == 1:
                 return [("escape", math.inf)]
             return [batch([lpa])[0] for lpa in lps]
-        # one run at a time: the samples of the whole batch would add
-        # several MB to the peak
-        return [outcome(sol.row(j).sample(grid)) for j in range(len(lps))]
+        q = sol.states.shape[1] // len(lps)  # quotient slots of one run
+        # one run at a time: the samples of all four would add several
+        # MB to the peak
+        return [outcome(sol.slots(slice(j * q, (j + 1) * q)).sample(grid))
+                for j in range(len(lps))]
 
     sides = ["below"] * len(_PROBE_FRACTIONS) + ["above"]
     lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in _PROBE_FRACTIONS]

@@ -283,6 +283,8 @@ def _cmd_critical(args):
         "mode_symmetries": {k: v.label() for k, v in cp.mode_symmetries.items()},
         "numeric_cross_check": {"a": a_num, "abs_diff": abs(a_num - cp.a_star)},
     }
+    # hopf_report_at_critical's row from the cp already in hand: calling
+    # it would run critical_a a second time
     rep = _hopf_report(lp, cp, cp.a_star, cp.primary.mode, cp.primary.omega)
     return Report(payload, _SWEEP_HEADER, (_crossing_row(lp, rep),)), 0
 

@@ -97,13 +97,12 @@ def state_dim(n: int) -> int:
     return 2 * n * n
 
 
-def _check_state(z: np.ndarray, n: int, dtype=float, batch: tuple = ()) -> np.ndarray:
+def _check_state(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
     """z as an array of dtype (None keeps its own), refused with
-    DimensionMismatchError unless its shape is ``batch`` followed by
-    that of one state of the N x N lattice: one state for the default
-    empty ``batch``, (B,) for B states, one per row."""
+    DimensionMismatchError unless it is one state of the N x N
+    lattice."""
     z = np.asarray(z, dtype=dtype)
-    shape = batch + (state_dim(n),)
+    shape = (state_dim(n),)
     if z.shape != shape:
         raise DimensionMismatchError(f"state must have shape {shape} for n={n}, got {z.shape}")
     return z

@@ -57,14 +57,13 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     per K-orbit of cells, in the order of :func:`_cell_classes`, whose
     successors are read through the class of each successor cell.
 
-    ``lp`` is one LatticeParams, whose states have shape (dim,), or a
-    sequence of B with the same n, whose states have shape (B, dim),
-    row j a state of ``lp[j]``; the field takes a state, or a stack of
-    P, shape (P,) + state shape, with their P times, and returns the
-    derivatives in the same shape; any other shape raises
-    DimensionMismatchError.  Only here are a batch's lattices
-    one block-diagonal lattice, laid end to end with one weight per
-    entry; each row sees the arithmetic of its one-state call.
+    ``lp`` is one LatticeParams, whose states have dim slots, or a
+    sequence of B with the same n, one block-diagonal lattice whose
+    states have B * dim slots, lattice j in slots j * dim to
+    (j + 1) * dim - 1, with one weight per entry.  The field takes a
+    state, shape (slots,), or a stack of P, shape (P, slots), with their
+    P times, and returns the derivatives in the same shape; any other
+    shape raises DimensionMismatchError.
 
     At the lattice sizes in use a call costs about as much as its numpy
     operations' call overhead, so it makes few: a state's call copies
@@ -72,11 +71,10 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     cubic parts after it, then makes one gather, one product and one
     sum over the five rows, a BLAS product with a row of ones that adds
     them in the table's order; a stack makes one concatenation instead
-    of the buffer and one reduction over a (P, 5, B * dim) gather.  The
+    of the buffer and one reduction over a (P, 5, slots) gather.  The
     buffer makes a field unfit for calls from two threads at once.
     """
-    one = isinstance(lp, LatticeParams)
-    lps = [lp] if one else list(lp)
+    lps = [lp] if isinstance(lp, LatticeParams) else list(lp)
     n = lps[0].n
     if any(p.n != n for p in lps):
         raise DimensionMismatchError("a batch of lattices must share n")
@@ -97,17 +95,16 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     w[4, 0::2] = 1.0
     w[:2, 1::2] = lin[4:]
     a1 = np.repeat([p.a for p in lps], m) + 1.0
-    shape = (2 * m,) if one else (len(lps), 2 * m)
+    shape = (2 * cells,)
     # a state's extended state: the state, then the cubic parts
     ext = np.empty(3 * cells)
-    state, cubic, x = ext[:2 * cells].reshape(shape), ext[2 * cells:], ext[0:2 * cells:2]
+    state, cubic, x = ext[:2 * cells], ext[2 * cells:], ext[0:2 * cells:2]
     # a row of ones times g is a gemv (0.6 us a call, np.add.reduce 1.6
     # to 2.7) that on OpenBLAS 0.3.31 adds the rows of g in row order,
     # as the reduction does, for 4 or more columns; with 2 or 3 it
     # rounds otherwise (8,091 of 20,000 random (5, 2) cases), so a
     # one-cell lattice keeps the reduction
     add_rows = np.ones(5).dot if cells > 1 else partial(np.add.reduce, axis=0)
-    total = add_rows if one else lambda g: add_rows(g).reshape(shape)
 
     def rhs(t, z):
         if z.shape == shape:
@@ -116,16 +113,15 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
             np.multiply(cubic, a1 - x, out=cubic)
             g = ext[idx]  # a fresh array: the buffer never leaves
             g *= w
-            return total(g)
+            return add_rows(g)
         if z.shape[1:] != shape:
             raise DimensionMismatchError(
                 f"the field takes states of shape {shape} and stacks of them, "
                 f"got {z.shape}")
-        zs = z.reshape(len(z), -1)  # each state's lattices end to end
-        xs = zs[:, 0::2]
-        g = np.concatenate((zs, xs * xs * (a1 - xs)), axis=1)[:, idx]
+        xs = z[:, 0::2]
+        g = np.concatenate((z, xs * xs * (a1 - xs)), axis=1)[:, idx]
         g *= w
-        return np.add.reduce(g, axis=1).reshape(z.shape)
+        return np.add.reduce(g, axis=1)
 
     return rhs
 
@@ -362,26 +358,26 @@ def _quotient_solve(K: IsotropySubgroup, z0,
                     lp: LatticeParams | Sequence[LatticeParams], t_end):
     """The flow on Fix(K), restricted to one cell per K-orbit.
 
-    ``lp`` is one LatticeParams and z0 a full state, shape (2*N^2,), or
-    a sequence of B lattices with one full state per row, shape
-    (B, 2*N^2).  Every row must lie in Fix(K) to 1e-10 of its size,
-    else InvarianceError.  Returns the cell classes of K and the
-    ``Trajectory`` on the quotient, whose states have shape
-    (2 * #classes,) or (B, 2 * #classes); a batch shares one step
-    sequence.
+    z0 is one full state, shape (2*N^2,), which must lie in Fix(K) to
+    1e-10 of its size, else InvarianceError.  ``lp`` is one
+    LatticeParams, or a sequence of B, each started from z0: the
+    block-diagonal lattice of ``make_rhs``, one state and one step
+    sequence.  Returns the cell classes of K and the ``Trajectory`` on
+    the quotient, whose states have 2 * #classes slots per lattice,
+    lattice j's after those of the j before it.
     """
     single = isinstance(lp, LatticeParams)
     n = lp.n if single else lp[0].n
     if K.n != n:
         raise DimensionMismatchError("subgroup and lattice sizes disagree")
-    batch = () if single else (len(lp),)
-    z0 = _check_state(z0, n, batch=batch)
+    z0 = _check_state(z0, n)
     reps, cls = _cell_classes(K, n)
-    cells = z0.reshape(batch + (-1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(z0), axis=-1))
-    if np.any(np.max(np.abs(cells - cells[..., reps[cls], :]), axis=(-2, -1)) > 1e-10 * scale):
+    cells = z0.reshape(-1, 2)
+    if np.max(np.abs(cells - cells[reps[cls]])) > 1e-10 * max(1.0, np.max(np.abs(z0))):
         raise InvarianceError("initial state is not in Fix(K)")
-    q0 = cells[..., reps, :].reshape(batch + (-1,))
+    q0 = cells[reps].reshape(-1)
+    if not single:
+        q0 = np.tile(q0, len(lp))
     return cls, _rk.solve(make_rhs(lp, K), 0.0, q0, t_end)
 
 
@@ -396,10 +392,10 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
     must lie in Fix(K) to 1e-10, else InvarianceError.
 
     The restriction and the solve are ``_quotient_solve``, which also
-    takes a batch: B lattices with one start per row, states of shape
-    (B, dim), integrated with one shared step sequence whose error is
-    the largest per-row RMS error.  The criticality probe runs its
-    batch there, on the quotient, unlifted.
+    takes a sequence of lattices from one start, integrated as one
+    block-diagonal state whose step error is the RMS over all its
+    slots.  The criticality probe runs its four lattices there, on the
+    quotient, unlifted.
     """
     cls, sol = _quotient_solve(K, z0, lp, t_end)
     # slots x, y of cell i are those of its class cls[i]

@@ -11,13 +11,16 @@ carries two eigenvalues
 
     lambda_{(r,s),+-} = ((A - c) +- sqrt((A + c)^2 - 4b)) / 2
 
-with the principal square root.  :func:`symbol_grid` and :func:`_roots`
-are the only evaluations of A and of the roots (a negative real radicand
-maps to the positive imaginary axis); per-mode functions read grid
-entries.  Conjugation pairs the + branch of (r, s) with the + branch of
-(-r, -s).  :func:`spectrum_report` checks each closed-form pair against
-the lattice field's own linear weights: cell by cell in the x row, the
-only one the coupling enters, and per mode in the y row.
+with the principal square root; the root of smaller modulus is taken
+as their product b - A c over the larger, which keeps its digits where
+the difference cancels (|A| >> sqrt(b)).  :func:`symbol_grid` and
+:func:`_roots` are the only evaluations of A and of the roots (a
+negative real radicand maps to the positive imaginary axis); per-mode
+functions read grid entries.  Conjugation pairs the + branch of (r, s)
+with the + branch of (-r, -s).  :func:`spectrum_report` checks each
+closed-form pair against the lattice field's own linear weights: cell
+by cell in the x row, the only one the coupling enters, and per mode
+in the y row.
 """
 
 from __future__ import annotations
@@ -59,7 +62,15 @@ def _roots(A, b: float, c: float):
     # positive imaginary axis.
     rad = np.where(rad.imag == 0.0, rad.real + 0.0j, rad)
     root = np.sqrt(rad)
-    return 0.5 * ((A - c) + root), 0.5 * ((A - c) - root)
+    s = A - c
+    plus, minus = 0.5 * (s + root), 0.5 * (s - root)
+    # the smaller is the determinant over the larger; at equal moduli
+    # neither difference cancels, and both stay
+    ap, am = abs(plus), abs(minus)
+    plus_smaller = ap < am
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 only at a tie
+        smaller = (b - A * c) / np.where(plus_smaller, minus, plus)
+    return np.where(plus_smaller, smaller, plus), np.where(am < ap, smaller, minus)
 
 
 # Two eigenvalues, or two symbols, closer than this count as coincident.

@@ -26,6 +26,7 @@ from fhn_torus import (
     locate_stability_loss,
     lyapunov_coefficient_sync,
     origin_stability,
+    predict_hopf_symmetries,
     psi,
     spectrum_report,
     StiffnessError,
@@ -39,6 +40,7 @@ from fhn_torus.bifurcation import (
     resonant_coupling,
     sign_pattern,
 )
+from fhn_torus.symmetry import _cell_classes
 
 
 def lattice(n=3, a=0.0, b=1.0, c=0.0, gamma=-1.0, delta=-1.0):
@@ -136,15 +138,20 @@ class TestCriticalA:
             critical_a(lattice(b=-1.0))
 
     def test_huge_coupling_is_a_domain_error(self):
-        # from gamma ~ 3e8 at N=5, b=1, the smaller crossing frequency
-        # of the (+,-) pattern rounds to 0, and its resonance ratios
-        # would divide by it
-        assert critical_a(lattice(n=5, gamma=1e8, delta=-1.0)).crossing[-1].omega > 0.0
-        for gamma, delta in [(1e9, -1.0), (-1.0, 1e9)]:
+        # the two crossing frequencies of the (+,-) pattern multiply to
+        # b; at b = 1 the smaller is still 1.7e-9 at gamma = 1e9, but at
+        # b = 1e-300, gamma = 1e100 it underflows to 0, and the
+        # resonance ratios would divide by it
+        for gamma in (1e8, 1e9):
+            big, small = critical_a(lattice(n=5, gamma=gamma, delta=-1.0)).crossing
+            assert small.omega > 0.0
+            assert big.omega * small.omega == pytest.approx(1.0, rel=1e-14)
+            assert hopf_crossing(lattice(n=5, c=0.05, gamma=gamma, delta=-1.0)).mode == (3, 0)
+        for gamma, delta in [(1e100, -1.0), (-1.0, 1e100)]:
             with pytest.raises(DomainError, match="rounds to 0.0"):
-                critical_a(lattice(n=5, gamma=gamma, delta=delta))
+                critical_a(lattice(n=5, b=1e-300, gamma=gamma, delta=delta))
             with pytest.raises(DomainError, match="rounds to 0.0"):
-                hopf_crossing(lattice(n=5, c=0.05, gamma=gamma, delta=delta))
+                hopf_crossing(lattice(n=5, b=1e-300, c=1e-160, gamma=gamma, delta=delta))
 
 
 class TestCrossingFrequencies:
@@ -515,7 +522,7 @@ class TestCriticalityProbe:
         lp = lattice()
         res = branch_criticality_probe(hopf_report_at_critical(lp), lp,
                                        ProbeSettings(horizon_periods=10.0))
-        assert shapes == [(4, 2)]
+        assert shapes == [(8,)]  # four quotients of one cell end to end
         assert len(res.runs) == 4
 
     def test_stiff_batch_reruns_each_run_alone(self, monkeypatch):
@@ -523,22 +530,25 @@ class TestCriticalityProbe:
         monkeypatch.setattr(_rk, "_MAX_STEPS", 10)
         lp = lattice()
         res = branch_criticality_probe(hopf_report_at_critical(lp), lp)
-        assert shapes == [(4, 2)] + [(1, 2)] * 4
+        assert shapes == [(8,)] + [(2,)] * 4
         assert [(r.side, r.outcome, r.amplitude) for r in res.runs] == (
             [("below", "escape", math.inf)] * 3 + [("above", "escape", math.inf)])
         assert res.classification == "undetermined" and res.samples == ()
 
-    def test_amplitudes_do_not_depend_on_the_step_sequence(self, monkeypatch):
-        # the batch shares one step sequence and a run alone takes its
+    @pytest.mark.parametrize("lp", [lattice(), lattice(n=5, c=0.05, gamma=1.0, delta=-1.0)],
+                             ids=["sync", "wave"])
+    def test_amplitudes_do_not_depend_on_the_step_sequence(self, lp, monkeypatch):
+        # the four runs share one step sequence and a run alone takes its
         # own; maxima over the accepted nodes moved the decay amplitude
         # by 0.6 % between the two
-        lp = lattice()
-        rep = hopf_report_at_critical(lp)
+        rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
         batched = branch_criticality_probe(rep, lp)
         real = _rk.solve
+        K = predict_hopf_symmetries(rep.mode, lp.n).fixing
+        q = 2 * len(_cell_classes(K, lp.n)[0])  # quotient slots of one run
 
         def refuse_batches(f, t0, y0, *args, **kw):
-            if len(y0) > 1:
+            if np.size(y0) > q:
                 raise StiffnessError("batch refused", t=t0)
             return real(f, t0, y0, *args, **kw)
 

@@ -375,8 +375,8 @@ class TestSweep:
 
     def test_huge_coupling_marked_invalid(self, tmp_path):
         code, path = run_cli(
-            ["sweep", "--n", "5", "--c", "0.05", "--gamma-range", "1:1e9:2",
-             "--delta=-1"],
+            ["sweep", "--n", "5", "--b", "1e-300", "--c", "1e-160",
+             "--gamma-range", "1:1e100:2", "--delta=-1"],
             tmp_path, name="sweep.csv", fmt="csv",
         )
         assert code == 0
@@ -507,11 +507,12 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("command", [["critical"], ["hopf", "--c", "0.05"]])
+    @pytest.mark.parametrize("command", [["critical"], ["hopf", "--c", "1e-160"]])
     def test_huge_coupling(self, command, capsys):
-        # the smaller crossing frequency rounds to 0 at gamma = 1e9
-        code = parse_and_dispatch(command + ["--n", "5", "--gamma", "1e9",
-                                             "--delta=-1"])
+        # the smaller crossing frequency, b over the larger, underflows
+        # to 0 at b = 1e-300, gamma = 1e100
+        code = parse_and_dispatch(command + ["--n", "5", "--b", "1e-300",
+                                             "--gamma", "1e100", "--delta=-1"])
         assert code == 2
         assert capsys.readouterr().err == (
             "error: crossing frequency of mode (2, 0) rounds to 0.0: "

@@ -160,14 +160,15 @@ class TestRhsNetwork:
         rhs = make_rhs(lps, K)
         dim = 50 if K is None else 10
         ts = np.linspace(0.0, 1.0, 7)
-        # a stack of 7 states, lattice j in row j of each
-        Z = rng.standard_normal((7, 3, dim))
+        # a stack of 7 states, lattice j in the j-th block of dim slots of each
+        Z = rng.standard_normal((7, 3 * dim))
         got = rhs(ts, Z)
-        assert got.shape == (7, 3, dim)
+        assert got.shape == (7, 3 * dim)
         for j, lp in enumerate(lps):
             one = make_rhs(lp, K)
+            block = slice(j * dim, (j + 1) * dim)
             for q in range(7):
-                assert np.array_equal(got[q, j], one(ts[q], Z[q, j]))
+                assert np.array_equal(got[q, block], one(ts[q], Z[q, block]))
         assert np.array_equal(rhs(0.0, Z[0]), got[0])
 
     @pytest.mark.parametrize("n, K", [(3, None), (5, None), (7, None),
@@ -178,14 +179,14 @@ class TestRhsNetwork:
         # on Fix(K), one cell per K-orbit, the field is that of the
         # lifted state read at the orbits' first cells; Z(1,0) maps a
         # cell's first successor, the full group both, to its own class.
-        # One lattice, and a batch of three with one row each.
+        # One lattice, and three end to end.
         lps = [LatticeParams(n=n, a=a, b=b, c=0.1, gamma=g, delta=1.3)
                for a, b, g in ((0.3, 2.0, -0.7), (-0.2, 0.5, 0.4), (1.1, 1.0, -1.5))]
         reps, cls = _cell_classes(K or IsotropySubgroup.trivial(n), n)
         for batch in (lps[:1], lps):
             rhs = make_rhs(batch if len(batch) > 1 else batch[0], K)
             for q in 1.5 * rng.standard_normal((5, len(batch), 2 * len(reps))):
-                got = rhs(0.0, q if len(batch) > 1 else q[0]).reshape(q.shape)
+                got = rhs(0.0, q.reshape(-1)).reshape(q.shape)
                 for j, lp in enumerate(batch):
                     z = q[j].reshape(-1, 2)[cls].reshape(-1)
                     want = reference_field(z, lp).reshape(-1, 2)[reps].reshape(-1)
@@ -211,8 +212,8 @@ class TestRhsNetwork:
                for a, b, g in ((0.3, 2.0, -0.7), (-0.2, 0.5, 0.4), (1.1, 1.0, -1.5))]
         rhs = make_rhs(lps)
         for q in 1.5 * rng.standard_normal((20, 3, 50)):
-            want = np.stack([ordered_field(row, lp) for row, lp in zip(q, lps)])
-            assert np.array_equal(rhs(0.0, q), want)
+            want = np.concatenate([ordered_field(block, lp) for block, lp in zip(q, lps)])
+            assert np.array_equal(rhs(0.0, q.reshape(-1)), want)
 
     @pytest.mark.parametrize("K", SUBGROUPS)
     @pytest.mark.parametrize("P", [1, 7, 64])
@@ -241,17 +242,17 @@ class TestRhsNetwork:
         dim = quotient_dim(K, 3)
         one, two = make_rhs(lp, K), make_rhs([lp, lp], K)
         # one value, a short state, a stack of short states and a scalar;
-        # a batch of one, its two rows end to end, a stack of one-lattice
-        # states and a stack of batches of three
+        # one lattice's state, the two states as rows, a stack of
+        # one-lattice states and a stack of two-lattice states as rows
         for rhs, shape in ((one, (1,)), (one, (dim - 1,)), (one, (4, dim - 1)), (one, ()),
-                           (two, (1, dim)), (two, (2 * dim,)), (two, (4, dim)),
-                           (two, (4, 3, dim))):
+                           (two, (dim,)), (two, (2, dim)), (two, (4, dim)),
+                           (two, (4, 2, dim))):
             with pytest.raises(DimensionMismatchError):
                 rhs(0.0, np.zeros(shape))
         assert one(0.0, np.zeros(dim)).shape == (dim,)
         assert one(np.zeros(4), np.zeros((4, dim))).shape == (4, dim)
-        assert two(0.0, np.zeros((2, dim))).shape == (2, dim)
-        assert two(np.zeros(4), np.zeros((4, 2, dim))).shape == (4, 2, dim)
+        assert two(0.0, np.zeros(2 * dim)).shape == (2 * dim,)
+        assert two(np.zeros(4), np.zeros((4, 2 * dim))).shape == (4, 2 * dim)
 
     def test_zero_state_fixed(self):
         lp = LatticeParams(n=3, a=0.5, b=1.0, c=0.2, gamma=-1.0, delta=0.5)

@@ -15,6 +15,9 @@ from fhn_torus.cli import _initial_state
 from fhn_torus.simulate import make_rhs
 
 LP = LatticeParams(n=3, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+# three N=3 lattices, one block-diagonal lattice of 54 slots
+THREE = [LatticeParams(n=3, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+         for a in (-0.1, -0.05, 0.3)]
 
 
 def rotation(t, y):
@@ -32,13 +35,13 @@ def one_shot_dense_eval(ts, ys, fs, ks, tq):
     t = np.clip(np.atleast_1d(np.asarray(tq, dtype=float)), ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     h = ts[idx + 1] - ts[idx]
-    s = _rk._per_state((t - ts[idx]) / h, ys)
-    h = _rk._per_state(h, ys)
+    s = ((t - ts[idx]) / h)[:, None]
+    h = h[:, None]
     s1 = 1.0 - s
-    out = ks[idx, ..., 3, :]
+    out = ks[idx, 3]
     out *= s
     for j, w in ((2, s1), (1, s), (0, s1)):
-        out += ks[idx, ..., j, :]
+        out += ks[idx, j]
         out *= w
     ydiff = ys[idx + 1]
     ydiff -= ys[idx]
@@ -102,8 +105,9 @@ def old_error(h, e):
     return float(np.max(r))
 
 
-# one state, the probe's batch of four, and batches larger than any caller runs
-ERROR_SHAPES = [(2, 18), (1, 2, 18), (4, 2, 10), (24, 2, 50), (25, 2, 50), (100, 2, 8)]
+# an N=3 lattice, one cell, the synchronized and the wave probe's four
+# quotients end to end, an N=5 lattice and a state larger than any caller runs
+ERROR_SHAPES = [(2, 18), (2, 2), (2, 8), (2, 40), (2, 50), (2, 1000)]
 
 
 class TestError:
@@ -119,18 +123,24 @@ class TestError:
     def test_zero_denominator_stands_for_one(self, shape, rng):
         e = np.zeros(shape)
         assert _rk._error(0.5, e) == old_error(0.5, e) == 0.0
-        if len(shape) == 3 and shape[0] > 1:  # a zero row next to nonzero ones
-            e[1:] = rng.standard_normal((shape[0] - 1,) + shape[1:])
-            assert _rk._error(0.5, e) == old_error(0.5, e) > 0.0
+        # a zero 5th-order estimate next to a nonzero 3rd-order one
+        e[1] = rng.standard_normal(shape[1])
+        assert _rk._error(0.5, e) == old_error(0.5, e) == 0.0
 
     @pytest.mark.parametrize("shape", ERROR_SHAPES)
     @pytest.mark.parametrize("row", [0, -1])
     def test_nan_estimate_rejects(self, shape, row, rng):
+        # a NaN in the 5th-order (row 0) or the 3rd-order estimate (row -1)
         e = 1e-3 * rng.standard_normal(shape)
-        e[(row,) * (len(shape) - 2) + (1, 3)] = np.nan
+        e[row, -1] = np.nan
         err = _rk._error(0.1, e)
         assert math.isnan(err) and math.isnan(old_error(0.1, e))
         assert not err <= 1.0
+
+
+def start(batch, seed):
+    """A start for one N=3 lattice, or for ``batch`` of them end to end."""
+    return 0.3 * np.random.default_rng(seed).standard_normal(18 * (batch or 1))
 
 
 class TestSolverContract:
@@ -138,8 +148,7 @@ class TestSolverContract:
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_states_and_stacks_of_the_start_shape(self, batch):
-        z0 = 0.3 * np.random.default_rng(3).standard_normal((batch or 1, 18))
-        z0 = z0[0] if batch is None else z0
+        z0 = start(batch, 3)
         rhs = make_rhs(LP if batch is None else [LP] * batch)
         seen = []
 
@@ -152,11 +161,16 @@ class TestSolverContract:
         ts, ys, fs, ks = arrays(_rk.solve(checked, 0.0, z0, 10.0))
         assert set(seen) == {0, 1}
         assert ys.shape == fs.shape == (len(ts),) + z0.shape
-        assert ks.shape == (len(ts) - 1,) + z0.shape[:-1] + (4, 18)
+        assert ks.shape == (len(ts) - 1, 4) + z0.shape
         seen.clear()
         _, _, got_fs, got_ks = arrays(_rk.dense_from_nodes(checked, ts, ys))
         assert set(seen) == {1}
         assert np.array_equal(got_fs, fs) and got_ks.shape == ks.shape
+
+    @pytest.mark.parametrize("shape", [(3, 18), (1, 2), (2, 2, 2)])
+    def test_refuses_a_state_that_is_not_one_dimensional(self, shape):
+        with pytest.raises(DomainError, match=r"shape \(dim,\)"):
+            _rk.solve(lambda t, y: -y, 0.0, np.ones(shape), 1.0)
 
 
 class TestStats:
@@ -168,11 +182,10 @@ class TestStats:
         def counted(t, z):
             # one state of y0's shape, or a stack of len(z) of them
             calls[0] += 1
-            states[0] += 1 if z.ndim == z0.ndim else len(z)
+            states[0] += 1 if z.ndim == 1 else len(z)
             return f(t, z)
 
-        z0 = 0.3 * np.random.default_rng(3).standard_normal((batch or 1, 18))
-        z0 = z0[0] if batch is None else z0
+        z0 = start(batch, 3)
         sol = _rk.solve(counted, 0.0, z0, 40.0)
         ts, stats = sol.times, sol.stats
         n_acc = stats["accepted"]
@@ -187,7 +200,8 @@ class TestStats:
     @pytest.mark.parametrize("batch", [None, 3])
     def test_counters_match_a_quotient_run(self, batch, monkeypatch):
         # the flow on Fix(K), one run through reduced_integrate_fix and
-        # a batch through _quotient_solve, as the criticality probe runs it
+        # several lattices from one start through _quotient_solve, as the
+        # criticality probe runs them
         K = IsotropySubgroup.cyclic((1, 2), 5)
         lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
                for a in (-0.1, -0.05, 0.3)]
@@ -196,20 +210,17 @@ class TestStats:
 
         def counting_make_rhs(lp, K=None):
             f = real(lp, K)
-            ndim = 1 if isinstance(lp, LatticeParams) else 2  # of one state
 
             def counted(t, z):
-                states[0] += 1 if z.ndim == ndim else len(z)
+                states[0] += 1 if z.ndim == 1 else len(z)
                 return f(t, z)
 
             return counted
 
         monkeypatch.setattr(simulate, "make_rhs", counting_make_rhs)
-        rng = np.random.default_rng(9)
-        z0 = np.stack([0.3 * fix_projection(rng.standard_normal(50), K)
-                       for _ in range(batch or 1)])
+        z0 = 0.3 * fix_projection(np.random.default_rng(9).standard_normal(50), K)
         if batch is None:
-            stats = reduced_integrate_fix(K, z0[0], lps[0], 30.0).stats
+            stats = reduced_integrate_fix(K, z0, lps[0], 30.0).stats
         else:
             stats = simulate._quotient_solve(K, z0, lps[:batch], 30.0)[1].stats
         assert stats["accepted"] > _rk._DENSE_BLOCK
@@ -265,12 +276,8 @@ class TestStats:
     @pytest.mark.parametrize("batch", [False, True])
     def test_dense_block_size_changes_no_bit(self, monkeypatch, block, batch):
         rng = np.random.default_rng(8)
-        if batch:
-            lp = [LatticeParams(n=3, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
-                  for a in (-0.1, -0.05, 0.3)]
-            z0 = 0.3 * rng.standard_normal((3, 18))
-        else:
-            lp, z0 = LP, 0.3 * rng.standard_normal(18)
+        lp = THREE if batch else LP
+        z0 = 0.3 * rng.standard_normal(18 * (3 if batch else 1))
         whole = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
         # several full blocks and a part of one
         assert whole.stats["accepted"] % _rk._DENSE_BLOCK and whole.stats["accepted"] > 300
@@ -301,25 +308,11 @@ class TestDenseOutput:
         assert np.max(np.abs(sol.sample(tq) - exact)) <= 1e-8
         assert sol.sample(math.pi).shape == (2,)
 
-    def test_equal_columns_sample_like_the_one_state_run(self):
-        z0 = 0.3 * np.random.default_rng(6).standard_normal(18)
-        one = _rk.solve(make_rhs(LP), 0.0, z0, 30.0)
-        batch = _rk.solve(make_rhs([LP] * 3), 0.0, np.tile(z0, (3, 1)), 30.0)
-        tq = np.linspace(0.0, 30.0, 777)
-        want = one.sample(tq)
-        got = batch.sample(tq)
-        for j in range(3):
-            assert np.array_equal(got[:, j], want)
-
     @pytest.mark.parametrize("batch", [False, True])
     def test_blocks_are_the_one_shot_formula_bit_for_bit(self, batch):
         rng = np.random.default_rng(12)
-        if batch:
-            lp = [LatticeParams(n=3, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
-                  for a in (-0.1, -0.05, 0.3)]
-            z0 = 0.3 * rng.standard_normal((3, 18))
-        else:
-            lp, z0 = LP, 0.3 * rng.standard_normal(18)
+        lp = THREE if batch else LP
+        z0 = 0.3 * rng.standard_normal(18 * (3 if batch else 1))
         sol = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
         ts, ys, fs, ks = arrays(sol)
         q = _rk._block_len(ys)
@@ -399,9 +392,8 @@ class TestDenseFromNodes:
 
 
 class TestViews:
-    """``Trajectory.row`` and ``Trajectory.slots`` against the hand
-    slicing and the reshape lift that the readers of a solution made
-    before the views, bit for bit."""
+    """``Trajectory.slots`` against the hand slicing and the reshape lift
+    that the readers of a solution made before the views, bit for bit."""
 
     TQ = np.linspace(0.0, 20.0, 333)
 
@@ -451,14 +443,16 @@ class TestViews:
 
     def test_every_row_of_a_probe_batch(self):
         # four lattices on the quotient of Fix(K), as the criticality
-        # probe runs them
+        # probe runs them: one state, run j in the j-th block of q slots
         K = IsotropySubgroup.cyclic((0, 1), 5)
         lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
                for a in (-0.1, -0.05, 0.0, 0.3)]
-        q0 = 0.3 * fix_projection(np.random.default_rng(24).standard_normal(50), K)
-        sol = simulate._quotient_solve(K, np.tile(q0, (4, 1)), lps, 20.0)[1]
-        assert sol.states.shape[1] == 4
+        z0 = 0.3 * fix_projection(np.random.default_rng(24).standard_normal(50), K)
+        sol = simulate._quotient_solve(K, z0, lps, 20.0)[1]
+        q = 10  # two slots for each of the five cell classes
+        assert sol.states.shape[1] == 4 * q
         for j in range(4):
-            view = sol.row(j)
-            self.check(view, self.hand(sol, lambda a: a[:, j]))
+            run = slice(j * q, (j + 1) * q)
+            view = sol.slots(run)
+            self.check(view, self.hand(sol, lambda a: a[..., run]))
             assert np.shares_memory(view.dense, sol.dense)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fhn_torus import (
     assemble_jacobian_origin,
     canonical_mode,
     coupling_symbol,
+    critical_a,
     eigenvalue_grids,
     genericity_violations,
     spectrum_report,
@@ -299,6 +301,26 @@ class TestSingleClosedForm:
                                     abs(lam_m[r, s] - want[1]),
                                     abs(got[0] - want[0]), abs(got[1] - want[1]))
                 assert worst <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [1e4, 1e6, 1e8])
+    def test_roots_match_mpmath_at_huge_coupling(self, gamma):
+        # at the c = 0 critical point of the (+,-) pattern a mode's larger
+        # root is about |A| ~ gamma and its smaller about b / |A|; as a
+        # difference the smaller was up to 1.2e-8, 1.4e-4 and 1.7 off,
+        # relative, at gamma = 1e4, 1e6 and 1e8
+        mpmath = pytest.importorskip("mpmath")
+        lp = LatticeParams(n=5, a=0.0, b=1.0, c=0.0, gamma=gamma, delta=-1.0)
+        lp = replace(lp, a=critical_a(lp).a_star)
+        A = symbol_grid(lp)
+        lam = spectral._roots(A, lp.b, lp.c)
+        with mpmath.workdps(50):
+            for (r, s), a in np.ndenumerate(A):
+                am = mpmath.mpc(a.real, a.imag)
+                root = mpmath.sqrt((am + lp.c) ** 2 - 4 * mpmath.mpf(lp.b))
+                for grid, sign in zip(lam, (1, -1)):
+                    want = (am - lp.c + sign * root) / 2
+                    got = mpmath.mpc(complex(grid[r, s]))
+                    assert abs(got - want) <= 1e-15 * abs(want), (r, s, sign)
 
 
 def brute_coincident(records, tol=1e-12):
