@@ -20,10 +20,13 @@ and the weights of each stage input as a row of 1 and h a_ij, written
 for all stages at once when the step size is set; each stage input and
 the 8th-order solution is then one product of a weight row and rows of
 the buffer, instead of a product, a scaling and a sum, and both error
-estimates are one product.  Each stage is one field call on a state
-of the start's own shape, and the step error is taken in Python floats:
-at the lattice sizes in use a step costs about as much as its numpy
-calls' overhead.
+estimates are one product.  Each stage input is written straight into
+the field's own input buffer and the field writes the stage straight
+into its row of the buffer, so a stage makes no copy and no array of
+its own; the error scale is built in place from |y| kept from the
+accepted step, and the step error is taken in Python floats: at the
+lattice sizes in use a step costs about as much as its numpy calls'
+overhead.
 """
 
 from __future__ import annotations
@@ -234,6 +237,21 @@ def _initial_step(f, t0, y0, f0, rtol, atol, span):
     return min(100 * h0, h1, span)
 
 
+def _in_place(f, y):
+    """f's input buffer and its entry ``into(t, out)``, which writes the
+    derivative at the buffer's state into out, as ``make_rhs`` gives
+    them; for a field without them, a buffer of y's shape and an entry
+    that calls f on it and copies the result."""
+    if hasattr(f, "into"):
+        return f.state, f.into
+    state = np.empty_like(y)
+
+    def into(t, out):
+        out[...] = f(t, state)
+
+    return state, into
+
+
 def _dense_coefficients(f, y, t, h, k, first=13):
     """``Trajectory.sample``'s coefficients of a block of P steps.
 
@@ -264,8 +282,15 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     dense-output stages of each accepted step (13 to 15) are evaluated
     that way, for blocks of _DENSE_BLOCK steps and once at the end.
     The step sequence never depends on them.  Each of the other stages
-    is one call of f on the product of a row of 1 and h a_ij with the
-    step's start state and the stages before it.
+    is f at the product of a row of 1 and h a_ij with the step's start
+    state and the stages before it.  f may also carry ``f.state``, an
+    input buffer of y0's shape, and ``f.into(t, out)``, which writes f
+    at that buffer's state into out with the arithmetic of a call, as
+    ``make_rhs``'s field does: the solver then writes each such stage
+    input into ``f.state`` and has ``f.into`` write the stage into its
+    row, with no copy.  A field without them is called on a buffer of
+    the solver's and its result copied into the row; both give the
+    same run bit for bit.
 
     Returns the ``Trajectory`` of the accepted nodes, whose ``stats``
     count accepted and rejected steps and the states at which f was
@@ -298,7 +323,6 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # the step's start state and its stages 0-12
     k = np.empty((14, len(y)))
     k[0] = y
-    stage = list(k[1:])
     # row i holds the weights of the start state and stages 0..i-1 in
     # the input of stage i, row 12 those of the 8th-order solution:
     # 1 and h a_ij, written once per attempt, so each input is one
@@ -306,14 +330,21 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     wts = np.zeros((13, 14))
     wts[:, 0] = 1.0
     h_a = wts[:, 1:]
-    sums = [(wts[i, :i + 1], k[:i + 1]) for i in range(13)]
+    # each stage's node, weight row, prior rows of k and own row of k;
+    # its input is written into the field's state buffer and its
+    # derivative straight into its row
+    stages = [(c[i], wts[i, :i + 1], k[:i + 1], k[i + 1]) for i in range(1, 12)]
+    b_row, b_prior = wts[12, :13], k[:13]
     errs = k[1:13]
+    state, into = _in_place(f, y)
+    ay, ay_new = np.abs(y), np.empty_like(y)  # |y| at the start and the end of a step
     sc = np.empty_like(y)  # the error scale
+    e = np.empty((2, len(y)))  # both error estimates over the scale
     # a start whose derivative overflows gives a zero or NaN first step,
     # which the underflow test below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        stage[0][...] = f(t, y)
-        h = _initial_step(f, t, y, stage[0], rtol, atol, span)
+        k[1] = f(t, y)
+        h = _initial_step(f, t, y, k[1], rtol, atol, span)
     # result buffers, grown and trimmed in place and returned as they
     # are; ndarray.resize zero-fills what it adds, so a growth sized
     # from the run's progress touches little beyond the result
@@ -321,7 +352,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
     fs = np.empty_like(ys)
     ks = np.empty((_FIRST_CAPACITY, 4, len(y)))
-    ts[0], ys[0], fs[0] = t, y, stage[0]
+    ts[0], ys[0], fs[0] = t, y, k[1]
     n = 1  # nodes stored
     n_rej = 0
     # accepted steps waiting for their dense-output stages, which start
@@ -334,25 +365,28 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         h = min(h, t_end - t)
         if not h >= _MIN_STEP * max(1.0, abs(t)):  # NaN fails
             raise StiffnessError(f"step size underflow at t={t!r}", t=t)
-        np.multiply(_A_STEP, h, out=h_a)
-        for i in range(1, 12):
-            row, prior = sums[i]
-            stage[i][...] = f(t + c[i] * h, row.dot(prior))
-        row, prior = sums[12]
-        y_new = row.dot(prior)
-        np.add(atol, rtol * np.maximum(np.abs(y), np.abs(y_new)), out=sc)
-        e = _E @ errs
+        np.multiply(_A_STEP, h, h_a)
+        for ci, row, prior, out in stages:
+            row.dot(prior, state)
+            into(t + ci * h, out)
+        b_row.dot(b_prior, state)  # the 8th-order solution
+        # the error scale atol + rtol max(|y|, |y_new|), in place
+        np.abs(state, ay_new)
+        np.maximum(ay, ay_new, out=sc)
+        sc *= rtol
+        sc += atol
+        _E.dot(errs, e)
         e /= sc
         err = _error(h, e)
         if err <= 1.0:
-            stage[12][...] = f(t + h, y_new)
+            into(t + h, k[13])
             ph[p] = h
             pk[p, :13] = k[1:]
             p += 1
             t += h
-            y = y_new
-            k[0] = y
-            stage[0][...] = stage[12]  # the next step's first stage
+            k[0] = state
+            k[1] = k[13]  # the next step's first stage
+            ay, ay_new = ay_new, ay
             if n == len(ts):
                 rows = min(2 * n, max(n + n // 8, math.ceil(
                     1.05 * n * span / (t - t_start)) + 16))
@@ -365,7 +399,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
                     ks.resize((rows,) + ks.shape[1:])
                 except ValueError:
                     ts, ys, fs, ks = (_copy_rows(b, rows) for b in (ts, ys, fs, ks))
-            ts[n], ys[n], fs[n] = t, y, stage[0]
+            ts[n], ys[n], fs[n] = t, k[0], k[1]
             n += 1
             if p == _DENSE_BLOCK or t >= t_end:
                 start = slice(n - 1 - p, n - 1)

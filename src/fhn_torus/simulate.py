@@ -66,13 +66,20 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     shape raises DimensionMismatchError.
 
     At the lattice sizes in use a call costs about as much as its numpy
-    operations' call overhead, so it makes few: a state's call copies
-    it into an extended-state buffer the field keeps and writes the
-    cubic parts after it, then makes one gather, one product and one
-    sum over the five rows, a BLAS product with a row of ones that adds
-    them in the table's order; a stack makes one concatenation instead
+    operations' call overhead, so it makes few.  A state has two
+    entries to one body of arithmetic.  ``rhs.into(t, out)`` evaluates
+    the field at the state in ``rhs.state``, the first slots of an
+    extended-state buffer the field keeps: it writes the cubic parts
+    after the state, then makes one gather, one product and one sum
+    over the five rows, a BLAS product with a row of ones that adds
+    them in the table's order, written into out.  ``rhs(t, z)`` copies
+    z into ``rhs.state`` and returns ``into``'s result in a fresh
+    array.  ``_rk.solve`` writes each stage input into ``rhs.state``
+    itself and has ``into`` write the stage into its row, with no copy
+    and no array of its own.  A stack makes one concatenation instead
     of the buffer and one reduction over a (P, 5, slots) gather.  The
-    buffer makes a field unfit for calls from two threads at once.
+    buffer, written by calls and by the solver alike, makes a field
+    unfit for use from two threads at once, two solves included.
     """
     lps = [lp] if isinstance(lp, LatticeParams) else list(lp)
     n = lps[0].n
@@ -99,6 +106,7 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     # a state's extended state: the state, then the cubic parts
     ext = np.empty(3 * cells)
     state, cubic, x = ext[:2 * cells], ext[2 * cells:], ext[0:2 * cells:2]
+    tmp = np.empty(cells)  # a1 - x
     # a row of ones times g is a gemv (0.6 us a call, np.add.reduce 1.6
     # to 2.7) that on OpenBLAS 0.3.31 adds the rows of g in row order,
     # as the reduction does, for 4 or more columns; with 2 or 3 it
@@ -106,14 +114,24 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
     # one-cell lattice keeps the reduction
     add_rows = np.ones(5).dot if cells > 1 else partial(np.add.reduce, axis=0)
 
+    # local names and a positional out: at about 1 us a numpy call, the
+    # global lookups and the keyword parse are a few percent of a step
+    mul, sub = np.multiply, np.subtract
+
+    def into(t, out):
+        mul(x, x, cubic)
+        sub(a1, x, tmp)
+        mul(cubic, tmp, cubic)
+        g = ext[idx]  # a fresh array: the buffer never leaves
+        g *= w
+        add_rows(g, out=out)
+
     def rhs(t, z):
         if z.shape == shape:
             np.copyto(state, z)
-            np.multiply(x, x, out=cubic)
-            np.multiply(cubic, a1 - x, out=cubic)
-            g = ext[idx]  # a fresh array: the buffer never leaves
-            g *= w
-            return add_rows(g)
+            out = np.empty(shape)
+            into(t, out)
+            return out
         if z.shape[1:] != shape:
             raise DimensionMismatchError(
                 f"the field takes states of shape {shape} and stacks of them, "
@@ -123,6 +141,7 @@ def make_rhs(lp: LatticeParams | Sequence[LatticeParams],
         g *= w
         return np.add.reduce(g, axis=1)
 
+    rhs.state, rhs.into = state, into
     return rhs
 
 

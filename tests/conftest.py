@@ -3,12 +3,32 @@
 import numpy as np
 import pytest
 
-from fhn_torus import LatticeParams, assemble_jacobian_origin, from_grids, to_grids
+from fhn_torus import (IsotropySubgroup, LatticeParams, assemble_jacobian_origin,
+                       from_grids, to_grids)
+from fhn_torus.simulate import make_rhs
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+# Fields that take their stage inputs in a buffer of their own and write
+# their derivatives in place: a full N=5 lattice, the one-cell Fix(Gamma)
+# quotient, whose two slots are summed by a reduction, and four N=5
+# lattices on Fix(Z(1,2)) end to end, as the criticality probe runs them.
+_LP5 = LatticeParams(n=5, a=-0.05, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+IN_PLACE_FIELDS = {
+    "lattice": (_LP5, None),
+    "fix-gamma": (_LP5, IsotropySubgroup.full(5)),
+    "probe": ([LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+               for a in (-0.1, -0.075, -0.05, 0.0)], IsotropySubgroup.cyclic((1, 2), 5)),
+}
+
+
+def in_place_field(name):
+    """A fresh field of ``IN_PLACE_FIELDS``."""
+    return make_rhs(*IN_PLACE_FIELDS[name])
 
 
 def dense_spectrum(lp: LatticeParams) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import jacobian_at
+from conftest import IN_PLACE_FIELDS, in_place_field, jacobian_at
 from fhn_torus import (
     CellParams,
     DimensionMismatchError,
@@ -235,6 +235,25 @@ class TestRhsNetwork:
         assert np.array_equal(first, kept)
         assert not np.shares_memory(first, second)
         assert np.array_equal(second, ordered_field(z2, self.LP5, K))
+
+    @pytest.mark.parametrize("name", IN_PLACE_FIELDS)
+    def test_in_place_entry_is_the_call_bit_for_bit(self, name, rng):
+        # the solver writes a stage input into rhs.state and has rhs.into
+        # write the derivative into a stage row; rhs(t, z) is the same
+        # arithmetic on a copy of z, returned in a fresh array
+        rhs = in_place_field(name)
+        dim = len(rhs.state)
+        z1, z2 = 1.5 * rng.standard_normal((2, dim))
+        first = rhs(0.3, z1)
+        kept = first.copy()
+        out = np.empty(dim)
+        rhs.state[...] = z2
+        rhs.into(0.7, out)
+        second = rhs(0.7, z2)
+        assert np.array_equal(out, second)
+        assert np.array_equal(first, kept)
+        for got in (first, second):
+            assert not np.shares_memory(got, rhs.state)
 
     @pytest.mark.parametrize("K", [None, IsotropySubgroup.cyclic((1, 0), 3)])
     def test_refuses_what_is_neither_a_state_nor_a_stack(self, K):

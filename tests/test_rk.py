@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import IN_PLACE_FIELDS, in_place_field
 from fhn_torus import (DomainError, IsotropySubgroup, LatticeParams, Trajectory, _rk,
                        fix_projection, reduced_integrate_fix, simulate)
 from fhn_torus.cli import _initial_state
@@ -166,6 +167,20 @@ class TestSolverContract:
         _, _, got_fs, got_ks = arrays(_rk.dense_from_nodes(checked, ts, ys))
         assert set(seen) == {1}
         assert np.array_equal(got_fs, fs) and got_ks.shape == ks.shape
+
+    @pytest.mark.parametrize("name", IN_PLACE_FIELDS)
+    def test_in_place_and_plain_fields_give_the_same_run(self, name):
+        # make_rhs's field is stepped in place through rhs.state and
+        # rhs.into; a plain function has neither and goes through the
+        # solver's adapter, which calls it and copies the result
+        rhs = in_place_field(name)
+        z0 = 0.3 * np.random.default_rng(5).standard_normal(len(rhs.state))
+        direct = _rk.solve(rhs, 0.0, z0, 40.0)
+        plain = _rk.solve(lambda t, z: rhs(t, z), 0.0, z0, 40.0)
+        assert direct.stats == plain.stats
+        assert direct.stats["accepted"] > _rk._DENSE_BLOCK
+        for a, b in zip(arrays(direct), arrays(plain)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("shape", [(3, 18), (1, 2), (2, 2, 2)])
     def test_refuses_a_state_that_is_not_one_dimensional(self, shape):
