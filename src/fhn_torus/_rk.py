@@ -3,14 +3,22 @@
 The tables are those of Hairer's DOP853 (Hairer, Norsett and Wanner,
 *Solving Ordinary Differential Equations I*, section II.10): twelve
 stages give the 8th-order solution, a 5th-order and a 3rd-order estimate
-combine into the error, and three more stages of each accepted step give
+combine into the error, and three more stages of an accepted step give
 the coefficients of the 7th-order interpolant (``Trajectory.sample``).
 The step control is simpler than Hairer's: the factor 0.9 err^(-1/8) is
 bounded to [0.2, 5], where his code bounds it to [1/3, 6] and keeps a
-step from growing right after a rejection.  Data that holds only nodes,
-such as a trajectory read back from CSV, gets the same interpolant: each
-step is taken again from its start node to the next
-(``dense_from_nodes``).
+step from growing right after a rejection.
+
+The solver evaluates no dense output: as in Hairer's code and scipy's
+``solve_ivp`` without ``dense_output``, the continuous extension is left
+out of the step loop.  A solve's ``Trajectory`` keeps its field and the
+exact size of each accepted step, and the first time a step's
+coefficients are needed it takes the step again from its start node
+with the solver's own arithmetic (``_retake``), so they are those the
+step would have given, bit for bit.  Data that holds only nodes, such
+as a trajectory read back from CSV, gets the same interpolant: each
+step is taken again from its start node to the next, with the size the
+node times give (``dense_from_nodes``).
 
 A solution is one ``Trajectory`` of one state; its readers take some
 slots of it through ``slots``, not by slicing its arrays.
@@ -32,8 +40,6 @@ overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -185,8 +191,9 @@ _MIN_STEP = 1e-14
 # 1.125 and 2 times their size.
 _FIRST_CAPACITY = 256
 
-# Accepted steps whose dense-output stages are evaluated together, three
-# field calls on the stacked states per block instead of three per step.
+# Steps whose stages are taken again together, one field call on the
+# stacked states per stage: the steps a block of samples needs, in
+# chunks of this many, and the steps of node-only data.
 _DENSE_BLOCK = 64
 
 # Floats of interpolated states per block of query times in
@@ -257,7 +264,7 @@ def _dense_coefficients(f, y, t, h, k, first=13):
 
     y, t and h hold each step's start state, time and size, and k its
     sixteen stages, shape (P, 16, dim), with the stages before ``first``
-    set: 0-12 for the accepted steps of ``solve``, 0 for steps taken
+    set: 0-12 for the steps of a solve (``_retake``), 0 for steps taken
     again from nodes.  The others are filled in here, each by one call
     of f on the stack of P states.
     """
@@ -265,6 +272,32 @@ def _dense_coefficients(f, y, t, h, k, first=13):
     for i in range(first, 16):
         k[:, i] = f(t + _C[i] * h, y + hs * (_A[i, :i] @ k[:, :i]))
     return hs[:, :, None] * (_D @ k)
+
+
+def _retake(f, ts, ys, fs, hs, s):
+    """The coefficients of the accepted steps s, an index array, of a
+    solve.
+
+    ts, ys, fs and hs hold the solve's nodes, states, derivatives and
+    step sizes.  Each step is taken again from its start node with the
+    solver's arithmetic, stacked over the P steps: each of stages 1-11
+    is f on the product of the solver's weight row of 1 and h a_ij with
+    the start state and the stages before it, as one ``np.matmul`` of
+    the P rows, which matches the solver's ``row.dot`` bit for bit;
+    stage 0 and stage 12 are the derivatives at the step's two nodes.
+    With a field whose stacked calls are its one-state calls bit for
+    bit, as ``make_rhs``'s is, the result is what the solver would have
+    computed at the step.
+    """
+    y, t, h = ys[s], ts[s], hs[s]
+    # the start states, then the sixteen stages
+    k = np.empty((len(s), 17, ys.shape[1]))
+    k[:, 0], k[:, 1], k[:, 13] = y, fs[s], fs[s + 1]
+    wts = np.ones((len(s), 12, 14))
+    np.multiply(_A_STEP[:12], h[:, None, None], wts[:, :, 1:])
+    for i in range(1, 12):
+        k[:, i + 1] = f(t + _C[i] * h, np.matmul(wts[:, i, None, :i + 1], k[:, :i + 1])[:, 0])
+    return _dense_coefficients(f, y, t, h, k[:, 1:])
 
 
 def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
@@ -278,10 +311,10 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     f maps a float t and a state of y0's shape to its derivative, as
     the field of ``simulate.make_rhs`` does.  It must also take a stack
     of P such states, shape (P, dim), with an array of their P times,
-    and return their derivatives in the same shape: the three
-    dense-output stages of each accepted step (13 to 15) are evaluated
-    that way, for blocks of _DENSE_BLOCK steps and once at the end.
-    The step sequence never depends on them.  Each of the other stages
+    and return their derivatives in the same shape: the solve makes no
+    such call, but the ``Trajectory`` it returns keeps f and takes the
+    steps that ``sample`` needs again that way, with the three
+    dense-output stages (13 to 15) of each.  Each of the solve's stages
     is f at the product of a row of 1 and h a_ij with the step's start
     state and the stages before it.  f may also carry ``f.state``, an
     input buffer of y0's shape, and ``f.into(t, out)``, which writes f
@@ -292,9 +325,12 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     the solver's and its result copied into the row; both give the
     same run bit for bit.
 
-    Returns the ``Trajectory`` of the accepted nodes, whose ``stats``
-    count accepted and rejected steps and the states at which f was
-    evaluated.
+    Returns the ``Trajectory`` of the accepted nodes, with the size of
+    each accepted step, whose ``stats`` count accepted and rejected
+    steps and the states at which the solve evaluated f: 2 to start, 11
+    per attempt and 1, the derivative at the new node, per accepted
+    step.  The steps a ``Trajectory`` takes again are not counted, so
+    ``stats`` never depends on what was sampled.
     Raises DomainError for a state that is not one-dimensional or not
     finite, t_end that is not finite, rtol < 0, atol <= 0,
     t_end <= t0 or a span shorter than the smallest step,
@@ -351,16 +387,12 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     ts = np.empty(_FIRST_CAPACITY)
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
     fs = np.empty_like(ys)
-    ks = np.empty((_FIRST_CAPACITY, 4, len(y)))
+    # the size of the step from each node (not the difference of its
+    # node times to the last bit)
+    hs = np.empty(_FIRST_CAPACITY)
     ts[0], ys[0], fs[0] = t, y, k[1]
     n = 1  # nodes stored
     n_rej = 0
-    # accepted steps waiting for their dense-output stages, which start
-    # at the p nodes before the last: size and stages of each (a size is
-    # not the difference of its node times to the last bit)
-    ph = np.empty(_DENSE_BLOCK)
-    pk = np.empty((_DENSE_BLOCK, 16, len(y)))
-    p = 0  # steps waiting
     while t < t_end:
         h = min(h, t_end - t)
         if not h >= _MIN_STEP * max(1.0, abs(t)):  # NaN fails
@@ -380,9 +412,6 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         err = _error(h, e)
         if err <= 1.0:
             into(t + h, k[13])
-            ph[p] = h
-            pk[p, :13] = k[1:]
-            p += 1
             t += h
             k[0] = state
             k[1] = k[13]  # the next step's first stage
@@ -396,15 +425,11 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
                     ts.resize(rows)
                     ys.resize((rows,) + ys.shape[1:])
                     fs.resize((rows,) + fs.shape[1:])
-                    ks.resize((rows,) + ks.shape[1:])
+                    hs.resize(rows)
                 except ValueError:
-                    ts, ys, fs, ks = (_copy_rows(b, rows) for b in (ts, ys, fs, ks))
-            ts[n], ys[n], fs[n] = t, k[0], k[1]
+                    ts, ys, fs, hs = (_copy_rows(b, rows) for b in (ts, ys, fs, hs))
+            ts[n], ys[n], fs[n], hs[n - 1] = t, k[0], k[1], h
             n += 1
-            if p == _DENSE_BLOCK or t >= t_end:
-                start = slice(n - 1 - p, n - 1)
-                ks[start] = _dense_coefficients(f, ys[start], ts[start], ph[:p], pk[:p])
-                p = 0
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -_EXPONENT
             )
@@ -416,22 +441,23 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
             raise StiffnessError(f"step budget exhausted at t={t!r}", t=t)
     n_acc = n - 1
     # the start, two per solve; 11 stages per attempt; the end
-    # derivative and 3 dense-output stages per accepted step
+    # derivative per accepted step
     stats = {"accepted": n_acc, "rejected": n_rej,
-             "rhs_evals": 2 + 11 * (n_acc + n_rej) + 4 * n_acc}
-    # the unused rows freed in place, after the dense-output block: no
-    # buffer is copied (unless a second name holds it), so the peak is
-    # the buffers and one block
-    del pk
+             "rhs_evals": 2 + 11 * (n_acc + n_rej) + n_acc}
+    # the unused rows freed in place: no buffer is copied (unless a
+    # second name holds it)
     try:
-        ks.resize((n_acc,) + ks.shape[1:])
         ys.resize((n,) + ys.shape[1:])
         fs.resize((n,) + fs.shape[1:])
         ts.resize(n)
+        hs.resize(n_acc)
     except ValueError:
-        ks = _copy_rows(ks, n_acc)
         ts, ys, fs = (_copy_rows(b, n) for b in (ts, ys, fs))
-    return Trajectory(ts, ys, fs, ks, stats)
+        hs = _copy_rows(hs, n_acc)
+    # the coefficients, written as samples need them
+    traj = Trajectory(ts, ys, fs, np.empty((n_acc, 4, len(y))), stats)
+    traj._field, traj._sizes, traj._todo = f, hs, np.ones(n_acc, dtype=bool)
+    return traj
 
 
 def _block_len(ys):
@@ -440,23 +466,39 @@ def _block_len(ys):
     return max(1, _SAMPLE_FLOATS // ys[0].size)
 
 
-@dataclass
+def _pick(a, idx):
+    """The slots idx of each row of a: a view for a slice, a C-contiguous
+    copy (``np.take``) for an index array."""
+    return a[..., idx] if isinstance(idx, slice) else np.take(a, idx, axis=-1)
+
+
 class Trajectory:
     """Accepted integration nodes with derivatives and dense output.
 
     ``times`` holds the nt nodes, ``states`` and ``derivs`` the state and
     its derivative at each, shape (nt, dim), and ``dense`` the four
     coefficients of each step's 7th-order interpolant beyond its cubic
-    Hermite part, shape (nt - 1, 4, dim).  ``solve`` returns one, with
-    its counters in ``stats``; ``dense_from_nodes`` builds one from
-    node-only data such as a trajectory read back from CSV.
+    Hermite part, shape (nt - 1, 4, dim).  ``dense_from_nodes`` builds
+    one from node-only data such as a trajectory read back from CSV,
+    with all four arrays, as ``Trajectory(times, states, derivs, dense)``
+    does.  ``solve`` returns one, with its counters in ``stats``, that
+    holds its field and the size of each step instead: a step's
+    coefficients are computed the first time ``sample`` needs them, and
+    all the missing ones the first time ``dense`` is read, into an array
+    the solve allocates, whose rows of steps never sampled are never
+    written.  Since sampling writes to it, a trajectory is not for use
+    from two threads at once.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
-    dense: np.ndarray
-    stats: dict = field(default_factory=dict)
+    def __init__(self, times, states, derivs, dense, stats=None):
+        self.times, self.states, self.derivs = times, states, derivs
+        self.stats = {} if stats is None else stats
+        self._dense = dense
+        # a solve's field and step sizes, and the steps not yet taken again
+        self._field = self._sizes = self._todo = None
+        # a view's: the trajectory that holds the coefficients, and the
+        # slots of its states that are the view's
+        self._root, self._cols = None, slice(None)
 
     @property
     def t_end(self) -> float:
@@ -466,14 +508,42 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
+    @property
+    def dense(self) -> np.ndarray:
+        """Every step's coefficients, computed where missing; a view's
+        are its slots of those of the trajectory it was taken from."""
+        if self._root is not None:
+            return _pick(self._root.dense, self._cols)
+        self._take_again(slice(None))
+        return self._dense
+
+    def _take_again(self, idx):
+        """Compute the coefficients of the steps idx, an index array or a
+        slice, that have none yet, _DENSE_BLOCK steps at a time."""
+        todo = self._todo
+        if todo is None:
+            return
+        need = np.zeros_like(todo)
+        need[idx] = True
+        steps = np.flatnonzero(need & todo)
+        for i in range(0, len(steps), _DENSE_BLOCK):
+            s = steps[i:i + _DENSE_BLOCK]
+            self._dense[s] = _retake(self._field, self.times, self.states,
+                                     self.derivs, self._sizes, s)
+        todo[steps] = False
+
     def slots(self, idx):
         """The slots idx of each state, a slice or an index array: views
         for a slice, C-contiguous copies (``np.take``) for an array,
-        which may repeat slots, as the lift of a quotient flow does."""
-        part = ((lambda a: a[..., idx]) if isinstance(idx, slice)
-                else partial(np.take, indices=idx, axis=-1))
-        return Trajectory(self.times, part(self.states), part(self.derivs),
-                          part(self.dense), self.stats)
+        which may repeat slots, as the lift of a quotient flow does.
+        The coefficients stay in the trajectory the slots were first
+        taken from."""
+        root = self._root or self
+        view = Trajectory(self.times, _pick(self.states, idx), _pick(self.derivs, idx),
+                          None, self.stats)
+        view._root = root
+        view._cols = idx if root is self else np.arange(root.states.shape[1])[self._cols][idx]
+        return view
 
     def sample(self, t):
         """DOP853's 7th-order interpolant of the solution at query times
@@ -488,8 +558,13 @@ class Trajectory:
         into the one result array, so the memory beyond the result is that
         of a few blocks of _SAMPLE_FLOATS floats, however many times are
         asked for; every element has the arithmetic of a one-shot call.
+        A block computes the coefficients of only the steps its times
+        fall in, where they are missing, and gathers only this
+        trajectory's slots of them.
         """
-        ts, ys, fs, ks = self.times, self.states, self.derivs, self.dense
+        ts, ys, fs = self.times, self.states, self.derivs
+        root, cols = self._root or self, self._cols
+        ks = root._dense
         scalar = np.ndim(t) == 0
         t = np.asarray(t, dtype=float)
         if t.ndim > 1:
@@ -503,6 +578,8 @@ class Trajectory:
         for i in range(0, len(t), q):
             tb, out = t[i:i + q], res[i:i + q]
             idx = np.clip(np.searchsorted(ts, tb, side="right") - 1, 0, len(ts) - 2)
+            root._take_again(idx)
+            rows = idx if isinstance(cols, slice) else idx[:, None]
             h = ts[idx + 1] - ts[idx]
             s = ((tb - ts[idx]) / h)[:, None]
             h = h[:, None]
@@ -511,10 +588,10 @@ class Trajectory:
             #   y0 + s (ydiff + s1 (bspl + s (r4 + s1 (k0 + s (k1 + s1 (k2 + s k3))))))
             # with ydiff = y1 - y0, bspl = h f0 - ydiff, r4 = ydiff - h f1 - bspl,
             # evaluated in place in the block of the result
-            out[...] = ks[idx, 3]
+            out[...] = ks[rows, 3, cols]
             out *= s
             for j, w in ((2, s1), (1, s), (0, s1)):
-                out += ks[idx, j]
+                out += ks[rows, j, cols]
                 out *= w
             ydiff = ys[idx + 1]
             ydiff -= ys[idx]
@@ -544,8 +621,14 @@ def dense_from_nodes(f, ts, ys):
     taken again as one DOP853 step from its start node with
     h = ts[i + 1] - ts[i], so on the nodes of a ``solve`` run the
     derivatives are the solver's and the interpolant its own up to
-    rounding.  f takes stacks of states with their times, as in
-    ``solve``; the steps go _DENSE_BLOCK at a time, one call per stage.
+    rounding.  A solve's ``Trajectory`` takes its steps again with the
+    exact step sizes, which node times do not hold, with the solver's
+    weight rows for stages 1-11 and the next node's derivative as
+    stage 12; here every stage input is y + h (a @ k), stage 12's too,
+    the step's own 8th-order solution.
+    f takes stacks of states with their times, as in ``solve``; the
+    steps go _DENSE_BLOCK at a time, one call per stage, and all the
+    coefficients are computed here, so that a caller can check them.
     The derivatives and coefficients may hold non-finite values where f
     overflows.
     """

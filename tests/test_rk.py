@@ -205,12 +205,14 @@ class TestStats:
         ts, stats = sol.times, sol.stats
         n_acc = stats["accepted"]
         assert n_acc == len(ts) - 1
-        assert stats["rhs_evals"] == states[0]
-        # the three dense-output stages of a block of steps share calls
-        blocks = math.ceil(n_acc / _rk._DENSE_BLOCK)
-        assert blocks > 1
-        assert calls[0] == states[0] - 3 * n_acc + 3 * blocks
+        # the solve calls f on one state at a time: 2 to start, 11 per
+        # attempt and the end derivative of each accepted step
+        assert stats["rhs_evals"] == states[0] == calls[0]
+        assert states[0] == 2 + 11 * (n_acc + stats["rejected"]) + n_acc
         assert set(stats) == {"accepted", "rejected", "rhs_evals"}
+        # steps taken again for the interpolant are not counted
+        sol.sample(np.linspace(0.0, 40.0, 101))
+        assert states[0] > stats["rhs_evals"] and sol.stats == stats
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_counters_match_a_quotient_run(self, batch, monkeypatch):
@@ -220,13 +222,14 @@ class TestStats:
         K = IsotropySubgroup.cyclic((1, 2), 5)
         lps = [LatticeParams(n=5, a=a, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
                for a in (-0.1, -0.05, 0.3)]
-        states = [0]
+        calls, states = [0], [0]
         real = simulate.make_rhs
 
         def counting_make_rhs(lp, K=None):
             f = real(lp, K)
 
             def counted(t, z):
+                calls[0] += 1
                 states[0] += 1 if z.ndim == 1 else len(z)
                 return f(t, z)
 
@@ -239,7 +242,7 @@ class TestStats:
         else:
             stats = simulate._quotient_solve(K, z0, lps[:batch], 30.0)[1].stats
         assert stats["accepted"] > _rk._DENSE_BLOCK
-        assert stats["rhs_evals"] == states[0]
+        assert stats["rhs_evals"] == states[0] == calls[0]
 
     def test_growing_buffers_keep_every_node(self, monkeypatch):
         z0 = 0.3 * np.random.default_rng(4).standard_normal(18)
@@ -287,23 +290,87 @@ class TestStats:
         for a, b in zip(arrays(hooked), arrays(plain)):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("block", [1, 3, 10**9])
     @pytest.mark.parametrize("batch", [False, True])
     def test_dense_block_size_changes_no_bit(self, monkeypatch, block, batch):
+        # the steps a sample needs are taken again in chunks of
+        # _DENSE_BLOCK: one step at a time, three, or all in one chunk
         rng = np.random.default_rng(8)
         lp = THREE if batch else LP
         z0 = 0.3 * rng.standard_normal(18 * (3 if batch else 1))
+        tq = np.sort(rng.uniform(0.0, 40.0, 500))
         whole = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
-        # several full blocks and a part of one
+        want = whole.sample(tq), whole.dense
+        # more steps than a chunk holds, and a part of one
         assert whole.stats["accepted"] % _rk._DENSE_BLOCK and whole.stats["accepted"] > 300
-        monkeypatch.setattr(_rk, "_DENSE_BLOCK", block)
         small = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
+        monkeypatch.setattr(_rk, "_DENSE_BLOCK", block)
+        got = small.sample(tq), small.dense
         assert small.stats == whole.stats
-        for a, b in zip(arrays(small), arrays(whole)):
+        for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
 
+def eager_dense(f, sol):
+    """The coefficients of every step of a solve, as the solver computed
+    them while it stepped: each accepted step taken again one state at a
+    time with the solver's weight rows and f's in-place entry, then the
+    three dense-output stages of all of them as one stack."""
+    ts, ys, fs, hs = sol.times, sol.states, sol.derivs, sol._sizes
+    k = np.empty((len(hs), 16, ys.shape[1]))
+    rows = np.empty((14, ys.shape[1]))  # the start state and stages 0-12
+    wts = np.zeros((13, 14))
+    wts[:, 0] = 1.0
+    for p, h in enumerate(hs.tolist()):
+        np.multiply(_rk._A_STEP, h, wts[:, 1:])
+        rows[0], rows[1] = ys[p], fs[p]
+        for i in range(1, 12):
+            wts[i, :i + 1].dot(rows[:i + 1], f.state)
+            f.into(ts[p] + _rk._C[i] * h, rows[i + 1])
+        wts[12, :13].dot(rows[:13], f.state)
+        assert np.array_equal(f.state, ys[p + 1])  # the step lands on its node
+        k[p, :12], k[p, 12] = rows[1:13], fs[p + 1]
+    return _rk._dense_coefficients(f, ys[:-1], ts[:-1], hs, k)
+
+
 class TestDenseOutput:
+    @pytest.mark.parametrize("name", IN_PLACE_FIELDS)
+    def test_steps_taken_again_are_the_solvers_bit_for_bit(self, name):
+        rhs = in_place_field(name)
+        z0 = 0.3 * np.random.default_rng(5).standard_normal(len(rhs.state))
+        tq = np.linspace(0.0, 40.0, 2001)
+        half = len(tq) // 2
+        runs = [_rk.solve(rhs, 0.0, z0, 40.0) for _ in range(3)]
+        # all at once, the tail first and the head first, then every step
+        tail = runs[1].sample(tq[half:])
+        got = [runs[0].sample(tq),
+               np.concatenate([runs[1].sample(tq[:half]), tail]),
+               np.concatenate([runs[2].sample(tq[:half]), runs[2].sample(tq[half:])])]
+        want = eager_dense(rhs, runs[0])
+        assert runs[0].stats["accepted"] > _rk._DENSE_BLOCK
+        for sol, smp in zip(runs, got):
+            assert np.array_equal(smp, got[0])
+            assert np.array_equal(sol.dense, want)
+            assert np.array_equal(smp, one_shot_dense_eval(*arrays(sol), tq))
+
+    def test_a_solve_never_sampled_takes_no_step_again(self):
+        stacked = [0]
+        f = make_rhs(LP)
+
+        def counted(t, z):
+            stacked[0] += z.ndim == 2
+            return f(t, z)
+
+        sol = _rk.solve(counted, 0.0, start(None, 3), 40.0)
+        x = sol.slots(slice(0, None, 2))
+        assert (sol.final_state.shape, x.states.shape) == ((18,), (len(sol.times), 9))
+        assert stacked[0] == 0
+        # one time inside one step: its stages 1-11 and 13-15
+        sol.sample(20.0)
+        assert stacked[0] == 14
+        x.sample(20.0)
+        assert stacked[0] == 14
+
     def test_steps_join_at_the_nodes(self):
         z0 = 0.3 * np.random.default_rng(5).standard_normal(18)
         sol = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
@@ -455,6 +522,9 @@ class TestViews:
         lifted = reduced_integrate_fix(K, z0, lp, 20.0)
         self.check(lifted, self.hand(sol, lift))
         assert all(a.flags.c_contiguous for a in arrays(lifted))
+        # the classifier's x slots of the lift, read from the quotient run
+        x = slice(0, None, 2)
+        self.check(lifted.slots(x), self.hand(sol, lambda q: lift(q)[..., x]))
 
     def test_every_row_of_a_probe_batch(self):
         # four lattices on the quotient of Fix(K), as the criticality

@@ -201,7 +201,8 @@ class TestIntegrate:
         # result: 6.4 MB traced before the dense-output stages waited in
         # a block of steps, 5.5 MB while the buffers grew and were
         # trimmed by copies, 3.85 MB in place; the block must stay
-        # bounded, not grow with the run
+        # bounded, not grow with the run (2.8 MB since the solve leaves
+        # the dense output to the samples that need it)
         lp = LatticeParams(n=3, a=1.42, b=1.0, c=0.0, gamma=1.0, delta=-1.0)
         z0 = _initial_state(SimpleNamespace(params=lp, ic="mode", amplitude=1e-3))
         tracemalloc.start()
@@ -217,7 +218,9 @@ class TestIntegrate:
         # the benchmark's `orbit` run, N=7 to t = 400: 1,199 nodes and
         # 5.65 MB of result, which doubled buffers held in 2,048 rows
         # (1.94 times the result traced); buffers sized from the run's
-        # progress hold about 5 % more than the result (1.29 times)
+        # progress hold about 5 % more than the result (1.29 times);
+        # 1.01 times since the solve leaves the dense output to the
+        # samples, with the coefficients' array allocated, not written
         lp = LatticeParams(n=7, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         z0 = near_sync_start(7, 12)
         tracemalloc.start()
@@ -360,7 +363,8 @@ class TestDetectPeriodicOrbit:
     def test_memory_peak_at_n11(self, n11_trajectory):
         # the whole resample of the tail, 4096 states of 242 floats, and
         # its temporaries traced 32 MB; by blocks and one coordinate,
-        # 1.42 MB; from the tail's nodes, 0.03 MB when this bound was set
+        # 1.42 MB; from the tail's nodes, 0.03 MB when this bound was set,
+        # 0.08 MB since the steps it samples are taken again
         traj = n11_trajectory
         tracemalloc.start()
         try:
@@ -370,6 +374,31 @@ class TestDetectPeriodicOrbit:
             tracemalloc.stop()
         assert orbit is not None
         assert peak <= 0.2e6
+
+    def test_detect_and_classify_take_few_steps_again(self, monkeypatch):
+        # the benchmark's `orbit` input: the recurrence search and the
+        # classifier's period read the interpolant on a few steps of the
+        # tail, and only those are taken again, 14 stacked stages each
+        stacked = [0]
+        real = simulate.make_rhs
+
+        def counting_make_rhs(lp, K=None):
+            f = real(lp, K)
+
+            def counted(t, z):
+                stacked[0] += len(z) if z.ndim == 2 else 0
+                return f(t, z)
+
+            return counted
+
+        monkeypatch.setattr(simulate, "make_rhs", counting_make_rhs)
+        lp = LatticeParams(n=7, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
+        traj = integrate(near_sync_start(7, 12), lp, 400.0)
+        assert stacked[0] == 0
+        orbit = detect_periodic_orbit(traj)
+        assert classify_spatiotemporal(orbit, lp).spatial.kind == "full"
+        steps = stacked[0] // 14
+        assert stacked[0] == 14 * steps and 0 < steps < 0.05 * traj.stats["accepted"]
 
     def test_detect_and_classify_leave_numpy_ma_unimported(self):
         # np.median imports numpy.ma, about 20 ms, in every process
