@@ -11,14 +11,13 @@ step from growing right after a rejection.
 
 The solver evaluates no dense output: as in Hairer's code and scipy's
 ``solve_ivp`` without ``dense_output``, the continuous extension is left
-out of the step loop.  A solve's ``Trajectory`` keeps its field and the
-exact size of each accepted step, and the first time a step's
-coefficients are needed it takes the step again from its start node
-with the solver's own arithmetic (``_retake``), so they are those the
-step would have given, bit for bit.  Data that holds only nodes, such
-as a trajectory read back from CSV, gets the same interpolant: each
-step is taken again from its start node to the next, with the size the
-node times give (``dense_from_nodes``).
+out of the step loop.  A ``Trajectory`` keeps its field and the size of
+each step, and the first time a step's coefficients are needed it takes
+the step again from its start node with the solver's own arithmetic
+(``_retake``): with a solve's exact step sizes, they are those the step
+would have given, bit for bit.  Data that holds only nodes, such as a
+trajectory read back from CSV, gets the same trajectory, with the step
+sizes its node times give (``dense_from_nodes``).
 
 A solution is one ``Trajectory`` of one state; its readers take some
 slots of it through ``slots``, not by slicing its arrays.
@@ -193,7 +192,7 @@ _FIRST_CAPACITY = 256
 
 # Steps whose stages are taken again together, one field call on the
 # stacked states per stage: the steps a block of samples needs, in
-# chunks of this many, and the steps of node-only data.
+# chunks of this many; node-only data's derivatives go as many a call.
 _DENSE_BLOCK = 64
 
 # Floats of interpolated states per block of query times in
@@ -259,45 +258,49 @@ def _in_place(f, y):
     return state, into
 
 
-def _dense_coefficients(f, y, t, h, k, first=13):
+def _dense_coefficients(f, y, t, h, k):
     """``Trajectory.sample``'s coefficients of a block of P steps.
 
     y, t and h hold each step's start state, time and size, and k its
-    sixteen stages, shape (P, 16, dim), with the stages before ``first``
-    set: 0-12 for the steps of a solve (``_retake``), 0 for steps taken
-    again from nodes.  The others are filled in here, each by one call
-    of f on the stack of P states.
+    sixteen stages, shape (P, 16, dim), with stages 0-12 set; stages
+    13-15 are filled in here, each by one call of f on the stack of P
+    states.
     """
     hs = h[:, None]
-    for i in range(first, 16):
-        k[:, i] = f(t + _C[i] * h, y + hs * (_A[i, :i] @ k[:, :i]))
-    return hs[:, :, None] * (_D @ k)
+    for i in range(13, 16):
+        x = _A[i, :i] @ k[:, :i]
+        x *= hs
+        x += y
+        k[:, i] = f(t + _C[i] * h, x)
+    c = _D @ k
+    c *= hs[:, :, None]
+    return c
 
 
 def _retake(f, ts, ys, fs, hs, s):
-    """The coefficients of the accepted steps s, an index array, of a
-    solve.
+    """The coefficients of the steps s, an index array, of a trajectory.
 
-    ts, ys, fs and hs hold the solve's nodes, states, derivatives and
-    step sizes.  Each step is taken again from its start node with the
+    ts, ys, fs and hs hold its nodes, states, derivatives and step
+    sizes.  Each step is taken again from its start node with the
     solver's arithmetic, stacked over the P steps: each of stages 1-11
     is f on the product of the solver's weight row of 1 and h a_ij with
     the start state and the stages before it, as one ``np.matmul`` of
     the P rows, which matches the solver's ``row.dot`` bit for bit;
     stage 0 and stage 12 are the derivatives at the step's two nodes.
-    With a field whose stacked calls are its one-state calls bit for
-    bit, as ``make_rhs``'s is, the result is what the solver would have
-    computed at the step.
+    With a solve's exact step sizes and a field whose stacked calls are
+    its one-state calls bit for bit, as ``make_rhs``'s is, the result is
+    what the solver would have computed at the step.
     """
-    y, t, h = ys[s], ts[s], hs[s]
+    t, h = ts[s], hs[s]
     # the start states, then the sixteen stages
     k = np.empty((len(s), 17, ys.shape[1]))
-    k[:, 0], k[:, 1], k[:, 13] = y, fs[s], fs[s + 1]
-    wts = np.ones((len(s), 12, 14))
-    np.multiply(_A_STEP[:12], h[:, None, None], wts[:, :, 1:])
+    k[:, 0], k[:, 1], k[:, 13] = ys[s], fs[s], fs[s + 1]
+    # each stage's weight row of 1 and h a_ij, one row per step
+    wts = np.ones((len(s), 1, 12))
     for i in range(1, 12):
-        k[:, i + 1] = f(t + _C[i] * h, np.matmul(wts[:, i, None, :i + 1], k[:, :i + 1])[:, 0])
-    return _dense_coefficients(f, y, t, h, k[:, 1:])
+        np.multiply(_A_STEP[i, :i], h[:, None, None], wts[:, :, 1:i + 1])
+        k[:, i + 1] = f(t + _C[i] * h, np.matmul(wts[:, :, :i + 1], k[:, :i + 1])[:, 0])
+    return _dense_coefficients(f, k[:, 0], t, h, k[:, 1:])
 
 
 def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
@@ -325,8 +328,8 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     the solver's and its result copied into the row; both give the
     same run bit for bit.
 
-    Returns the ``Trajectory`` of the accepted nodes, with the size of
-    each accepted step, whose ``stats`` count accepted and rejected
+    Returns the ``Trajectory`` of f, the accepted nodes and the exact
+    size of each accepted step, whose ``stats`` count accepted and rejected
     steps and the states at which the solve evaluated f: 2 to start, 11
     per attempt and 1, the derivative at the new node, per accepted
     step.  The steps a ``Trajectory`` takes again are not counted, so
@@ -454,10 +457,7 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     except ValueError:
         ts, ys, fs = (_copy_rows(b, n) for b in (ts, ys, fs))
         hs = _copy_rows(hs, n_acc)
-    # the coefficients, written as samples need them
-    traj = Trajectory(ts, ys, fs, np.empty((n_acc, 4, len(y))), stats)
-    traj._field, traj._sizes, traj._todo = f, hs, np.ones(n_acc, dtype=bool)
-    return traj
+    return Trajectory(ts, ys, fs, f, hs, stats)
 
 
 def _block_len(ys):
@@ -478,27 +478,29 @@ class Trajectory:
     ``times`` holds the nt nodes, ``states`` and ``derivs`` the state and
     its derivative at each, shape (nt, dim), and ``dense`` the four
     coefficients of each step's 7th-order interpolant beyond its cubic
-    Hermite part, shape (nt - 1, 4, dim).  ``dense_from_nodes`` builds
-    one from node-only data such as a trajectory read back from CSV,
-    with all four arrays, as ``Trajectory(times, states, derivs, dense)``
-    does.  ``solve`` returns one, with its counters in ``stats``, that
-    holds its field and the size of each step instead: a step's
-    coefficients are computed the first time ``sample`` needs them, and
-    all the missing ones the first time ``dense`` is read, into an array
-    the solve allocates, whose rows of steps never sampled are never
-    written.  Since sampling writes to it, a trajectory is not for use
-    from two threads at once.
+    Hermite part, shape (nt - 1, 4, dim).
+    ``Trajectory(times, states, derivs, field, sizes, stats=None)``
+    holds a field, as in ``solve``, and the size of each step, shape
+    (nt - 1,), instead: a step's coefficients are computed by taking it
+    again the first time ``sample`` needs them, and all the missing ones
+    the first time ``dense`` is read, into an array whose rows of steps
+    never sampled are never written.  ``solve`` returns one, with its
+    counters in ``stats``, and ``dense_from_nodes`` builds one from
+    node-only data.  Since sampling writes to it, a trajectory is not
+    for use from two threads at once.
     """
 
-    def __init__(self, times, states, derivs, dense, stats=None):
+    # a view's: the trajectory that holds the coefficients, and the
+    # slots of its states that are the view's
+    _root, _cols = None, slice(None)
+
+    def __init__(self, times, states, derivs, field, sizes, stats=None):
         self.times, self.states, self.derivs = times, states, derivs
         self.stats = {} if stats is None else stats
-        self._dense = dense
-        # a solve's field and step sizes, and the steps not yet taken again
-        self._field = self._sizes = self._todo = None
-        # a view's: the trajectory that holds the coefficients, and the
-        # slots of its states that are the view's
-        self._root, self._cols = None, slice(None)
+        self._field, self._sizes = field, sizes
+        # the coefficients, and the steps not yet taken again
+        self._dense = np.empty((len(sizes), 4) + states.shape[1:])
+        self._todo = np.ones(len(sizes), dtype=bool)
 
     @property
     def t_end(self) -> float:
@@ -521,8 +523,6 @@ class Trajectory:
         """Compute the coefficients of the steps idx, an index array or a
         slice, that have none yet, _DENSE_BLOCK steps at a time."""
         todo = self._todo
-        if todo is None:
-            return
         need = np.zeros_like(todo)
         need[idx] = True
         steps = np.flatnonzero(need & todo)
@@ -539,8 +539,9 @@ class Trajectory:
         The coefficients stay in the trajectory the slots were first
         taken from."""
         root = self._root or self
-        view = Trajectory(self.times, _pick(self.states, idx), _pick(self.derivs, idx),
-                          None, self.stats)
+        view = Trajectory.__new__(Trajectory)
+        view.times, view.states, view.derivs, view.stats = (
+            self.times, _pick(self.states, idx), _pick(self.derivs, idx), self.stats)
         view._root = root
         view._cols = idx if root is self else np.arange(root.states.shape[1])[self._cols][idx]
         return view
@@ -617,29 +618,17 @@ def dense_from_nodes(f, ts, ys):
     """The ``Trajectory`` of node-only data.
 
     ts and ys hold the nodes and states of one trajectory, shape (nt,)
-    and (nt, dim), as ``solve`` returns them.  Each step is
-    taken again as one DOP853 step from its start node with
-    h = ts[i + 1] - ts[i], so on the nodes of a ``solve`` run the
-    derivatives are the solver's and the interpolant its own up to
-    rounding.  A solve's ``Trajectory`` takes its steps again with the
-    exact step sizes, which node times do not hold, with the solver's
-    weight rows for stages 1-11 and the next node's derivative as
-    stage 12; here every stage input is y + h (a @ k), stage 12's too,
-    the step's own 8th-order solution.
-    f takes stacks of states with their times, as in ``solve``; the
-    steps go _DENSE_BLOCK at a time, one call per stage, and all the
-    coefficients are computed here, so that a caller can check them.
-    The derivatives and coefficients may hold non-finite values where f
+    and (nt, dim), as ``solve`` returns them, and f takes stacks of
+    states with their times, as in ``solve``.  Only the derivatives at
+    the nodes are computed here, _DENSE_BLOCK states a call; the steps,
+    of sizes h = ts[i + 1] - ts[i], are taken again as a solve's are.
+    On the nodes of a ``solve`` run the interpolant is the solver's up
+    to rounding, and bit for bit at a step of its exact size.  The
+    derivatives and coefficients may hold non-finite values where f
     overflows.
     """
-    h = np.diff(ts)
     fs = np.empty_like(ys)
-    ks = np.empty((len(h), 4, ys.shape[1]))
-    k = np.empty((_DENSE_BLOCK, 16, ys.shape[1]))
-    for i in range(0, len(h), _DENSE_BLOCK):
-        s = slice(i, min(i + _DENSE_BLOCK, len(h)))
-        kb = k[:s.stop - i]
-        kb[:, 0] = fs[s] = f(ts[s], ys[s])
-        ks[s] = _dense_coefficients(f, ys[s], ts[s], h[s], kb, first=1)
-    fs[-1:] = f(ts[-1:], ys[-1:])
-    return Trajectory(ts, ys, fs, ks)
+    for i in range(0, len(ts), _DENSE_BLOCK):
+        s = slice(i, i + _DENSE_BLOCK)
+        fs[s] = f(ts[s], ys[s])
+    return Trajectory(ts, ys, fs, f, np.diff(ts))

@@ -378,7 +378,8 @@ def _cmd_classify(args):
         raise DomainError(f"{args.input}: times must increase strictly")
     with np.errstate(all="ignore"):  # refused just below
         traj = _rk.dense_from_nodes(make_rhs(lp), times, states)
-    if not (np.isfinite(traj.derivs).all() and np.isfinite(traj.dense).all()):
+        finite = np.isfinite(traj.derivs).all() and np.isfinite(traj.dense).all()
+    if not finite:
         raise DomainError(f"{args.input}: the lattice field cannot step these "
                           "states; its values or the interpolant are not finite")
     orbit, sym, entries = _orbit_report(traj, lp, args.tol)

@@ -304,9 +304,11 @@ class TestSimulateClassify:
 
     def test_classify_derivatives_in_bounded_memory(self):
         # the rebuild ``classify --input`` makes of 5,000 nodes of an
-        # N=11 run, 48.4 MB of derivatives and coefficients: the steps
-        # go a block at a time, 3.1 MB above them when this bound was
-        # set; one field call on the whole file gathers five times its size
+        # N=11 run, 48.4 MB of derivatives and coefficients: the
+        # derivatives and the steps taken again when ``dense`` is read go
+        # a block at a time, 3.17 MB above them (3.1 MB when this bound
+        # was set); one field call on the whole file gathers five times
+        # its size
         lp = LatticeParams(n=11, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         z0 = 0.3 * np.random.default_rng(11).standard_normal(242)
         sol = _rk.solve(cli.make_rhs(lp), 0.0, z0, 60.0)

@@ -362,14 +362,21 @@ class TestDenseOutput:
             return f(t, z)
 
         sol = _rk.solve(counted, 0.0, start(None, 3), 40.0)
-        x = sol.slots(slice(0, None, 2))
-        assert (sol.final_state.shape, x.states.shape) == ((18,), (len(sol.times), 9))
         assert stacked[0] == 0
-        # one time inside one step: its stages 1-11 and 13-15
-        sol.sample(20.0)
-        assert stacked[0] == 14
-        x.sample(20.0)
-        assert stacked[0] == 14
+        # node-only data: the derivatives at its nodes, _DENSE_BLOCK
+        # states a call, and no step
+        nodes = _rk.dense_from_nodes(counted, sol.times, sol.states)
+        built = math.ceil(len(sol.times) / _rk._DENSE_BLOCK)
+        assert stacked[0] == built > 2
+        for traj, before in ((sol, built), (nodes, built + 14)):
+            x = traj.slots(slice(0, None, 2))
+            assert (traj.final_state.shape, x.states.shape) == ((18,), (len(traj.times), 9))
+            assert stacked[0] == before
+            # one time inside one step: its stages 1-11 and 13-15
+            traj.sample(20.0)
+            assert stacked[0] == before + 14
+            x.sample(20.0)
+            assert stacked[0] == before + 14
 
     def test_steps_join_at_the_nodes(self):
         z0 = 0.3 * np.random.default_rng(5).standard_normal(18)
@@ -379,7 +386,8 @@ class TestDenseOutput:
         assert np.array_equal(sol.sample(ts[:-1]), ys[:-1])
         for i in range(len(ts) - 1):
             step = slice(i, i + 2)
-            ends = Trajectory(ts[step], ys[step], fs[step], ks[i:i + 1]).sample(ts[step])
+            one = Trajectory(ts[step], ys[step], fs[step], sol._field, sol._sizes[i:i + 1])
+            ends = one.sample(ts[step])
             assert np.array_equal(ends[0], ys[i])
             assert np.max(np.abs(ends[1] - ys[i + 1])) <= 1e-14 * np.max(np.abs(ys[i + 1]))
 
@@ -446,6 +454,11 @@ class TestDenseFromNodes:
         _, _, got_fs, got_ks = arrays(again)
         assert np.array_equal(got_fs, fs)
         assert got_ks.shape == ks.shape
+        # a step whose node times differ by its exact size is the
+        # solver's, bit for bit
+        exact = np.diff(ts) == sol._sizes
+        assert exact.any()
+        assert np.array_equal(got_ks[exact], ks[exact])
         tq = np.linspace(0.0, 40.0, 10_000)
         want = sol.sample(tq)
         got = again.sample(tq)
