@@ -17,7 +17,8 @@ the step again from its start node with the solver's own arithmetic
 (``_retake``): with a solve's exact step sizes, they are those the step
 would have given, bit for bit.  Data that holds only nodes, such as a
 trajectory read back from CSV, gets the same trajectory, with the step
-sizes its node times give (``dense_from_nodes``).
+sizes its node times give (``dense_from_nodes``).  A state the field
+cannot step raises DomainError where it is stepped, with no warning.
 
 A solution is one ``Trajectory`` of one state; its readers take some
 slots of it through ``slots``, not by slicing its arrays.
@@ -484,10 +485,11 @@ class Trajectory:
     (nt - 1,), instead: a step's coefficients are computed by taking it
     again the first time ``sample`` needs them, and all the missing ones
     the first time ``dense`` is read, into an array whose rows of steps
-    never sampled are never written.  ``solve`` returns one, with its
-    counters in ``stats``, and ``dense_from_nodes`` builds one from
-    node-only data.  Since sampling writes to it, a trajectory is not
-    for use from two threads at once.
+    never sampled are never written.  Steps whose coefficients are not
+    finite raise DomainError and stay missing.  ``solve`` returns one,
+    with its counters in ``stats``, and ``dense_from_nodes`` builds one
+    from node-only data.  Since sampling writes to it, a trajectory is
+    not for use from two threads at once.
     """
 
     # a view's: the trajectory that holds the coefficients, and the
@@ -528,8 +530,13 @@ class Trajectory:
         steps = np.flatnonzero(need & todo)
         for i in range(0, len(steps), _DENSE_BLOCK):
             s = steps[i:i + _DENSE_BLOCK]
-            self._dense[s] = _retake(self._field, self.times, self.states,
-                                     self.derivs, self._sizes, s)
+            with np.errstate(all="ignore"):  # refused just below
+                c = _retake(self._field, self.times, self.states, self.derivs, self._sizes, s)
+            if not np.isfinite(c).all():
+                raise DomainError("the field cannot step these states; "
+                                  "the interpolant is not finite")
+            self._dense[s] = c
+            del c  # before the next block is taken again
         todo[steps] = False
 
     def slots(self, idx):
@@ -551,9 +558,9 @@ class Trajectory:
         (Hairer's ``contd8``).
 
         t is a scalar or a 1-D array of times inside the nodes' range,
-        else DomainError.  The result has one state per query time, or a
-        single state for a scalar t.  At a node it is the node state up
-        to rounding.
+        else DomainError, as is a step whose coefficients are not finite.
+        The result has one state per query time, or a single state for a
+        scalar t.  At a node it is the node state up to rounding.
 
         The queries go one block of ``_block_len`` at a time, each written
         into the one result array, so the memory beyond the result is that
@@ -623,12 +630,14 @@ def dense_from_nodes(f, ts, ys):
     the nodes are computed here, _DENSE_BLOCK states a call; the steps,
     of sizes h = ts[i + 1] - ts[i], are taken again as a solve's are.
     On the nodes of a ``solve`` run the interpolant is the solver's up
-    to rounding, and bit for bit at a step of its exact size.  The
-    derivatives and coefficients may hold non-finite values where f
-    overflows.
+    to rounding, and bit for bit at a step of its exact size.  A state
+    at which f is not finite raises DomainError, with no warning.
     """
     fs = np.empty_like(ys)
-    for i in range(0, len(ts), _DENSE_BLOCK):
-        s = slice(i, i + _DENSE_BLOCK)
-        fs[s] = f(ts[s], ys[s])
+    with np.errstate(all="ignore"):  # refused just below
+        for i in range(0, len(ts), _DENSE_BLOCK):
+            s = slice(i, i + _DENSE_BLOCK)
+            fs[s] = f(ts[s], ys[s])
+    if not np.isfinite(fs).all():
+        raise DomainError("the field cannot step these states; its values are not finite")
     return Trajectory(ts, ys, fs, f, np.diff(ts))

@@ -92,8 +92,8 @@ def dumps_json(obj) -> str:
 _BLOCK_ROWS = 2048
 
 
-def write_csv(rows, header, fh):
-    """Write the header line, then one line per row, to a text file.
+def csv_text(rows, header) -> str:
+    """The header line, then one line per row, as one text.
 
     ``rows`` is a tuple of rows or a 2-D float array, one row per line
     and one column per header entry.  Rows of mixed type go through
@@ -103,22 +103,17 @@ def write_csv(rows, header, fh):
     write: the same bytes ``_cell`` gives each float, without building
     a Python object per cell up front.
     """
-    w = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
     w.writerow(list(header))
     if isinstance(rows, np.ndarray):
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         for start in range(0, len(rows), _BLOCK_ROWS):
             chunk = rows[start:start + _BLOCK_ROWS].tolist()
-            fh.write("".join([line % tuple(row) for row in chunk]))
-        return
-    for row in rows:
-        w.writerow([_cell(v) for v in row])
-
-
-def csv_text(rows, header) -> str:
-    """The text :func:`write_csv` writes for ``rows`` and ``header``."""
-    buf = io.StringIO()
-    write_csv(rows, header, buf)
+            buf.write("".join([line % tuple(row) for row in chunk]))
+    else:
+        for row in rows:
+            w.writerow([_cell(v) for v in row])
     return buf.getvalue()
 
 

@@ -87,7 +87,7 @@ class Report:
     """A command's result: the JSON payload and, for commands with a
     CSV form, its header and rows.  ``csv_rows`` is a tuple of rows or
     a 2-D float array (the trajectory of ``simulate``), as
-    ``_serialize.write_csv`` takes them."""
+    ``_serialize.csv_text`` takes them."""
 
     payload: object
     csv_header: tuple | None = None
@@ -311,9 +311,9 @@ def _initial_state(args) -> np.ndarray:
     if args.ic == "random":
         rng = np.random.default_rng(args.seed)
         # an amplitude near the float limit overflows to inf, which
-        # integrate refuses with its one typed error
-        with np.errstate(over="ignore"):
-            return args.amplitude * rng.standard_normal(dim)
+        # integrate refuses with its one typed error; Python floats
+        # overflow with no warning, and round as numpy's product does
+        return np.array([args.amplitude * v for v in rng.standard_normal(dim).tolist()])
     # "mode": excite the eigenvector of largest real part, whose first
     # cell has a real positive x
     lead = origin_stability(lp).leading[0]
@@ -376,13 +376,11 @@ def _cmd_classify(args):
         lp = replace(lp, n=n_file)
     if np.any(np.diff(times) <= 0.0):
         raise DomainError(f"{args.input}: times must increase strictly")
-    with np.errstate(all="ignore"):  # refused just below
+    try:  # states the field cannot step are refused as they are stepped
         traj = _rk.dense_from_nodes(make_rhs(lp), times, states)
-        finite = np.isfinite(traj.derivs).all() and np.isfinite(traj.dense).all()
-    if not finite:
-        raise DomainError(f"{args.input}: the lattice field cannot step these "
-                          "states; its values or the interpolant are not finite")
-    orbit, sym, entries = _orbit_report(traj, lp, args.tol)
+        orbit, sym, entries = _orbit_report(traj, lp, args.tol)
+    except DomainError as exc:
+        raise DomainError(f"{args.input}: {exc}") from None
     payload = {
         "command": "classify",
         "params": asdict(lp),

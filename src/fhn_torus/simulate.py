@@ -373,20 +373,18 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     )
 
 
-def _quotient_solve(K: IsotropySubgroup, z0,
-                    lp: LatticeParams | Sequence[LatticeParams], t_end):
+def _quotient_solve(K: IsotropySubgroup, z0, lps: Sequence[LatticeParams], t_end):
     """The flow on Fix(K), restricted to one cell per K-orbit.
 
     z0 is one full state, shape (2*N^2,), which must lie in Fix(K) to
-    1e-10 of its size, else InvarianceError.  ``lp`` is one
-    LatticeParams, or a sequence of B, each started from z0: the
-    block-diagonal lattice of ``make_rhs``, one state and one step
-    sequence.  Returns the cell classes of K and the ``Trajectory`` on
-    the quotient, whose states have 2 * #classes slots per lattice,
-    lattice j's after those of the j before it.
+    1e-10 of its size, else InvarianceError.  ``lps`` is a sequence of
+    B LatticeParams, each started from z0: the block-diagonal lattice of
+    ``make_rhs``, one state and one step sequence.  Returns the cell
+    classes of K and the ``Trajectory`` on the quotient, whose states
+    have 2 * #classes slots per lattice, lattice j's after those of the
+    j before it.
     """
-    single = isinstance(lp, LatticeParams)
-    n = lp.n if single else lp[0].n
+    n = lps[0].n
     if K.n != n:
         raise DimensionMismatchError("subgroup and lattice sizes disagree")
     z0 = _check_state(z0, n)
@@ -394,10 +392,8 @@ def _quotient_solve(K: IsotropySubgroup, z0,
     cells = z0.reshape(-1, 2)
     if np.max(np.abs(cells - cells[reps[cls]])) > 1e-10 * max(1.0, np.max(np.abs(z0))):
         raise InvarianceError("initial state is not in Fix(K)")
-    q0 = cells[reps].reshape(-1)
-    if not single:
-        q0 = np.tile(q0, len(lp))
-    return cls, _rk.solve(make_rhs(lp, K), 0.0, q0, t_end)
+    q0 = np.tile(cells[reps].reshape(-1), len(lps))
+    return cls, _rk.solve(make_rhs(lps, K), 0.0, q0, t_end)
 
 
 def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
@@ -410,12 +406,12 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
     states, which are therefore exactly K-fixed.  The initial state
     must lie in Fix(K) to 1e-10, else InvarianceError.
 
-    The restriction and the solve are ``_quotient_solve``, which also
-    takes a sequence of lattices from one start, integrated as one
+    The restriction and the solve are ``_quotient_solve``, of a
+    sequence of lattices from one start, integrated as one
     block-diagonal state whose step error is the RMS over all its
-    slots.  The criticality probe runs its four lattices there, on the
-    quotient, unlifted.
+    slots; here the sequence is ``[lp]``.  The criticality probe runs
+    its four lattices there, on the quotient, unlifted.
     """
-    cls, sol = _quotient_solve(K, z0, lp, t_end)
+    cls, sol = _quotient_solve(K, z0, [lp], t_end)
     # slots x, y of cell i are those of its class cls[i]
     return sol.slots((2 * cls[:, None] + (0, 1)).ravel())

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import IN_PLACE_FIELDS, in_place_field
 from fhn_torus import (DomainError, IsotropySubgroup, LatticeParams, Trajectory, _rk,
-                       fix_projection, reduced_integrate_fix, simulate)
+                       detect_periodic_orbit, fix_projection, reduced_integrate_fix,
+                       simulate)
 from fhn_torus.cli import _initial_state
 from fhn_torus.simulate import make_rhs
 
@@ -485,6 +486,28 @@ class TestDenseFromNodes:
         exact = np.stack([np.cos(tq), -np.sin(tq)], axis=1)
         assert np.max(np.abs(sol.sample(tq) - exact)) <= 1e-8
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_states_the_field_cannot_step(self):
+        # the cubic field overflows at these states, with no RuntimeWarning
+        with pytest.raises(DomainError, match="not finite"):
+            _rk.dense_from_nodes(make_rhs(LP), np.arange(5.0), np.full((5, 18), 1e120))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refuses_steps_the_field_cannot_take_again(self, seed):
+        # unit-spaced noise rows of an N=11 lattice, as the CLI's
+        # defaults read them: the field is finite at every node, but the
+        # steps the recurrence search samples overflow when taken again;
+        # without the check, detection returns an orbit with a NaN residual
+        lp = LatticeParams(n=11, a=0.0, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
+        ys = np.random.default_rng(seed).standard_normal((5000, 242))
+        traj = _rk.dense_from_nodes(make_rhs(lp), np.arange(5000.0), ys)
+        assert np.isfinite(traj.derivs).all()
+        # the refused steps stay missing, so a second search is refused too
+        for _ in range(2):
+            with pytest.raises(DomainError, match="not finite"):
+                detect_periodic_orbit(traj)
+
 
 class TestViews:
     """``Trajectory.slots`` against the hand slicing and the reshape lift
@@ -526,7 +549,7 @@ class TestViews:
         K = IsotropySubgroup.cyclic((1, 2), 5)
         lp = LatticeParams(n=5, a=-0.1, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
         z0 = 0.3 * fix_projection(np.random.default_rng(23).standard_normal(50), K)
-        cls, sol = simulate._quotient_solve(K, z0, lp, 20.0)
+        cls, sol = simulate._quotient_solve(K, z0, [lp], 20.0)
 
         def lift(q):
             lead = q.shape[:-1]

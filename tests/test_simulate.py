@@ -38,7 +38,7 @@ from fhn_torus import (
 )
 from fhn_torus import _rk
 from fhn_torus import simulate
-from fhn_torus.cli import _initial_state
+from fhn_torus.cli import _initial_state, parse_and_dispatch
 from fhn_torus.symmetry import state_permutation
 
 SYNC = LatticeParams(n=3, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
@@ -399,6 +399,28 @@ class TestDetectPeriodicOrbit:
         assert classify_spatiotemporal(orbit, lp).spatial.kind == "full"
         steps = stacked[0] // 14
         assert stacked[0] == 14 * steps and 0 < steps < 0.05 * traj.stats["accepted"]
+
+    def test_classify_input_takes_few_steps_again(self, monkeypatch, tmp_path, capsys):
+        # the README's N=3 ring wave read back from CSV: its report
+        # samples 90 of the 3,181 steps, and only those are taken again,
+        # the check for states the field cannot step included
+        path = str(tmp_path / "ring.csv")
+        wave = ["--n", "3", "--gamma", "1", "--delta", "-1", "--a", "1.42"]
+        assert parse_and_dispatch(["simulate", *wave, "--ic", "mode", "--t-end", "450",
+                                   "--format", "csv", "--output", path]) == 0
+        rebuilt = []
+        real = _rk.dense_from_nodes
+
+        def kept(f, ts, ys):
+            rebuilt.append(real(f, ts, ys))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(_rk, "dense_from_nodes", kept)
+        assert parse_and_dispatch(["classify", "--input", path, *wave]) == 0
+        assert '"symmetry": null' not in capsys.readouterr().out
+        (traj,) = rebuilt
+        taken = np.count_nonzero(~traj._todo)
+        assert 0 < taken < 0.05 * len(traj._todo)
 
     def test_detect_and_classify_leave_numpy_ma_unimported(self):
         # np.median imports numpy.ma, about 20 ms, in every process
