@@ -11,19 +11,21 @@ step from growing right after a rejection.
 
 The solver evaluates no dense output: as in Hairer's code and scipy's
 ``solve_ivp`` without ``dense_output``, the continuous extension is left
-out of the step loop.  A ``Trajectory`` keeps its field and the size of
-each step, and the first time a step's coefficients are needed it takes
-the step again from its start node with the solver's own arithmetic
-(``_retake``): with a solve's exact step sizes, they are those the step
-would have given, bit for bit.  Data that holds only nodes, such as a
-trajectory read back from CSV, gets the same trajectory, with the step
-sizes its node times give (``dense_from_nodes``).  A state the field
-cannot step raises DomainError where it is stepped, with no warning.
+out of the step loop.  A ``Trajectory`` keeps its field, its nodes and
+the size of each step, not the derivatives at the nodes, and the first
+time a step's coefficients are needed it computes the derivatives at
+the step's two nodes and takes the step again from its start node with
+the solver's own arithmetic (``_retake``): with a solve's exact step
+sizes, they are those the step would have given, bit for bit.  Data
+that holds only nodes, such as a trajectory read back from CSV, gets
+the same trajectory, with the step sizes its node times give
+(``dense_from_nodes``).  A state the field cannot step raises
+DomainError where it is stepped, with no warning.
 
 A solution is one ``Trajectory`` of one state; its readers take some
 slots of it through ``slots``, not by slicing its arrays.
 
-A step keeps its start state and stages 0-12 as the rows of one buffer,
+A step keeps its start state and stages 0-11 as the rows of one buffer,
 and the weights of each stage input as a row of 1 and h a_ij, written
 for all stages at once when the step size is set; each stage input and
 the 8th-order solution is then one product of a weight row and rows of
@@ -31,10 +33,11 @@ the buffer, instead of a product, a scaling and a sum, and both error
 estimates are one product.  Each stage input is written straight into
 the field's own input buffer and the field writes the stage straight
 into its row of the buffer, so a stage makes no copy and no array of
-its own; the error scale is built in place from |y| kept from the
-accepted step, and the step error is taken in Python floats: at the
-lattice sizes in use a step costs about as much as its numpy calls'
-overhead.
+its own; the derivative at an accepted node goes straight into the row
+of the next step's first stage.  The error scale is built in place
+from |y| kept from the accepted step, and the step error is taken in
+Python floats: at the lattice sizes in use a step costs about as much
+as its numpy calls' overhead.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ _FIRST_CAPACITY = 256
 
 # Steps whose stages are taken again together, one field call on the
 # stacked states per stage: the steps a block of samples needs, in
-# chunks of this many; node-only data's derivatives go as many a call.
+# chunks of this many; a full read of the derivatives goes as many
+# nodes a call.
 _DENSE_BLOCK = 64
 
 # Floats of interpolated states per block of query times in
@@ -281,12 +285,13 @@ def _dense_coefficients(f, y, t, h, k):
 def _retake(f, ts, ys, fs, hs, s):
     """The coefficients of the steps s, an index array, of a trajectory.
 
-    ts, ys, fs and hs hold its nodes, states, derivatives and step
-    sizes.  Each step is taken again from its start node with the
-    solver's arithmetic, stacked over the P steps: each of stages 1-11
-    is f on the product of the solver's weight row of 1 and h a_ij with
-    the start state and the stages before it, as one ``np.matmul`` of
-    the P rows, which matches the solver's ``row.dot`` bit for bit;
+    ts, ys, fs and hs hold its nodes, states, derivatives (set at least
+    at the nodes of the steps s) and step sizes.  Each step is taken
+    again from its start node with the solver's arithmetic, stacked
+    over the P steps: each of stages 1-11 is f on the product of the
+    solver's weight row of 1 and h a_ij with the start state and the
+    stages before it, as one ``np.matmul`` of the P rows, which matches
+    the solver's ``row.dot`` bit for bit;
     stage 0 and stage 12 are the derivatives at the step's two nodes.
     With a solve's exact step sizes and a field whose stacked calls are
     its one-state calls bit for bit, as ``make_rhs``'s is, the result is
@@ -317,24 +322,26 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     of P such states, shape (P, dim), with an array of their P times,
     and return their derivatives in the same shape: the solve makes no
     such call, but the ``Trajectory`` it returns keeps f and takes the
-    steps that ``sample`` needs again that way, with the three
-    dense-output stages (13 to 15) of each.  Each of the solve's stages
-    is f at the product of a row of 1 and h a_ij with the step's start
-    state and the stages before it.  f may also carry ``f.state``, an
-    input buffer of y0's shape, and ``f.into(t, out)``, which writes f
-    at that buffer's state into out with the arithmetic of a call, as
-    ``make_rhs``'s field does: the solver then writes each such stage
-    input into ``f.state`` and has ``f.into`` write the stage into its
-    row, with no copy.  A field without them is called on a buffer of
-    the solver's and its result copied into the row; both give the
-    same run bit for bit.
+    steps that ``sample`` needs again that way, with the derivatives at
+    their nodes and the three dense-output stages (13 to 15) of each.
+    Each of the solve's stages is f at the product of a row of 1 and
+    h a_ij with the step's start state and the stages before it.  f may
+    also carry ``f.state``, an input buffer of y0's shape, and
+    ``f.into(t, out)``, which writes f at that buffer's state into out
+    with the arithmetic of a call, as ``make_rhs``'s field does: the
+    solver then writes each such stage input into ``f.state`` and has
+    ``f.into`` write the stage into its row, with no copy.  A field
+    without them is called on a buffer of the solver's and its result
+    copied into the row; both give the same run bit for bit.
 
     Returns the ``Trajectory`` of f, the accepted nodes and the exact
-    size of each accepted step, whose ``stats`` count accepted and rejected
-    steps and the states at which the solve evaluated f: 2 to start, 11
-    per attempt and 1, the derivative at the new node, per accepted
-    step.  The steps a ``Trajectory`` takes again are not counted, so
-    ``stats`` never depends on what was sampled.
+    size of each accepted step, whose ``stats`` count accepted and
+    rejected steps and the states at which the solve evaluated f: 2 to
+    start, 11 per attempt and 1, the derivative at the new node, per
+    accepted step.  That derivative is not kept: the ``Trajectory``
+    computes it again where it is read.  The steps and derivatives a
+    ``Trajectory`` computes are not counted, so ``stats`` never depends
+    on what was sampled.
     Raises DomainError for a state that is not one-dimensional or not
     finite, t_end that is not finite, rtol < 0, atol <= 0,
     t_end <= t0 or a span shorter than the smallest step,
@@ -360,8 +367,8 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         )
 
     c = _C.tolist()  # the step loop's times stay Python floats
-    # the step's start state and its stages 0-12
-    k = np.empty((14, len(y)))
+    # the step's start state and its stages 0-11
+    k = np.empty((13, len(y)))
     k[0] = y
     # row i holds the weights of the start state and stages 0..i-1 in
     # the input of stage i, row 12 those of the 8th-order solution:
@@ -390,11 +397,10 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # from the run's progress touches little beyond the result
     ts = np.empty(_FIRST_CAPACITY)
     ys = np.empty((_FIRST_CAPACITY,) + y.shape)
-    fs = np.empty_like(ys)
     # the size of the step from each node (not the difference of its
     # node times to the last bit)
     hs = np.empty(_FIRST_CAPACITY)
-    ts[0], ys[0], fs[0] = t, y, k[1]
+    ts[0], ys[0] = t, y
     n = 1  # nodes stored
     n_rej = 0
     while t < t_end:
@@ -415,10 +421,9 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
         e /= sc
         err = _error(h, e)
         if err <= 1.0:
-            into(t + h, k[13])
+            into(t + h, k[1])  # the next step's first stage
             t += h
             k[0] = state
-            k[1] = k[13]  # the next step's first stage
             ay, ay_new = ay_new, ay
             if n == len(ts):
                 rows = min(2 * n, max(n + n // 8, math.ceil(
@@ -428,11 +433,10 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
                 try:
                     ts.resize(rows)
                     ys.resize((rows,) + ys.shape[1:])
-                    fs.resize((rows,) + fs.shape[1:])
                     hs.resize(rows)
                 except ValueError:
-                    ts, ys, fs, hs = (_copy_rows(b, rows) for b in (ts, ys, fs, hs))
-            ts[n], ys[n], fs[n], hs[n - 1] = t, k[0], k[1], h
+                    ts, ys, hs = (_copy_rows(b, rows) for b in (ts, ys, hs))
+            ts[n], ys[n], hs[n - 1] = t, k[0], h
             n += 1
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -_EXPONENT
@@ -452,13 +456,11 @@ def solve(f, t0, y0, t_end, rtol=_RTOL, atol=_ATOL):
     # second name holds it)
     try:
         ys.resize((n,) + ys.shape[1:])
-        fs.resize((n,) + fs.shape[1:])
         ts.resize(n)
         hs.resize(n_acc)
     except ValueError:
-        ts, ys, fs = (_copy_rows(b, n) for b in (ts, ys, fs))
-        hs = _copy_rows(hs, n_acc)
-    return Trajectory(ts, ys, fs, f, hs, stats)
+        ts, ys, hs = _copy_rows(ts, n), _copy_rows(ys, n), _copy_rows(hs, n_acc)
+    return Trajectory(ts, ys, f, hs, stats)
 
 
 def _block_len(ys):
@@ -476,32 +478,36 @@ def _pick(a, idx):
 class Trajectory:
     """Accepted integration nodes with derivatives and dense output.
 
-    ``times`` holds the nt nodes, ``states`` and ``derivs`` the state and
-    its derivative at each, shape (nt, dim), and ``dense`` the four
-    coefficients of each step's 7th-order interpolant beyond its cubic
-    Hermite part, shape (nt - 1, 4, dim).
-    ``Trajectory(times, states, derivs, field, sizes, stats=None)``
-    holds a field, as in ``solve``, and the size of each step, shape
-    (nt - 1,), instead: a step's coefficients are computed by taking it
-    again the first time ``sample`` needs them, and all the missing ones
-    the first time ``dense`` is read, into an array whose rows of steps
-    never sampled are never written.  Steps whose coefficients are not
-    finite raise DomainError and stay missing.  ``solve`` returns one,
-    with its counters in ``stats``, and ``dense_from_nodes`` builds one
-    from node-only data.  Since sampling writes to it, a trajectory is
-    not for use from two threads at once.
+    ``times`` holds the nt nodes and ``states`` the state at each, shape
+    (nt, dim); ``derivs`` the field's derivative at each, of the same
+    shape, and ``dense`` the four coefficients of each step's 7th-order
+    interpolant beyond its cubic Hermite part, shape (nt - 1, 4, dim).
+    ``Trajectory(times, states, field, sizes, stats=None)`` holds the
+    field, as in ``solve``, and the size of each step, shape (nt - 1,),
+    and computes the rest where it is read: the first time ``sample``
+    needs a step, the step is taken again, with the derivatives at its
+    two nodes; the first time ``derivs`` or ``dense`` is read, all the
+    missing ones are computed.  Each goes into an array whose rows that
+    are never needed are never written.  Derivatives or coefficients
+    that are not finite raise DomainError and stay missing.  ``solve``
+    returns one, with its counters in ``stats``, and ``dense_from_nodes``
+    builds one from node-only data.  Since sampling writes to it, a
+    trajectory is not for use from two threads at once.
     """
 
-    # a view's: the trajectory that holds the coefficients, and the
-    # slots of its states that are the view's
+    # a view's: the trajectory that holds the derivatives and the
+    # coefficients, and the slots of its states that are the view's
     _root, _cols = None, slice(None)
 
-    def __init__(self, times, states, derivs, field, sizes, stats=None):
-        self.times, self.states, self.derivs = times, states, derivs
+    def __init__(self, times, states, field, sizes, stats=None):
+        self.times, self.states = times, states
         self.stats = {} if stats is None else stats
         self._field, self._sizes = field, sizes
-        # the coefficients, and the steps not yet taken again
+        # the derivatives and the coefficients, and the nodes and the
+        # steps that have none yet
+        self._fs = np.empty(states.shape)
         self._dense = np.empty((len(sizes), 4) + states.shape[1:])
+        self._fs_todo = np.ones(len(times), dtype=bool)
         self._todo = np.ones(len(sizes), dtype=bool)
 
     @property
@@ -513,6 +519,17 @@ class Trajectory:
         return self.states[-1]
 
     @property
+    def derivs(self) -> np.ndarray:
+        """Every node's derivative, computed where missing, _DENSE_BLOCK
+        nodes a call; a view's are its slots of those of the trajectory
+        it was taken from."""
+        if self._root is not None:
+            return _pick(self._root.derivs, self._cols)
+        for i in range(0, len(self.times), _DENSE_BLOCK):
+            self._derive(i + np.flatnonzero(self._fs_todo[i:i + _DENSE_BLOCK]))
+        return self._fs
+
+    @property
     def dense(self) -> np.ndarray:
         """Every step's coefficients, computed where missing; a view's
         are its slots of those of the trajectory it was taken from."""
@@ -521,17 +538,35 @@ class Trajectory:
         self._take_again(slice(None))
         return self._dense
 
+    def _derive(self, j):
+        """Compute the derivatives at the nodes j, a sorted index array,
+        that have none yet, in one stacked call of the field: on a slice
+        of the states where those nodes are contiguous."""
+        j = j[self._fs_todo[j]]
+        if len(j):
+            at = slice(j[0], j[-1] + 1) if j[-1] - j[0] < len(j) else j
+            with np.errstate(all="ignore"):  # refused just below
+                d = self._field(self.times[at], self.states[at])
+            if not np.isfinite(d).all():
+                raise DomainError("the field cannot step these states; its values are not finite")
+            self._fs[at] = d
+            self._fs_todo[at] = False
+
     def _take_again(self, idx):
         """Compute the coefficients of the steps idx, an index array or a
-        slice, that have none yet, _DENSE_BLOCK steps at a time."""
+        slice, that have none yet, _DENSE_BLOCK steps at a time, each
+        block after the derivatives at its steps' nodes."""
         todo = self._todo
         need = np.zeros_like(todo)
         need[idx] = True
         steps = np.flatnonzero(need & todo)
+        nodes = np.zeros_like(self._fs_todo)  # their nodes
+        nodes[steps] = nodes[steps + 1] = True
         for i in range(0, len(steps), _DENSE_BLOCK):
             s = steps[i:i + _DENSE_BLOCK]
+            self._derive(s[0] + np.flatnonzero(nodes[s[0]:s[-1] + 2]))
             with np.errstate(all="ignore"):  # refused just below
-                c = _retake(self._field, self.times, self.states, self.derivs, self._sizes, s)
+                c = _retake(self._field, self.times, self.states, self._fs, self._sizes, s)
             if not np.isfinite(c).all():
                 raise DomainError("the field cannot step these states; "
                                   "the interpolant is not finite")
@@ -543,12 +578,12 @@ class Trajectory:
         """The slots idx of each state, a slice or an index array: views
         for a slice, C-contiguous copies (``np.take``) for an array,
         which may repeat slots, as the lift of a quotient flow does.
-        The coefficients stay in the trajectory the slots were first
-        taken from."""
+        The derivatives and the coefficients stay in the trajectory the
+        slots were first taken from, and a view reads its slots of them
+        there."""
         root = self._root or self
         view = Trajectory.__new__(Trajectory)
-        view.times, view.states, view.derivs, view.stats = (
-            self.times, _pick(self.states, idx), _pick(self.derivs, idx), self.stats)
+        view.times, view.states, view.stats = self.times, _pick(self.states, idx), self.stats
         view._root = root
         view._cols = idx if root is self else np.arange(root.states.shape[1])[self._cols][idx]
         return view
@@ -558,7 +593,8 @@ class Trajectory:
         (Hairer's ``contd8``).
 
         t is a scalar or a 1-D array of times inside the nodes' range,
-        else DomainError, as is a step whose coefficients are not finite.
+        else DomainError, as is a step whose derivatives or coefficients
+        are not finite.
         The result has one state per query time, or a single state for a
         scalar t.  At a node it is the node state up to rounding.
 
@@ -566,13 +602,13 @@ class Trajectory:
         into the one result array, so the memory beyond the result is that
         of a few blocks of _SAMPLE_FLOATS floats, however many times are
         asked for; every element has the arithmetic of a one-shot call.
-        A block computes the coefficients of only the steps its times
-        fall in, where they are missing, and gathers only this
-        trajectory's slots of them.
+        A block computes the derivatives and coefficients of only the
+        steps its times fall in, where they are missing, and gathers
+        only this trajectory's slots of them.
         """
-        ts, ys, fs = self.times, self.states, self.derivs
+        ts, ys = self.times, self.states
         root, cols = self._root or self, self._cols
-        ks = root._dense
+        fs, ks = root._fs, root._dense
         scalar = np.ndim(t) == 0
         t = np.asarray(t, dtype=float)
         if t.ndim > 1:
@@ -603,10 +639,10 @@ class Trajectory:
                 out *= w
             ydiff = ys[idx + 1]
             ydiff -= ys[idx]
-            bspl = fs[idx]
+            bspl = fs[rows, cols]
             bspl *= h
             bspl -= ydiff
-            r4 = fs[idx + 1]
+            r4 = fs[rows + 1, cols]
             r4 *= -h
             r4 += ydiff
             r4 -= bspl
@@ -626,18 +662,12 @@ def dense_from_nodes(f, ts, ys):
 
     ts and ys hold the nodes and states of one trajectory, shape (nt,)
     and (nt, dim), as ``solve`` returns them, and f takes stacks of
-    states with their times, as in ``solve``.  Only the derivatives at
-    the nodes are computed here, _DENSE_BLOCK states a call; the steps,
-    of sizes h = ts[i + 1] - ts[i], are taken again as a solve's are.
+    states with their times, as in ``solve``.  Nothing is computed
+    here: the steps, of sizes h = ts[i + 1] - ts[i], and the derivatives
+    at their nodes are computed when they are read, as a solve's are.
     On the nodes of a ``solve`` run the interpolant is the solver's up
     to rounding, and bit for bit at a step of its exact size.  A state
-    at which f is not finite raises DomainError, with no warning.
+    at which f is not finite raises DomainError where it is read, with
+    no warning.
     """
-    fs = np.empty_like(ys)
-    with np.errstate(all="ignore"):  # refused just below
-        for i in range(0, len(ts), _DENSE_BLOCK):
-            s = slice(i, i + _DENSE_BLOCK)
-            fs[s] = f(ts[s], ys[s])
-    if not np.isfinite(fs).all():
-        raise DomainError("the field cannot step these states; its values are not finite")
-    return Trajectory(ts, ys, fs, f, np.diff(ts))
+    return Trajectory(ts, ys, f, np.diff(ts))

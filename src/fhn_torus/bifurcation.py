@@ -427,9 +427,10 @@ def hopf_report_at_critical(lp: LatticeParams) -> HopfReport:
 def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega) -> HopfReport:
     """HopfReport of a crossing whose c = 0 lattice lp0 has critical
     point cp; adds the resonances at a*, whether the mode is cp's
-    primary and, for the synchronized pattern, s_star."""
+    primary and, for a crossing of the synchronized mode (0, 0) in the
+    (-, -) pattern, s_star."""
     s_star = None
-    if cp.pattern == ("-", "-"):
+    if mode == (0, 0) and cp.pattern == ("-", "-"):
         s_star = lyapunov_coefficient_sync(CellParams(0.0, lp0.b, 0.0))
     return HopfReport(
         a_hat=float(a_hat),

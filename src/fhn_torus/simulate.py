@@ -251,7 +251,11 @@ def detect_periodic_orbit(traj: Trajectory):
     z_a = traj.sample(anchor_t)
 
     def recur(p):
-        return float(np.linalg.norm(traj.sample(anchor_t + p) - z_a))
+        d = traj.sample(anchor_t + p) - z_a
+        # a distance past the float range is inf, farther than any
+        # other: the residual test below rejects such a recurrence
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(d))
 
     period = _golden_min(recur, 0.75 * p0, 1.25 * p0)
     residual = float(np.max(np.abs(traj.sample(anchor_t + period) - z_a))) / amp

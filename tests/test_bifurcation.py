@@ -367,6 +367,14 @@ class TestHopfCrossing:
             assert rep.a_hat < rep.a_star == 0.0
             assert rep.omega_hopf > 0.0
 
+    def test_s_star_only_for_a_synchronized_crossing(self):
+        # (-, -) at N=23: the synchronized mode is the c = 0 primary, but
+        # at c = 0.16 the (0, 1) mode crosses first
+        assert hopf_crossing(lattice(c=0.05)).s_star == pytest.approx(-0.375, abs=1e-14)
+        rep = hopf_crossing(lattice(n=23, c=0.16))
+        assert (rep.mode, rep.pattern) == ((0, 1), ("-", "-"))
+        assert rep.s_star is None
+
     def test_doubly_dissociative_crossing(self):
         lp = lattice(c=0.05, gamma=1.0, delta=0.7)
         rep = hopf_crossing(lp)

@@ -126,6 +126,14 @@ class TestHopf:
         assert rep["omega_hopf"] > 0.0
         assert doc["K"] == "Z(1,2)"
 
+    def test_no_s_star_for_a_crossing_that_is_not_synchronized(self, tmp_path):
+        code, path = run_cli(
+            ["hopf", "--n", "23", "--c", "0.16", "--gamma", "-1", "--delta", "-1"], tmp_path)
+        assert code == 0
+        rep = load_json(path)["report"]
+        assert tuple(rep["mode"]) == (0, 1)
+        assert "s_star" in rep and rep["s_star"] is None
+
     def test_probe_verdict_is_the_reported_criticality(self, tmp_path):
         args = ["hopf", "--n", "3", "--gamma", "1", "--delta", "-1", "--c", "0.05",
                 "--probe"]
@@ -327,13 +335,14 @@ class TestSimulateClassify:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("states", [
-        lambda rng: np.full((5, 18), 1e120),
+        lambda rng: 1e120 * np.sin(np.arange(100.0))[:, None] * np.ones(18),
         lambda rng: rng.standard_normal((5000, 242)),
     ], ids=["huge-n3", "noise-n11"])
     def test_classify_refuses_states_the_field_cannot_step(self, states, rng,
                                                            tmp_path, capsys):
-        # unit-spaced rows: the cubic field overflows on the first file,
-        # the retaken steps on the second; no RuntimeWarning may show
+        # unit-spaced rows: the cubic field overflows at the nodes of the
+        # steps the first file's report samples, the retaken steps on the
+        # second; no RuntimeWarning may show
         data = states(rng)
         path = tmp_path / "bad.csv"
         np.savetxt(path, np.column_stack([np.arange(len(data)), data]), delimiter=",",
@@ -343,6 +352,24 @@ class TestSimulateClassify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert "not finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("states", [
+        # an equilibrium: its report samples no step, so the field is
+        # never evaluated
+        np.full((5, 18), 1e120),
+        # the steps the recurrence search takes again are finite, but
+        # their distances to the anchor pass 1e154, where the 2-norm's
+        # dot product overflows
+        np.random.default_rng(0).standard_normal((50, 18)),
+    ], ids=["huge-equilibrium", "noise-n3"])
+    def test_classify_reports_no_orbit_with_no_warning(self, states, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.column_stack([np.arange(len(states)), states]), delimiter=",",
+                   header="t," + ",".join(["z"] * states.shape[1]), comments="")
+        assert parse_and_dispatch(["classify", "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["orbit"] is None and err == ""
 
 
 class TestSweep:

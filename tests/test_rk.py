@@ -4,6 +4,7 @@ dense output rebuilt from node-only data."""
 import cProfile
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -355,39 +356,55 @@ class TestDenseOutput:
             assert np.array_equal(smp, one_shot_dense_eval(*arrays(sol), tq))
 
     def test_a_solve_never_sampled_takes_no_step_again(self):
-        stacked = [0]
+        stacked = []  # the states of each stacked call
         f = make_rhs(LP)
 
         def counted(t, z):
-            stacked[0] += z.ndim == 2
+            if z.ndim == 2:
+                stacked.append(len(z))
             return f(t, z)
 
         sol = _rk.solve(counted, 0.0, start(None, 3), 40.0)
-        assert stacked[0] == 0
-        # node-only data: the derivatives at its nodes, _DENSE_BLOCK
-        # states a call, and no step
+        # node-only data: no field call until it is sampled
         nodes = _rk.dense_from_nodes(counted, sol.times, sol.states)
-        built = math.ceil(len(sol.times) / _rk._DENSE_BLOCK)
-        assert stacked[0] == built > 2
-        for traj, before in ((sol, built), (nodes, built + 14)):
+        assert stacked == []
+        for traj in (sol, nodes):
             x = traj.slots(slice(0, None, 2))
             assert (traj.final_state.shape, x.states.shape) == ((18,), (len(traj.times), 9))
-            assert stacked[0] == before
-            # one time inside one step: its stages 1-11 and 13-15
+            assert stacked == []
+            # one time inside one step: the derivatives at its two nodes
+            # in one call, then its stages 1-11 and 13-15
             traj.sample(20.0)
-            assert stacked[0] == before + 14
+            assert stacked == [2] + [1] * 14
             x.sample(20.0)
-            assert stacked[0] == before + 14
+            assert stacked == [2] + [1] * 14
+            assert np.count_nonzero(~traj._fs_todo) == 2
+            stacked.clear()
+
+    @pytest.mark.parametrize("name", IN_PLACE_FIELDS)
+    def test_derivatives_are_the_one_state_fields_bit_for_bit(self, name):
+        # read in full after one sample: the derivatives at that step's
+        # nodes come with it, the others _DENSE_BLOCK nodes a call
+        rhs = in_place_field(name)
+        z0 = 0.3 * np.random.default_rng(5).standard_normal(len(rhs.state))
+        sol = _rk.solve(rhs, 0.0, z0, 40.0)
+        want = np.array([rhs(t, y) for t, y in zip(sol.times, sol.states)])
+        assert len(want) > _rk._DENSE_BLOCK
+        x = slice(0, None, 2)
+        for traj in (sol, _rk.dense_from_nodes(rhs, sol.times, sol.states)):
+            traj.sample(20.0)
+            assert np.array_equal(traj.slots(x).derivs, want[:, x])
+            assert np.array_equal(traj.derivs, want)
 
     def test_steps_join_at_the_nodes(self):
         z0 = 0.3 * np.random.default_rng(5).standard_normal(18)
         sol = _rk.solve(make_rhs(LP), 0.0, z0, 40.0)
-        ts, ys, fs, ks = arrays(sol)
+        ts, ys, _, ks = arrays(sol)
         assert ks.shape == (len(ts) - 1, 4, 18)
         assert np.array_equal(sol.sample(ts[:-1]), ys[:-1])
         for i in range(len(ts) - 1):
             step = slice(i, i + 2)
-            one = Trajectory(ts[step], ys[step], fs[step], sol._field, sol._sizes[i:i + 1])
+            one = Trajectory(ts[step], ys[step], sol._field, sol._sizes[i:i + 1])
             ends = one.sample(ts[step])
             assert np.array_equal(ends[0], ys[i])
             assert np.max(np.abs(ends[1] - ys[i + 1])) <= 1e-14 * np.max(np.abs(ys[i + 1]))
@@ -488,9 +505,25 @@ class TestDenseFromNodes:
 
     @pytest.mark.filterwarnings("error")
     def test_refuses_states_the_field_cannot_step(self):
-        # the cubic field overflows at these states, with no RuntimeWarning
-        with pytest.raises(DomainError, match="not finite"):
-            _rk.dense_from_nodes(make_rhs(LP), np.arange(5.0), np.full((5, 18), 1e120))
+        # the cubic field overflows at these states: refused, with no
+        # RuntimeWarning, where a read needs its values, and they stay
+        # missing, so a second read is refused too
+        traj = _rk.dense_from_nodes(make_rhs(LP), np.arange(5.0), np.full((5, 18), 1e120))
+        for read in [lambda: traj.sample(2.5), lambda: traj.derivs, lambda: traj.dense] * 2:
+            with pytest.raises(DomainError, match="its values are not finite"):
+                read()
+        assert traj._fs_todo.all() and traj._todo.all()
+
+    def test_builds_with_no_field_call(self):
+        def field(t, z):
+            raise AssertionError("the field was called")
+
+        ts, ys = np.arange(4.0), np.ones((4, 18))
+        traj = _rk.dense_from_nodes(field, ts, ys)
+        assert traj.times is ts and traj.states is ys
+        assert traj.slots(slice(0, None, 2)).states.shape == (4, 9)
+        with pytest.raises(AssertionError, match="field was called"):
+            traj.sample(1.5)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", range(5))
@@ -561,6 +594,26 @@ class TestViews:
         # the classifier's x slots of the lift, read from the quotient run
         x = slice(0, None, 2)
         self.check(lifted.slots(x), self.hand(sol, lambda q: lift(q)[..., x]))
+
+    def test_lift_copies_no_derivatives_before_they_are_read(self):
+        K = IsotropySubgroup.cyclic((1, 2), 5)
+        lp = LatticeParams(n=5, a=-0.1, b=1.0, c=0.05, gamma=1.0, delta=-1.0)
+        z0 = 0.3 * fix_projection(np.random.default_rng(23).standard_normal(50), K)
+        cls, sol = simulate._quotient_solve(K, z0, [lp], 20.0)
+        lift = (2 * cls[:, None] + (0, 1)).ravel()
+        tracemalloc.start()
+        try:
+            lifted = sol.slots(lift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the lifted states alone, and no derivative computed
+        assert peak <= 1.05 * lifted.states.nbytes
+        assert sol._fs_todo.all()
+        # the view's sample reads the two it needs from the quotient run
+        lifted.sample(10.0)
+        assert np.count_nonzero(~sol._fs_todo) == 2
+        assert np.array_equal(lifted.derivs, sol.derivs[:, lift])
 
     def test_every_row_of_a_probe_batch(self):
         # four lattices on the quotient of Fix(K), as the criticality

@@ -220,7 +220,8 @@ class TestIntegrate:
         # (1.94 times the result traced); buffers sized from the run's
         # progress hold about 5 % more than the result (1.29 times);
         # 1.01 times since the solve leaves the dense output to the
-        # samples, with the coefficients' array allocated, not written
+        # samples, with the coefficients' array allocated, not written,
+        # and so the derivatives' array since it leaves them too
         lp = LatticeParams(n=7, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         z0 = near_sync_start(7, 12)
         tracemalloc.start()
@@ -375,10 +376,21 @@ class TestDetectPeriodicOrbit:
         assert orbit is not None
         assert peak <= 0.2e6
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_recurrence_past_the_float_range_is_no_orbit(self):
+        # 50 unit-spaced noise rows of an N=3 lattice: the retaken steps
+        # are finite, but their distances to the anchor overflow the
+        # 2-norm's dot product, with no RuntimeWarning
+        lp = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
+        ys = np.random.default_rng(0).standard_normal((50, 18))
+        traj = _rk.dense_from_nodes(simulate.make_rhs(lp), np.arange(50.0), ys)
+        assert detect_periodic_orbit(traj) is None
+
     def test_detect_and_classify_take_few_steps_again(self, monkeypatch):
         # the benchmark's `orbit` input: the recurrence search and the
         # classifier's period read the interpolant on a few steps of the
-        # tail, and only those are taken again, 14 stacked stages each
+        # tail, and only those are taken again, 14 stacked stages each,
+        # with the derivatives at their nodes and nowhere else
         stacked = [0]
         real = simulate.make_rhs
 
@@ -397,8 +409,14 @@ class TestDetectPeriodicOrbit:
         assert stacked[0] == 0
         orbit = detect_periodic_orbit(traj)
         assert classify_spatiotemporal(orbit, lp).spatial.kind == "full"
-        steps = stacked[0] // 14
-        assert stacked[0] == 14 * steps and 0 < steps < 0.05 * traj.stats["accepted"]
+        taken = ~traj._todo
+        nodes = np.zeros(len(traj.times), dtype=bool)
+        nodes[:-1] |= taken
+        nodes[1:] |= taken
+        assert np.array_equal(~traj._fs_todo, nodes)
+        steps = np.count_nonzero(taken)
+        assert stacked[0] == 14 * steps + np.count_nonzero(nodes)
+        assert 0 < steps < 0.05 * traj.stats["accepted"]
 
     def test_classify_input_takes_few_steps_again(self, monkeypatch, tmp_path, capsys):
         # the README's N=3 ring wave read back from CSV: its report
