@@ -16,11 +16,12 @@ the size of each step, not the derivatives at the nodes, and the first
 time a step's coefficients are needed it computes the derivatives at
 the step's two nodes and takes the step again from its start node with
 the solver's own arithmetic (``_retake``): with a solve's exact step
-sizes, they are those the step would have given, bit for bit.  Data
-that holds only nodes, such as a trajectory read back from CSV, gets
-the same trajectory, with the step sizes its node times give
-(``dense_from_nodes``).  A state the field cannot step raises
-DomainError where it is stepped, with no warning.
+sizes, they are those the step would have given, bit for bit; it
+records only which steps have them.  Data that holds only nodes, such
+as a trajectory read back from CSV, gets the same trajectory, with the
+step sizes its node times give (``dense_from_nodes``).  A state the
+field cannot step raises DomainError where it is stepped, with no
+warning.
 
 A solution is one ``Trajectory`` of one state; its readers take some
 slots of it through ``slots``, not by slicing its arrays.
@@ -486,10 +487,11 @@ class Trajectory:
     field, as in ``solve``, and the size of each step, shape (nt - 1,),
     and computes the rest where it is read: the first time ``sample``
     needs a step, the step is taken again, with the derivatives at its
-    two nodes; the first time ``derivs`` or ``dense`` is read, all the
-    missing ones are computed.  Each goes into an array whose rows that
-    are never needed are never written.  Derivatives or coefficients
-    that are not finite raise DomainError and stay missing.  ``solve``
+    two nodes, and the first time ``dense`` is read, all the missing
+    ones; ``derivs`` computes every node's derivative on each read.
+    Each goes into an array whose rows that are never needed are never
+    written.  A block of steps whose derivatives or coefficients are not
+    finite raises DomainError, and its steps stay missing.  ``solve``
     returns one, with its counters in ``stats``, and ``dense_from_nodes``
     builds one from node-only data.  Since sampling writes to it, a
     trajectory is not for use from two threads at once.
@@ -503,11 +505,10 @@ class Trajectory:
         self.times, self.states = times, states
         self.stats = {} if stats is None else stats
         self._field, self._sizes = field, sizes
-        # the derivatives and the coefficients, and the nodes and the
-        # steps that have none yet
+        # the derivatives, the coefficients and the steps that have none
+        # yet
         self._fs = np.empty(states.shape)
         self._dense = np.empty((len(sizes), 4) + states.shape[1:])
-        self._fs_todo = np.ones(len(times), dtype=bool)
         self._todo = np.ones(len(sizes), dtype=bool)
 
     @property
@@ -520,13 +521,13 @@ class Trajectory:
 
     @property
     def derivs(self) -> np.ndarray:
-        """Every node's derivative, computed where missing, _DENSE_BLOCK
-        nodes a call; a view's are its slots of those of the trajectory
-        it was taken from."""
+        """Every node's derivative, computed again on each read,
+        _DENSE_BLOCK nodes a call; a view's are its slots of those of the
+        trajectory it was taken from."""
         if self._root is not None:
             return _pick(self._root.derivs, self._cols)
         for i in range(0, len(self.times), _DENSE_BLOCK):
-            self._derive(i + np.flatnonzero(self._fs_todo[i:i + _DENSE_BLOCK]))
+            self._derive(slice(i, i + _DENSE_BLOCK))
         return self._fs
 
     @property
@@ -538,41 +539,36 @@ class Trajectory:
         self._take_again(slice(None))
         return self._dense
 
-    def _derive(self, j):
-        """Compute the derivatives at the nodes j, a sorted index array,
-        that have none yet, in one stacked call of the field: on a slice
-        of the states where those nodes are contiguous."""
-        j = j[self._fs_todo[j]]
-        if len(j):
-            at = slice(j[0], j[-1] + 1) if j[-1] - j[0] < len(j) else j
-            with np.errstate(all="ignore"):  # refused just below
-                d = self._field(self.times[at], self.states[at])
-            if not np.isfinite(d).all():
-                raise DomainError("the field cannot step these states; its values are not finite")
-            self._fs[at] = d
-            self._fs_todo[at] = False
+    def _derive(self, at):
+        """Compute the derivatives at the nodes at, a slice or an index
+        array, in one stacked call of the field."""
+        with np.errstate(all="ignore"):  # refused just below
+            d = self._field(self.times[at], self.states[at])
+        if not np.isfinite(d).all():
+            raise DomainError("the field cannot step these states; its values are not finite")
+        self._fs[at] = d
 
     def _take_again(self, idx):
         """Compute the coefficients of the steps idx, an index array or a
         slice, that have none yet, _DENSE_BLOCK steps at a time, each
-        block after the derivatives at its steps' nodes."""
+        block after the derivatives at its steps' nodes: a slice of them
+        where the steps are contiguous, else each step's two."""
         todo = self._todo
         need = np.zeros_like(todo)
         need[idx] = True
         steps = np.flatnonzero(need & todo)
-        nodes = np.zeros_like(self._fs_todo)  # their nodes
-        nodes[steps] = nodes[steps + 1] = True
         for i in range(0, len(steps), _DENSE_BLOCK):
             s = steps[i:i + _DENSE_BLOCK]
-            self._derive(s[0] + np.flatnonzero(nodes[s[0]:s[-1] + 2]))
+            self._derive(slice(s[0], s[-1] + 2) if s[-1] - s[0] < len(s)
+                         else np.concatenate((s, s + 1)))
             with np.errstate(all="ignore"):  # refused just below
                 c = _retake(self._field, self.times, self.states, self._fs, self._sizes, s)
             if not np.isfinite(c).all():
                 raise DomainError("the field cannot step these states; "
                                   "the interpolant is not finite")
             self._dense[s] = c
+            todo[s] = False
             del c  # before the next block is taken again
-        todo[steps] = False
 
     def slots(self, idx):
         """The slots idx of each state, a slice or an index array: views

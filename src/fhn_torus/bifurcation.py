@@ -379,8 +379,8 @@ def _crossing_frequencies(beta, b: float, c: float):
 
 
 def hopf_crossing(lp: LatticeParams) -> HopfReport:
-    """First loss of stability of the origin for small c > 0, in closed
-    form on the paper's crossing curve :func:`psi`.
+    """First loss of stability of the origin for c > 0, in closed form on
+    the paper's crossing curve :func:`psi`.
 
     A mode with coupling symbol sigma at a = 0 and beta = Im sigma >= 0
     has an eigenvalue i*omega at a = Re sigma - c (1 - beta/omega), where
@@ -388,7 +388,8 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
     omega - c^2 beta; eliminating omega gives beta^2 = psi(Re sigma - a).
     a_hat is the largest such a over the modes (the conjugate mode, with
     Im sigma < 0, carries -i*omega), ties going to the larger omega, then
-    to the smaller (r, s).  Requires c > 0, c^2 < b and nonzero couplings.
+    to the smaller (r, s).  Requires c > 0, c^2 < b and nonzero couplings;
+    warns where the mode is not the c = 0 one the signs predict.
     """
     if lp.c <= 0.0:
         raise DomainError("hopf_crossing requires c > 0; use critical_a at c = 0")
@@ -397,11 +398,6 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
     if lp.c * lp.c >= lp.b:
         raise DomainError("hopf_crossing requires c^2 < b")
     _checked_pattern(lp)
-    if lp.c > 0.2 * math.sqrt(lp.b):
-        warnings.warn(
-            "c is not small against sqrt(b); the crossing analysis may be inaccurate",
-            stacklevel=2,
-        )
     lp0 = replace(lp, c=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCouplingWarning)
@@ -414,7 +410,11 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
     if not np.isfinite(a_k).all():
         raise DomainError("the couplings overflow the coupling symbols")
     k = np.lexsort((-omega, -a_k))[0]  # stable: the smaller (r, s) wins ties
-    return _hopf_report(lp0, cp, a_k[k], divmod(int(up[k]), lp.n), omega[k])
+    rep = _hopf_report(lp0, cp, a_k[k], divmod(int(up[k]), lp.n), omega[k])
+    if not rep.matches_c0_prediction:
+        warnings.warn(f"the crossing mode {rep.mode} departs from the c = 0 prediction "
+                      f"{cp.primary.mode}; the sign rule does not hold at this c", stacklevel=2)
+    return rep
 
 
 def hopf_report_at_critical(lp: LatticeParams) -> HopfReport:

@@ -371,7 +371,8 @@ class TestHopfCrossing:
         # (-, -) at N=23: the synchronized mode is the c = 0 primary, but
         # at c = 0.16 the (0, 1) mode crosses first
         assert hopf_crossing(lattice(c=0.05)).s_star == pytest.approx(-0.375, abs=1e-14)
-        rep = hopf_crossing(lattice(n=23, c=0.16))
+        with pytest.warns(UserWarning, match="departs"):
+            rep = hopf_crossing(lattice(n=23, c=0.16))
         assert (rep.mode, rep.pattern) == ((0, 1), ("-", "-"))
         assert rep.s_star is None
 
@@ -416,13 +417,17 @@ class TestHopfCrossing:
             rep = hopf_crossing(lattice(n=5, c=0.05, gamma=-1e300, delta=-1e300))
         assert rep.mode == (0, 0) and rep.a_hat == -0.05
 
-    def test_warns_when_c_is_not_small_against_sqrt_b(self):
-        # the warning starts above c = 0.2 sqrt(b)
-        with pytest.warns(UserWarning, match="not small against sqrt"):
-            hopf_crossing(lattice(c=0.5, b=1.0, gamma=0.3, delta=-0.2))
+    def test_warns_when_the_crossing_mode_departs(self):
+        # the crossing is exact for any c^2 < b, so the warning follows
+        # the mode, not the size of c: at N=23 in (-, -) the (0, 1) mode
+        # crosses first from c = 0.156, well below 0.2 sqrt(b)
+        with pytest.warns(UserWarning, match=r"mode \(0, 1\) departs .* prediction \(0, 0\)"):
+            rep = hopf_crossing(lattice(n=23, c=0.16))
+        assert not rep.matches_c0_prediction
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hopf_crossing(lattice(c=0.2, b=1.0, gamma=0.3, delta=-0.2))
+            rep = hopf_crossing(lattice(n=3, c=0.5, b=1.0, gamma=0.3, delta=-0.2))
+        assert rep.matches_c0_prediction
 
     def test_crossing_identity_links_gap_to_frequency(self):
         # y^2 = psi(a* - a_hat) at the crossing, y the imaginary part
@@ -458,7 +463,8 @@ class TestClosedFormCrossing:
             for c in (0.02, 0.05, 0.1, 0.2)]
 
     def test_agrees_with_the_searched_crossing(self):
-        with warnings.catch_warnings():
+        # some points of the grid cross on a mode the signs do not predict
+        with pytest.warns(UserWarning, match="departs"), warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateCouplingWarning)
             for n, g, d, c in self.GRID:
                 lp = lattice(n=n, c=c, gamma=g, delta=d)
@@ -473,7 +479,8 @@ class TestClosedFormCrossing:
         grid = np.full((3, 3), -5.0 + 0.0j)
         grid[2, 1] = grid[1, 2] = 1.0 + 0.5j
         monkeypatch.setattr(bifurcation, "symbol_grid", lambda lp: grid - lp.a)
-        assert hopf_crossing(lattice(c=0.05, gamma=1.0, delta=-1.0)).mode == (1, 2)
+        with pytest.warns(UserWarning, match="departs"):
+            assert hopf_crossing(lattice(c=0.05, gamma=1.0, delta=-1.0)).mode == (1, 2)
 
     @pytest.mark.parametrize("n, g, d", [
         (5, 1.0, 1.0), (3, -1.0, -1.0), (7, 2.3, -0.6), (23, 0.4, 1.4)])

@@ -378,13 +378,14 @@ class TestDenseOutput:
             assert stacked == [2] + [1] * 14
             x.sample(20.0)
             assert stacked == [2] + [1] * 14
-            assert np.count_nonzero(~traj._fs_todo) == 2
+            assert np.count_nonzero(~traj._todo) == 1
             stacked.clear()
 
     @pytest.mark.parametrize("name", IN_PLACE_FIELDS)
     def test_derivatives_are_the_one_state_fields_bit_for_bit(self, name):
-        # read in full after one sample: the derivatives at that step's
-        # nodes come with it, the others _DENSE_BLOCK nodes a call
+        # read in full after one sample, which computed the derivatives
+        # at its step's nodes: all are computed again, _DENSE_BLOCK
+        # nodes a call
         rhs = in_place_field(name)
         z0 = 0.3 * np.random.default_rng(5).standard_normal(len(rhs.state))
         sol = _rk.solve(rhs, 0.0, z0, 40.0)
@@ -512,7 +513,34 @@ class TestDenseFromNodes:
         for read in [lambda: traj.sample(2.5), lambda: traj.derivs, lambda: traj.dense] * 2:
             with pytest.raises(DomainError, match="its values are not finite"):
                 read()
-        assert traj._fs_todo.all() and traj._todo.all()
+        assert traj._todo.all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_refused_block_spoils_no_block_stored_before_it(self):
+        # unit-spaced nodes, finite up to node 64 and past the cubic's
+        # range after it: of the two blocks one sample needs, the first
+        # is stored before the second is refused, and kept
+        calls = []
+        f = make_rhs(LP)
+
+        def counted(t, z):
+            calls.append(len(z))
+            return f(t, z)
+
+        ys = 0.3 * np.random.default_rng(7).standard_normal((200, 18))
+        ys[_rk._DENSE_BLOCK + 1:] = 1e120
+        ts = np.arange(200.0)
+        first = ts[:_rk._DENSE_BLOCK] + 0.5  # one time in each step of the first block
+        traj = _rk.dense_from_nodes(counted, ts, ys)
+        with pytest.raises(DomainError, match="not finite"):
+            traj.sample(np.concatenate([first, first + _rk._DENSE_BLOCK]))
+        assert np.flatnonzero(~traj._todo).tolist() == list(range(_rk._DENSE_BLOCK))
+        calls.clear()
+        got = traj.sample(first)
+        assert calls == []
+        fresh = _rk.dense_from_nodes(f, ts, ys)
+        assert np.array_equal(got, fresh.sample(first))
+        assert np.array_equal(traj._dense[:_rk._DENSE_BLOCK], fresh._dense[:_rk._DENSE_BLOCK])
 
     def test_builds_with_no_field_call(self):
         def field(t, z):
@@ -607,12 +635,12 @@ class TestViews:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the lifted states alone, and no derivative computed
+        # the lifted states alone, and no step taken again
         assert peak <= 1.05 * lifted.states.nbytes
-        assert sol._fs_todo.all()
-        # the view's sample reads the two it needs from the quotient run
+        assert sol._todo.all()
+        # the view's sample takes its one step again in the quotient run
         lifted.sample(10.0)
-        assert np.count_nonzero(~sol._fs_todo) == 2
+        assert np.count_nonzero(~sol._todo) == 1
         assert np.array_equal(lifted.derivs, sol.derivs[:, lift])
 
     def test_every_row_of_a_probe_batch(self):

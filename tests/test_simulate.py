@@ -221,18 +221,37 @@ class TestIntegrate:
         # progress hold about 5 % more than the result (1.29 times);
         # 1.01 times since the solve leaves the dense output to the
         # samples, with the coefficients' array allocated, not written,
-        # and so the derivatives' array since it leaves them too
+        # and so the derivatives' array since it leaves them too.
+        # Resident, the run grows by its nodes and step sizes alone: the
+        # two allocated arrays are not written until they are read.  The
+        # first run of a process also grows the heap for its temporaries
+        # and raises malloc's mmap threshold (1.95 MB resident for 0.96
+        # kept), so a first run, kept alive, comes before the one measured
         lp = LatticeParams(n=7, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         z0 = near_sync_start(7, 12)
+        first = integrate(z0, lp, 400.0)
+        statm = "/proc/self/statm"
+        have_statm = os.path.exists(statm)
+
+        def resident():
+            with open(statm, encoding="ascii") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
         tracemalloc.start()
         try:
+            before = resident() if have_statm else 0
             traj = integrate(z0, lp, 400.0)
+            grown = resident() - before if have_statm else 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        kept = sum(a.nbytes for a in (traj.times, traj.states, traj._sizes))
         result = sum(a.nbytes for a in (traj.times, traj.states, traj.derivs, traj.dense))
         assert traj.stats["accepted"] > 1000
         assert peak <= 1.4 * result
+        if not have_statm:
+            pytest.skip("no /proc/self/statm to read resident memory from")
+        assert grown <= 1.1 * kept
 
     def test_sample_rejects_time_outside_range(self, rng):
         traj = integrate(0.1 * rng.standard_normal(18), SYNC, 1.0)
@@ -389,34 +408,43 @@ class TestDetectPeriodicOrbit:
     def test_detect_and_classify_take_few_steps_again(self, monkeypatch):
         # the benchmark's `orbit` input: the recurrence search and the
         # classifier's period read the interpolant on a few steps of the
-        # tail, and only those are taken again, 14 stacked stages each,
-        # with the derivatives at their nodes and nowhere else
-        stacked = [0]
-        real = simulate.make_rhs
+        # tail, and only those are taken again, each block of them in
+        # one call for the derivatives at its steps' nodes, a slice of
+        # the nodes where the steps are contiguous, else each step's two,
+        # then 14 stacked stages
+        stacked = []  # the states of each stacked call
+        blocks = []  # the steps of each block taken again
+        real, retake = simulate.make_rhs, _rk._retake
 
         def counting_make_rhs(lp, K=None):
             f = real(lp, K)
 
             def counted(t, z):
-                stacked[0] += len(z) if z.ndim == 2 else 0
+                if z.ndim == 2:
+                    stacked.append(len(z))
                 return f(t, z)
 
             return counted
 
+        def recorded(f, ts, ys, fs, hs, s):
+            blocks.append(s.tolist())
+            return retake(f, ts, ys, fs, hs, s)
+
         monkeypatch.setattr(simulate, "make_rhs", counting_make_rhs)
+        monkeypatch.setattr(_rk, "_retake", recorded)
         lp = LatticeParams(n=7, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         traj = integrate(near_sync_start(7, 12), lp, 400.0)
-        assert stacked[0] == 0
+        assert stacked == []
         orbit = detect_periodic_orbit(traj)
         assert classify_spatiotemporal(orbit, lp).spatial.kind == "full"
-        taken = ~traj._todo
-        nodes = np.zeros(len(traj.times), dtype=bool)
-        nodes[:-1] |= taken
-        nodes[1:] |= taken
-        assert np.array_equal(~traj._fs_todo, nodes)
-        steps = np.count_nonzero(taken)
-        assert stacked[0] == 14 * steps + np.count_nonzero(nodes)
-        assert 0 < steps < 0.05 * traj.stats["accepted"]
+        want = []
+        for s in blocks:
+            p = len(s)
+            want += [p + 1 if s[-1] - s[0] == p - 1 else 2 * p] + [p] * 14
+        assert stacked == want
+        steps = sorted(i for s in blocks for i in s)
+        assert steps == np.flatnonzero(~traj._todo).tolist()
+        assert 0 < len(steps) < 0.05 * traj.stats["accepted"]
 
     def test_classify_input_takes_few_steps_again(self, monkeypatch, tmp_path, capsys):
         # the README's N=3 ring wave read back from CSV: its report
