@@ -88,9 +88,10 @@ _PROBE_DELTA_A = 0.04
 _PROBE_FRACTIONS = (1.0, 1.5, 2.0)
 _PROBE_PERTURBATION = 1e-3
 _PROBE_GROWTH = 10.0
-# The probe reads its amplitudes from the dense output at this many
-# evenly spaced times per crossing period, so that they do not depend on
-# where the steps fall.
+# The probe reads the amplitudes of a run's second half from the dense
+# output at this many evenly spaced times per crossing period, so that
+# they do not depend on where the steps fall; the escape test reads the
+# nodes.
 _PROBE_SAMPLES_PER_PERIOD = 64
 
 
@@ -170,11 +171,14 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     rs, ss = (near_half if w > 0.0 else (0,) for w in (lp.gamma, lp.delta))
     a_star = (max(lp.gamma, 0.0) + max(lp.delta, 0.0)) * factor
     modes = [(r, s) for r in rs for s in ss]
-    lam_p, lam_m = eigenvalue_grids(replace(lp, a=a_star))
+    # the roots of the crossing modes alone: those of other modes
+    # overflow first (gamma = delta = -1e300)
+    lp_star = replace(lp, a=a_star)
     crossing = []
     for r, s in modes:
-        branch = _upper_branch(lam_p[r, s], lam_m[r, s])
-        omega = float((lam_p if branch == "+" else lam_m)[r, s].imag)
+        lam_p, lam_m = analytic_eigenvalues(r, s, lp_star)
+        branch = _upper_branch(lam_p, lam_m)
+        omega = float((lam_p if branch == "+" else lam_m).imag)
         if not omega > 0.0:
             raise DomainError(f"crossing frequency of mode ({r}, {s}) rounds to "
                               f"{omega!r}: the couplings are too large against b")
@@ -449,19 +453,19 @@ class ProbeSettings:
     """How long the criticality probe integrates.
 
     Each run lasts ``horizon_periods`` periods of the crossing, which
-    must be positive and finite, else DomainError.  Where the runs are
-    placed is fixed: at a_hat - f * 0.04 for f = 1, 1.5 and 2, and at
-    a_hat + 0.04.
+    must be finite and more than 1/64, so that each of the run's last
+    two quarters holds a time of its grid of 64 per period, else
+    DomainError.  Where the runs are placed is fixed: at
+    a_hat - f * 0.04 for f = 1, 1.5 and 2, and at a_hat + 0.04.
     """
 
     horizon_periods: float = 50.0
 
     def __post_init__(self):
-        if not (self.horizon_periods > 0.0 and math.isfinite(self.horizon_periods)):
-            raise DomainError(
-                f"horizon_periods must be positive and finite, "
-                f"got {self.horizon_periods!r}"
-            )
+        h = self.horizon_periods
+        if not (h * _PROBE_SAMPLES_PER_PERIOD > 1.0 and math.isfinite(h)):
+            raise DomainError(f"horizon_periods must be finite and more than "
+                              f"1/{_PROBE_SAMPLES_PER_PERIOD}, got {h!r}")
 
 
 @dataclass(frozen=True)
@@ -492,16 +496,18 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     Fix(K), their four lattices laid end to end, with one step sequence
     whose error is the RMS over all their slots; if that solve is
     stiff, each run is redone alone, and a run that is stiff alone has
-    escaped.  Amplitudes are sup norms of the dense output at
-    64 evenly spaced times per crossing period, over the whole run or
-    over its last two quarters.  With scale = max(1, sqrt(b)), outcomes
-    per run:
+    escaped.  The escape test reads the sup norm of the run's node
+    states, exact solution points; the other amplitudes are sup norms
+    of the dense output at 64 evenly spaced times per crossing period
+    over each of the run's last two quarters, so only the steps of the
+    second half are taken again.  With scale = max(1, sqrt(b)),
+    outcomes per run:
 
     decay      back below the start amplitude
     orbit      settled oscillation, at least 10 times the start
                amplitude and at most 0.5 * scale (the branch cap)
     distant    settled bounded motion beyond the branch cap
-    escape     amplitude beyond 10 * scale, or a stiff abort
+    escape     a node beyond 10 * scale, or a stiff abort
     transient  still growing or bursting at the horizon
 
     A branch-scale orbit on the unstable side with decay on the stable
@@ -526,17 +532,20 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
 
     grid = np.linspace(0.0, t_end,
                        math.ceil(st.horizon_periods * _PROBE_SAMPLES_PER_PERIOD) + 1)
-    in_last = grid >= 0.75 * t_end
-    in_prev = (grid >= 0.5 * t_end) & ~in_last
+    # the grid's times in the run's second half, the only ones sampled
+    tail = grid[np.searchsorted(grid, 0.5 * t_end):]
+    in_last = tail >= 0.75 * t_end
 
-    def outcome(qs):
-        """Outcome and tail amplitude of one run's quotient states on
-        the grid; the lift only copies cells, so the amplitudes are the
-        lattice's."""
-        last, prev = qs[in_last], qs[in_prev]
+    def outcome(run):
+        """Outcome and tail amplitude of one run, a view of the quotient
+        trajectory: the escape test reads its nodes, the rest its
+        samples on the tail of the grid; the lift only copies cells, so
+        the amplitudes are the lattice's."""
+        qs = run.sample(tail)
+        last, prev = qs[in_last], qs[~in_last]
         amp_tail = float(np.max(np.abs(last)))
         amp_prev = float(np.max(np.abs(prev)))
-        amp_max = float(np.max(np.abs(qs)))
+        amp_max = float(np.max(np.abs(run.states)))
         ptp_tail = float(np.max(last.max(axis=0) - last.min(axis=0)))
         settled = abs(amp_tail - amp_prev) <= 0.1 * max(amp_tail, eps)
         if amp_max > escape:
@@ -560,8 +569,7 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
         q = sol.states.shape[1] // len(lps)  # quotient slots of one run
         # one run at a time: the samples of all four would add several
         # MB to the peak
-        return [outcome(sol.slots(slice(j * q, (j + 1) * q)).sample(grid))
-                for j in range(len(lps))]
+        return [outcome(sol.slots(slice(j * q, (j + 1) * q))) for j in range(len(lps))]
 
     sides = ["below"] * len(_PROBE_FRACTIONS) + ["above"]
     lps = [replace(lp, a=report.a_hat - f * _PROBE_DELTA_A) for f in _PROBE_FRACTIONS]

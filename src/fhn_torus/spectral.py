@@ -15,8 +15,10 @@ with the principal square root; the root of smaller modulus is taken
 as their product b - A c over the larger, which keeps its digits where
 the difference cancels (|A| >> sqrt(b)).  :func:`symbol_grid` and
 :func:`_roots` are the only evaluations of A and of the roots (a
-negative real radicand maps to the positive imaginary axis); per-mode
-functions read grid entries.  Conjugation pairs the + branch of (r, s)
+negative real radicand maps to the positive imaginary axis; roots that
+overflow are refused); per-mode functions take the roots of their grid
+entry alone, so that a mode whose roots are finite is read where those
+of other modes overflow.  Conjugation pairs the + branch of (r, s)
 with the + branch of (-r, -s).  :func:`spectrum_report` checks each
 closed-form pair against the lattice field's own linear weights: cell
 by cell in the x row, the only one the coupling enters, and per mode
@@ -55,22 +57,30 @@ def symbol_grid(lp: LatticeParams) -> np.ndarray:
 
 
 def _roots(A, b: float, c: float):
-    """(lambda_+, lambda_-) of the symbol [[A, -1], [b, -c]], scalar or array A."""
+    """(lambda_+, lambda_-) of the symbol [[A, -1], [b, -c]], scalar or array A.
+
+    A root that is not finite, as where (A + c)^2 overflows (|A| from
+    about 1e154), raises DomainError, with no numpy warning.
+    """
     A = np.asarray(A, dtype=complex)
-    rad = (A + c) ** 2 - 4.0 * b
-    # Force +0.0 imaginary part so the principal branch edge is the
-    # positive imaginary axis.
-    rad = np.where(rad.imag == 0.0, rad.real + 0.0j, rad)
-    root = np.sqrt(rad)
-    s = A - c
-    plus, minus = 0.5 * (s + root), 0.5 * (s - root)
-    # the smaller is the determinant over the larger; at equal moduli
-    # neither difference cancels, and both stay
-    ap, am = abs(plus), abs(minus)
-    plus_smaller = ap < am
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 only at a tie
+    with np.errstate(all="ignore"):  # refused below; 0 / 0 also at a tie
+        rad = (A + c) ** 2 - 4.0 * b
+        # Force +0.0 imaginary part so the principal branch edge is the
+        # positive imaginary axis.
+        rad = np.where(rad.imag == 0.0, rad.real + 0.0j, rad)
+        root = np.sqrt(rad)
+        s = A - c
+        plus, minus = 0.5 * (s + root), 0.5 * (s - root)
+        # the smaller is the determinant over the larger; at equal moduli
+        # neither difference cancels, and both stay
+        ap, am = abs(plus), abs(minus)
+        plus_smaller = ap < am
         smaller = (b - A * c) / np.where(plus_smaller, minus, plus)
-    return np.where(plus_smaller, smaller, plus), np.where(am < ap, smaller, minus)
+    lam_p, lam_m = np.where(plus_smaller, smaller, plus), np.where(am < ap, smaller, minus)
+    if not (np.isfinite(lam_p).all() and np.isfinite(lam_m).all()):
+        raise DomainError("the closed-form eigenvalues overflow: "
+                          "the couplings are too large against b")
+    return lam_p, lam_m
 
 
 # Two eigenvalues, or two symbols, closer than this count as coincident.
@@ -82,6 +92,13 @@ def eigenvalue_grids(lp: LatticeParams):
     return _roots(symbol_grid(lp), lp.b, lp.c)
 
 
+def _entry(lp: LatticeParams, r: int, s: int) -> np.ndarray:
+    """A(r, s) as an array of one entry, whose roots then take the
+    grid's array arithmetic bit for bit; numpy's scalar arithmetic
+    differs in the last bits."""
+    return symbol_grid(lp)[[r % lp.n], [s % lp.n]]
+
+
 def coupling_symbol(r: int, s: int, lp: LatticeParams) -> complex:
     """A(r, s), the scalar the coupling contributes at frequency (r, s)."""
     return complex(symbol_grid(lp)[r % lp.n, s % lp.n])
@@ -89,8 +106,8 @@ def coupling_symbol(r: int, s: int, lp: LatticeParams) -> complex:
 
 def analytic_eigenvalues(r: int, s: int, lp: LatticeParams):
     """Eigenvalue pair (lambda_+, lambda_-) of the symbol at (r, s)."""
-    lam_p, lam_m = eigenvalue_grids(lp)
-    return complex(lam_p[r % lp.n, s % lp.n]), complex(lam_m[r % lp.n, s % lp.n])
+    lam_p, lam_m = _roots(_entry(lp, r, s), lp.b, lp.c)
+    return complex(lam_p[0]), complex(lam_m[0])
 
 
 def analytic_eigenvector(r: int, s: int, branch: str, lp: LatticeParams) -> np.ndarray:
@@ -102,10 +119,8 @@ def analytic_eigenvector(r: int, s: int, branch: str, lp: LatticeParams) -> np.n
     """
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    n = lp.n
-    A = symbol_grid(lp)
-    lam = _roots(A, lp.b, lp.c)["+-".index(branch)]
-    return _mode_vector(r, s, n, A[r % n, s % n] - lam[r % n, s % n])
+    A = _entry(lp, r, s)
+    return _mode_vector(r, s, lp.n, (A - _roots(A, lp.b, lp.c)["+-".index(branch)])[0])
 
 
 @dataclass

@@ -35,6 +35,8 @@ from fhn_torus import (
 )
 from fhn_torus import _rk, bifurcation
 from fhn_torus.bifurcation import (
+    ProbeResult,
+    ProbeRun,
     ProbeSettings,
     hopf_report_at_critical,
     resonant_coupling,
@@ -590,8 +592,59 @@ class TestCriticalityProbe:
         assert peak < 6.0e6
 
 
+    def test_takes_again_only_steps_of_the_second_half(self, monkeypatch):
+        # the escape test reads the nodes and the amplitudes the samples
+        # of the last two quarters, so no step that ends by t_end / 2 is
+        # taken again
+        ends = []  # the end time of each step taken again, over t_end
+        retake = _rk._retake
+
+        def recorded(f, ts, ys, fs, hs, s):
+            ends.extend(ts[s + 1] / ts[-1])
+            return retake(f, ts, ys, fs, hs, s)
+
+        monkeypatch.setattr(_rk, "_retake", recorded)
+        lp = lattice(c=0.05, gamma=1.0, delta=-1.0)
+        branch_criticality_probe(hopf_crossing(lp), lp)
+        assert ends and min(ends) > 0.5
+
+    @pytest.mark.parametrize("lp, want", [
+        (lattice(), ProbeResult(
+            classification="subcritical",
+            samples=((-0.06, 0.3400362310171724), (-0.08, 0.4029690214444758)),
+            runs=(ProbeRun(-0.04, "below", "transient", 0.2409155332324938),
+                  ProbeRun(-0.06, "below", "orbit", 0.3400362310171724),
+                  ProbeRun(-0.08, "below", "orbit", 0.4029690214444758),
+                  ProbeRun(0.04, "above", "decay", 8.981636611039594e-06)))),
+        (lattice(c=0.05, gamma=1.0, delta=-1.0), ProbeResult(
+            classification="supercritical",
+            samples=(),
+            runs=(ProbeRun(1.4384457046949046, "below", "transient", 0.24532436292647405),
+                  ProbeRun(1.4184457046949046, "below", "transient", 3.5927736970745086),
+                  ProbeRun(1.3984457046949046, "below", "distant", 3.5671486144857956),
+                  ProbeRun(1.5184457046949047, "above", "decay", 1.3188106459104885e-05)))),
+    ], ids=["sync", "wave"])
+    def test_result_is_pinned_bit_for_bit(self, lp, want):
+        # recorded while every run was sampled over its whole length:
+        # sampling only the second half leaves every bit of the result
+        rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
+        assert branch_criticality_probe(rep, lp) == want
+
+
 class TestProbeSettings:
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_horizon_that_is_not_positive_and_finite(self, horizon):
         with pytest.raises(DomainError):
             ProbeSettings(horizon_periods=horizon)
+
+    def test_rejects_horizon_without_a_sample_in_each_tail_quarter(self):
+        # at h <= 1/64 the grid of 64 times per period is 0 and t_end
+        # alone, and numpy refused the empty third quarter untyped
+        for horizon in (0.01, 1 / 64):
+            with pytest.raises(DomainError, match="more than 1/64"):
+                ProbeSettings(horizon_periods=horizon)
+        lp = lattice(c=0.05, gamma=1.0, delta=-1.0)
+        rep = hopf_crossing(lp)
+        for horizon in (np.nextafter(1 / 64, 1.0), 0.02):
+            res = branch_criticality_probe(rep, lp, ProbeSettings(horizon_periods=horizon))
+            assert len(res.runs) == 4

@@ -547,6 +547,19 @@ class TestExitCodes:
             "error: crossing frequency of mode (2, 0) rounds to 0.0: "
             "the couplings are too large against b\n")
 
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--delta", "1"], ["critical", "--delta=-1"],
+        ["hopf", "--delta=-1", "--c", "0.05"]])
+    def test_overflowing_eigenvalues(self, command, capsys):
+        # (A + c)^2 overflows at gamma = 1e200: spectrum reported NaN
+        # eigenvalues after two numpy warnings, the others failed after
+        # them
+        code = parse_and_dispatch(command + ["--gamma", "1e200"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the closed-form eigenvalues overflow: "
+            "the couplings are too large against b\n")
+
     def test_bad_range_syntax(self, capsys):
         code = parse_and_dispatch(["sweep", "--gamma-range", "1:2"])
         assert code == 2

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -321,6 +322,35 @@ class TestSingleClosedForm:
                     want = (am - lp.c + sign * root) / 2
                     got = mpmath.mpc(complex(grid[r, s]))
                     assert abs(got - want) <= 1e-15 * abs(want), (r, s, sign)
+
+
+class TestOverflowingRoots:
+    # (A + c)^2 overflows from |A| about 1e154: the roots were NaN, with
+    # two numpy warnings, and 12 of the 18 records at N=3 carried them
+    @pytest.mark.parametrize("gamma", [1e154, 1e160, 1e200])
+    def test_are_a_domain_error_with_no_warning(self, gamma):
+        lp = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=gamma, delta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (eigenvalue_grids, spectrum_report):
+                with pytest.raises(DomainError, match="eigenvalues overflow"):
+                    call(lp)
+
+    def test_huge_finite_residuals_stay_reported(self):
+        lp = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=1e140, delta=1.0)
+        worst = max(rec.residual for rec in spectrum_report(lp))
+        assert worst == pytest.approx(math.sqrt(3.0) * 1e140, rel=1e-12)
+
+    def test_a_mode_is_read_where_other_modes_overflow(self):
+        # at gamma = delta = -1e300 only the synchronized mode's symbol is
+        # small: its roots and the critical point stay, the grid does not
+        lp = LatticeParams(n=5, a=0.0, b=1.0, c=0.0, gamma=-1e300, delta=-1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analytic_eigenvalues(0, 0, lp) == (1j, -1j)
+            assert critical_a(lp).primary.omega == 1.0
+            with pytest.raises(DomainError, match="eigenvalues overflow"):
+                eigenvalue_grids(lp)
 
 
 def brute_coincident(records, tol=1e-12):
