@@ -30,7 +30,6 @@ from .model import (
     assemble_jacobian_origin,
     from_grids,
     infer_n,
-    jacobian_blocks_origin,
     rhs_cell,
     state_dim,
     to_grids,
@@ -41,7 +40,6 @@ from .symmetry import (
     canonical_mode,
     fix_modes,
     fix_projection,
-    group_elements,
     isotropy_of,
     mode_index_set,
     predict_hopf_symmetries,
@@ -78,7 +76,7 @@ from .simulate import (
     integrate,
     reduced_integrate_fix,
 )
-from .cli import emit_report, parse_and_dispatch
+from .cli import parse_and_dispatch
 
 __version__ = "0.1.0"
 
@@ -96,7 +94,6 @@ __all__ = [
     "assemble_jacobian_origin",
     "from_grids",
     "infer_n",
-    "jacobian_blocks_origin",
     "rhs_cell",
     "state_dim",
     "to_grids",
@@ -105,7 +102,6 @@ __all__ = [
     "canonical_mode",
     "fix_modes",
     "fix_projection",
-    "group_elements",
     "isotropy_of",
     "mode_index_set",
     "predict_hopf_symmetries",
@@ -135,7 +131,6 @@ __all__ = [
     "detect_periodic_orbit",
     "integrate",
     "reduced_integrate_fix",
-    "emit_report",
     "parse_and_dispatch",
     "__version__",
 ]

@@ -23,8 +23,9 @@ step sizes its node times give (``dense_from_nodes``).  A state the
 field cannot step raises DomainError where it is stepped, with no
 warning.
 
-A solution is one ``Trajectory`` of one state; its readers take some
-slots of it through ``slots``, not by slicing its arrays.
+A solution is one ``Trajectory`` of one state, read at its nodes
+(``times``, ``states``), between them (``sample``) and in some of its
+slots (``slots``), not by slicing its arrays.
 
 A step keeps its start state and stages 0-11 as the rows of one buffer,
 and the weights of each stage input as a row of 1 and h a_ij, written
@@ -197,8 +198,7 @@ _FIRST_CAPACITY = 256
 
 # Steps whose stages are taken again together, one field call on the
 # stacked states per stage: the steps a block of samples needs, in
-# chunks of this many; a full read of the derivatives goes as many
-# nodes a call.
+# chunks of this many.
 _DENSE_BLOCK = 64
 
 # Floats of interpolated states per block of query times in
@@ -470,31 +470,24 @@ def _block_len(ys):
     return max(1, _SAMPLE_FLOATS // ys[0].size)
 
 
-def _pick(a, idx):
-    """The slots idx of each row of a: a view for a slice, a C-contiguous
-    copy (``np.take``) for an index array."""
-    return a[..., idx] if isinstance(idx, slice) else np.take(a, idx, axis=-1)
-
-
 class Trajectory:
-    """Accepted integration nodes with derivatives and dense output.
+    """Accepted integration nodes with their dense output.
 
     ``times`` holds the nt nodes and ``states`` the state at each, shape
-    (nt, dim); ``derivs`` the field's derivative at each, of the same
-    shape, and ``dense`` the four coefficients of each step's 7th-order
-    interpolant beyond its cubic Hermite part, shape (nt - 1, 4, dim).
+    (nt, dim); ``sample`` reads the 7th-order interpolant between them
+    and ``slots`` takes some slots of every state.
     ``Trajectory(times, states, field, sizes, stats=None)`` holds the
     field, as in ``solve``, and the size of each step, shape (nt - 1,),
     and computes the rest where it is read: the first time ``sample``
     needs a step, the step is taken again, with the derivatives at its
-    two nodes, and the first time ``dense`` is read, all the missing
-    ones; ``derivs`` computes every node's derivative on each read.
-    Each goes into an array whose rows that are never needed are never
-    written.  A block of steps whose derivatives or coefficients are not
-    finite raises DomainError, and its steps stay missing.  ``solve``
-    returns one, with its counters in ``stats``, and ``dense_from_nodes``
-    builds one from node-only data.  Since sampling writes to it, a
-    trajectory is not for use from two threads at once.
+    two nodes, for the four coefficients of its interpolant beyond its
+    cubic Hermite part.  Each goes into an array whose rows that are
+    never needed are never written.  A block of steps whose derivatives
+    or coefficients are not finite raises DomainError, and its steps
+    stay missing.  ``solve`` returns one, with its counters in
+    ``stats``, and ``dense_from_nodes`` builds one from node-only data.
+    Since sampling writes to it, a trajectory is not for use from two
+    threads at once.
     """
 
     # a view's: the trajectory that holds the derivatives and the
@@ -518,26 +511,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def derivs(self) -> np.ndarray:
-        """Every node's derivative, computed again on each read,
-        _DENSE_BLOCK nodes a call; a view's are its slots of those of the
-        trajectory it was taken from."""
-        if self._root is not None:
-            return _pick(self._root.derivs, self._cols)
-        for i in range(0, len(self.times), _DENSE_BLOCK):
-            self._derive(slice(i, i + _DENSE_BLOCK))
-        return self._fs
-
-    @property
-    def dense(self) -> np.ndarray:
-        """Every step's coefficients, computed where missing; a view's
-        are its slots of those of the trajectory it was taken from."""
-        if self._root is not None:
-            return _pick(self._root.dense, self._cols)
-        self._take_again(slice(None))
-        return self._dense
 
     def _derive(self, at):
         """Compute the derivatives at the nodes at, a slice or an index
@@ -579,7 +552,9 @@ class Trajectory:
         there."""
         root = self._root or self
         view = Trajectory.__new__(Trajectory)
-        view.times, view.states, view.stats = self.times, _pick(self.states, idx), self.stats
+        view.times, view.stats = self.times, self.stats
+        view.states = (self.states[..., idx] if isinstance(idx, slice)
+                       else np.take(self.states, idx, axis=-1))
         view._root = root
         view._cols = idx if root is self else np.arange(root.states.shape[1])[self._cols][idx]
         return view

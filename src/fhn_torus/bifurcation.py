@@ -409,8 +409,9 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
     sigma = symbol_grid(replace(lp, a=0.0)).ravel()
     up = np.flatnonzero(sigma.imag >= 0.0)
     beta = sigma.imag[up]
-    omega = _crossing_frequencies(beta, lp.b, lp.c)
-    a_k = sigma.real[up] - lp.c * (1.0 - beta / omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        omega = _crossing_frequencies(beta, lp.b, lp.c)
+        a_k = sigma.real[up] - lp.c * (1.0 - beta / omega)
     if not np.isfinite(a_k).all():
         raise DomainError("the couplings overflow the coupling symbols")
     k = np.lexsort((-omega, -a_k))[0]  # stable: the smaller (r, s) wins ties

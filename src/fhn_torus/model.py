@@ -27,8 +27,7 @@ sampled x slots to a grid [t, j, i].
 :func:`_linear_weights` is the only statement of a cell's linear part,
 which the vector field and the spectrum residuals both apply.
 ``to_grids``/``from_grids``, ``rhs_cell`` and the dense
-``jacobian_blocks_origin``/``assemble_jacobian_origin`` stay independent
-of them as references.
+``assemble_jacobian_origin`` stay independent of them as references.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "to_grids",
     "from_grids",
     "rhs_cell",
-    "jacobian_blocks_origin",
     "assemble_jacobian_origin",
 ]
 
@@ -186,19 +184,6 @@ def rhs_cell(xy, p: CellParams):
     return dx, dy
 
 
-def jacobian_blocks_origin(lp: LatticeParams):
-    """2x2 blocks (D, E, F) of the linearization at the origin.
-
-    D is the diagonal block of each cell, E couples a cell to its
-    successor in the first index, F to its successor in the second.
-    """
-    d = -lp.a + lp.gamma + lp.delta
-    D = np.array([[d, -1.0], [lp.b, -lp.c]])
-    E = np.array([[-lp.gamma, 0.0], [0.0, 0.0]])
-    F = np.array([[-lp.delta, 0.0], [0.0, 0.0]])
-    return D, E, F
-
-
 def _shift_matrix(n: int) -> np.ndarray:
     # S[i, (i+1) mod n] = 1: picks the successor cell.
     S = np.zeros((n, n))
@@ -209,12 +194,16 @@ def _shift_matrix(n: int) -> np.ndarray:
 def assemble_jacobian_origin(lp: LatticeParams) -> np.ndarray:
     """Dense 2N^2 x 2N^2 Jacobian of ``simulate.make_rhs`` at the origin.
 
-    Block-circulant in both lattice directions: D blocks on the cell
-    diagonal, E on the first-index superdiagonal and F on the
-    second-index superdiagonal, each wrapping around.
+    Block-circulant in both lattice directions, in 2x2 blocks: D, each
+    cell's own, on the cell diagonal, E, which couples a cell to its
+    successor in the first index, on the first-index superdiagonal and
+    F, to its successor in the second, on the second-index
+    superdiagonal, each wrapping around.
     """
     n = lp.n
-    D, E, F = jacobian_blocks_origin(lp)
+    D = np.array([[-lp.a + lp.gamma + lp.delta, -1.0], [lp.b, -lp.c]])
+    E = np.array([[-lp.gamma, 0.0], [0.0, 0.0]])
+    F = np.array([[-lp.delta, 0.0], [0.0, 0.0]])
     eye = np.eye(n)
     S = _shift_matrix(n)
     inner = np.kron(eye, D) + np.kron(S, E)

@@ -26,8 +26,8 @@ from .spectral import (
     eigenvalue_grids,
     spectrum_report,
 )
-from .symmetry import (IsotropySubgroup, act, fix_modes, fix_projection, group_elements,
-                       isotropy_of, mode_index_set)
+from .symmetry import (IsotropySubgroup, act, fix_modes, fix_projection, isotropy_of,
+                       mode_index_set)
 
 
 def _check_spectrum(rng):
@@ -82,7 +82,7 @@ def _check_dimensions(_rng):
         total = sum(1 if k == (0, 0) else 2 for k in mode_index_set(n))
         if total != n * n:
             return "isotypic dimensions sum to N^2", False, f"N={n}: {total}"
-        for g in group_elements(n):
+        for g in IsotropySubgroup.full(n).elements():
             if g == (0, 0):
                 continue
             d = sum(1 if k == (0, 0) else 2 for k in fix_modes(g, n))
@@ -94,7 +94,8 @@ def _check_dimensions(_rng):
 def _check_isotropy(rng):
     n = 5
     z = rng.normal(size=2 * n * n)
-    subs = {IsotropySubgroup.cyclic(g, n) for g in group_elements(n) if g != (0, 0)}
+    subs = {IsotropySubgroup.cyclic(g, n) for g in IsotropySubgroup.full(n).elements()
+            if g != (0, 0)}
     subs |= {IsotropySubgroup.full(n), IsotropySubgroup.trivial(n)}
     wrong = [K.label() for K in subs if isotropy_of(fix_projection(z, K)) != K]
     detail = f"wrong for {sorted(wrong)}" if wrong else f"all {len(subs)} subgroups at N={n}"

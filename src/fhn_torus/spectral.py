@@ -48,12 +48,17 @@ __all__ = [
 
 
 def symbol_grid(lp: LatticeParams) -> np.ndarray:
-    """A(r, s) for all frequencies as an (n, n) complex array."""
+    """A(r, s) for all frequencies as an (n, n) complex array.
+
+    Couplings that overflow it leave entries that are not finite, with
+    no numpy warning; its readers refuse them.
+    """
     n = lp.n
     w = np.exp(2j * np.pi * np.arange(n) / n)
-    gr = lp.gamma * (1.0 - w)
-    ds = lp.delta * (1.0 - w)
-    return -lp.a + gr[:, None] + ds[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gr = lp.gamma * (1.0 - w)
+        ds = lp.delta * (1.0 - w)
+        return -lp.a + gr[:, None] + ds[None, :]
 
 
 def _roots(A, b: float, c: float):
@@ -207,15 +212,16 @@ def genericity_violations(lp: LatticeParams):
     when gamma*(w^r - w^rt) = delta*(w^st - w^s), that is when
     A(r, s) = A(rt, st); returns all unordered pairs whose symbols
     agree within the coincidence tolerance 1e-12 of
-    :func:`spectrum_report`, in lexicographic order.
+    :func:`spectrum_report`, in lexicographic order.  Couplings that
+    overflow the symbols raise DomainError.
     """
     if lp.c != 0.0:
         raise DomainError("genericity test requires c = 0")
     if lp.b == 0.0:
         raise DomainError("genericity test requires b != 0")
     n = lp.n
-    return [
-        (divmod(i, n), divmod(j, n))
-        for i, j in _coincident_pairs(symbol_grid(lp).ravel(), _COINCIDENCE_TOL)
-    ]
+    sym = symbol_grid(lp).ravel()
+    if not np.isfinite(sym).all():
+        raise DomainError("the couplings overflow the coupling symbols")
+    return [(divmod(i, n), divmod(j, n)) for i, j in _coincident_pairs(sym, _COINCIDENCE_TOL)]
 

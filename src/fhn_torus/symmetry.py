@@ -28,7 +28,6 @@ from .model import _cell_shift, _check_state, _require_odd_prime, infer_n
 __all__ = [
     "IsotropySubgroup",
     "SymmetryPrediction",
-    "group_elements",
     "act",
     "state_permutation",
     "mode_index_set",
@@ -38,11 +37,6 @@ __all__ = [
     "isotropy_of",
     "predict_hopf_symmetries",
 ]
-
-
-def group_elements(n: int) -> list:
-    _require_odd_prime(n)
-    return [(r, s) for r in range(n) for s in range(n)]
 
 
 def state_permutation(g, n: int) -> np.ndarray:
@@ -131,7 +125,7 @@ class IsotropySubgroup:
 
     def elements(self) -> list:
         if self.kind == "full":
-            return group_elements(self.n)
+            return [(r, s) for r in range(self.n) for s in range(self.n)]
         if self.kind == "trivial":
             return [(0, 0)]
         r, s = self.generator

@@ -31,6 +31,30 @@ def in_place_field(name):
     return make_rhs(*IN_PLACE_FIELDS[name])
 
 
+def _at_slots(a, cols):
+    """The slots cols of each row of a, as ``Trajectory.slots`` takes
+    them: a view for a slice, a C-contiguous copy for an index array."""
+    return a[..., cols] if isinstance(cols, slice) else np.take(a, cols, axis=-1)
+
+
+def node_derivs(traj):
+    """The field's derivative at every node of a trajectory, or of a view
+    of one: one stacked call of the field on all the nodes of the
+    trajectory the view was taken from, at the view's slots."""
+    root = traj._root or traj
+    return _at_slots(root._field(root.times, root.states), traj._cols)
+
+
+def coefficients(traj):
+    """The coefficients of every step of a trajectory, or of a view of
+    one, shape (nt - 1, 4, slots): every missing step of the trajectory
+    the view was taken from is taken again, and its array is read at the
+    view's slots."""
+    root = traj._root or traj
+    root._take_again(slice(None))
+    return _at_slots(root._dense, traj._cols)
+
+
 def dense_spectrum(lp: LatticeParams) -> np.ndarray:
     """Eigenvalues of the assembled Jacobian via LAPACK."""
     return np.linalg.eigvals(assemble_jacobian_origin(lp))

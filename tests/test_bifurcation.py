@@ -411,9 +411,10 @@ class TestHopfCrossing:
             hopf_crossing(lattice(c=1.5, b=1.0))
 
     def test_overflowing_symbols_are_a_domain_error(self):
-        # finite couplings whose symbols overflow; the synchronized
-        # critical point itself stays finite
-        with np.errstate(over="ignore", invalid="ignore"):
+        # finite couplings whose symbols overflow, refused with no numpy
+        # warning; the synchronized critical point itself stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflow"):
                 hopf_crossing(lattice(n=5, c=0.05, gamma=-1e308, delta=-1e308))
             rep = hopf_crossing(lattice(n=5, c=0.05, gamma=-1e300, delta=-1e300))

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import coefficients
 from fhn_torus import BracketError, LatticeParams, _rk, bifurcation, cli, selftest
 from fhn_torus.cli import parse_and_dispatch
 from fhn_torus.selftest import run_selftest
@@ -312,11 +313,10 @@ class TestSimulateClassify:
 
     def test_classify_derivatives_in_bounded_memory(self):
         # the rebuild ``classify --input`` makes of 5,000 nodes of an
-        # N=11 run, 48.4 MB of derivatives and coefficients: the
-        # derivatives and the steps taken again when ``dense`` is read go
-        # a block at a time, 3.17 MB above them (3.1 MB when this bound
-        # was set); one field call on the whole file gathers five times
-        # its size
+        # N=11 run, 48.4 MB of derivatives and coefficients: with every
+        # step taken again, the derivatives and the steps go a block at
+        # a time, 3.17 MB above them (3.1 MB when this bound was set);
+        # one field call on the whole file gathers five times its size
         lp = LatticeParams(n=11, a=-0.05, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         z0 = 0.3 * np.random.default_rng(11).standard_normal(242)
         sol = _rk.solve(cli.make_rhs(lp), 0.0, z0, 60.0)
@@ -326,7 +326,8 @@ class TestSimulateClassify:
         tracemalloc.start()
         try:
             got = _rk.dense_from_nodes(cli.make_rhs(lp), tq, nodes)
-            got_fs, got_ks = got.derivs, got.dense
+            got_ks = coefficients(got)
+            got_fs = got._fs
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -559,6 +560,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: the closed-form eigenvalues overflow: "
             "the couplings are too large against b\n")
+
+    def test_overflowing_coupling_symbols(self, capsys):
+        # the symbols overflow at gamma = delta = -1e308: one error line,
+        # where four numpy warnings from the symbols and the crossing
+        # frequencies came ahead of it
+        code = parse_and_dispatch(["hopf", "--n", "5", "--gamma=-1e308",
+                                   "--delta=-1e308", "--c", "0.05"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_range_syntax(self, capsys):
         code = parse_and_dispatch(["sweep", "--gamma-range", "1:2"])

@@ -13,7 +13,6 @@ from fhn_torus import (
     assemble_jacobian_origin,
     from_grids,
     infer_n,
-    jacobian_blocks_origin,
     rhs_cell,
     state_dim,
     to_grids,
@@ -322,23 +321,31 @@ class TestRhsNetwork:
         assert np.allclose(lattice_field(z, lp), from_grids(dx, dy), rtol=0.0, atol=1e-13)
 
 
+def jacobian_blocks(lp):
+    """The 2x2 blocks (D, E, F) of the assembled Jacobian in the rows of
+    cell (0, 0): its own, and its coupling to its successors (1, 0) and
+    (0, 1)."""
+    M = assemble_jacobian_origin(lp)
+    return M[:2, :2], M[:2, 2:4], M[:2, 2 * lp.n:2 * lp.n + 2]
+
+
 class TestJacobianBlocks:
     def test_worked_values(self):
         lp = LatticeParams(n=3, a=1.0, b=2.0, c=3.0, gamma=4.0, delta=5.0)
-        D, E, F = jacobian_blocks_origin(lp)
+        D, E, F = jacobian_blocks(lp)
         assert np.array_equal(D, [[8.0, -1.0], [2.0, -3.0]])
         assert np.array_equal(E, [[-4.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(F, [[-5.0, 0.0], [0.0, 0.0]])
 
     def test_uncoupled_reduces_to_cell_block(self):
         lp = LatticeParams(n=3, a=0.7, b=1.2, c=0.4, gamma=0.0, delta=0.0)
-        D, E, F = jacobian_blocks_origin(lp)
+        D, E, F = jacobian_blocks(lp)
         assert np.array_equal(D, [[-0.7, -1.0], [1.2, -0.4]])
         assert not E.any() and not F.any()
 
     def test_associative_pair(self):
         lp = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
-        D, E, F = jacobian_blocks_origin(lp)
+        D, E, F = jacobian_blocks(lp)
         assert np.array_equal(D, [[-2.0, -1.0], [1.0, 0.0]])
         assert np.array_equal(E, [[1.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(F, E)

@@ -1,6 +1,7 @@
 """The package's public names: every ``__all__`` entry exists, star
-imports work from a fresh interpreter, and ``fhn_torus.__all__`` lists
-exactly what the package ``__init__`` imports."""
+imports work from a fresh interpreter, ``fhn_torus.__all__`` lists
+exactly what the package ``__init__`` imports, and a ``Trajectory`` has
+seven public members."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fhn_torus
@@ -48,3 +50,13 @@ def test_package_all_is_what_init_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(set(fhn_torus.__all__)) == len(fhn_torus.__all__)
     assert set(fhn_torus.__all__) == imported | {"__version__"}
+
+
+def test_trajectory_is_read_through_seven_members():
+    # a trajectory of node-only data and a view of its slots: nodes,
+    # states and counters, the last node and state, the interpolant and
+    # the views
+    traj = fhn_torus._rk.dense_from_nodes(lambda t, z: z, np.arange(3.0), np.zeros((3, 2)))
+    for read in (traj, traj.slots(slice(0, 1))):
+        assert {name for name in dir(read) if not name.startswith("_")} == {
+            "times", "states", "stats", "t_end", "final_state", "sample", "slots"}

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import IN_PLACE_FIELDS, in_place_field
+from conftest import IN_PLACE_FIELDS, coefficients, in_place_field, node_derivs
 from fhn_torus import (DomainError, IsotropySubgroup, LatticeParams, Trajectory, _rk,
                        detect_periodic_orbit, fix_projection, reduced_integrate_fix,
                        simulate)
@@ -28,8 +28,9 @@ def rotation(t, y):
 
 
 def arrays(sol):
-    """A solution's four arrays, in the order of its fields."""
-    return sol.times, sol.states, sol.derivs, sol.dense
+    """A solution's nodes, states, derivatives at the nodes and the
+    coefficients of every step."""
+    return sol.times, sol.states, node_derivs(sol), coefficients(sol)
 
 
 def one_shot_dense_eval(ts, ys, fs, ks, tq):
@@ -302,12 +303,12 @@ class TestStats:
         z0 = 0.3 * rng.standard_normal(18 * (3 if batch else 1))
         tq = np.sort(rng.uniform(0.0, 40.0, 500))
         whole = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
-        want = whole.sample(tq), whole.dense
+        want = whole.sample(tq), coefficients(whole)
         # more steps than a chunk holds, and a part of one
         assert whole.stats["accepted"] % _rk._DENSE_BLOCK and whole.stats["accepted"] > 300
         small = _rk.solve(make_rhs(lp), 0.0, z0, 40.0)
         monkeypatch.setattr(_rk, "_DENSE_BLOCK", block)
-        got = small.sample(tq), small.dense
+        got = small.sample(tq), coefficients(small)
         assert small.stats == whole.stats
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -318,7 +319,7 @@ def eager_dense(f, sol):
     them while it stepped: each accepted step taken again one state at a
     time with the solver's weight rows and f's in-place entry, then the
     three dense-output stages of all of them as one stack."""
-    ts, ys, fs, hs = sol.times, sol.states, sol.derivs, sol._sizes
+    ts, ys, fs, hs = sol.times, sol.states, node_derivs(sol), sol._sizes
     k = np.empty((len(hs), 16, ys.shape[1]))
     rows = np.empty((14, ys.shape[1]))  # the start state and stages 0-12
     wts = np.zeros((13, 14))
@@ -352,7 +353,7 @@ class TestDenseOutput:
         assert runs[0].stats["accepted"] > _rk._DENSE_BLOCK
         for sol, smp in zip(runs, got):
             assert np.array_equal(smp, got[0])
-            assert np.array_equal(sol.dense, want)
+            assert np.array_equal(coefficients(sol), want)
             assert np.array_equal(smp, one_shot_dense_eval(*arrays(sol), tq))
 
     def test_a_solve_never_sampled_takes_no_step_again(self):
@@ -383,9 +384,9 @@ class TestDenseOutput:
 
     @pytest.mark.parametrize("name", IN_PLACE_FIELDS)
     def test_derivatives_are_the_one_state_fields_bit_for_bit(self, name):
-        # read in full after one sample, which computed the derivatives
-        # at its step's nodes: all are computed again, _DENSE_BLOCK
-        # nodes a call
+        # the field's stacked call on every node, and the derivatives
+        # that sampling keeps: those at one step's nodes, then, with
+        # every step taken again, all of them, _DENSE_BLOCK steps a call
         rhs = in_place_field(name)
         z0 = 0.3 * np.random.default_rng(5).standard_normal(len(rhs.state))
         sol = _rk.solve(rhs, 0.0, z0, 40.0)
@@ -394,8 +395,10 @@ class TestDenseOutput:
         x = slice(0, None, 2)
         for traj in (sol, _rk.dense_from_nodes(rhs, sol.times, sol.states)):
             traj.sample(20.0)
-            assert np.array_equal(traj.slots(x).derivs, want[:, x])
-            assert np.array_equal(traj.derivs, want)
+            assert np.array_equal(node_derivs(traj.slots(x)), want[:, x])
+            assert np.array_equal(node_derivs(traj), want)
+            coefficients(traj)
+            assert np.array_equal(traj._fs, want)
 
     def test_steps_join_at_the_nodes(self):
         z0 = 0.3 * np.random.default_rng(5).standard_normal(18)
@@ -510,7 +513,7 @@ class TestDenseFromNodes:
         # RuntimeWarning, where a read needs its values, and they stay
         # missing, so a second read is refused too
         traj = _rk.dense_from_nodes(make_rhs(LP), np.arange(5.0), np.full((5, 18), 1e120))
-        for read in [lambda: traj.sample(2.5), lambda: traj.derivs, lambda: traj.dense] * 2:
+        for read in [lambda: traj.sample(2.5), lambda: coefficients(traj)] * 2:
             with pytest.raises(DomainError, match="its values are not finite"):
                 read()
         assert traj._todo.all()
@@ -563,7 +566,7 @@ class TestDenseFromNodes:
         lp = LatticeParams(n=11, a=0.0, b=1.0, c=0.0, gamma=-1.0, delta=-1.0)
         ys = np.random.default_rng(seed).standard_normal((5000, 242))
         traj = _rk.dense_from_nodes(make_rhs(lp), np.arange(5000.0), ys)
-        assert np.isfinite(traj.derivs).all()
+        assert np.isfinite(node_derivs(traj)).all()
         # the refused steps stay missing, so a second search is refused too
         for _ in range(2):
             with pytest.raises(DomainError, match="not finite"):
@@ -603,7 +606,9 @@ class TestViews:
         x = slice(0, None, 2)
         view = sol.slots(x)
         self.check(view, self.hand(sol, lambda a: a[..., x]))
-        for v, a in zip(arrays(view), arrays(sol)):
+        # the derivatives are computed on each read: no memory to share
+        for v, a in zip((view.times, view.states, coefficients(view)),
+                        (sol.times, sol.states, coefficients(sol))):
             assert np.shares_memory(v, a)
 
     def test_lifted_fix_k_run(self):
@@ -641,7 +646,7 @@ class TestViews:
         # the view's sample takes its one step again in the quotient run
         lifted.sample(10.0)
         assert np.count_nonzero(~sol._todo) == 1
-        assert np.array_equal(lifted.derivs, sol.derivs[:, lift])
+        assert np.array_equal(node_derivs(lifted), node_derivs(sol)[:, lift])
 
     def test_every_row_of_a_probe_batch(self):
         # four lattices on the quotient of Fix(K), as the criticality
@@ -657,4 +662,4 @@ class TestViews:
             run = slice(j * q, (j + 1) * q)
             view = sol.slots(run)
             self.check(view, self.hand(sol, lambda a: a[..., run]))
-            assert np.shares_memory(view.dense, sol.dense)
+            assert np.shares_memory(coefficients(view), coefficients(sol))

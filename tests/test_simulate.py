@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import coefficients, node_derivs
 from fhn_torus import (
     CellParams,
     ClassificationError,
@@ -246,7 +247,8 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         kept = sum(a.nbytes for a in (traj.times, traj.states, traj._sizes))
-        result = sum(a.nbytes for a in (traj.times, traj.states, traj.derivs, traj.dense))
+        result = sum(a.nbytes for a in (traj.times, traj.states, node_derivs(traj),
+                                        coefficients(traj)))
         assert traj.stats["accepted"] > 1000
         assert peak <= 1.4 * result
         if not have_statm:
@@ -287,8 +289,8 @@ class TestBatchedSolve:
         one = _rk.solve(simulate.make_rhs(self.LP5), 0.0, z0, 30.0)
         sol = _rk.solve(simulate.make_rhs([self.LP5] * batch), 0.0, z0, 30.0)
         assert sol.stats == one.stats
-        for got, want in zip((sol.times, sol.states, sol.derivs, sol.dense),
-                             (one.times, one.states, one.derivs, one.dense)):
+        for got, want in zip((sol.times, sol.states, node_derivs(sol), coefficients(sol)),
+                             (one.times, one.states, node_derivs(one), coefficients(one))):
             assert np.array_equal(got, want)
 
     def test_columns_with_different_a_match_their_own_runs(self, rng):

@@ -427,6 +427,15 @@ class TestGenericityViolations:
         with pytest.raises(DomainError, match="b != 0"):
             genericity_violations(lp)
 
+    def test_overflowing_symbols_are_refused(self):
+        # the symbols overflow at gamma = delta = -1e308: refused with no
+        # numpy warning, where three pairs were read off their NaNs
+        lp = LatticeParams(n=5, a=0.0, b=1.0, c=0.0, gamma=-1e308, delta=-1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow the coupling symbols"):
+                genericity_violations(lp)
+
 
 def uncoupled_eigenvalues(a, b, c):
     """The (0, 0) pair at gamma = delta = 0, the eigenvalues of one cell."""
