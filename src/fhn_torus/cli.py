@@ -291,6 +291,8 @@ def _cmd_critical(args):
 
 def _cmd_hopf(args):
     lp = args.params
+    if lp.c <= 0.0:
+        raise DomainError("hopf needs --c > 0; at c = 0 run fhn-torus critical")
     rep = hopf_crossing(lp)
     payload = {"command": "hopf", "params": asdict(lp), "report": rep,
                "K": predict_hopf_symmetries(rep.mode, lp.n).fixing.label()}

@@ -377,13 +377,15 @@ def classify_spatiotemporal(orbit: PeriodicOrbit, lp: LatticeParams,
     )
 
 
-def _quotient_solve(K: IsotropySubgroup, z0, lps: Sequence[LatticeParams], t_end):
+def _quotient_solve(K: IsotropySubgroup, z0, lps: Sequence[LatticeParams], t_end,
+                    rtol=_rk._RTOL):
     """The flow on Fix(K), restricted to one cell per K-orbit.
 
     z0 is one full state, shape (2*N^2,), which must lie in Fix(K) to
     1e-10 of its size, else InvarianceError.  ``lps`` is a sequence of
     B LatticeParams, each started from z0: the block-diagonal lattice of
-    ``make_rhs``, one state and one step sequence.  Returns the cell
+    ``make_rhs``, one state and one step sequence, solved at ``rtol``
+    and the default atol of :func:`integrate`.  Returns the cell
     classes of K and the ``Trajectory`` on the quotient, whose states
     have 2 * #classes slots per lattice, lattice j's after those of the
     j before it.
@@ -397,7 +399,7 @@ def _quotient_solve(K: IsotropySubgroup, z0, lps: Sequence[LatticeParams], t_end
     if np.max(np.abs(cells - cells[reps[cls]])) > 1e-10 * max(1.0, np.max(np.abs(z0))):
         raise InvarianceError("initial state is not in Fix(K)")
     q0 = np.tile(cells[reps].reshape(-1), len(lps))
-    return cls, _rk.solve(make_rhs(lps, K), 0.0, q0, t_end)
+    return cls, _rk.solve(make_rhs(lps, K), 0.0, q0, t_end, rtol=rtol)
 
 
 def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
@@ -414,7 +416,8 @@ def reduced_integrate_fix(K: IsotropySubgroup, z0, lp: LatticeParams,
     sequence of lattices from one start, integrated as one
     block-diagonal state whose step error is the RMS over all its
     slots; here the sequence is ``[lp]``.  The criticality probe runs
-    its four lattices there, on the quotient, unlifted.
+    its four lattices there, on the quotient, unlifted, at a coarser
+    rtol of its own.
     """
     cls, sol = _quotient_solve(K, z0, [lp], t_end)
     # slots x, y of cell i are those of its class cls[i]

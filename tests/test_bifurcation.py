@@ -23,11 +23,13 @@ from fhn_torus import (
     critical_a,
     eigenvalue_grids,
     hopf_crossing,
+    integrate,
     locate_stability_loss,
     lyapunov_coefficient_sync,
     origin_stability,
     predict_hopf_symmetries,
     psi,
+    reduced_integrate_fix,
     spectrum_report,
     StiffnessError,
     symbol_grid,
@@ -47,6 +49,12 @@ from fhn_torus.symmetry import _cell_classes
 
 def lattice(n=3, a=0.0, b=1.0, c=0.0, gamma=-1.0, delta=-1.0):
     return LatticeParams(n=n, a=a, b=b, c=c, gamma=gamma, delta=delta)
+
+
+def probe_bench_inputs(seed):
+    """The N=5 sync and wave inputs of the benchmark's probe workload."""
+    g, d, g2, d2 = np.random.default_rng(seed).uniform(0.9, 1.1, size=4)
+    return [lattice(n=5, gamma=-g, delta=-d), lattice(n=5, c=0.05, gamma=g2, delta=-d2)]
 
 
 def eigvec_fix_drift(cp, lp):
@@ -625,11 +633,77 @@ class TestCriticalityProbe:
                   ProbeRun(1.3984457046949046, "below", "distant", 3.5671486144857956),
                   ProbeRun(1.5184457046949047, "above", "decay", 1.3188106459104885e-05)))),
     ], ids=["sync", "wave"])
-    def test_result_is_pinned_bit_for_bit(self, lp, want):
-        # recorded while every run was sampled over its whole length:
-        # sampling only the second half leaves every bit of the result
+    def test_result_is_pinned_bit_for_bit(self, lp, want, monkeypatch):
+        # recorded at the library's rtol, while every run was sampled over
+        # its whole length: sampling only the second half leaves every
+        # bit of the result, and so does passing the rtol on explicitly
+        monkeypatch.setattr(bifurcation, "_PROBE_RTOL", _rk._RTOL)
         rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
         assert branch_criticality_probe(rep, lp) == want
+
+    @pytest.mark.parametrize("lp, want", [
+        (lattice(), ProbeResult(
+            classification="subcritical",
+            samples=((-0.06, 0.34003622619454565), (-0.08, 0.40296901748571307)),
+            runs=(ProbeRun(-0.04, "below", "transient", 0.24091548151133177),
+                  ProbeRun(-0.06, "below", "orbit", 0.34003622619454565),
+                  ProbeRun(-0.08, "below", "orbit", 0.40296901748571307),
+                  ProbeRun(0.04, "above", "decay", 8.981634922175783e-06)))),
+        (lattice(c=0.05, gamma=1.0, delta=-1.0), ProbeResult(
+            classification="supercritical",
+            samples=(),
+            runs=(ProbeRun(1.4384457046949046, "below", "transient", 0.24532431083848968),
+                  ProbeRun(1.4184457046949046, "below", "transient", 3.5927817508604876),
+                  ProbeRun(1.3984457046949046, "below", "distant", 3.5671484864933642),
+                  ProbeRun(1.5184457046949047, "above", "decay", 1.3188105870594477e-05)))),
+    ], ids=["sync", "wave"])
+    def test_result_is_pinned_bit_for_bit_at_the_probe_rtol(self, lp, want):
+        # recorded once at rtol 1e-7; the pins above are the same runs at
+        # 1e-9: the same outcomes, amplitudes moved by at most 2.3e-6
+        rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
+        assert branch_criticality_probe(rep, lp) == want
+
+    @pytest.mark.parametrize("lp", [
+        *probe_bench_inputs(0), *probe_bench_inputs(1), *probe_bench_inputs(2),
+        lattice(), lattice(c=0.05, gamma=1.0, delta=-1.0),
+    ], ids=[f"n5-{kind}-seed{s}" for s in range(3) for kind in ("sync", "wave")]
+        + ["n3-sync", "n3-wave"])
+    def test_outcomes_do_not_depend_on_the_probe_rtol(self, lp, monkeypatch):
+        # the outcomes read amplitudes against 10 % and 50 % thresholds
+        # and factors of 10; settled amplitudes move by well under 1e-6
+        rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
+        coarse = branch_criticality_probe(rep, lp)
+        monkeypatch.setattr(bifurcation, "_PROBE_RTOL", _rk._RTOL)
+        fine = branch_criticality_probe(rep, lp)
+        assert coarse.classification == fine.classification
+        assert [r.outcome for r in coarse.runs] == [r.outcome for r in fine.runs]
+        for r, s in zip(coarse.runs, fine.runs):
+            if r.outcome in ("orbit", "decay"):
+                assert r.amplitude == pytest.approx(s.amplitude, rel=1e-6, abs=0.0)
+
+    def test_only_the_probe_solves_at_its_rtol(self, monkeypatch):
+        # (slots, rtol, atol) of every solve
+        solves = []
+        real = _rk.solve
+
+        def spy(f, t0, y0, t_end, rtol=_rk._RTOL, atol=_rk._ATOL):
+            solves.append((np.size(y0), rtol, atol))
+            return real(f, t0, y0, t_end, rtol, atol)
+
+        monkeypatch.setattr(_rk, "solve", spy)
+        lp = lattice(a=-0.05)
+        z0 = np.tile([0.25, 0.0], lp.n * lp.n)
+        integrate(z0, lp, 1.0)
+        reduced_integrate_fix(IsotropySubgroup.full(lp.n), z0, lp, 1.0)
+        library = (_rk._RTOL, _rk._ATOL)
+        assert solves == [(18, *library), (2, *library)]
+        # a stiff batch: each run is redone alone, and is stiff alone too
+        solves.clear()
+        monkeypatch.setattr(_rk, "_MAX_STEPS", 10)
+        branch_criticality_probe(hopf_report_at_critical(lattice()), lattice())
+        probe = (bifurcation._PROBE_RTOL, _rk._ATOL)
+        assert solves == [(8, *probe)] + [(2, *probe)] * 4
+        assert bifurcation._PROBE_RTOL == 1e-7
 
 
 class TestProbeSettings:

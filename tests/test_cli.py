@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import coefficients
-from fhn_torus import BracketError, LatticeParams, _rk, bifurcation, cli, selftest
+from fhn_torus import (BracketError, DomainError, LatticeParams, _rk, bifurcation, cli,
+                       hopf_crossing, selftest)
 from fhn_torus.cli import parse_and_dispatch
 from fhn_torus.selftest import run_selftest
 
@@ -155,6 +156,17 @@ class TestHopf:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("c", [[], ["--c=-0.05"]], ids=["default", "negative"])
+    def test_refusal_of_c_names_the_option_and_the_command(self, c, capsys):
+        # the default c is 0; the library's refusal names critical_a,
+        # which the CLI cannot run
+        code = parse_and_dispatch(["hopf", "--gamma", "1", "--delta", "-1"] + c)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: hopf needs --c > 0; at c = 0 run fhn-torus critical\n")
+        with pytest.raises(DomainError, match="^hopf_crossing requires c > 0; use critical_a"):
+            hopf_crossing(LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=1.0, delta=-1.0))
 
 
 class TestSimulateClassify:
