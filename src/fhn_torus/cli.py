@@ -22,7 +22,6 @@ field or the solver into the last digits of its node times and states.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -40,7 +39,7 @@ from .bifurcation import (
     locate_stability_loss,
     origin_stability,
 )
-from .errors import DomainError
+from .errors import BracketError, DomainError, InvarianceError, StiffnessError
 from .model import LatticeParams, infer_n, state_dim
 from .simulate import (
     Trajectory,
@@ -190,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--gamma-range", default=None, metavar="LO:HI:COUNT")
     sw.add_argument("--delta-range", default=None, metavar="LO:HI:COUNT")
     sw.add_argument("--probe", action="store_true")
-    sw.add_argument("--jobs", type=int, default=1)
 
     st = sub.add_parser("selftest", help="run the invariant battery")
     st.add_argument("--quick", action="store_true", help="skip the slow checks")
@@ -396,25 +394,26 @@ def _cmd_classify(args):
     return Report(payload, ("N", "period", "spatial", "fixing", "residual"), rows), 0
 
 
-def _sweep_point(point: tuple) -> tuple:
-    n, a, b, c, gamma, delta, probe = point
-    nan = float("nan")
+def _sweep_row(lp: LatticeParams, gamma: float, delta: float, probe: bool) -> tuple:
+    """The row of lp at grid point (gamma, delta).  A point the analysis
+    refuses, a non-finite one among them, is marked invalid, one whose
+    search or probe fails is marked failed; any other error stops the
+    sweep."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lp = LatticeParams(n=n, a=a, b=b, c=c, gamma=gamma, delta=delta)
-            rep = hopf_report_at_critical(lp) if c == 0.0 else hopf_crossing(lp)
+            point = replace(lp, gamma=gamma, delta=delta)
+            rep = hopf_report_at_critical(point) if lp.c == 0.0 else hopf_crossing(point)
             if probe:
-                rep.criticality = branch_criticality_probe(rep, lp).classification
-            return _crossing_row(lp, rep)
-    except (ValueError, RuntimeError) as exc:
-        verdict = "invalid" if isinstance(exc, ValueError) else "failed"
-        return (n, a, b, c, gamma, delta, nan, nan, -1, -1, nan, "", verdict)
+                rep.criticality = branch_criticality_probe(rep, point).classification
+            return _crossing_row(point, rep)
+    except (DomainError, BracketError, StiffnessError, InvarianceError) as exc:
+        verdict = "invalid" if isinstance(exc, DomainError) else "failed"
+        nan = float("nan")
+        return (lp.n, lp.a, lp.b, lp.c, gamma, delta, nan, nan, -1, -1, nan, "", verdict)
 
 
 def _cmd_sweep(args):
-    if args.jobs < 1:
-        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     lp = args.params
     ranges = [_parse_range(text) if text else (value, value, 1)
               for text, value in ((args.gamma_range, lp.gamma),
@@ -425,21 +424,7 @@ def _cmd_sweep(args):
             f"sweep grid of {size} points exceeds the limit of {_MAX_SWEEP_POINTS}"
         )
     gammas, deltas = (_range_values(*rng) for rng in ranges)
-    points = [
-        (lp.n, lp.a, lp.b, lp.c, float(g), float(d), args.probe)
-        for g in gammas
-        for d in deltas
-    ]
-    # the pool forks all its workers at the first submit, so no more than
-    # there are points or CPUs
-    workers = min(args.jobs, len(points), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points, chunksize=1))
-    else:
-        rows = [_sweep_point(pt) for pt in points]
+    rows = [_sweep_row(lp, g, d, args.probe) for g in gammas for d in deltas]
     payload = {
         "command": "sweep",
         "header": list(_SWEEP_HEADER),

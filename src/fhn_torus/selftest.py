@@ -164,7 +164,7 @@ _CHECKS = [
     _check_orbit,
 ]
 
-_QUICK_SKIP = {"_check_orbit", "_check_psi"}
+_QUICK_SKIP = {"_check_orbit"}
 
 
 def run_selftest(quick: bool = False):

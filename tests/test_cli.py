@@ -1,6 +1,5 @@
 """Command-line interface: reports, exit codes, determinism."""
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -427,17 +426,19 @@ class TestSweep:
         assert (rows[0]["mode_r"], rows[0]["mode_s"]) == ("3", "0")
 
     def test_probe_fills_the_criticality_column(self, tmp_path):
+        # the refused point between the two probed ones stays invalid
         code, path = run_cli(
-            ["sweep", "--n", "3", "--c", "0", "--gamma-range=-1.2:-0.8:2",
-             "--delta=-1", "--probe"],
+            ["sweep", "--n", "3", "--c", "0", "--gamma-range=-1:1:3", "--delta=-1",
+             "--probe"],
             tmp_path, name="sweep.csv", fmt="csv",
         )
         assert code == 0
-        assert [r["criticality"] for r in load_csv(path)] == ["subcritical", "subcritical"]
+        assert [r["criticality"] for r in load_csv(path)] == [
+            "subcritical", "invalid", "supercritical"]
 
     def test_point_whose_search_fails_is_marked_failed(self, tmp_path, monkeypatch):
         base = ["sweep", "--n", "3", "--c", "0.05", "--gamma-range=-1.2:-0.8:2",
-                "--delta=-1", "--jobs", "1"]
+                "--delta=-1"]
         _, path = run_cli(base, tmp_path, name="clean.csv", fmt="csv")
         clean = load_csv(path)
         real = cli.hopf_crossing
@@ -454,43 +455,17 @@ class TestSweep:
         assert math.isnan(float(rows[0]["a_hat"])) and rows[0]["criticality"] == "failed"
         assert clean[0]["criticality"] != "failed" and rows[1] == clean[1]
 
-    def test_jobs_capped_by_points_and_cpus(self, tmp_path, monkeypatch):
-        # the pool forks all its workers at the first submit; a stand-in
-        # records how many and maps in this process
-        made = []
+    def test_error_of_no_row_stops_the_sweep(self, tmp_path, monkeypatch, capsys):
+        # only the package's typed errors make invalid or failed rows
+        def boom(lp):
+            raise ValueError("boom")
 
-        class Recorder:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        base = ["sweep", "--n", "3", "--b", "1", "--c", "0"]
-        grid = ["--gamma-range=-1.2:0.8:2", "--delta-range=-1.2:0.8:2"]
-        for jobs, ranges, want in (("100000", [], []),
-                                   ("100000", grid[:1], [2]),
-                                   ("100000", grid, [3]),
-                                   ("2", grid, [2])):
-            made.clear()
-            code, _ = run_cli(base + ranges + ["--jobs", jobs], tmp_path,
-                              name="sweep.csv", fmt="csv")
-            assert code == 0 and made == want, (jobs, ranges)
-
-    def test_parallel_output_matches_serial(self, tmp_path):
-        base = ["sweep", "--n", "3", "--b", "1", "--c", "0",
-                "--gamma-range=-1.2:0.8:2", "--delta-range=-1.2:0.8:2"]
-        _, serial = run_cli(base + ["--jobs", "1"], tmp_path, name="s1.csv", fmt="csv")
-        _, parallel = run_cli(base + ["--jobs", "2"], tmp_path, name="s2.csv", fmt="csv")
-        assert serial.read_bytes() == parallel.read_bytes()
+        monkeypatch.setattr(cli, "hopf_crossing", boom)
+        code, path = run_cli(["sweep", "--n", "3", "--c", "0.05",
+                              "--gamma-range=-1.2:-0.8:2", "--delta=-1"],
+                             tmp_path, name="sweep.csv", fmt="csv")
+        assert code == 2 and not path.exists()
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestConfigFile:
@@ -671,10 +646,12 @@ class TestExitCodes:
         assert parse_and_dispatch(["sweep"] + ranges) == 2
         assert "100000" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_sweep_jobs_below_one(self, jobs, capsys):
+    @pytest.mark.parametrize("jobs", ["0", "-1", "2"])
+    def test_sweep_jobs_is_an_unknown_argument(self, jobs, capsys):
         assert parse_and_dispatch(["sweep", "--jobs", jobs]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fhn-torus")
+        assert err.endswith(f"error: unrecognized arguments: --jobs {jobs}\n")
 
     def test_negative_classify_tolerance(self, capsys):
         code = parse_and_dispatch(["simulate", "--a", "-0.05", "--amplitude", "0.25",
@@ -736,6 +713,7 @@ class TestSelftest:
         assert code == 0
         assert "checks passed" in out
         assert "[FAIL]" not in out
+        assert "[ok ] crossing satisfies the psi identity" in out
 
     def test_full_battery_passes(self):
         results = run_selftest()
