@@ -54,8 +54,8 @@ from .symmetry import predict_hopf_symmetries
 
 __all__ = ["Report", "parse_and_dispatch", "emit_report", "main"]
 
-# The keys a config file may set, with their defaults; flags override
-# the file.  The LatticeParams fields make up the lattice.
+# The value each parameter flag takes when it is absent.  The
+# LatticeParams fields make up the lattice.
 _DEFAULTS = {
     "n": 3,
     "a": 0.0,
@@ -93,25 +93,6 @@ class Report:
     csv_rows: tuple | np.ndarray | None = None
 
 
-def _read_config(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
-                raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = int(val) if key == "n" else float(val)
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: bad value {val!r} for {key}")
-    return out
-
-
 def _parse_range(text: str) -> tuple:
     """(lo, hi, count) of a LO:HI:COUNT range."""
     parts = text.split(":")
@@ -123,6 +104,8 @@ def _parse_range(text: str) -> tuple:
         raise DomainError(f"range must be lo:hi:count, got {text!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DomainError(f"range ends must be finite, got {text!r}")
+    if not np.isfinite(hi - lo):
+        raise DomainError(f"range span overflows, got {text!r}")
     if count < 1:
         raise DomainError("range count must be at least 1")
     return lo, hi, count
@@ -139,8 +122,6 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--c", type=float, default=None, help="recovery leak")
     p.add_argument("--gamma", type=float, default=None, help="column coupling weight")
     p.add_argument("--delta", type=float, default=None, help="row coupling weight")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="key=value parameter file; flags override it")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, metavar="FILE",
                    help="write the report here instead of stdout")
@@ -199,18 +180,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace):
-    """Merge defaults, the config file and flags, in rising priority,
-    into ``args.params`` (the lattice), ``args.t_end``, ``args.rtol``
-    and ``args.atol``; ``args.n_source`` names where a given n came
-    from, its flag or the config file, and is None for the default."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    vals = {**_DEFAULTS, **config}
+    """Set ``args.params`` (the lattice), ``args.t_end``, ``args.rtol``
+    and ``args.atol`` from the flags, each absent one at its _DEFAULTS
+    value; ``args.n`` stays None unless --n was given."""
+    vals = dict(_DEFAULTS)
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             vals[key] = flag
-    args.n_source = ("--n" if getattr(args, "n", None) is not None
-                     else args.config if "n" in config else None)
     args.params = LatticeParams(**{f.name: vals.pop(f.name) for f in fields(LatticeParams)})
     vars(args).update(vals)
 
@@ -365,12 +342,14 @@ def _cmd_classify(args):
         )
     if data.shape[1] < 3:
         raise DomainError(f"{args.input}: expected t plus 2*N^2 state columns")
+    if not np.isfinite(data).all():
+        raise DomainError(f"{args.input}: times and states must be finite")
     times = data[:, 0]
     states = data[:, 1:]
     n_file = infer_n(states[0])
     lp = args.params
-    if args.n_source is not None and lp.n != n_file:
-        raise DomainError(f"n = {lp.n} from {args.n_source} does not match "
+    if args.n is not None and lp.n != n_file:
+        raise DomainError(f"n = {lp.n} from --n does not match "
                           f"the {n_file}x{n_file} trajectory file")
     if lp.n != n_file:
         lp = replace(lp, n=n_file)
@@ -394,23 +373,22 @@ def _cmd_classify(args):
     return Report(payload, ("N", "period", "spatial", "fixing", "residual"), rows), 0
 
 
-def _sweep_row(lp: LatticeParams, gamma: float, delta: float, probe: bool) -> tuple:
-    """The row of lp at grid point (gamma, delta).  A point the analysis
-    refuses, a non-finite one among them, is marked invalid, one whose
-    search or probe fails is marked failed; any other error stops the
-    sweep."""
+def _sweep_row(lp: LatticeParams, probe: bool) -> tuple:
+    """The row of one grid point.  A point the analysis refuses is
+    marked invalid, one whose search or probe fails is marked failed;
+    any other error stops the sweep."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            point = replace(lp, gamma=gamma, delta=delta)
-            rep = hopf_report_at_critical(point) if lp.c == 0.0 else hopf_crossing(point)
+            rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
             if probe:
-                rep.criticality = branch_criticality_probe(rep, point).classification
-            return _crossing_row(point, rep)
+                rep.criticality = branch_criticality_probe(rep, lp).classification
+            return _crossing_row(lp, rep)
     except (DomainError, BracketError, StiffnessError, InvarianceError) as exc:
         verdict = "invalid" if isinstance(exc, DomainError) else "failed"
         nan = float("nan")
-        return (lp.n, lp.a, lp.b, lp.c, gamma, delta, nan, nan, -1, -1, nan, "", verdict)
+        return (lp.n, lp.a, lp.b, lp.c, lp.gamma, lp.delta, nan, nan, -1, -1, nan, "",
+                verdict)
 
 
 def _cmd_sweep(args):
@@ -424,7 +402,8 @@ def _cmd_sweep(args):
             f"sweep grid of {size} points exceeds the limit of {_MAX_SWEEP_POINTS}"
         )
     gammas, deltas = (_range_values(*rng) for rng in ranges)
-    rows = [_sweep_row(lp, g, d, args.probe) for g in gammas for d in deltas]
+    rows = [_sweep_row(replace(lp, gamma=g, delta=d), args.probe)
+            for g in gammas for d in deltas]
     payload = {
         "command": "sweep",
         "header": list(_SWEEP_HEADER),

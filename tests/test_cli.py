@@ -41,6 +41,14 @@ def load_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _sine_csv(row, column, text) -> str:
+    """A 60-row N=3 trajectory CSV of sines at unit-spaced times, with
+    text in place of one entry; column 0 holds the times."""
+    rows = [[f"{t}"] + [repr(math.sin(t + k)) for k in range(18)] for t in range(60)]
+    rows[row][column] = text
+    return "t" + ",s" * 18 + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
 class TestCritical:
     def test_synchronized_example(self, tmp_path):
         code, path = run_cli(
@@ -287,21 +295,6 @@ class TestSimulateClassify:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
-    def test_classify_lattice_size_mismatch_in_config(self, tmp_path, capsys):
-        # an n from the config file is checked as one from --n is
-        _, traj_path = run_cli(
-            ["simulate", "--n", "3", "--t-end", "2"], tmp_path,
-            name="traj.csv", fmt="csv",
-        )
-        cfg = tmp_path / "five.cfg"
-        cfg.write_text("n = 5\n")
-        code = parse_and_dispatch(
-            ["classify", "--input", str(traj_path), "--config", str(cfg)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "does not match" in err and str(cfg) in err
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows", [0, 1])
     def test_classify_too_few_rows(self, rows, tmp_path, capsys):
@@ -468,51 +461,19 @@ class TestSweep:
         assert capsys.readouterr().err == "error: boom\n"
 
 
-class TestConfigFile:
-    def test_config_supplies_parameters(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# synchronized example\n\nn = 3\ngamma = -1  # associative\n"
-                       "   # indented comment\n   \ndelta = -1\nb = 1\n")
-        code, path = run_cli(["critical", "--config", str(cfg)], tmp_path)
-        assert code == 0
-        assert load_json(path)["a_star"] == 0.0
-
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("gamma = -1\ndelta = -1\nb = 1\n")
-        code, path = run_cli(
-            ["critical", "--config", str(cfg), "--gamma", "1"], tmp_path
-        )
-        assert code == 0
-        doc = load_json(path)
-        assert doc["a_star"] == pytest.approx(1.5, rel=1e-12)
-        assert doc["K"] == "Z(0,1)"
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau = 2\n")
-        code = parse_and_dispatch(["critical", "--config", str(cfg)])
-        assert code == 2
-        assert "unknown key" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text, error", [
-        ("# header\n\nn 3\n", "3: expected key=value"),
-        ("n = 3\n# header\ngamma = -1\nn = x\n", "4: bad value 'x' for n"),
-        ("gamma = minus one\n", "1: bad value 'minus one' for gamma"),
-    ])
-    def test_malformed_line_rejected(self, text, error, tmp_path, capsys):
-        # the line number counts comment and blank lines
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        code = parse_and_dispatch(["critical", "--config", str(cfg)])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {cfg}:{error}\n"
-
-
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert parse_and_dispatch(["critical", "--bogus", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["critical"], ["classify", "--input", "t.csv"]],
+                             ids=["critical", "classify"])
+    def test_config_is_an_unknown_argument(self, command, capsys):
+        # parameters come from flags alone
+        assert parse_and_dispatch(command + ["--config", "run.cfg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fhn-torus")
+        assert "error: unrecognized arguments: --config run.cfg" in err
 
     def test_missing_command(self, capsys):
         assert parse_and_dispatch([]) == 2
@@ -569,6 +530,14 @@ class TestExitCodes:
          "times must increase strictly"),
         ("t" + ",s" * 18 + "\n" + "".join(f"{t}" + ",0" * 18 + "\n" for t in (0, 2, 1)),
          "times must increase strictly"),
+        # a NaN compares false in the strict-increase test, and these files
+        # were reported with no orbit, exit 0
+        pytest.param(_sine_csv(10, 0, "nan"), "times and states must be finite",
+                     id="nan-time"),
+        pytest.param(_sine_csv(59, 0, "inf"), "times and states must be finite",
+                     id="inf-last-time"),
+        pytest.param(_sine_csv(10, 4, "nan"), "times and states must be finite",
+                     id="nan-state"),
     ])
     def test_classify_malformed_file(self, text, error, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -580,6 +549,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, error", [
         ("a:b:3", "range must be lo:hi:count, got 'a:b:3'"),
         ("-1:1:0", "range count must be at least 1"),
+        # finite ends whose difference overflows: numpy warned twice and
+        # wrote rows at nan, inf and 1e308
+        ("-1e308:1e308:3", "range span overflows, got '-1e308:1e308:3'"),
     ])
     def test_range_refused(self, text, error, capsys):
         code = parse_and_dispatch(["sweep", "--n", "3", "--c", "0.05",
