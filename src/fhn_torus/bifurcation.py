@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BracketError, DegenerateCouplingWarning, DomainError, StiffnessError
-from .model import CellParams, LatticeParams
+from .model import CellParams, LatticeParams, _require_odd_prime
 from .simulate import _quotient_solve
 from .spectral import (
     EigenRecord,
@@ -207,10 +207,18 @@ class StabilityVerdict:
     leading: tuple  # EigenRecord entries attaining the margin
 
 
+def _stability_margin(lp: LatticeParams):
+    """(margin, lam): the largest real part of the closed-form spectrum
+    and the grids (lambda_+, lambda_-) stacked, which it is read from;
+    the one evaluation of the margin, for the verdict and the root
+    search alike."""
+    lam = np.stack(eigenvalue_grids(lp))
+    return float(lam.real.max()), lam
+
+
 def origin_stability(lp: LatticeParams) -> StabilityVerdict:
     """Linear stability of the origin from the closed-form spectrum."""
-    lam = np.stack(eigenvalue_grids(lp))
-    margin = float(lam.real.max())
+    margin, lam = _stability_margin(lp)
     tol = 1e-12 * max(1.0, abs(margin))
     leading = [
         EigenRecord(int(r), int(s), "+-"[k], complex(lam[k, r, s]))
@@ -236,7 +244,7 @@ def locate_stability_loss(lp: LatticeParams, a_lo: float, a_hi: float) -> float:
     """
 
     def f(a):
-        return origin_stability(replace(lp, a=a)).margin
+        return _stability_margin(replace(lp, a=a))[0]
 
     lo, hi = float(a_lo), float(a_hi)
     f_lo, f_hi = f(lo), f(hi)
@@ -339,7 +347,12 @@ def _resonances(crossing) -> list:
 
 def resonant_coupling(n: int, b: float, k: int) -> float:
     """gamma making the two crossing frequencies of the (+,-) pattern
-    resonate exactly with ratio k, from gamma^2 sin^2(theta) = b (k-1)^2 / k."""
+    resonate exactly with ratio k, from gamma^2 sin^2(theta) = b (k-1)^2 / k.
+    Refuses an n that is not an odd prime (LatticeSizeError), and a b
+    that is not finite and positive or a k below 2 (DomainError)."""
+    _require_odd_prime(n)
+    if not (b > 0.0 and math.isfinite(b)):
+        raise DomainError(f"resonant_coupling requires finite b > 0, got b={b!r}")
     if k < 2:
         raise DomainError("resonance order must be at least 2")
     s = math.sin(theta_n(n))
@@ -350,11 +363,11 @@ def psi(x: float, b: float, c: float) -> float:
     """Crossing curve for c > 0: the squared imaginary part of the
     coupling symbol at which an eigenvalue reaches the axis, as a
     function of x = a* - a_hat.  Positive and strictly decreasing on
-    0 < x < c when c**2 < b."""
-    if c <= 0.0:
-        raise DomainError("psi requires c > 0")
-    if x <= 0.0:
-        raise DomainError(f"psi requires x > 0, got x={x!r}")
+    0 < x < c when c**2 < b.  Requires finite x, b and c with x > 0,
+    b > 0 and c > 0, else DomainError."""
+    for name, v in (("x", x), ("b", b), ("c", c)):
+        if not (v > 0.0 and math.isfinite(v)):
+            raise DomainError(f"psi requires finite {name} > 0, got {name}={v!r}")
     return (b - c * x) * (c - x) ** 2 / (c * x)
 
 

@@ -15,12 +15,14 @@ appears in order of the first index.  With 0-based indices (i, j) the x
 component of cell (i, j) sits at flat position 2*(j*N + i) and its y
 component immediately after.
 
-:func:`_cell_shift` and :func:`_mode_vector` are the only code in the
-package's computations that knows this numbering, for single states and
-Fourier modes as for stacks and blocks of them: the vector field, the
-group action, the cell classes of a subgroup and the spectrum residuals
-read the first, the analytic eigenvectors and the residuals' blocks of
-modes the second.  Two readers outside this module know it too: the CSV
+:func:`_cell_shift`, :func:`_mode_vector` and :func:`_mode_blocks` are
+the only code in the package's computations that knows this numbering,
+for single states and Fourier modes as for stacks and blocks of them:
+the vector field, the group action, the cell classes of a subgroup and
+the spectrum residuals read the first, the analytic eigenvectors the
+second, and the residuals the third, which builds the phase table of
+the powers w^s once and yields the block of modes of each first
+frequency r from it.  Two readers outside this module know it too: the CSV
 header of ``cli._traj_header`` names flat cell p as cell
 (p mod N, p // N), and ``simulate.classify_spatiotemporal`` reshapes the
 sampled x slots to a grid [t, j, i].
@@ -124,12 +126,21 @@ def _linear_weights(lp: LatticeParams) -> tuple:
     return (lp.gamma + lp.delta - lp.a, -1.0, -lp.gamma, -lp.delta, lp.b, -lp.c)
 
 
+def _shift_of(g) -> tuple:
+    """The group element g = (r, s) as a pair of ints; an entry that is
+    not an integer (a float such as 1.5 or 1.0) raises DomainError, where
+    int() would truncate it to another element."""
+    if not all(isinstance(k, (int, np.integer)) for k in g[:2]):
+        raise DomainError(f"a shift has integer entries, got {tuple(g)!r}")
+    return int(g[0]), int(g[1])
+
+
 def _cell_shift(g, n: int) -> np.ndarray:
     """Flat index of cell (i + r, j + s), indices mod N, for every flat
     cell j*N + i, with g = (r, s): (1, 0) and (0, 1) give the coupling
     successors, and any g the cell each cell reads under the shift g."""
+    r, s = _shift_of(g)
     m = np.arange(n * n)
-    r, s = int(g[0]), int(g[1])
     return ((m // n + s) % n) * n + (m % n + r) % n
 
 
@@ -143,6 +154,21 @@ def _mode_vector(r: int, s, n: int, d=None) -> np.ndarray:
     ws = w ** s
     xi = np.multiply.outer(ws, np.multiply.outer(w ** r, v)).reshape(ws.shape[:-1] + (-1,))
     return xi if d is None else xi / np.linalg.norm(xi)
+
+
+def _mode_blocks(n: int):
+    """For r = 0 .. N-1 in turn, the phases of the block of modes (r, s),
+    s = 0 .. N-1, shape (N, 1, N^2), as ``_mode_vector(r,
+    np.arange(N).reshape(N, 1, 1), N)`` gives them, bit for bit, but
+    from w and a table of the powers w^s built once for all r, and
+    without the trailing axis of length 1 of _mode_vector's factor 1.0,
+    on which numpy's outer product runs one element per inner loop.
+    Each block is written over the last one, in one buffer."""
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    ws = w ** np.arange(n).reshape(n, 1, 1)
+    x = np.empty((n, 1, n, n), complex)
+    for r in range(n):
+        yield np.multiply.outer(ws, w ** r, out=x).reshape(n, 1, n * n)
 
 
 def to_grids(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

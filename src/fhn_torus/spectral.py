@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import LatticeParams, _cell_shift, _linear_weights, _mode_vector
+from .model import LatticeParams, _cell_shift, _linear_weights, _mode_blocks, _mode_vector
 
 __all__ = [
     "EigenRecord",
@@ -172,6 +172,8 @@ def spectrum_report(lp: LatticeParams):
     linear weights w (``model._linear_weights``): x row (w0 + w1 d - lambda)
     x + w2 x_(1,0) + w3 x_(0,1) cell by cell on one phase grid x per first
     frequency r, y row (w4 + (w5 - lambda) d) x, max|xi| = max(1, |d|) max|x|.
+    The phase grids come from ``model._mode_blocks``, which builds the
+    powers w^s that all r share once per call.
     ``coincident`` lists, in record order, the other (r, s, branch)
     triples whose eigenvalue agrees to 1e-12; nonempty entries indicate
     degeneracy across distinct frequencies.
@@ -183,26 +185,25 @@ def spectrum_report(lp: LatticeParams):
     w = _linear_weights(lp)
     succ = {2: _cell_shift((1, 0), n), 3: _cell_shift((0, 1), n)}
     cx = w[0] + w[1] * d - lam  # per mode, the x row's factor of x
-    # buffers kept for the call; np.take fills g unbuffered only in "clip" mode
+    # buffers kept for the call; take fills g unbuffered only in "clip" mode
     g = np.empty((n, 1, n * n), complex)
     rx, ax, res = np.empty((n, 2, n * n), complex), np.empty((n, 2, n * n)), np.empty((n, n, 2))
-    for r in range(n):
-        x = _mode_vector(r, np.arange(n).reshape(n, 1, 1), n)
+    for r, x in enumerate(_mode_blocks(n)):
         np.multiply(cx[r, :, :, None], x, out=rx)
         for k, sk in succ.items():
-            rx += np.multiply(np.take(x, sk, axis=-1, out=g, mode="clip"), w[k], out=g)
+            rx += np.multiply(x.take(sk, axis=-1, out=g, mode="clip"), w[k], out=g)
         res[r] = np.abs(rx, out=ax).max(-1)
         res[r] /= np.abs(x, out=ax[:, :1]).max(-1)
     res = np.maximum(res, np.abs(w[4] + (w[5] - lam) * d)) / np.maximum(1.0, np.abs(d))
-    keys = [(r, s, b) for r in range(n) for s in range(n) for b in "+-"]
-    # pairs come sorted, so every hit list is in record order
-    hits = [[] for _ in keys]
+    eigs, rhos = iter(lam.ravel().tolist()), iter(res.ravel().tolist())
+    recs = [EigenRecord(r, s, b, next(eigs), next(rhos), ())
+            for r in range(n) for s in range(n) for b in "+-"]
+    # pairs come sorted, so every coincident tuple grows in record order
     for i, j in _coincident_pairs(lam.reshape(-1), _COINCIDENCE_TOL):
         if i // 2 != j // 2:
-            hits[i].append(keys[j])
-            hits[j].append(keys[i])
-    return [EigenRecord(*key, eig, rho, tuple(found)) for key, eig, rho, found
-            in zip(keys, lam.ravel().tolist(), res.ravel().tolist(), hits)]
+            for rec, other in ((recs[i], recs[j]), (recs[j], recs[i])):
+                rec.coincident += ((other.r, other.s, other.branch),)
+    return recs
 
 
 def genericity_violations(lp: LatticeParams):

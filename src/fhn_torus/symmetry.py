@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClassificationError
-from .model import _cell_shift, _check_state, _require_odd_prime, infer_n
+from .model import _cell_shift, _check_state, _require_odd_prime, _shift_of, infer_n
 
 __all__ = [
     "IsotropySubgroup",
@@ -51,7 +51,8 @@ def act(g, z: np.ndarray, n: int) -> np.ndarray:
     The returned state holds at cell (i, j) the old value of cell
     (i + r, j + s); x and y slots move together.  The dtype of z is
     preserved, so complex eigenvectors can be shifted as well.  A z that
-    is not one state of the N x N lattice raises DimensionMismatchError.
+    is not one state of the N x N lattice raises DimensionMismatchError,
+    and a g entry that is not an integer (numpy integers are) DomainError.
     """
     return _check_state(z, n, dtype=None)[state_permutation(g, n)]
 
@@ -77,7 +78,8 @@ def canonical_mode(r: int, s: int, n: int) -> tuple:
 
 def fix_modes(g, n: int) -> list:
     """Canonical pairs whose planes are fixed pointwise by g."""
-    return [k for k in mode_index_set(n) if (k[0] * g[0] + k[1] * g[1]) % n == 0]
+    r, s = _shift_of(g)
+    return [k for k in mode_index_set(n) if (k[0] * r + k[1] * s) % n == 0]
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,9 @@ class IsotropySubgroup:
     nonzero multiple of its generator mod N, so every generator of one
     subgroup gives one equal descriptor and label; a generator that is
     0 mod N, and any generator of the full or the trivial group, raise
-    ClassificationError."""
+    ClassificationError; a generator entry that is not an integer raises
+    DomainError, as does such an entry of any element handed to
+    ``contains``, ``act`` or ``fix_modes``."""
 
     kind: str  # "full" | "cyclic" | "trivial"
     n: int
@@ -104,8 +108,8 @@ class IsotropySubgroup:
                 raise ClassificationError(f"the {self.kind} group takes no generator")
             return
         n = self.n
-        g = (0, 0) if self.generator is None else self.generator
-        r, s = int(g[0]) % n, int(g[1]) % n
+        r, s = _shift_of((0, 0) if self.generator is None else self.generator)
+        r, s = r % n, s % n
         if (r, s) == (0, 0):
             raise ClassificationError("cyclic subgroup needs a nonzero generator")
         gen = min(((m * r) % n, (m * s) % n) for m in range(1, n))
@@ -132,7 +136,7 @@ class IsotropySubgroup:
         return [((m * r) % self.n, (m * s) % self.n) for m in range(self.n)]
 
     def contains(self, g) -> bool:
-        g0, g1 = int(g[0]) % self.n, int(g[1]) % self.n
+        g0, g1 = (k % self.n for k in _shift_of(g))
         if self.kind == "cyclic":  # g is a multiple of (r, s)
             r, s = self.generator
             return (g0 * s - g1 * r) % self.n == 0

@@ -16,6 +16,7 @@ from fhn_torus import (
     DomainError,
     IsotropySubgroup,
     LatticeParams,
+    LatticeSizeError,
     act,
     analytic_eigenvalues,
     analytic_eigenvector,
@@ -220,14 +221,16 @@ class TestStabilityScan:
             assert abs(a_num - cp.a_star) < 1e-8
 
     def test_root_search_needs_at_most_twelve_margins(self, rng, monkeypatch):
+        # counted where every margin is evaluated, so that a search that
+        # evaluates none cannot pass
         calls = []
-        counted = bifurcation.origin_stability
+        counted = bifurcation._stability_margin
 
         def counting(lp):
             calls.append(lp.a)
             return counted(lp)
 
-        monkeypatch.setattr(bifurcation, "origin_stability", counting)
+        monkeypatch.setattr(bifurcation, "_stability_margin", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for n in (3, 5, 7, 11, 23):
@@ -239,7 +242,7 @@ class TestStabilityScan:
                               else (cp.a_star - 1.0, cp.a_star))
                     calls.clear()
                     a_num = locate_stability_loss(lp, lo, hi)
-                    assert len(calls) <= 12
+                    assert 3 <= len(calls) <= 12
                     if c == 0.0:
                         assert abs(a_num - cp.a_star) < 1e-8
                     else:
@@ -311,6 +314,18 @@ class TestResonance:
         with pytest.raises(DomainError):
             resonant_coupling(3, 1.0, 1)
 
+    @pytest.mark.parametrize("b", [-1.0, 0.0, math.inf, math.nan])
+    def test_b_not_finite_and_positive_is_refused(self, b):
+        # b = -1 raised an untyped math domain error, 0 gave a zero
+        # coupling and inf an infinite one
+        with pytest.raises(DomainError):
+            resonant_coupling(3, b, 2)
+
+    @pytest.mark.parametrize("n", [4, 9, 2, 1, 3.0])
+    def test_lattice_side_not_an_odd_prime_is_refused(self, n):
+        with pytest.raises(LatticeSizeError):
+            resonant_coupling(n, 1.0, 2)
+
     def test_flagged_at_engineered_coupling(self):
         lp = lattice(gamma=resonant_coupling(3, 1.0, 2), delta=-1.0)
         hits = hopf_report_at_critical(lp).resonances
@@ -359,6 +374,19 @@ class TestPsi:
             psi(0.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             psi(-0.01, 1.0, 0.1)
+
+    @pytest.mark.parametrize("x, b, c", [
+        (math.nan, 1.0, 0.1),  # x <= 0 is false for NaN
+        (0.05, 1.0, math.inf),
+        (math.inf, 1.0, 0.1),
+        (0.05, math.nan, 0.1),
+        (0.05, -1.0, 0.1),  # gave -0.5025
+        (0.05, 0.0, 0.1),
+        (0.05, 1.0, math.nan),
+    ])
+    def test_nonfinite_input_and_nonpositive_b_are_refused(self, x, b, c):
+        with pytest.raises(DomainError):
+            psi(x, b, c)
 
 
 class TestHopfCrossing:

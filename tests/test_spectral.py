@@ -23,7 +23,7 @@ from fhn_torus import (
     spectrum_report,
     symbol_grid,
 )
-from fhn_torus import model, spectral
+from fhn_torus import bifurcation, model, spectral
 
 LP_HALF = LatticeParams(n=3, a=0.0, b=1.0, c=0.0, gamma=-0.5, delta=-0.5)
 
@@ -243,23 +243,28 @@ class TestSpectrumReport:
     @pytest.mark.parametrize("n", [5, 23])
     def test_one_jacobian_apply_per_block_of_one_r(self, n, monkeypatch):
         # the operator is applied to one (n, 1, N^2) grid of phases per
-        # first frequency r, the x grid the branches share, not per mode
-        calls = []
-        real_mode_vector = spectral._mode_vector
+        # first frequency r, the x grid the branches share, not per mode;
+        # the grids come from one table of phase powers per call
+        calls, blocks = [], []
+        real_mode_blocks = spectral._mode_blocks
 
-        def counted(*args):
-            out = real_mode_vector(*args)
-            calls.append(out.shape)
-            return out
+        def counted(m):
+            calls.append(m)
+            for x in real_mode_blocks(m):
+                blocks.append(x.shape)
+                yield x
 
-        monkeypatch.setattr(spectral, "_mode_vector", counted)
+        monkeypatch.setattr(spectral, "_mode_blocks", counted)
         spectrum_report(random_lattice(np.random.default_rng(n), n=n))
-        assert calls == [(n, 1, n * n)] * n
+        assert calls == [n]
+        assert blocks == [(n, 1, n * n)] * n
 
     def test_memory_peak_at_n23(self, rng):
-        # the kept block buffers hold 3N^3 complex and 2N^3 real entries,
-        # about 0.8 MB at N=23; the report peaked at 1.52 MB when this bound
-        # was set (2.50 MB before the residuals were split into two rows)
+        # the kept block buffers, the phase block's among them, hold 4N^3
+        # complex and 2N^3 real entries, about 1.0 MB at N=23; the report
+        # peaked at 1.52 MB when this bound was set (2.50 MB before the
+        # residuals were split into two rows, 1.32 MB once the phase
+        # blocks were written into one buffer)
         lp = random_lattice(rng, n=23)
         spectrum_report(lp)
         tracemalloc.start()
@@ -269,6 +274,105 @@ class TestSpectrumReport:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1e6
+
+
+def reference_spectrum_report(lp):
+    """The report as it was before its phase powers were built once per
+    call, kept here as the bit-for-bit oracle: the phases of each first
+    frequency r rebuilt from w and w^s, np.take's wrapper, and records
+    built from a key tuple and a hit list per record."""
+    n = lp.n
+    A = symbol_grid(lp)
+    lam = np.stack(spectral._roots(A, lp.b, lp.c), axis=-1)
+    d = A[..., None] - lam
+    w = model._linear_weights(lp)
+    succ = {2: model._cell_shift((1, 0), n), 3: model._cell_shift((0, 1), n)}
+    cx = w[0] + w[1] * d - lam
+    g = np.empty((n, 1, n * n), complex)
+    rx, ax, res = np.empty((n, 2, n * n), complex), np.empty((n, 2, n * n)), np.empty((n, n, 2))
+    for r in range(n):
+        wn = np.exp(2j * np.pi * np.arange(n) / n)
+        ws = wn ** np.arange(n).reshape(n, 1, 1)
+        x = np.multiply.outer(ws, np.multiply.outer(wn ** r, np.array([1.0]))).reshape(n, 1, -1)
+        np.multiply(cx[r, :, :, None], x, out=rx)
+        for k, sk in succ.items():
+            rx += np.multiply(np.take(x, sk, axis=-1, out=g, mode="clip"), w[k], out=g)
+        res[r] = np.abs(rx, out=ax).max(-1)
+        res[r] /= np.abs(x, out=ax[:, :1]).max(-1)
+    res = np.maximum(res, np.abs(w[4] + (w[5] - lam) * d)) / np.maximum(1.0, np.abs(d))
+    keys = [(r, s, b) for r in range(n) for s in range(n) for b in "+-"]
+    hits = [[] for _ in keys]
+    for i, j in spectral._coincident_pairs(lam.reshape(-1), spectral._COINCIDENCE_TOL):
+        if i // 2 != j // 2:
+            hits[i].append(keys[j])
+            hits[j].append(keys[i])
+    return [spectral.EigenRecord(*key, eig, rho, tuple(found)) for key, eig, rho, found
+            in zip(keys, lam.ravel().tolist(), res.ravel().tolist(), hits)]
+
+
+def reference_origin_stability(lp):
+    """(margin, leading (r, s, branch, eigenvalue)) as origin_stability
+    computed them before its margin had a helper of its own."""
+    lam = np.stack(eigenvalue_grids(lp))
+    margin = float(lam.real.max())
+    tol = 1e-12 * max(1.0, abs(margin))
+    leading = sorted((int(r), int(s), "+-"[k], complex(lam[k, r, s]))
+                     for k, r, s in zip(*np.nonzero(lam.real >= margin - tol)))
+    return margin, leading
+
+
+def record_bits(recs):
+    """Keys and coincident tuples of the records, and the bytes of their
+    eigenvalues and residuals."""
+    return ([(rec.r, rec.s, rec.branch, rec.coincident) for rec in recs],
+            np.array([rec.eigenvalue for rec in recs]).tobytes(),
+            np.array([rec.residual for rec in recs]).tobytes())
+
+
+def oracle_lattices(count, seed):
+    """Seeded lattices with N from 3 to 23, c = 0 on every other one,
+    couplings of either sign with moduli from 1e-3 to 1e3, delta = gamma
+    (coincident eigenvalues) on every fourth and a = 0 at c = 0, where
+    the (-, -) margin is exactly 0, on every sixth."""
+    rng = np.random.default_rng(seed)
+    sizes = (3, 5, 7, 11, 13, 17, 19, 23)
+    for k in range(count):
+        gamma, delta = rng.choice((-1.0, 1.0), 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        c = 0.0 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
+        yield LatticeParams(n=int(rng.choice(sizes)),
+                            a=0.0 if k % 6 == 0 else float(rng.uniform(-2.0, 3.0)),
+                            b=float(rng.uniform(0.1, 4.0)), c=c, gamma=float(gamma),
+                            delta=float(gamma if k % 4 == 3 else delta))
+
+
+class TestBitForBitOracle:
+    @pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_mode_blocks_are_the_mode_vector_blocks(self, n):
+        # copied, since each block is written over the last one
+        got = [x.copy() for x in model._mode_blocks(n)]
+        want = [model._mode_vector(r, np.arange(n).reshape(n, 1, 1), n) for r in range(n)]
+        assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+    def test_report_matches_reference_loop_and_records(self):
+        coincident = 0
+        for lp in oracle_lattices(520, 43):
+            got = spectrum_report(lp)
+            assert record_bits(got) == record_bits(reference_spectrum_report(lp)), lp
+            coincident += any(rec.coincident for rec in got)
+        assert coincident >= 100  # the delta = gamma draws have coincident records
+
+    def test_margin_helper_matches_reference_verdict(self):
+        zero = 0
+        for lp in oracle_lattices(520, 44):
+            want, leading = reference_origin_stability(lp)
+            margin, _ = bifurcation._stability_margin(lp)
+            verdict = bifurcation.origin_stability(lp)
+            assert np.float64(margin).tobytes() == np.float64(want).tobytes(), lp
+            assert np.float64(verdict.margin).tobytes() == np.float64(want).tobytes(), lp
+            assert [rec.mode + (rec.branch, rec.eigenvalue)
+                    for rec in verdict.leading] == leading
+            zero += want == 0.0
+        assert zero >= 10  # the a = 0, c = 0 (-, -) draws sit on the boundary
 
 
 class TestSingleClosedForm:

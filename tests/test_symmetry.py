@@ -9,6 +9,7 @@ from conftest import fft_projection
 from fhn_torus import (
     ClassificationError,
     DimensionMismatchError,
+    DomainError,
     IsotropySubgroup,
     act,
     canonical_mode,
@@ -81,6 +82,32 @@ class TestAction:
         z = rng.standard_normal(18)
         perm = state_permutation((2, 1), 3)
         assert np.array_equal(act((2, 1), z, 3), z[perm])
+
+
+class TestShiftEntries:
+    # int() truncated a shift entry: act((0.5, 0), z, 3) returned z
+    # unshifted, and the generator (1.5, 0) gave the subgroup Z(1,0)
+    @pytest.mark.parametrize("g", [(0.5, 0), (1.5, 0), (0, 2.0), (np.float64(1.0), 0)])
+    def test_an_entry_that_is_not_an_integer_is_refused(self, rng, g):
+        z = rng.standard_normal(18)
+        with pytest.raises(DomainError):
+            act(g, z, 3)
+        with pytest.raises(DomainError):
+            state_permutation(g, 3)
+        with pytest.raises(DomainError):
+            IsotropySubgroup.cyclic(g, 3)
+        with pytest.raises(DomainError):
+            IsotropySubgroup.cyclic((1, 0), 3).contains(g)
+        with pytest.raises(DomainError):
+            fix_modes(g, 3)
+
+    def test_numpy_integers_are_accepted(self, rng):
+        z = rng.standard_normal(18)
+        for g in [np.array([1, 2]), (np.int64(1), np.int32(2)), (np.uint8(1), 2)]:
+            assert np.array_equal(act(g, z, 3), act((1, 2), z, 3))
+            assert IsotropySubgroup.cyclic(g, 3) == IsotropySubgroup.cyclic((1, 2), 3)
+            assert fix_modes(g, 3) == fix_modes((1, 2), 3)
+            assert IsotropySubgroup.cyclic((2, 1), 3).contains(g)
 
 
 class TestModeIndexSet:
