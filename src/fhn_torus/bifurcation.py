@@ -62,7 +62,9 @@ __all__ = [
 
 
 def theta_n(n: int) -> float:
-    """(N-1)*pi/N, the angle of the frequencies nearest the half turn."""
+    """(N-1)*pi/N, the angle of the frequencies nearest the half turn.
+    Refuses an n that is not an odd prime (LatticeSizeError)."""
+    _require_odd_prime(n)
     return (n - 1) * math.pi / n
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,20 +53,6 @@ from .spectral import analytic_eigenvector, spectrum_report
 from .symmetry import predict_hopf_symmetries
 
 __all__ = ["Report", "parse_and_dispatch", "emit_report", "main"]
-
-# The value each parameter flag takes when it is absent.  The
-# LatticeParams fields make up the lattice.
-_DEFAULTS = {
-    "n": 3,
-    "a": 0.0,
-    "b": 1.0,
-    "c": 0.0,
-    "gamma": -1.0,
-    "delta": -1.0,
-    "t_end": 200.0,
-    "rtol": _rk._RTOL,
-    "atol": _rk._ATOL,
-}
 
 # The most grid points one sweep runs; a larger grid is refused before
 # any point is built.
@@ -117,11 +103,11 @@ def _range_values(lo: float, hi: float, count: int) -> tuple:
 
 def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=None, help="lattice side, an odd prime")
-    p.add_argument("--a", type=float, default=None, help="cubic cell parameter")
-    p.add_argument("--b", type=float, default=None, help="recovery gain")
-    p.add_argument("--c", type=float, default=None, help="recovery leak")
-    p.add_argument("--gamma", type=float, default=None, help="column coupling weight")
-    p.add_argument("--delta", type=float, default=None, help="row coupling weight")
+    p.add_argument("--a", type=float, default=0.0, help="cubic cell parameter")
+    p.add_argument("--b", type=float, default=1.0, help="recovery gain")
+    p.add_argument("--c", type=float, default=0.0, help="recovery leak")
+    p.add_argument("--gamma", type=float, default=-1.0, help="column coupling weight")
+    p.add_argument("--delta", type=float, default=-1.0, help="row coupling weight")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, metavar="FILE",
                    help="write the report here instead of stdout")
@@ -148,9 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     si = sub.add_parser("simulate", help="integrate the network")
     _add_param_flags(si)
-    si.add_argument("--t-end", type=float, default=None)
-    si.add_argument("--rtol", type=float, default=None)
-    si.add_argument("--atol", type=float, default=None)
+    si.add_argument("--t-end", type=float, default=200.0)
+    si.add_argument("--rtol", type=float, default=_rk._RTOL)
+    si.add_argument("--atol", type=float, default=_rk._ATOL)
     si.add_argument("--ic", choices=("uniform-x", "random", "mode"),
                     default="uniform-x", help="initial condition family")
     si.add_argument("--amplitude", type=float, default=1e-3)
@@ -180,16 +166,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace):
-    """Set ``args.params`` (the lattice), ``args.t_end``, ``args.rtol``
-    and ``args.atol`` from the flags, each absent one at its _DEFAULTS
-    value; ``args.n`` stays None unless --n was given."""
-    vals = dict(_DEFAULTS)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            vals[key] = flag
-    args.params = LatticeParams(**{f.name: vals.pop(f.name) for f in fields(LatticeParams)})
-    vars(args).update(vals)
+    """Set ``args.params``, the lattice of the flags, with N = 3 unless
+    --n was given; ``args.n`` stays None when it was not, so that
+    classify takes N from its file."""
+    if "a" in args:  # selftest takes no lattice flags
+        args.params = LatticeParams(3 if args.n is None else args.n, args.a, args.b,
+                                    args.c, args.gamma, args.delta)
 
 
 def _crossing_row(lp: LatticeParams, rep: HopfReport) -> tuple:

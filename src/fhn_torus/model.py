@@ -126,12 +126,13 @@ def _linear_weights(lp: LatticeParams) -> tuple:
     return (lp.gamma + lp.delta - lp.a, -1.0, -lp.gamma, -lp.delta, lp.b, -lp.c)
 
 
-def _shift_of(g) -> tuple:
-    """The group element g = (r, s) as a pair of ints; an entry that is
-    not an integer (a float such as 1.5 or 1.0) raises DomainError, where
+def _shift_of(g, what: str = "shift") -> tuple:
+    """The group element g = (r, s), or with what="frequency" the
+    frequency (r, s), as a pair of ints; an entry that is not an integer
+    (a float such as 1.5 or 1.0) raises DomainError naming what, where
     int() would truncate it to another element."""
     if not all(isinstance(k, (int, np.integer)) for k in g[:2]):
-        raise DomainError(f"a shift has integer entries, got {tuple(g)!r}")
+        raise DomainError(f"a {what} has integer entries, got {tuple(g)!r}")
     return int(g[0]), int(g[1])
 
 

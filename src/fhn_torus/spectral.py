@@ -22,7 +22,9 @@ of other modes overflow.  Conjugation pairs the + branch of (r, s)
 with the + branch of (-r, -s).  :func:`spectrum_report` checks each
 closed-form pair against the lattice field's own linear weights: cell
 by cell in the x row, the only one the coupling enters, and per mode
-in the y row.
+in the y row.  A frequency (r, s) is a pair of integers, read mod N; an
+entry that is not an integer (numpy integers are) raises DomainError
+naming the frequency.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import LatticeParams, _cell_shift, _linear_weights, _mode_blocks, _mode_vector
+from .model import (LatticeParams, _cell_shift, _linear_weights, _mode_blocks, _mode_vector,
+                    _shift_of)
 
 __all__ = [
     "EigenRecord",
@@ -101,12 +104,13 @@ def _entry(lp: LatticeParams, r: int, s: int) -> np.ndarray:
     """A(r, s) as an array of one entry, whose roots then take the
     grid's array arithmetic bit for bit; numpy's scalar arithmetic
     differs in the last bits."""
+    r, s = _shift_of((r, s), "frequency")
     return symbol_grid(lp)[[r % lp.n], [s % lp.n]]
 
 
 def coupling_symbol(r: int, s: int, lp: LatticeParams) -> complex:
     """A(r, s), the scalar the coupling contributes at frequency (r, s)."""
-    return complex(symbol_grid(lp)[r % lp.n, s % lp.n])
+    return complex(_entry(lp, r, s)[0])
 
 
 def analytic_eigenvalues(r: int, s: int, lp: LatticeParams):

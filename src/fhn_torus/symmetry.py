@@ -12,7 +12,9 @@ multiplies the complex coordinate of that plane by w^(r*k1 + s*k2).
 cell a shift reads and the Fourier vector of a frequency come from
 ``model._cell_shift`` and ``model._mode_vector``, the only code that
 knows the cell layout.  Full states carry two copies of each plane
-(one in the x slots, one in the y slots).
+(one in the x slots, one in the y slots).  A shift or frequency entry
+that is not an integer (numpy integers are), such as 0.5 or 1.0, raises
+DomainError naming the pair.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ def mode_index_set(n: int) -> list:
 def canonical_mode(r: int, s: int, n: int) -> tuple:
     """Canonical pair of the plane containing frequency (r, s):
     whichever of (r, s) and (-r, -s) mod N ``mode_index_set`` lists."""
+    r, s = _shift_of((r, s), "frequency")
     k = (r % n, s % n)
     return k if k in mode_index_set(n) else ((n - k[0]) % n, (n - k[1]) % n)
 
@@ -244,7 +247,7 @@ def predict_hopf_symmetries(center_mode, n: int) -> SymmetryPrediction:
         The fixing subgroup is the same for k and -k.
     """
     H = IsotropySubgroup.full(n)
-    r, s = center_mode[0] % n, center_mode[1] % n
+    r, s = (k % n for k in _shift_of(center_mode, "frequency"))
     K = H if (r, s) == (0, 0) else IsotropySubgroup.cyclic((-s, r), n)
     return SymmetryPrediction(
         spatial=H, fixing=K, phases={(1, 0): Fraction(r, n), (0, 1): Fraction(s, n)}

@@ -79,6 +79,12 @@ class TestThetaN:
         assert math.pi / 2 < th < math.pi
         assert math.cos(th) < 0.0 < math.sin(th)
 
+    # theta_n(4) returned 2.356... and theta_n(0) raised ZeroDivisionError
+    @pytest.mark.parametrize("n", [4, 9, 2, 1, 0, -3, 3.0])
+    def test_lattice_side_not_an_odd_prime_is_refused(self, n):
+        with pytest.raises(LatticeSizeError):
+            theta_n(n)
+
 
 class TestSignPattern:
     def test_patterns(self):

@@ -461,6 +461,39 @@ class TestSweep:
         assert capsys.readouterr().err == "error: boom\n"
 
 
+# The README's lattice defaults, spelled out.
+README_DEFAULTS = ["--n", "3", "--a", "0", "--b", "1", "--c", "0", "--gamma", "-1",
+                   "--delta", "-1"]
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command, kept, spelled", [
+        ("spectrum", [], []),
+        ("critical", [], []),
+        ("hopf", ["--c", "0.05"], []),
+        ("simulate", [], ["--t-end", "200", "--rtol", "1e-9", "--atol", "1e-11"]),
+        ("classify", ["--input", "traj.csv"], []),
+        ("sweep", [], []),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_absent_flags_take_the_readme_defaults(self, command, kept, spelled, fmt,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(["simulate", "--t-end", "20"], tmp_path, name="traj.csv", fmt="csv")
+        codes, paths = zip(run_cli([command, *kept], tmp_path, name="implicit", fmt=fmt),
+                           run_cli([command, *README_DEFAULTS, *kept, *spelled], tmp_path,
+                                   name="explicit", fmt=fmt))
+        assert codes == (0, 0)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_classify_takes_n_from_the_file(self, tmp_path):
+        _, traj_path = run_cli(["simulate", "--n", "5", "--t-end", "2"], tmp_path,
+                               name="traj.csv", fmt="csv")
+        code, path = run_cli(["classify", "--input", str(traj_path)], tmp_path)
+        assert code == 0
+        assert load_json(path)["params"]["n"] == 5
+
+
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert parse_and_dispatch(["critical", "--bogus", "1"]) == 2

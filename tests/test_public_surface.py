@@ -1,7 +1,8 @@
 """The package's public names: every ``__all__`` entry exists, star
 imports work from a fresh interpreter, ``fhn_torus.__all__`` lists
-exactly what the package ``__init__`` imports, and a ``Trajectory`` has
-seven public members."""
+exactly what the package ``__init__`` imports, a ``Trajectory`` has
+seven public members, and every module stays below the parser's token
+step."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -60,3 +62,18 @@ def test_trajectory_is_read_through_seven_members():
     for read in (traj, traj.slots(slice(0, 1))):
         assert {name for name in dir(read) if not name.startswith("_")} == {
             "times", "states", "stats", "t_end", "final_state", "sample", "slots"}
+
+
+# CPython's parser doubles its token store at 4,096 tokens: a module
+# above that raises the import peak of every process that compiles it,
+# about 0.24 MB, and with it every benchmark workload's peak_rss_mb.
+_TOKEN_STEP = 4096
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "fhn_torus").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_stays_below_the_parser_token_step(path):
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    with path.open("rb") as fh:
+        count = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
+    assert count < _TOKEN_STEP

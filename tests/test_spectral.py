@@ -1,6 +1,7 @@
 """Closed-form spectrum of the origin Jacobian."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -164,6 +165,29 @@ class TestAnalyticEigenvector:
             k = canonical_mode(r, s, 3)
             re = np.real(xi)
             assert np.max(np.abs(re - fft_projection(re, k, 3))) <= 1e-10
+
+
+class TestFrequencyEntries:
+    # each raised numpy's untyped IndexError at a float entry
+    @pytest.mark.parametrize("r, s", [(0.5, 0), (0, 1.5), (1.0, 0), (np.float64(2.0), 1)])
+    def test_an_entry_that_is_not_an_integer_is_refused(self, r, s):
+        named = f"a frequency has integer entries, got {re.escape(repr((r, s)))}"
+        with pytest.raises(DomainError, match=named):
+            coupling_symbol(r, s, LP_HALF)
+        with pytest.raises(DomainError, match=named):
+            analytic_eigenvalues(r, s, LP_HALF)
+        with pytest.raises(DomainError, match=named):
+            analytic_eigenvector(r, s, "+", LP_HALF)
+
+    def test_numpy_integers_give_the_same_bits(self, rng):
+        lp = random_lattice(rng, n=5)
+        for r, s in [(np.int64(3), np.int32(4)), (np.uint8(3), 4), (np.int64(-2), -1)]:
+            k = (int(r), int(s))
+            assert coupling_symbol(r, s, lp) == coupling_symbol(*k, lp)
+            assert analytic_eigenvalues(r, s, lp) == analytic_eigenvalues(*k, lp)
+            for branch in "+-":
+                assert np.array_equal(analytic_eigenvector(r, s, branch, lp),
+                                      analytic_eigenvector(*k, branch, lp))
 
 
 class TestSpectrumReport:

@@ -1,5 +1,6 @@
 """Torus group action, invariant planes, isotropy bookkeeping."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,24 @@ class TestShiftEntries:
             assert IsotropySubgroup.cyclic(g, 3) == IsotropySubgroup.cyclic((1, 2), 3)
             assert fix_modes(g, 3) == fix_modes((1, 2), 3)
             assert IsotropySubgroup.cyclic((2, 1), 3).contains(g)
+
+
+class TestFrequencyEntries:
+    # canonical_mode(0.5, 0, 3) returned (2.5, 0), predict_hopf_symmetries
+    # raised an untyped TypeError at (0, 0.0) and refused (1.0, 0) naming
+    # the shift (0, 1.0) derived from it
+    @pytest.mark.parametrize("k", [(0.5, 0), (0, 0.0), (1.0, 0), (np.float64(2.0), 1)])
+    def test_an_entry_that_is_not_an_integer_is_refused(self, k):
+        named = f"a frequency has integer entries, got {re.escape(repr(k))}"
+        with pytest.raises(DomainError, match=named):
+            canonical_mode(*k, 3)
+        with pytest.raises(DomainError, match=named):
+            predict_hopf_symmetries(k, 3)
+
+    def test_numpy_integers_are_accepted(self):
+        for k in [np.array([2, 1]), (np.int64(2), np.int32(1)), (np.uint8(2), 1)]:
+            assert canonical_mode(*k, 3) == canonical_mode(2, 1, 3)
+            assert predict_hopf_symmetries(k, 3) == predict_hopf_symmetries((2, 1), 3)
 
 
 class TestModeIndexSet:
