@@ -29,13 +29,8 @@ import numpy as np
 from .errors import BracketError, DegenerateCouplingWarning, DomainError, StiffnessError
 from .model import CellParams, LatticeParams, _require_odd_prime
 from .simulate import _quotient_solve
-from .spectral import (
-    EigenRecord,
-    analytic_eigenvalues,
-    analytic_eigenvector,
-    eigenvalue_grids,
-    symbol_grid,
-)
+from .spectral import (EigenRecord, _entries, _roots, analytic_eigenvalues, analytic_eigenvector,
+                       eigenvalue_grids, symbol_grid)
 from .symmetry import IsotropySubgroup, predict_hopf_symmetries
 
 __all__ = [
@@ -178,12 +173,11 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
     rs, ss = (near_half if w > 0.0 else (0,) for w in (lp.gamma, lp.delta))
     a_star = (max(lp.gamma, 0.0) + max(lp.delta, 0.0)) * factor
     modes = [(r, s) for r in rs for s in ss]
-    # the roots of the crossing modes alone: those of other modes
-    # overflow first (gamma = delta = -1e300)
-    lp_star = replace(lp, a=a_star)
+    # the roots of the crossing modes' grid entries alone: those of
+    # other modes overflow first (gamma = delta = -1e300)
+    _, A = _entries(replace(lp, a=a_star), *modes)
     crossing = []
-    for r, s in modes:
-        lam_p, lam_m = analytic_eigenvalues(r, s, lp_star)
+    for (r, s), lam_p, lam_m in zip(modes, *(x.tolist() for x in _roots(A, lp.b, lp.c))):
         branch = _upper_branch(lam_p, lam_m)
         omega = float((lam_p if branch == "+" else lam_m).imag)
         if not omega > 0.0:
@@ -351,12 +345,13 @@ def resonant_coupling(n: int, b: float, k: int) -> float:
     """gamma making the two crossing frequencies of the (+,-) pattern
     resonate exactly with ratio k, from gamma^2 sin^2(theta) = b (k-1)^2 / k.
     Refuses an n that is not an odd prime (LatticeSizeError), and a b
-    that is not finite and positive or a k below 2 (DomainError)."""
+    that is not finite and positive or a k that is not an integer (numpy
+    integers are) of at least 2 (DomainError)."""
     _require_odd_prime(n)
     if not (b > 0.0 and math.isfinite(b)):
         raise DomainError(f"resonant_coupling requires finite b > 0, got b={b!r}")
-    if k < 2:
-        raise DomainError("resonance order must be at least 2")
+    if not (isinstance(k, (int, np.integer)) and k >= 2):
+        raise DomainError(f"resonance order must be an integer of at least 2, got {k!r}")
     s = math.sin(theta_n(n))
     return math.sqrt(b * (k - 1) ** 2 / (k * s * s))
 

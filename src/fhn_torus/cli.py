@@ -159,7 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="run the invariant battery")
     st.add_argument("--quick", action="store_true", help="skip the slow checks")
-    st.add_argument("--format", choices=("json", "csv"), default="json")
+    st.add_argument("--format", choices=("json", "csv"), default="json",
+                    help="format of the --output file; applies only with --output")
     st.add_argument("--output", default=None, metavar="FILE")
 
     return ap

@@ -15,14 +15,15 @@ appears in order of the first index.  With 0-based indices (i, j) the x
 component of cell (i, j) sits at flat position 2*(j*N + i) and its y
 component immediately after.
 
+:func:`_shift_of` reads every shift or frequency (r, s), once, as its
+residues mod N, and :func:`_phases` builds every cell phase, from the
+N-th roots of unity w and one exponent array of their powers w^s.
 :func:`_cell_shift`, :func:`_mode_vector` and :func:`_mode_blocks` are
-the only code in the package's computations that knows this numbering,
-for single states and Fourier modes as for stacks and blocks of them:
+the only code in the package's computations that knows that numbering:
 the vector field, the group action, the cell classes of a subgroup and
 the spectrum residuals read the first, the analytic eigenvectors the
-second, and the residuals the third, which builds the phase table of
-the powers w^s once and yields the block of modes of each first
-frequency r from it.  Two readers outside this module know it too: the CSV
+second, and the residuals the third, one block of modes per first
+frequency r.  Two readers outside this module know it too: the CSV
 header of ``cli._traj_header`` names flat cell p as cell
 (p mod N, p // N), and ``simulate.classify_spatiotemporal`` reshapes the
 sampled x slots to a grid [t, j, i].
@@ -126,47 +127,51 @@ def _linear_weights(lp: LatticeParams) -> tuple:
     return (lp.gamma + lp.delta - lp.a, -1.0, -lp.gamma, -lp.delta, lp.b, -lp.c)
 
 
-def _shift_of(g, what: str = "shift") -> tuple:
-    """The group element g = (r, s), or with what="frequency" the
-    frequency (r, s), as a pair of ints; an entry that is not an integer
-    (a float such as 1.5 or 1.0) raises DomainError naming what, where
-    int() would truncate it to another element."""
+def _shift_of(g, n: int, what: str = "shift") -> tuple:
+    """The residues mod N of the shift g = (r, s), or with what="frequency"
+    of the frequency (r, s), as ints; an entry that is not an integer
+    (1.5 or 1.0, which int() would truncate) raises DomainError naming
+    what, and then an n that is not an odd prime LatticeSizeError."""
     if not all(isinstance(k, (int, np.integer)) for k in g[:2]):
         raise DomainError(f"a {what} has integer entries, got {tuple(g)!r}")
-    return int(g[0]), int(g[1])
+    _require_odd_prime(n)
+    return int(g[0]) % n, int(g[1]) % n
 
 
 def _cell_shift(g, n: int) -> np.ndarray:
     """Flat index of cell (i + r, j + s), indices mod N, for every flat
     cell j*N + i, with g = (r, s): (1, 0) and (0, 1) give the coupling
     successors, and any g the cell each cell reads under the shift g."""
-    r, s = _shift_of(g)
+    r, s = _shift_of(g, n)
     m = np.arange(n * n)
     return ((m // n + s) % n) * n + (m % n + r) % n
 
 
-def _mode_vector(r: int, s, n: int, d=None) -> np.ndarray:
-    """Unit Fourier vector at (r, s) whose cell (i, j) carries (1, d) times
-    w^(i*r + j*s), 0-based.  Without d, the unnormalised phases of the
-    cells alone; s may then be an array with a last axis of length 1,
-    which stacks the phases of a block of modes (r, s) on its axes."""
-    v = np.array([1.0] if d is None else [1.0, d])
+def _phases(n: int, s=()) -> tuple:
+    """(w, ws): the N-th roots of unity w[k] = exp(2 pi i k / N) and their
+    powers w^s for each integer in s, shape (len(s), 1, N), from one
+    exponent array (a scalar exponent 2 takes np.square, whose last bits
+    differ)."""
     w = np.exp(2j * np.pi * np.arange(n) / n)
-    ws = w ** s
-    xi = np.multiply.outer(ws, np.multiply.outer(w ** r, v)).reshape(ws.shape[:-1] + (-1,))
+    return w, w ** np.reshape(s, (-1, 1, 1))
+
+
+def _mode_vector(r: int, s: int, n: int, d=None) -> np.ndarray:
+    """Unit Fourier vector at the residues (r, s) whose cell (i, j)
+    carries (1, d) times w^(i*r + j*s), 0-based; without d, the
+    unnormalised phases of the cells alone, bit for bit row s of block
+    r of :func:`_mode_blocks`."""
+    v = np.array([1.0] if d is None else [1.0, d])
+    w, ws = _phases(n, [s])
+    xi = np.multiply.outer(ws, np.multiply.outer(w ** r, v)).reshape(-1)
     return xi if d is None else xi / np.linalg.norm(xi)
 
 
 def _mode_blocks(n: int):
     """For r = 0 .. N-1 in turn, the phases of the block of modes (r, s),
-    s = 0 .. N-1, shape (N, 1, N^2), as ``_mode_vector(r,
-    np.arange(N).reshape(N, 1, 1), N)`` gives them, bit for bit, but
-    from w and a table of the powers w^s built once for all r, and
-    without the trailing axis of length 1 of _mode_vector's factor 1.0,
-    on which numpy's outer product runs one element per inner loop.
-    Each block is written over the last one, in one buffer."""
-    w = np.exp(2j * np.pi * np.arange(n) / n)
-    ws = w ** np.arange(n).reshape(n, 1, 1)
+    s = 0 .. N-1, shape (N, 1, N^2), from one table of powers w^s for all
+    r, each block written over the last one, in one buffer."""
+    w, ws = _phases(n, range(n))
     x = np.empty((n, 1, n, n), complex)
     for r in range(n):
         yield np.multiply.outer(ws, w ** r, out=x).reshape(n, 1, n * n)

@@ -22,9 +22,11 @@ of other modes overflow.  Conjugation pairs the + branch of (r, s)
 with the + branch of (-r, -s).  :func:`spectrum_report` checks each
 closed-form pair against the lattice field's own linear weights: cell
 by cell in the x row, the only one the coupling enters, and per mode
-in the y row.  A frequency (r, s) is a pair of integers, read mod N; an
-entry that is not an integer (numpy integers are) raises DomainError
-naming the frequency.
+in the y row.  A frequency (r, s) is a pair of integers, read once as
+its residues mod N (``model._shift_of``), so every label of a mode
+gives the same bits, and its cell phases and the symbol's w come from
+one builder (``model._phases``); an entry that is not an integer
+(numpy integers are) raises DomainError naming the frequency.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (LatticeParams, _cell_shift, _linear_weights, _mode_blocks, _mode_vector,
-                    _shift_of)
+                    _phases, _shift_of)
 
 __all__ = [
     "EigenRecord",
@@ -56,12 +58,9 @@ def symbol_grid(lp: LatticeParams) -> np.ndarray:
     Couplings that overflow it leave entries that are not finite, with
     no numpy warning; its readers refuse them.
     """
-    n = lp.n
-    w = np.exp(2j * np.pi * np.arange(n) / n)
+    w, _ = _phases(lp.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        gr = lp.gamma * (1.0 - w)
-        ds = lp.delta * (1.0 - w)
-        return -lp.a + gr[:, None] + ds[None, :]
+        return -lp.a + (lp.gamma * (1.0 - w))[:, None] + lp.delta * (1.0 - w)
 
 
 def _roots(A, b: float, c: float):
@@ -100,22 +99,22 @@ def eigenvalue_grids(lp: LatticeParams):
     return _roots(symbol_grid(lp), lp.b, lp.c)
 
 
-def _entry(lp: LatticeParams, r: int, s: int) -> np.ndarray:
-    """A(r, s) as an array of one entry, whose roots then take the
-    grid's array arithmetic bit for bit; numpy's scalar arithmetic
-    differs in the last bits."""
-    r, s = _shift_of((r, s), "frequency")
-    return symbol_grid(lp)[[r % lp.n], [s % lp.n]]
+def _entries(lp: LatticeParams, *modes) -> tuple:
+    """The residues of the frequencies modes, and A at them from one grid,
+    an array whose roots then take the grid's array arithmetic bit for
+    bit; numpy's scalar arithmetic differs in the last bits."""
+    ks = [_shift_of(k, lp.n, "frequency") for k in modes]
+    return ks, symbol_grid(lp)[tuple(zip(*ks))]
 
 
 def coupling_symbol(r: int, s: int, lp: LatticeParams) -> complex:
     """A(r, s), the scalar the coupling contributes at frequency (r, s)."""
-    return complex(_entry(lp, r, s)[0])
+    return complex(_entries(lp, (r, s))[1][0])
 
 
 def analytic_eigenvalues(r: int, s: int, lp: LatticeParams):
     """Eigenvalue pair (lambda_+, lambda_-) of the symbol at (r, s)."""
-    lam_p, lam_m = _roots(_entry(lp, r, s), lp.b, lp.c)
+    lam_p, lam_m = _roots(_entries(lp, (r, s))[1], lp.b, lp.c)
     return complex(lam_p[0]), complex(lam_m[0])
 
 
@@ -128,7 +127,7 @@ def analytic_eigenvector(r: int, s: int, branch: str, lp: LatticeParams) -> np.n
     """
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    A = _entry(lp, r, s)
+    [(r, s)], A = _entries(lp, (r, s))
     return _mode_vector(r, s, lp.n, (A - _roots(A, lp.b, lp.c)["+-".index(branch)])[0])
 
 

@@ -11,10 +11,11 @@ multiplies the complex coordinate of that plane by w^(r*k1 + s*k2).
 :func:`canonical_mode` finds the pair of any frequency.  Which flat
 cell a shift reads and the Fourier vector of a frequency come from
 ``model._cell_shift`` and ``model._mode_vector``, the only code that
-knows the cell layout.  Full states carry two copies of each plane
-(one in the x slots, one in the y slots).  A shift or frequency entry
-that is not an integer (numpy integers are), such as 0.5 or 1.0, raises
-DomainError naming the pair.
+knows the cell layout, and the vector's phases from ``model._phases``.
+Full states carry two copies of each plane (in the x and the y slots).
+Each shift or frequency is read once, as its residues mod N, by
+``model._shift_of``, so every label gives one result; an entry that is
+not an integer (numpy integers are), such as 0.5, raises DomainError.
 """
 
 from __future__ import annotations
@@ -74,14 +75,13 @@ def mode_index_set(n: int) -> list:
 def canonical_mode(r: int, s: int, n: int) -> tuple:
     """Canonical pair of the plane containing frequency (r, s):
     whichever of (r, s) and (-r, -s) mod N ``mode_index_set`` lists."""
-    r, s = _shift_of((r, s), "frequency")
-    k = (r % n, s % n)
+    k = _shift_of((r, s), n, "frequency")
     return k if k in mode_index_set(n) else ((n - k[0]) % n, (n - k[1]) % n)
 
 
 def fix_modes(g, n: int) -> list:
     """Canonical pairs whose planes are fixed pointwise by g."""
-    r, s = _shift_of(g)
+    r, s = _shift_of(g, n)
     return [k for k in mode_index_set(n) if (k[0] * r + k[1] * s) % n == 0]
 
 
@@ -111,8 +111,7 @@ class IsotropySubgroup:
                 raise ClassificationError(f"the {self.kind} group takes no generator")
             return
         n = self.n
-        r, s = _shift_of((0, 0) if self.generator is None else self.generator)
-        r, s = r % n, s % n
+        r, s = _shift_of((0, 0) if self.generator is None else self.generator, n)
         if (r, s) == (0, 0):
             raise ClassificationError("cyclic subgroup needs a nonzero generator")
         gen = min(((m * r) % n, (m * s) % n) for m in range(1, n))
@@ -139,7 +138,7 @@ class IsotropySubgroup:
         return [((m * r) % self.n, (m * s) % self.n) for m in range(self.n)]
 
     def contains(self, g) -> bool:
-        g0, g1 = (k % self.n for k in _shift_of(g))
+        g0, g1 = _shift_of(g, self.n)
         if self.kind == "cyclic":  # g is a multiple of (r, s)
             r, s = self.generator
             return (g0 * s - g1 * r) % self.n == 0
@@ -247,7 +246,7 @@ def predict_hopf_symmetries(center_mode, n: int) -> SymmetryPrediction:
         The fixing subgroup is the same for k and -k.
     """
     H = IsotropySubgroup.full(n)
-    r, s = (k % n for k in _shift_of(center_mode, "frequency"))
+    r, s = _shift_of(center_mode, n, "frequency")
     K = H if (r, s) == (0, 0) else IsotropySubgroup.cyclic((-s, r), n)
     return SymmetryPrediction(
         spatial=H, fixing=K, phases={(1, 0): Fraction(r, n), (0, 1): Fraction(s, n)}

@@ -36,7 +36,7 @@ from fhn_torus import (
     symbol_grid,
     theta_n,
 )
-from fhn_torus import _rk, bifurcation
+from fhn_torus import _rk, bifurcation, spectral
 from fhn_torus.bifurcation import (
     ProbeResult,
     ProbeRun,
@@ -169,6 +169,98 @@ class TestCriticalA:
                 critical_a(lattice(n=5, b=1e-300, gamma=gamma, delta=delta))
             with pytest.raises(DomainError, match="rounds to 0.0"):
                 hopf_crossing(lattice(n=5, b=1e-300, c=1e-160, gamma=gamma, delta=delta))
+
+
+def per_mode_critical(lp):
+    """(a*, crossing, mode_symmetries) of critical_a, or the message of
+    its DomainError, by the per-mode loop it ran before it read its
+    crossing modes from one grid: one analytic_eigenvalues call, and so
+    one symbol grid, per crossing mode; crossing entries are (r, s,
+    branch, the bytes of omega), ordered as CriticalPoint.crossing."""
+    n = lp.n
+    near_half = ((n + 1) // 2, (n - 1) // 2)
+    rs, ss = (near_half if w > 0.0 else (0,) for w in (lp.gamma, lp.delta))
+    a_star = (max(lp.gamma, 0.0) + max(lp.delta, 0.0)) * (1.0 - math.cos(theta_n(n)))
+    lp_star = replace(lp, a=a_star)
+    crossing = []
+    try:
+        for r in rs:
+            for s in ss:
+                lam_p, lam_m = analytic_eigenvalues(r, s, lp_star)
+                branch = "-" if lam_m.imag > lam_p.imag else "+"
+                omega = float((lam_p if branch == "+" else lam_m).imag)
+                if not omega > 0.0:
+                    raise DomainError(f"crossing frequency of mode ({r}, {s}) rounds to "
+                                      f"{omega!r}: the couplings are too large against b")
+                crossing.append((r, s, branch, omega))
+    except DomainError as exc:
+        return str(exc)
+    crossing.sort(key=lambda m: (-m[3], m[0], m[1]))
+    syms = {m[:2]: predict_hopf_symmetries(m[:2], n).fixing for m in crossing}
+    return a_star, [m[:3] + (np.float64(m[3]).tobytes(),) for m in crossing], syms
+
+
+def critical_lattices(count, seed):
+    """count seeded c = 0 lattices: N an odd prime up to 23, the four sign
+    patterns in turn, b in [0.2, 3], and each coupling's modulus in
+    [0.05, 3] or, at even odds, log-uniform in [1e100, 1e308]; every
+    seventh has gamma = delta, whose mixed crossing modes have symbols
+    near 0."""
+    rng = np.random.default_rng(seed)
+    sizes = (3, 5, 7, 11, 13, 17, 19, 23)
+    signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+    for k in range(count):
+        mod = [10.0 ** rng.uniform(100.0, 308.0) if rng.random() < 0.5
+               else rng.uniform(0.05, 3.0) for _ in range(2)]
+        gamma, delta = (sg * m for sg, m in zip(signs[k % 4], mod))
+        yield LatticeParams(n=int(rng.choice(sizes)), a=float(rng.uniform(-1.0, 1.0)),
+                            b=float(rng.uniform(0.2, 3.0)), c=0.0, gamma=float(gamma),
+                            delta=float(gamma if k % 7 == 0 else delta))
+
+
+class TestCriticalAFromOneGrid:
+    def test_matches_the_per_mode_loop(self):
+        refused = 0
+        for lp in critical_lattices(3000, 45):
+            want = per_mode_critical(lp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateCouplingWarning)
+                try:
+                    cp = critical_a(lp)
+                except DomainError as exc:
+                    assert str(exc) == want, lp
+                    refused += 1
+                    continue
+            a_star, crossing, syms = want
+            assert np.float64(cp.a_star).tobytes() == np.float64(a_star).tobytes(), lp
+            assert [(m.r, m.s, m.branch, np.float64(m.omega).tobytes())
+                    for m in cp.crossing] == crossing, lp
+            assert cp.mode_symmetries == syms, lp
+            assert cp.predicted_K == syms[crossing[0][:2]], lp
+        assert 500 <= refused <= 2500  # both outcomes are exercised
+
+    def test_one_grid_and_one_root_call(self, monkeypatch):
+        grids, roots = [], []
+        real_grid, real_roots = spectral.symbol_grid, bifurcation._roots
+
+        def grid(lp):
+            grids.append(lp.n)
+            return real_grid(lp)
+
+        def counted_roots(A, b, c):
+            roots.append(np.shape(A))
+            return real_roots(A, b, c)
+
+        monkeypatch.setattr(spectral, "symbol_grid", grid)
+        monkeypatch.setattr(bifurcation, "_roots", counted_roots)
+        for (gamma, delta), count in zip([(1.0, 0.7), (1.0, -0.7), (-1.0, 0.7), (-1.0, -0.7)],
+                                         (4, 2, 2, 1)):
+            grids.clear()
+            roots.clear()
+            cp = critical_a(lattice(n=5, gamma=gamma, delta=delta))
+            assert len(cp.crossing) == count
+            assert grids == [5]
+            assert roots == [(count,)]
 
 
 class TestCrossingFrequencies:
@@ -319,6 +411,17 @@ class TestResonance:
     def test_order_below_two_is_refused(self):
         with pytest.raises(DomainError):
             resonant_coupling(3, 1.0, 1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(3.0), "2"])
+    def test_order_not_an_integer_is_refused(self, k):
+        # 2.5 gave 1.6139964287134971 at n = 5, and "2" a TypeError
+        with pytest.raises(DomainError, match="must be an integer"):
+            resonant_coupling(5, 1.0, k)
+
+    def test_numpy_integer_orders_are_accepted(self):
+        want = resonant_coupling(5, 1.0, 3)
+        assert resonant_coupling(5, 1.0, np.int64(3)) == want
+        assert resonant_coupling(5, 1.0, np.int32(3)) == want
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, math.inf, math.nan])
     def test_b_not_finite_and_positive_is_refused(self, b):

@@ -11,8 +11,11 @@ import pytest
 
 from conftest import dense_spectrum, fft_projection, match_distance, random_lattice
 from fhn_torus import (
+    ClassificationError,
     DomainError,
+    IsotropySubgroup,
     LatticeParams,
+    act,
     analytic_eigenvalues,
     analytic_eigenvector,
     assemble_jacobian_origin,
@@ -20,7 +23,9 @@ from fhn_torus import (
     coupling_symbol,
     critical_a,
     eigenvalue_grids,
+    fix_modes,
     genericity_violations,
+    predict_hopf_symmetries,
     spectrum_report,
     symbol_grid,
 )
@@ -40,7 +45,7 @@ def elementwise_residuals(lp):
     A = symbol_grid(lp)
     out = []
     for r, s in np.ndindex(n, n):
-        x = model._mode_vector(r, np.array([s]), n)
+        x = model._mode_vector(r, s, n)
         for lam in (grid[r, s] for grid in eigenvalue_grids(lp)):
             y = (A[r, s] - lam) * x
             jx = w[0] * x + w[2] * x[succ_i] + w[3] * x[succ_j] + w[1] * y
@@ -188,6 +193,47 @@ class TestFrequencyEntries:
             for branch in "+-":
                 assert np.array_equal(analytic_eigenvector(r, s, branch, lp),
                                       analytic_eigenvector(*k, branch, lp))
+
+
+def labels(r, s, n):
+    """The labels (r + i N, s + j N) of the mode (r, s), i, j = -2 .. 2."""
+    return [(r + i * n, s + j * n) for i in range(-2, 3) for j in range(-2, 3)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+class TestLabelsAreResidues:
+    # every reader of a frequency or shift gives the bits of its residues
+    # mod N at any label; the eigenvector differed in the last bits when
+    # its phases were raised to the label itself
+    def test_closed_form_values(self, n):
+        lp = LatticeParams(n=n, a=0.3, b=1.2, c=0.05, gamma=1.3, delta=-0.7)
+        for r, s in np.ndindex(n, n):
+            want = (np.array(coupling_symbol(r, s, lp)).tobytes(),
+                    np.array(analytic_eigenvalues(r, s, lp)).tobytes(),
+                    [analytic_eigenvector(r, s, b, lp).tobytes() for b in "+-"])
+            for k in labels(r, s, n):
+                got = (np.array(coupling_symbol(*k, lp)).tobytes(),
+                       np.array(analytic_eigenvalues(*k, lp)).tobytes(),
+                       [analytic_eigenvector(*k, b, lp).tobytes() for b in "+-"])
+                assert got == want, (r, s, k)
+
+    def test_symmetry_readers(self, n):
+        z = np.random.default_rng(n).standard_normal(2 * n * n)
+        groups = [IsotropySubgroup.cyclic((1, 2), n), IsotropySubgroup.trivial(n)]
+        for r, s in np.ndindex(n, n):
+            pred = predict_hopf_symmetries((r, s), n)
+            cyclic = IsotropySubgroup.cyclic((r, s), n) if (r, s) != (0, 0) else None
+            for k in labels(r, s, n):
+                assert canonical_mode(*k, n) == canonical_mode(r, s, n), k
+                assert predict_hopf_symmetries(k, n) == pred, k
+                assert act(k, z, n).tobytes() == act((r, s), z, n).tobytes(), k
+                assert fix_modes(k, n) == fix_modes((r, s), n), k
+                assert [K.contains(k) for K in groups] == [K.contains((r, s)) for K in groups]
+                if cyclic is None:
+                    with pytest.raises(ClassificationError):
+                        IsotropySubgroup.cyclic(k, n)
+                else:
+                    assert IsotropySubgroup.cyclic(k, n) == cyclic, k
 
 
 class TestSpectrumReport:
@@ -372,10 +418,12 @@ def oracle_lattices(count, seed):
 class TestBitForBitOracle:
     @pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 17, 19, 23])
     def test_mode_blocks_are_the_mode_vector_blocks(self, n):
-        # copied, since each block is written over the last one
-        got = [x.copy() for x in model._mode_blocks(n)]
-        want = [model._mode_vector(r, np.arange(n).reshape(n, 1, 1), n) for r in range(n)]
-        assert np.stack(got).tobytes() == np.stack(want).tobytes()
+        # row s of block r is _mode_vector(r, s), bit for bit, for every
+        # mode: the w^s of both come from one exponent array (the scalar
+        # power w ** 2 took np.square, whose bits differ at N >= 5)
+        for r, block in enumerate(model._mode_blocks(n)):
+            for s in range(n):
+                assert model._mode_vector(r, s, n).tobytes() == block[s, 0].tobytes(), (r, s)
 
     def test_report_matches_reference_loop_and_records(self):
         coincident = 0
