@@ -56,8 +56,6 @@ from .spectral import (
 )
 from .bifurcation import (
     HopfReport,
-    ProbeSettings,
-    branch_criticality_probe,
     critical_a,
     hopf_crossing,
     hopf_report_at_critical,
@@ -68,6 +66,7 @@ from .bifurcation import (
     resonant_coupling,
     theta_n,
 )
+from .probe import ProbeSettings, branch_criticality_probe
 from .simulate import (
     PeriodicOrbit,
     Trajectory,

@@ -32,7 +32,6 @@ from . import _rk, _serialize
 from .bifurcation import (
     HopfReport,
     _hopf_report,
-    branch_criticality_probe,
     critical_a,
     hopf_crossing,
     hopf_report_at_critical,
@@ -41,6 +40,7 @@ from .bifurcation import (
 )
 from .errors import BracketError, DomainError, InvarianceError, StiffnessError
 from .model import LatticeParams, infer_n, state_dim
+from .probe import branch_criticality_probe
 from .simulate import (
     Trajectory,
     _require_tol,

@@ -36,15 +36,9 @@ from fhn_torus import (
     symbol_grid,
     theta_n,
 )
-from fhn_torus import _rk, bifurcation, spectral
-from fhn_torus.bifurcation import (
-    ProbeResult,
-    ProbeRun,
-    ProbeSettings,
-    hopf_report_at_critical,
-    resonant_coupling,
-    sign_pattern,
-)
+from fhn_torus import _rk, bifurcation, probe, spectral
+from fhn_torus.bifurcation import hopf_report_at_critical, resonant_coupling, sign_pattern
+from fhn_torus.probe import ProbeResult, ProbeRun, ProbeSettings
 from fhn_torus.symmetry import _cell_classes
 
 
@@ -626,7 +620,11 @@ class TestClosedFormCrossing:
         # two modes with one symbol cross at one a with one omega
         grid = np.full((3, 3), -5.0 + 0.0j)
         grid[2, 1] = grid[1, 2] = 1.0 + 0.5j
-        monkeypatch.setattr(bifurcation, "symbol_grid", lambda lp: grid - lp.a)
+        real = spectral.symbol_grid
+        # only the c > 0 lattice whose grid hopf_crossing reads is faked:
+        # the c = 0 prediction of critical_a stays the real one
+        monkeypatch.setattr(bifurcation, "symbol_grid",
+                            lambda lp: grid - lp.a if lp.c > 0.0 else real(lp))
         with pytest.warns(UserWarning, match="departs"):
             assert hopf_crossing(lattice(c=0.05, gamma=1.0, delta=-1.0)).mode == (1, 2)
 
@@ -774,7 +772,7 @@ class TestCriticalityProbe:
         # recorded at the library's rtol, while every run was sampled over
         # its whole length: sampling only the second half leaves every
         # bit of the result, and so does passing the rtol on explicitly
-        monkeypatch.setattr(bifurcation, "_PROBE_RTOL", _rk._RTOL)
+        monkeypatch.setattr(probe, "_PROBE_RTOL", _rk._RTOL)
         rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
         assert branch_criticality_probe(rep, lp) == want
 
@@ -810,7 +808,7 @@ class TestCriticalityProbe:
         # and factors of 10; settled amplitudes move by well under 1e-6
         rep = hopf_report_at_critical(lp) if lp.c == 0.0 else hopf_crossing(lp)
         coarse = branch_criticality_probe(rep, lp)
-        monkeypatch.setattr(bifurcation, "_PROBE_RTOL", _rk._RTOL)
+        monkeypatch.setattr(probe, "_PROBE_RTOL", _rk._RTOL)
         fine = branch_criticality_probe(rep, lp)
         assert coarse.classification == fine.classification
         assert [r.outcome for r in coarse.runs] == [r.outcome for r in fine.runs]
@@ -838,9 +836,9 @@ class TestCriticalityProbe:
         solves.clear()
         monkeypatch.setattr(_rk, "_MAX_STEPS", 10)
         branch_criticality_probe(hopf_report_at_critical(lattice()), lattice())
-        probe = (bifurcation._PROBE_RTOL, _rk._ATOL)
-        assert solves == [(8, *probe)] + [(2, *probe)] * 4
-        assert bifurcation._PROBE_RTOL == 1e-7
+        tols = (probe._PROBE_RTOL, _rk._ATOL)
+        assert solves == [(8, *tols)] + [(2, *tols)] * 4
+        assert probe._PROBE_RTOL == 1e-7
 
 
 class TestProbeSettings:

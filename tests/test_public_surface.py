@@ -1,8 +1,8 @@
 """The package's public names: every ``__all__`` entry exists, star
 imports work from a fresh interpreter, ``fhn_torus.__all__`` lists
-exactly what the package ``__init__`` imports, a ``Trajectory`` has
-seven public members, and every module stays below the parser's token
-step."""
+exactly what the package ``__init__`` imports, ``bifurcation`` binds
+the probe's own objects, a ``Trajectory`` has seven public members, and
+every module stays below the parser's token step."""
 
 import ast
 import importlib
@@ -52,6 +52,15 @@ def test_package_all_is_what_init_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(set(fhn_torus.__all__)) == len(fhn_torus.__all__)
     assert set(fhn_torus.__all__) == imported | {"__version__"}
+
+
+def test_bifurcation_binds_the_probe_objects():
+    # bench/tracing.py wraps fhn_torus.bifurcation.branch_criticality_probe
+    # by replacing every binding of that object, so a wrapper or a copy
+    # here would leave probe.busy_s at 0, just as simulate keeps the
+    # state_permutation binding that bench/selfcheck.py checks
+    for name in ("branch_criticality_probe", "ProbeSettings", "ProbeRun", "ProbeResult"):
+        assert getattr(fhn_torus.bifurcation, name) is getattr(fhn_torus.probe, name)
 
 
 def test_trajectory_is_read_through_seven_members():
