@@ -75,18 +75,6 @@ _RESONANCE_K_MAX = 10
 _RESONANCE_REL_TOL = 1e-9
 
 
-def _checked_pattern(lp: LatticeParams):
-    """sign_pattern(lp), warning when gamma == delta in the (+,+) case."""
-    pat = sign_pattern(lp)
-    if pat == ("+", "+") and lp.gamma == lp.delta:
-        warnings.warn(
-            "gamma == delta collapses mode frequencies in the (+,+) case",
-            DegenerateCouplingWarning,
-            stacklevel=3,
-        )
-    return pat
-
-
 def _upper_branch(lam_p, lam_m) -> str:
     """The branch of a root pair whose root has the larger imaginary part.
 
@@ -142,7 +130,7 @@ def critical_a(lp: LatticeParams) -> CriticalPoint:
         raise DomainError("critical_a requires c = 0")
     if lp.b <= 0.0:
         raise DomainError("critical_a requires b > 0")
-    pat = _checked_pattern(lp)
+    pat = sign_pattern(lp)
     n = lp.n
     th = theta_n(n)
     factor = 1.0 - math.cos(th)
@@ -377,7 +365,8 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
     a_hat is the largest such a over the modes (the conjugate mode, with
     Im sigma < 0, carries -i*omega), ties going to the larger omega, then
     to the smaller (r, s).  Requires c > 0, c^2 < b and nonzero couplings;
-    warns where the mode is not the c = 0 one the signs predict.
+    warns where the crossing is double (gamma == delta, r != s) or its
+    mode is not the c = 0 one the signs predict.
     """
     if lp.c <= 0.0:
         raise DomainError("hopf_crossing requires c > 0; use critical_a at c = 0")
@@ -385,11 +374,7 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
         raise DomainError("hopf_crossing requires b > 0")
     if lp.c * lp.c >= lp.b:
         raise DomainError("hopf_crossing requires c^2 < b")
-    _checked_pattern(lp)
-    lp0 = replace(lp, c=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateCouplingWarning)
-        cp = critical_a(lp0)
+    cp = critical_a(replace(lp, c=0.0))
     sigma = symbol_grid(replace(lp, a=0.0)).ravel()
     up = np.flatnonzero(sigma.imag >= 0.0)
     beta = sigma.imag[up]
@@ -399,28 +384,36 @@ def hopf_crossing(lp: LatticeParams) -> HopfReport:
     if not np.isfinite(a_k).all():
         raise DomainError("the couplings overflow the coupling symbols")
     k = np.lexsort((-omega, -a_k))[0]  # stable: the smaller (r, s) wins ties
-    rep = _hopf_report(lp0, cp, a_k[k], divmod(int(up[k]), lp.n), omega[k])
-    if not rep.matches_c0_prediction:
-        warnings.warn(f"the crossing mode {rep.mode} departs from the c = 0 prediction "
-                      f"{cp.primary.mode}; the sign rule does not hold at this c", stacklevel=2)
-    return rep
+    return _hopf_report(lp, cp, a_k[k], divmod(int(up[k]), lp.n), omega[k])
 
 
 def hopf_report_at_critical(lp: LatticeParams) -> HopfReport:
     """HopfReport built directly from the c = 0 closed form, for reports
-    and sweeps at c = 0."""
+    and sweeps at c = 0; warns where the crossing is double."""
     cp = critical_a(lp)
     return _hopf_report(lp, cp, cp.a_star, cp.primary.mode, cp.primary.omega)
 
 
-def _hopf_report(lp0: LatticeParams, cp: CriticalPoint, a_hat, mode, omega) -> HopfReport:
-    """HopfReport of a crossing whose c = 0 lattice lp0 has critical
-    point cp; adds the resonances at a*, whether the mode is cp's
-    primary and, for a crossing of the synchronized mode (0, 0) in the
-    (-, -) pattern, s_star."""
+def _hopf_report(lp: LatticeParams, cp: CriticalPoint, a_hat, mode, omega) -> HopfReport:
+    """HopfReport of a crossing of lp, whose c = 0 copy has critical
+    point cp; adds the resonances of cp's crossing at a*, whether the
+    mode is cp's primary and, for a crossing of the synchronized mode
+    (0, 0) in the (-, -) pattern, s_star.  Warns, at the caller's
+    caller, where the mode departs from cp's primary and, first, where
+    gamma == delta and a crossing mode (r, s) (each of cp's at c = 0,
+    the reported one at c > 0) has r != s: it has the symbol of its
+    transpose (s, r), so the two cross as one double pair."""
+    modes = [cm.mode for cm in cp.crossing] if lp.c == 0.0 else [mode]
+    double = next(((r, s) for r, s in modes if r != s), None)
+    if lp.gamma == lp.delta and double:
+        warnings.warn(f"gamma == delta: the crossing mode {double} crosses together "
+                      f"with its transpose {double[::-1]}", DegenerateCouplingWarning, stacklevel=3)
+    if mode != cp.primary.mode:
+        warnings.warn(f"the crossing mode {mode} departs from the c = 0 prediction "
+                      f"{cp.primary.mode}; the sign rule does not hold at this c", stacklevel=3)
     s_star = None
     if mode == (0, 0) and cp.pattern == ("-", "-"):
-        s_star = lyapunov_coefficient_sync(CellParams(0.0, lp0.b, 0.0))
+        s_star = lyapunov_coefficient_sync(CellParams(0.0, lp.b, 0.0))
     return HopfReport(
         a_hat=float(a_hat),
         mode=mode,

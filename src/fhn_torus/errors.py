@@ -41,4 +41,5 @@ class InvarianceError(RuntimeError):
 
 
 class DegenerateCouplingWarning(UserWarning):
-    """Equal coupling weights collapse pairs of mode frequencies."""
+    """At gamma == delta a crossing mode (r, s) with r != s crosses together
+    with its transpose (s, r): the crossing is double."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bifurcation import HopfReport, _checked_pattern, _upper_branch
+from .bifurcation import HopfReport, _upper_branch, sign_pattern
 from .errors import DomainError, StiffnessError
 from .model import LatticeParams
 from .simulate import _quotient_solve
@@ -116,7 +116,7 @@ def branch_criticality_probe(report: HopfReport, lp: LatticeParams,
     instability, and a coexisting attractor can shadow the branch.
     """
     st = settings or ProbeSettings()
-    _checked_pattern(lp)
+    sign_pattern(lp)
     K = predict_hopf_symmetries(report.mode, lp.n).fixing
     lp_hat = replace(lp, a=report.a_hat)
     branch = _upper_branch(*analytic_eigenvalues(*report.mode, lp_hat))

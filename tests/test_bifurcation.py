@@ -114,9 +114,16 @@ class TestCriticalA:
 
     def test_doubly_dissociative_pattern(self):
         # all four corner modes share the same real part, so they hit
-        # the axis together; the diagonal plane leads in frequency
-        with pytest.warns(DegenerateCouplingWarning):
-            cp = critical_a(lattice(gamma=1.0, delta=1.0))
+        # the axis together; the diagonal plane leads in frequency.  At
+        # gamma == delta the transposed pair (1, 2), (2, 1) crosses as
+        # one double pair: the report warns of it, critical_a does not
+        lp = lattice(gamma=1.0, delta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = critical_a(lp)
+        with pytest.warns(DegenerateCouplingWarning,
+                          match=r"mode \(1, 2\) crosses together with its transpose \(2, 1\)"):
+            hopf_report_at_critical(lp)
         assert cp.a_star == pytest.approx(3.0, rel=1e-12)
         assert {m.mode for m in cp.crossing} == {(1, 1), (2, 2), (1, 2), (2, 1)}
         assert cp.primary.mode == (2, 2)
@@ -510,9 +517,10 @@ class TestHopfCrossing:
 
     def test_s_star_only_for_a_synchronized_crossing(self):
         # (-, -) at N=23: the synchronized mode is the c = 0 primary, but
-        # at c = 0.16 the (0, 1) mode crosses first
+        # at c = 0.16 the (0, 1) mode crosses first, with its transpose
         assert hopf_crossing(lattice(c=0.05)).s_star == pytest.approx(-0.375, abs=1e-14)
-        with pytest.warns(UserWarning, match="departs"):
+        with pytest.warns(UserWarning, match="departs"), \
+                pytest.warns(DegenerateCouplingWarning, match=r"\(0, 1\) .* \(1, 0\)"):
             rep = hopf_crossing(lattice(n=23, c=0.16))
         assert (rep.mode, rep.pattern) == ((0, 1), ("-", "-"))
         assert rep.s_star is None
@@ -562,9 +570,18 @@ class TestHopfCrossing:
     def test_warns_when_the_crossing_mode_departs(self):
         # the crossing is exact for any c^2 < b, so the warning follows
         # the mode, not the size of c: at N=23 in (-, -) the (0, 1) mode
-        # crosses first from c = 0.156, well below 0.2 sqrt(b)
-        with pytest.warns(UserWarning, match=r"mode \(0, 1\) departs .* prediction \(0, 0\)"):
+        # crosses first from c = 0.156, well below 0.2 sqrt(b); on the
+        # diagonal gamma == delta it crosses with its transpose (1, 0),
+        # which is warned of first, and both warnings name the caller
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rep = hopf_crossing(lattice(n=23, c=0.16))
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (DegenerateCouplingWarning, "gamma == delta: the crossing mode (0, 1) crosses "
+             "together with its transpose (1, 0)", __file__),
+            (UserWarning, "the crossing mode (0, 1) departs from the c = 0 prediction "
+             "(0, 0); the sign rule does not hold at this c", __file__),
+        ]
         assert not rep.matches_c0_prediction
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -581,6 +598,45 @@ class TestHopfCrossing:
         x = rep.a_star - rep.a_hat
         y = coupling_symbol(*rep.mode, replace(lp, a=rep.a_hat)).imag
         assert abs(y * y - psi(x, lp.b, lp.c)) < 1e-8
+
+
+def transpose_lattices():
+    """Lattices on the diagonal gamma == delta and near it, with 50
+    seeded ones off it (N = 3 and 5, gamma != delta, c in (0, 0.9))."""
+    diag = [lattice(n=7, c=0.7), lattice(n=11, c=0.4), lattice(n=5, c=0.5),
+            lattice(n=7, c=0.7, delta=-1.0 - 1e-7)]
+    diag += [lattice(n=n, gamma=1.0, delta=1.0) for n in (3, 5, 7)]
+    diag += [lattice(n=n, c=c, gamma=1.0, delta=1.0)
+             for n in (3, 5, 7, 11) for c in (0.05, 0.2, 0.4, 0.6)]
+    rng = np.random.default_rng(47)
+    off = []
+    while len(off) < 50:
+        g, d = rng.choice((-1.0, 1.0), size=2) * rng.uniform(0.2, 2.0, size=2)
+        if g != d:
+            off.append(lattice(n=int(rng.choice((3, 5))), c=float(rng.uniform(0.0, 0.9)),
+                               gamma=float(g), delta=float(d)))
+    return diag + off
+
+
+class TestTransposeDoubleCrossing:
+    def test_warns_exactly_where_the_dense_jacobian_crosses_double(self):
+        # the crossing is double where two eigenvalues on the axis at a_hat
+        # (|Re| < 1e-9) share a positive frequency to within 1e-7
+        warned = []
+        for lp in transpose_lattices():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rep = hopf_crossing(lp) if lp.c > 0.0 else hopf_report_at_critical(lp)
+            lam = dense_spectrum(replace(lp, a=rep.a_hat))
+            omega = np.sort(lam.imag[(np.abs(lam.real) < 1e-9) & (lam.imag > 0.0)])
+            double = bool(np.any(np.diff(omega) <= 1e-7))
+            warns = any(w.category is DegenerateCouplingWarning for w in caught)
+            assert warns == double, (lp, omega)
+            warned.append(warns)
+        # N = 7, c = 0.7 and N = 11, c = 0.4 at gamma = delta = -1, and
+        # the three lattices at c = 0
+        assert warned[:7] == [True, True, False, False, True, True, True]
+        assert not any(warned[7:])
 
 
 def searched_crossing(lp):

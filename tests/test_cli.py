@@ -679,19 +679,29 @@ class TestExitCodes:
 
 
 class TestWarnings:
-    @pytest.mark.parametrize("args", [
-        ["critical", "--n", "3", "--gamma", "1", "--delta", "1"],
-        ["hopf", "--n", "3", "--gamma", "1", "--delta", "1", "--c", "0.05", "--probe"],
-    ])
+    # stderr of each command: on the diagonal gamma == delta the crossing
+    # report warns where a crossing mode is off the diagonal r = s, not
+    # at the (+,+) primary (h, h) of c > 0, and the departure follows
+    STDERR = {
+        ("critical", "--n", "3", "--gamma", "1", "--delta", "1"):
+            "warning: gamma == delta: the crossing mode (1, 2) crosses together "
+            "with its transpose (2, 1)\n",
+        ("hopf", "--n", "3", "--gamma", "1", "--delta", "1", "--c", "0.05", "--probe"): "",
+        ("hopf", "--n", "7", "--gamma", "-1", "--delta", "-1", "--c", "0.7"):
+            "warning: gamma == delta: the crossing mode (0, 1) crosses together "
+            "with its transpose (1, 0)\n"
+            "warning: the crossing mode (0, 1) departs from the c = 0 prediction "
+            "(0, 0); the sign rule does not hold at this c\n",
+    }
+
+    @pytest.mark.parametrize("args", list(STDERR))
     def test_one_line_per_distinct_warning(self, args, tmp_path, capsys):
-        # hopf --probe warns from hopf_crossing and again from the probe;
-        # a second call in one process prints the warning again
+        # a second call in one process prints the warnings again
         for name in ("first.json", "second.json"):
-            code, _ = run_cli(args, tmp_path, name=name)
+            code, _ = run_cli(list(args), tmp_path, name=name)
             assert code == 0
             err = capsys.readouterr().err
-            assert err == ("warning: gamma == delta collapses mode frequencies "
-                           "in the (+,+) case\n")
+            assert err == self.STDERR[args]
             assert ".py" not in err
 
     def test_warning_filters_restored(self, tmp_path, capsys):
